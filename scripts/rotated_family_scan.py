@@ -10,9 +10,7 @@ import argparse
 import numpy as np
 
 from entcharge import equal_probs, rotated_family_report
-from entcharge.fileio import dumps_canonical, family_to_document, format_float
-
-HEADER = "theta,entanglement_per_state,theorem1_upper,refined_upper,lower_bound,verdict"
+from entcharge.fileio import CSV_HEADER, dumps_canonical, family_csv_row, family_to_document
 
 
 def main() -> None:
@@ -27,19 +25,12 @@ def main() -> None:
     args = parser.parse_args()
 
     probs = equal_probs(4) if args.probs is None else np.array([float(x) for x in args.probs.split(",")])
-    rows = [HEADER]
+    rows = [CSV_HEADER]
     documents = []
     print(f"{'theta':>8} {'E/state':>9} {'thm1':>7} {'refined':>8} {'lower':>8}  verdict")
     for theta in np.linspace(0.0, args.theta_max, args.steps):
         fam = rotated_family_report(float(theta), probs, gate_cost=args.gate_cost)
-        rows.append(",".join([
-            format_float(fam.theta),
-            format_float(fam.entanglement_per_state),
-            format_float(fam.theorem1_bound),
-            format_float(fam.refined_bound),
-            format_float(fam.lower_bound),
-            fam.charge.verdict,
-        ]))
+        rows.append(family_csv_row(fam))
         documents.append(family_to_document(fam))
         print(
             f"{fam.theta:8.4f} {fam.entanglement_per_state:9.5f} {fam.theorem1_bound:7.4f} "

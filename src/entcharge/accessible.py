@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, average_state, classify_structure, reduced_ensemble, shannon_of
-from .entropy import (
-    _entropy_bits,
-    holevo_chi,
-    quantum_mutual_information,
-    von_neumann_entropy,
-)
+from .ensembles import Ensemble, EnsembleFacts, classify_structure, ensemble_facts, shannon_of
+from .entropy import _entropy_bits, holevo_chi
 from .errors import PreconditionError, ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -175,6 +170,22 @@ def _normalize_factors(factors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _povm_elements(factors: np.ndarray) -> np.ndarray:
+    """The validated form of _normalize_factors: G_y^dag G_y with
+    G_y = F_y Sigma^(-1/2), plus the null projector on element 0.
+
+    Each element is a Gram matrix, so it is PSD to rounding; conjugating the
+    summed stack, as the search objective does, can leave eigenvalues of
+    -1e-11 on ill-conditioned stacks.
+    """
+    mats = np.einsum("yki,ykj->yij", factors.conj(), factors)
+    inv_sqrt, null_proj = _pinv_sqrt(mats.sum(axis=0))
+    g = factors @ inv_sqrt
+    out = np.einsum("yki,ykj->yij", g.conj(), g)
+    out[0] = out[0] + null_proj
+    return out
+
+
 def _factors_value(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray) -> float:
     elements = _normalize_factors(factors)
     table = np.einsum("x,xij,yji->xy", probs, rhos, elements).real
@@ -259,7 +270,7 @@ def estimate_accessible_info(
         if value > best_value:
             best_value = value
             best_factors = factors
-    povm = make_povm(e.dims, list(_normalize_factors(best_factors)), tol)
+    povm = make_povm(e.dims, list(_povm_elements(best_factors)), tol)
     lo = mutual_information_of_measurement(e, povm)
     lo = min(lo, cap)
     note = ""
@@ -270,8 +281,11 @@ def estimate_accessible_info(
 
 def delta_epsilon(e: Ensemble, info: InfoInterval, tol: Tolerances = DEFAULT_TOLERANCES) -> InfoInterval:
     """Delta = S(rho_AB) - I_Global, propagated through the info interval."""
-    s_ab = von_neumann_entropy(average_state(e), tol)
-    return InfoInterval(s_ab - info.hi, s_ab - info.lo)
+    return _delta_epsilon(ensemble_facts(e, tol), info)
+
+
+def _delta_epsilon(facts: EnsembleFacts, info: InfoInterval) -> InfoInterval:
+    return InfoInterval(facts.s_ab - info.hi, facts.s_ab - info.lo)
 
 
 def lower_bound_general(e: Ensemble, info: InfoInterval, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -280,13 +294,13 @@ def lower_bound_general(e: Ensemble, info: InfoInterval, tol: Tolerances = DEFAU
 
     Reduces to the orthogonal-pure lower bound when Delta vanishes.
     """
+    return _lower_bound_general(e, ensemble_facts(e, tol), info)
+
+
+def _lower_bound_general(e: Ensemble, facts: EnsembleFacts, info: InfoInterval) -> float:
     for k, s in enumerate(e.states):
         if not s.is_pure:
             raise PreconditionError(
                 f"the generalized lower bound needs pure members; member {k} is a density matrix"
             )
-    probs, reduced = reduced_ensemble(e, "A")
-    avg_member_entropy = float(sum(p * von_neumann_entropy(m, tol) for p, m in zip(probs, reduced)))
-    mutual = quantum_mutual_information(average_state(e), e.dims, tol)
-    delta = delta_epsilon(e, info, tol)
-    return avg_member_entropy - mutual - delta.hi
+    return facts.avg_member_entropy - facts.mutual_information - _delta_epsilon(facts, info).hi

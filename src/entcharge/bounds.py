@@ -27,26 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accessible import InfoInterval, lower_bound_general
-from .ensembles import (
-    Ensemble,
-    StructureFlags,
-    average_state,
-    classify_structure,
-    reduced_ensemble,
-    shannon_of,
-)
-from .entropy import (
-    binary_entropy,
-    entanglement_entropy,
-    holevo_chi,
-    quantum_mutual_information,
-    von_neumann_entropy,
-)
+from .accessible import InfoInterval, _lower_bound_general
+from .ensembles import Ensemble, EnsembleFacts, StructureFlags, ensemble_facts, shannon_of
+from .entropy import binary_entropy, entanglement_entropy, holevo_chi
 from .errors import PreconditionError, ValidationError
 from .generators import PRODUCT_BASIS_NOTE, is_canonical_product_basis, rotated_basis
-from .linalg import DEFAULT_TOLERANCES, Tolerances, partial_trace
-from .states import is_maximally_entangled, pairwise_orthogonal
+from .linalg import DEFAULT_TOLERANCES, Tolerances
 
 VERDICT_INFORMATION = "information_nonlocality"
 VERDICT_ENTANGLEMENT = "entanglement_nonlocality"
@@ -107,10 +93,9 @@ class FamilyReport:
             )
 
 
-def _require_orthogonal(e: Ensemble, tol: Tolerances, what: str) -> None:
-    ok, witness = pairwise_orthogonal(e.states, tol)
-    if not ok:
-        i, j, overlap = witness
+def _require_orthogonal(facts: EnsembleFacts, what: str) -> None:
+    if facts.witness is not None:
+        i, j, overlap = facts.witness
         raise PreconditionError(
             f"{what} requires a mutually orthogonal ensemble; "
             f"members {i} and {j} overlap by {overlap:.3e}"
@@ -123,37 +108,34 @@ def _require_pure(e: Ensemble, what: str) -> None:
             raise PreconditionError(f"{what} requires pure members; member {k} is a density matrix")
 
 
-def _joint_entropies(e: Ensemble, tol: Tolerances) -> tuple[float, float, float]:
-    rho = average_state(e)
-    s_ab = von_neumann_entropy(rho, tol)
-    s_a = von_neumann_entropy(partial_trace(rho, e.dims.dA, e.dims.dB, "B"), tol)
-    s_b = von_neumann_entropy(partial_trace(rho, e.dims.dA, e.dims.dB, "A"), tol)
-    return s_ab, s_a, s_b
+# Each public bound below builds the ensemble facts itself; analyze and
+# rotated_family_report build them once and call the private forms.
 
 
 def upper_bound_merging(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[float, float]:
     """State-merging upper bounds (S(A|B), S(B|A)) of the average state."""
-    _require_orthogonal(e, tol, "the merging upper bound")
-    s_ab, s_a, s_b = _joint_entropies(e, tol)
-    return s_ab - s_b, s_ab - s_a
+    facts = ensemble_facts(e, tol)
+    _require_orthogonal(facts, "the merging upper bound")
+    return facts.s_ab - facts.s_b, facts.s_ab - facts.s_a
 
 
 def upper_bound_compress_teleport(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Compress-and-teleport upper bound S(rho_A); for comparison only."""
-    _require_orthogonal(e, tol, "the compress-and-teleport upper bound")
-    _, s_a, _ = _joint_entropies(e, tol)
-    return s_a
+    facts = ensemble_facts(e, tol)
+    _require_orthogonal(facts, "the compress-and-teleport upper bound")
+    return facts.s_a
 
 
 def lower_bound_pure(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Average member entanglement minus total correlation, for pure
     mutually orthogonal ensembles."""
+    return _lower_bound_pure(e, ensemble_facts(e, tol))
+
+
+def _lower_bound_pure(e: Ensemble, facts: EnsembleFacts) -> float:
     _require_pure(e, "the pure-ensemble lower bound")
-    _require_orthogonal(e, tol, "the pure-ensemble lower bound")
-    probs, reduced = reduced_ensemble(e, "A")
-    avg_ent = float(sum(p * von_neumann_entropy(m, tol) for p, m in zip(probs, reduced)))
-    mutual = quantum_mutual_information(average_state(e), e.dims, tol)
-    return avg_ent - mutual
+    _require_orthogonal(facts, "the pure-ensemble lower bound")
+    return facts.avg_member_entropy - facts.mutual_information
 
 
 def chi_rewrite_bounds(
@@ -164,13 +146,17 @@ def chi_rewrite_bounds(
 
     The bracket's lower edge always coincides with lower_bound_pure.
     """
+    return _chi_rewrite_bounds(e, ensemble_facts(e, tol), tol)
+
+
+def _chi_rewrite_bounds(
+    e: Ensemble, facts: EnsembleFacts, tol: Tolerances
+) -> tuple[float, float, tuple[float, float]]:
     _require_pure(e, "the chi-rewritten bracket")
-    _require_orthogonal(e, tol, "the chi-rewritten bracket")
-    pa, reduced_a = reduced_ensemble(e, "A")
-    pb, reduced_b = reduced_ensemble(e, "B")
-    chi_a = holevo_chi(pa, reduced_a, tol)
-    chi_b = holevo_chi(pb, reduced_b, tol)
-    s_ab, s_a, s_b = _joint_entropies(e, tol)
+    _require_orthogonal(facts, "the chi-rewritten bracket")
+    chi_a = holevo_chi(e.probs, facts.reduced_a, tol)
+    chi_b = holevo_chi(e.probs, facts.reduced_b, tol)
+    s_ab, s_a, s_b = facts.s_ab, facts.s_a, facts.s_b
     if chi_a <= chi_b:
         bracket = (s_ab - s_b - chi_a, s_ab - s_b)
     else:
@@ -181,20 +167,23 @@ def chi_rewrite_bounds(
 def exact_charge_max_entangled(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Exact charge H(X) - log2 d for orthogonal d x d maximally entangled
     pure ensembles; cross-checked against S(rho_AB) - S(rho_B)."""
+    return _exact_charge_max_entangled(e, ensemble_facts(e, tol), tol)
+
+
+def _exact_charge_max_entangled(e: Ensemble, facts: EnsembleFacts, tol: Tolerances) -> float:
     if e.dims.dA != e.dims.dB:
         raise PreconditionError(
             f"the exact maximally-entangled formula requires dA = dB, got {e.dims.dA}x{e.dims.dB}"
         )
-    _require_orthogonal(e, tol, "the exact maximally-entangled formula")
-    for k, s in enumerate(e.states):
-        if not is_maximally_entangled(s, tol):
+    _require_orthogonal(facts, "the exact maximally-entangled formula")
+    for k, maximal in enumerate(facts.maximally_entangled):
+        if not maximal:
             raise PreconditionError(
                 f"the exact maximally-entangled formula requires maximally entangled members; "
                 f"member {k} is not"
             )
     value = shannon_of(e, tol) - float(np.log2(e.dims.dA))
-    s_ab, _, s_b = _joint_entropies(e, tol)
-    if abs((s_ab - s_b) - value) > 1e-9:
+    if abs((facts.s_ab - facts.s_b) - value) > 1e-9:
         raise ValidationError(
             "internal inconsistency: H(X) - log2 d and S(rho_AB) - S(rho_B) disagree beyond 1e-9"
         )
@@ -221,13 +210,18 @@ def analyze(
     Degraded situations (non-orthogonal ensembles, uninformative lower
     bounds) are reported through notes instead of errors.
     """
-    flags = classify_structure(e, tol)
+    return _analyze(e, ensemble_facts(e, tol), accessible_info, tol)
+
+
+def _analyze(
+    e: Ensemble, facts: EnsembleFacts, accessible_info: InfoInterval | None, tol: Tolerances
+) -> ChargeReport:
+    flags = facts.flags
     notes: list[str] = []
-    s_ab, s_a, s_b = _joint_entropies(e, tol)
     uppers = {
-        "merging_AtoB": s_ab - s_b,
-        "merging_BtoA": s_ab - s_a,
-        "compress_teleport": s_a,
+        "merging_AtoB": facts.s_ab - facts.s_b,
+        "merging_BtoA": facts.s_ab - facts.s_a,
+        "compress_teleport": facts.s_a,
     }
     if not flags.mutually_orthogonal:
         notes.append(
@@ -238,12 +232,12 @@ def analyze(
 
     candidates: list[tuple[float, bool, str | None]] = []
     if flags.all_pure and flags.mutually_orthogonal:
-        candidates.append((lower_bound_pure(e, tol), True, None))
+        candidates.append((_lower_bound_pure(e, facts), True, None))
     if accessible_info is not None:
         if flags.all_pure:
             candidates.append(
                 (
-                    lower_bound_general(e, accessible_info, tol),
+                    _lower_bound_general(e, facts, accessible_info),
                     True,
                     "lower bound uses the accessible-information interval",
                 )
@@ -265,9 +259,9 @@ def analyze(
     chi_a: float | None = None
     chi_b: float | None = None
     if flags.all_pure and flags.mutually_orthogonal:
-        chi_a, chi_b, bracket = chi_rewrite_bounds(e, tol)
+        chi_a, chi_b, bracket = _chi_rewrite_bounds(e, facts, tol)
         if flags.all_maximally_entangled and e.dims.dA == e.dims.dB:
-            exact = exact_charge_max_entangled(e, tol)
+            exact = _exact_charge_max_entangled(e, facts, tol)
             notes.append("exact: orthogonal maximally entangled ensemble, charge = H(X) - log2 d")
         elif chi_a <= EXACTNESS_TOL or chi_b <= EXACTNESS_TOL:
             exact = bracket[1]
@@ -320,19 +314,17 @@ def rotated_family_report(
     gate cost is accepted only as input, never computed.
     """
     e = rotated_basis(theta, probs, tol)
+    facts = ensemble_facts(e, tol)
     per_state = entanglement_entropy(e.states[0], tol)
-    probs_arr, reduced = reduced_ensemble(e, "A")
-    avg_member = float(sum(p * von_neumann_entropy(m, tol) for p, m in zip(probs_arr, reduced)))
-    _, s_a, _ = _joint_entropies(e, tol)
-    if s_a < avg_member - 1e-9:
+    if facts.s_a < facts.avg_member_entropy - 1e-9:
         raise ValidationError(
             "internal inconsistency: S(rho_A) fell below the average member entropy"
         )
     hx = shannon_of(e, tol)
     refined = hx - binary_entropy(float(np.cos(theta)) ** 2)
-    lower = lower_bound_pure(e, tol)
+    lower = _lower_bound_pure(e, facts)
 
-    base = analyze(e, tol=tol)
+    base = _analyze(e, facts, None, tol)
     uppers = dict(base.upper_bounds)
     uppers["family_refined"] = refined
     lo, hi = base.interval

@@ -19,17 +19,16 @@ from .bounds import ChargeReport, analyze, rotated_family_report
 from .ensembles import Ensemble, classify_structure
 from .errors import EntchargeError, ParseError, ValidationError
 from .fileio import (
+    CSV_HEADER,
     dumps_canonical,
+    family_csv_row,
     flags_to_document,
-    format_float,
     parse_ensemble,
     report_document,
     write_ensemble,
 )
 from .generators import bell_basis, equal_probs, generalized_bell_basis, product_basis, rotated_basis
 from .linalg import DEFAULT_TOLERANCES, STRICT_TOLERANCES, Tolerances
-
-CSV_HEADER = "theta,entanglement_per_state,theorem1_upper,refined_upper,lower_bound,verdict"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,19 +210,7 @@ def _cmd_sweep(args) -> int:
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
     lines = [CSV_HEADER]
     for theta in thetas:
-        fam = rotated_family_report(float(theta), probs, tol=tol)
-        lines.append(
-            ",".join(
-                [
-                    format_float(fam.theta),
-                    format_float(fam.entanglement_per_state),
-                    format_float(fam.theorem1_bound),
-                    format_float(fam.refined_bound),
-                    format_float(fam.lower_bound),
-                    fam.charge.verdict,
-                ]
-            )
-        )
+        lines.append(family_csv_row(rotated_family_report(float(theta), probs, tol=tol)))
     text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text, newline="\n")

@@ -1,5 +1,6 @@
 """The ensemble data model {p_X, rho_X} with its derived objects: average
-state, per-party reduced ensembles and structural classification flags.
+state, per-party reduced ensembles, structural classification flags and the
+EnsembleFacts record that holds all of them, computed once per analysis.
 
 Zero-probability members are retained: they affect orthogonality and
 entanglement flags but contribute nothing to entropies. Member order is
@@ -12,16 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import shannon_entropy, valid_probs
+from .entropy import shannon_entropy, valid_probs, von_neumann_entropy
 from .errors import ShapeError, ValidationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, partial_trace
 from .states import (
     BipartiteDims,
     BipartiteState,
+    _all_maximally_mixed,
     density_of,
-    is_maximally_entangled,
     is_product,
-    pairwise_orthogonal,
+    orthogonality_witness,
+    overlap_matrix,
 )
 
 # Probabilities at or below this floor count as numerically zero for support.
@@ -112,25 +114,81 @@ def reduced_ensemble(e: Ensemble, party: str) -> tuple[np.ndarray, list[np.ndarr
     return e.probs, mats
 
 
-def classify_structure(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> StructureFlags:
-    """Compute the structure flags via the state-module predicates.
+@dataclass(frozen=True, eq=False)
+class EnsembleFacts:
+    """Every derived fact the bounds engine reads, for one (ensemble,
+    tolerances) pair. Build through ensemble_facts; the arrays are shared,
+    not copied, and must be treated as immutable.
+
+    overlaps[i, j] = Tr(rho_i rho_j); witness is the first non-orthogonal
+    pair (i, j, overlap) or None. s_ab, s_a, s_b are the entropies of the
+    average state and its marginals. reduced_a / reduced_b hold each member
+    traced down to A / B, and avg_member_entropy = sum_X p_X S(rho_X^A).
+    """
+
+    flags: StructureFlags
+    overlaps: np.ndarray
+    witness: tuple[int, int, float] | None
+    maximally_entangled: tuple[bool, ...]
+    average: np.ndarray
+    s_ab: float
+    s_a: float
+    s_b: float
+    reduced_a: tuple[np.ndarray, ...]
+    reduced_b: tuple[np.ndarray, ...]
+    avg_member_entropy: float
+
+    @property
+    def mutual_information(self) -> float:
+        """I(A;B) = S(rho_A) + S(rho_B) - S(rho_AB) of the average state."""
+        return self.s_a + self.s_b - self.s_ab
+
+
+def ensemble_facts(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> EnsembleFacts:
+    """Compute every derived fact of e once: overlaps, flags, average state,
+    joint and marginal entropies, reduced ensembles, average member entropy.
 
     Flags cover all members including zero-probability ones; support_size
     counts only members with probability above PROB_FLOOR.
     """
     states = e.states
-    all_pure = all(s.is_pure for s in states)
-    orthogonal, _ = pairwise_orthogonal(states, tol)
-    all_max = all(is_maximally_entangled(s, tol) for s in states)
-    all_prod = all_pure and all(is_product(s, tol) for s in states)
-    support = int(sum(1 for p, _ in e.members if p > PROB_FLOOR))
-    return StructureFlags(
-        all_pure=all_pure,
-        mutually_orthogonal=orthogonal,
-        all_maximally_entangled=all_max,
-        all_product=all_prod,
-        support_size=support,
+    overlaps = overlap_matrix(states)
+    witness = orthogonality_witness(overlaps, tol)
+    probs, reduced_a = reduced_ensemble(e, "A")
+    _, reduced_b = reduced_ensemble(e, "B")
+    square = e.dims.dA == e.dims.dB
+    max_ent = tuple(
+        s.is_pure and square and _all_maximally_mixed((ra, rb), tol)
+        for s, ra, rb in zip(states, reduced_a, reduced_b)
     )
+    all_pure = all(s.is_pure for s in states)
+    flags = StructureFlags(
+        all_pure=all_pure,
+        mutually_orthogonal=witness is None,
+        all_maximally_entangled=all(max_ent),
+        all_product=all_pure and all(is_product(s, tol) for s in states),
+        support_size=int(sum(1 for p, _ in e.members if p > PROB_FLOOR)),
+    )
+    rho = average_state(e)
+    dA, dB = e.dims.dA, e.dims.dB
+    return EnsembleFacts(
+        flags=flags,
+        overlaps=overlaps,
+        witness=witness,
+        maximally_entangled=max_ent,
+        average=rho,
+        s_ab=von_neumann_entropy(rho, tol),
+        s_a=von_neumann_entropy(partial_trace(rho, dA, dB, "B"), tol),
+        s_b=von_neumann_entropy(partial_trace(rho, dA, dB, "A"), tol),
+        reduced_a=tuple(reduced_a),
+        reduced_b=tuple(reduced_b),
+        avg_member_entropy=float(sum(p * von_neumann_entropy(m, tol) for p, m in zip(probs, reduced_a))),
+    )
+
+
+def classify_structure(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> StructureFlags:
+    """The structure flags of e (see ensemble_facts)."""
+    return ensemble_facts(e, tol).flags
 
 
 def shannon_of(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

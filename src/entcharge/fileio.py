@@ -272,3 +272,21 @@ def family_to_document(report: FamilyReport) -> dict:
         doc["external_gate_cost"] = _bits(report.external_gate_cost, provenance="user-supplied")
     doc["charge"] = charge_to_document(report.charge)
     return doc
+
+
+# Header of the rotated-family sweep CSV; one family_csv_row per theta.
+CSV_HEADER = "theta,entanglement_per_state,theorem1_upper,refined_upper,lower_bound,verdict"
+
+
+def family_csv_row(report: FamilyReport) -> str:
+    """One sweep CSV row (no newline), in CSV_HEADER's column order."""
+    return ",".join(
+        [
+            format_float(report.theta),
+            format_float(report.entanglement_per_state),
+            format_float(report.theorem1_bound),
+            format_float(report.refined_bound),
+            format_float(report.lower_bound),
+            report.charge.verdict,
+        ]
+    )

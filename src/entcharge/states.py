@@ -130,12 +130,46 @@ def is_maximally_entangled(s: BipartiteState, tol: Tolerances = DEFAULT_TOLERANC
         return False
     d = s.dims.dA
     rho = density_of(s)
-    target = np.eye(d) / d
-    for party in ("A", "B"):
-        red = partial_trace(rho, d, d, party)
-        if frobenius(red - target) > tol.orthogonality_tol:
+    return _all_maximally_mixed((partial_trace(rho, d, d, party) for party in ("A", "B")), tol)
+
+
+def _all_maximally_mixed(reduced, tol: Tolerances) -> bool:
+    """True iff every d x d matrix in reduced is within orthogonality_tol of I/d."""
+    for red in reduced:
+        d = red.shape[0]
+        if frobenius(red - np.eye(d) / d) > tol.orthogonality_tol:
             return False
     return True
+
+
+def overlap_matrix(states: list[BipartiteState] | tuple[BipartiteState, ...]) -> np.ndarray:
+    """The m x m matrix Tr(rho_i rho_j) of m states of equal dims.
+
+    All-pure input uses the Gram matrix of the vectors, |<psi_i|psi_j>|^2;
+    otherwise each rho_i is flattened into a row of M and Tr(rho_i rho_j) =
+    Re(M M^dag)[i, j] (the members are Hermitian).
+    """
+    if not states:
+        return np.zeros((0, 0))
+    dims = states[0].dims
+    for k, s in enumerate(states):
+        if s.dims != dims:
+            raise ShapeError(f"state {k} has dims {s.dims.dA}x{s.dims.dB}, expected {dims.dA}x{dims.dB}")
+    if all(s.is_pure for s in states):
+        v = np.stack([s.vector for s in states])
+        return np.abs(v.conj() @ v.T) ** 2
+    m = np.stack([density_of(s).ravel() for s in states])
+    return np.real(m @ m.conj().T)
+
+
+def orthogonality_witness(overlaps: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[int, int, float] | None:
+    """The first pair (i, j, overlap), i < j in row-major order, whose overlap
+    exceeds orthogonality_tol; None when every pair is orthogonal."""
+    hits = np.argwhere(np.triu(overlaps > tol.orthogonality_tol, k=1))
+    if not hits.size:
+        return None
+    i, j = (int(x) for x in hits[0])
+    return i, j, float(overlaps[i, j])
 
 
 def pairwise_orthogonal(
@@ -148,19 +182,8 @@ def pairwise_orthogonal(
     perfectly-distinguishable criterion. Returns (True, None) on success,
     else (False, (i, j, overlap)) for the first violating pair.
     """
-    if not states:
-        return True, None
-    dims = states[0].dims
-    for k, s in enumerate(states):
-        if s.dims != dims:
-            raise ShapeError(f"state {k} has dims {s.dims.dA}x{s.dims.dB}, expected {dims.dA}x{dims.dB}")
-    mats = [density_of(s) for s in states]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            overlap = float(np.real(np.trace(mats[i] @ mats[j])))
-            if overlap > tol.orthogonality_tol:
-                return False, (i, j, overlap)
-    return True, None
+    witness = orthogonality_witness(overlap_matrix(states), tol)
+    return witness is None, witness
 
 
 def is_product(s: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:

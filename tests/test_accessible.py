@@ -290,3 +290,16 @@ def test_lower_bound_general_requires_pure_members():
 def test_info_interval_rejects_inverted():
     with pytest.raises(ValidationError):
         InfoInterval(1.0, 0.0)
+
+
+def test_estimate_final_povm_is_psd_on_ill_conditioned_search():
+    # A 2x2 three-member ensemble whose best factor stack is ill-conditioned:
+    # conjugating the summed stack left a POVM eigenvalue of -7.2e-12, below
+    # the -1e-12 clamp, and the estimate raised ValidationError.
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    v = v / np.linalg.norm(v, axis=1)[:, None]
+    e = make_ensemble([(1 / 3, validate_state(D22, x)) for x in v])
+    info = estimate_accessible_info(e, OptimizerConfig(restarts=2, max_iters=30))
+    assert 0.0 < info.lo <= info.hi
+    assert info.hi == pytest.approx(min(shannon_entropy(e.probs), holevo_chi(e.probs, [density_of(s) for s in e.states])), abs=1e-12)

@@ -265,3 +265,62 @@ def test_probability_dependence_of_verdict():
     assert info == VERDICT_INFORMATION
     assert ent == VERDICT_ENTANGLEMENT
     assert info != ent
+
+
+def _count_calls(monkeypatch, module_name: str, name: str) -> list:
+    """Wrap every reference to entcharge.<module_name>.<name> in every
+    entcharge namespace (modules import each other by name) and count calls."""
+    import sys
+
+    original = getattr(sys.modules[f"entcharge.{module_name}"], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if (modname == "entcharge" or modname.startswith("entcharge.")) and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_computes_overlaps_and_average_state_once(monkeypatch):
+    e = generalized_bell_basis(3, equal_probs(9))
+    overlaps = _count_calls(monkeypatch, "states", "overlap_matrix")
+    averages = _count_calls(monkeypatch, "ensembles", "average_state")
+    reduced = _count_calls(monkeypatch, "ensembles", "reduced_ensemble")
+    report = analyze(e)
+    assert report.exact_value == pytest.approx(np.log2(9) - np.log2(3), abs=1e-12)
+    assert (len(overlaps), len(averages)) == (1, 1)
+    assert sorted(args[1] for args in reduced) == ["A", "B"]
+
+
+def test_rotated_family_report_computes_facts_once(monkeypatch):
+    facts = _count_calls(monkeypatch, "ensembles", "ensemble_facts")
+    rotated_family_report(np.pi / 7, equal_probs(4))
+    assert len(facts) == 1
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_ensemble_facts_match_the_standalone_functions(seed):
+    from entcharge import (
+        average_state,
+        classify_structure,
+        ensemble_facts,
+        quantum_mutual_information,
+        reduced_ensemble,
+        von_neumann_entropy,
+    )
+
+    e = random_orthogonal_pure_ensemble(np.random.default_rng(seed), 2)
+    facts = ensemble_facts(e)
+    assert np.array_equal(facts.average, average_state(e))
+    assert facts.flags == classify_structure(e)
+    assert facts.mutual_information == quantum_mutual_information(facts.average, e.dims)
+    for party, reduced in (("A", facts.reduced_a), ("B", facts.reduced_b)):
+        assert all(np.array_equal(x, y) for x, y in zip(reduced, reduced_ensemble(e, party)[1]))
+    assert facts.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, facts.reduced_a)))
+    assert upper_bound_merging(e) == (facts.s_ab - facts.s_b, facts.s_ab - facts.s_a)
+    assert lower_bound_pure(e) == facts.avg_member_entropy - facts.mutual_information

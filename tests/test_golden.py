@@ -1,0 +1,45 @@
+"""Byte-level regression guard for the CLI.
+
+tests/golden/ holds small canonical ensemble files (a generalized Bell basis,
+a rotated-family point, a random orthogonal pure ensemble, an orthogonal
+mixed-state ensemble, a non-orthogonal pure ensemble, a non-orthogonal
+pure/density mix and a product basis) next to the exact `analyze` text and
+structured output and one `sweep rotated` CSV. Any refactor of the
+computation must reproduce them byte for byte.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from entcharge.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+NAMES = sorted(p.name.split(".")[0] for p in GOLDEN.glob("*.analyze.txt"))
+
+
+def _run(argv, capsys, monkeypatch) -> str:
+    # The structured report records the input path as given, so run from the
+    # golden directory with bare file names.
+    monkeypatch.chdir(GOLDEN)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def test_golden_set_is_complete():
+    assert len(NAMES) == 7
+
+
+@pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("structured", "structured.json")])
+@pytest.mark.parametrize("name", NAMES)
+def test_analyze_output_is_byte_identical(name, fmt, ext, capsys, monkeypatch):
+    out = _run(["analyze", f"{name}.json", "--format", fmt], capsys, monkeypatch)
+    assert out == (GOLDEN / f"{name}.analyze.{ext}").read_text()
+
+
+def test_sweep_output_is_byte_identical(capsys, monkeypatch):
+    argv = ["sweep", "rotated", "--theta-min", "0", "--theta-max", "1.5707963267948966",
+            "--steps", "9", "--probs", "0.1,0.2,0.3,0.4"]
+    assert _run(argv, capsys, monkeypatch) == (GOLDEN / "sweep_rotated.csv").read_text()

@@ -203,3 +203,65 @@ def test_maximally_entangled_implies_not_product():
         s = validate_state(D22, rotated_pair_state(theta))
         assert is_maximally_entangled(s)
         assert not is_product(s)
+
+
+def _direct_overlaps(states) -> np.ndarray:
+    """Tr(rho_i rho_j) by one matrix product per pair, independent of the
+    library's overlap matrix."""
+    mats = [np.outer(s.vector, s.vector.conj()) if s.is_pure else s.matrix for s in states]
+    out = np.zeros((len(mats), len(mats)))
+    for i in range(len(mats)):
+        for j in range(len(mats)):
+            out[i, j] = np.real(np.trace(mats[i] @ mats[j]))
+    return out
+
+
+@st.composite
+def overlap_ensembles(draw):
+    """Members built from a few columns of one random unitary, so that equal
+    or shared columns overlap and disjoint ones are orthogonal, plus
+    generic random members. kind picks all-pure, all-density or a mix."""
+    dA, dB = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["pure", "density", "mixed"]))
+    count = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = BipartiteDims(dA, dB)
+    n = dims.joint
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    states = []
+    for k in range(count):
+        pure = kind == "pure" or (kind == "mixed" and draw(st.booleans()))
+        generic = draw(st.integers(0, 4)) == 0
+        if pure:
+            vec = random_pure_vector(rng, n) if generic else u[:, draw(st.integers(0, n - 1))]
+            states.append(validate_state(dims, vec))
+            continue
+        if generic:
+            cols = u
+        else:
+            start = draw(st.integers(0, n - 1))
+            cols = u[:, start:start + draw(st.integers(1, 2))]
+        weights = rng.uniform(0.1, 1.0, cols.shape[1])
+        rho = (cols * (weights / weights.sum())) @ cols.conj().T
+        states.append(validate_state(dims, (rho + rho.conj().T) / 2))
+    return states
+
+
+@given(overlap_ensembles())
+@settings(max_examples=200, deadline=None)
+def test_overlap_matrix_matches_direct_pairwise_traces(states):
+    from entcharge.linalg import DEFAULT_TOLERANCES
+    from entcharge.states import overlap_matrix
+
+    direct = _direct_overlaps(states)
+    assert np.max(np.abs(overlap_matrix(states) - direct), initial=0.0) <= 1e-12
+    expected = None
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            if expected is None and direct[i, j] > DEFAULT_TOLERANCES.orthogonality_tol:
+                expected = (i, j, direct[i, j])
+    ok, witness = pairwise_orthogonal(states)
+    assert ok == (expected is None)
+    if expected is not None:
+        assert witness[:2] == expected[:2]
+        assert witness[2] == pytest.approx(expected[2], abs=1e-12)
