@@ -7,10 +7,7 @@ from .accessible import (
     InfoInterval,
     OptimizerConfig,
     Povm,
-    accessible_info_exact_orthogonal,
-    delta_epsilon,
     estimate_accessible_info,
-    lower_bound_general,
     make_povm,
     mutual_information_of_measurement,
 )
@@ -23,7 +20,9 @@ from .bounds import (
     VERDICT_NEITHER,
     analyze,
     chi_rewrite_bounds,
+    delta_epsilon,
     exact_charge_max_entangled,
+    lower_bound_general,
     lower_bound_pure,
     rotated_family_report,
     upper_bound_compress_teleport,
@@ -44,7 +43,6 @@ from .ensembles import (
 from .entropy import (
     binary_entropy,
     clamp_spectrum,
-    conditional_entropy,
     entanglement_entropy,
     holevo_chi,
     quantum_mutual_information,
@@ -55,7 +53,6 @@ from .errors import (
     EntchargeError,
     ParseError,
     PreconditionError,
-    ResourceLimitError,
     ShapeError,
     UnsupportedFormError,
     ValidationError,
@@ -74,16 +71,13 @@ from .linalg import (
     MAX_JOINT_DIM,
     STRICT_TOLERANCES,
     Tolerances,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
-    kron,
     partial_trace,
 )
 from .states import (
     BipartiteDims,
     BipartiteState,
     density_of,
-    is_maximally_entangled,
     is_product,
     pairwise_orthogonal,
     schmidt_coefficients,

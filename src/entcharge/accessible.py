@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, EnsembleFacts, classify_structure, ensemble_facts, shannon_of
+from .ensembles import Ensemble, classify_structure, shannon_of
 from .entropy import _entropy_bits, holevo_chi
-from .errors import PreconditionError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -24,10 +24,12 @@ from .linalg import (
     hermitian_eigenvalues,
     hermitian_part,
 )
-from .states import BipartiteDims, density_of, pairwise_orthogonal
+from .states import BipartiteDims, _freeze, density_of
 
 # Completeness tolerance for sum of POVM elements vs identity (Frobenius).
 POVM_COMPLETENESS_TOL = 1e-8
+# The local search stops once its perturbation step falls below this.
+STEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,23 +59,21 @@ class Povm:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the seeded local search; outcomes=None means ensemble size."""
+    """Knobs of the seeded local search.
 
-    outcomes: int | None = None
+    The searched POVMs have max(2, m) outcomes for an m-member ensemble, and
+    each restart halves its step until STEP_TOL or max_iters.
+    """
+
     restarts: int = 8
     max_iters: int = 500
-    step_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.outcomes is not None and self.outcomes < 2:
-            raise ValidationError("outcomes must be >= 2")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if self.step_tol <= 0:
-            raise ValidationError("step_tol must be positive")
 
 
 def make_povm(dims: BipartiteDims, elements, tol: Tolerances = DEFAULT_TOLERANCES) -> Povm:
@@ -98,22 +98,17 @@ def make_povm(dims: BipartiteDims, elements, tol: Tolerances = DEFAULT_TOLERANCE
             f"POVM elements sum to identity only within {dev:.3e} (Frobenius), "
             f"beyond {POVM_COMPLETENESS_TOL:.0e}"
         )
-    frozen = []
-    for m in mats:
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
-        frozen.append(m)
-    return Povm(dims=dims, elements=tuple(frozen))
+    return Povm(dims=dims, elements=tuple(_freeze(m) for m in mats))
 
 
-def _joint_distribution(e: Ensemble, m: Povm) -> np.ndarray:
-    rhos = np.stack([density_of(s) for s in e.states])
-    elements = np.stack(m.elements)
-    table = np.einsum("x,xij,yji->xy", e.probs, rhos, elements).real
+def _information(probs: np.ndarray, rhos: np.ndarray, elements: np.ndarray) -> float:
+    """H(X) + H(Y) - H(XY) of p(x, y) = p_x Tr(rho_x M_y); may round below 0."""
+    table = np.einsum("x,xij,yji->xy", probs, rhos, elements).real
     table[table < 0.0] = 0.0
     # Completeness holds only within POVM_COMPLETENESS_TOL; renormalize so the
     # entropy terms see an exact joint distribution.
-    return table / table.sum()
+    table = table / table.sum()
+    return _entropy_bits(table.sum(axis=1)) + _entropy_bits(table.sum(axis=0)) - _entropy_bits(table)
 
 
 def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
@@ -122,21 +117,8 @@ def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
         raise ShapeError(
             f"POVM dims {m.dims.dA}x{m.dims.dB} do not match ensemble dims {e.dims.dA}x{e.dims.dB}"
         )
-    table = _joint_distribution(e, m)
-    value = _entropy_bits(table.sum(axis=1)) + _entropy_bits(table.sum(axis=0)) - _entropy_bits(table)
-    return max(0.0, value)
-
-
-def accessible_info_exact_orthogonal(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """H(X), the exact accessible information of a mutually orthogonal ensemble."""
-    ok, witness = pairwise_orthogonal(e.states, tol)
-    if not ok:
-        i, j, overlap = witness
-        raise PreconditionError(
-            f"exact accessible information needs mutual orthogonality; "
-            f"members {i} and {j} overlap by {overlap:.3e}"
-        )
-    return shannon_of(e, tol)
+    rhos = np.stack([density_of(s) for s in e.states])
+    return max(0.0, _information(e.probs, rhos, np.stack(m.elements)))
 
 
 # -- POVM local search --------------------------------------------------------
@@ -187,11 +169,7 @@ def _povm_elements(factors: np.ndarray) -> np.ndarray:
 
 
 def _factors_value(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray) -> float:
-    elements = _normalize_factors(factors)
-    table = np.einsum("x,xij,yji->xy", probs, rhos, elements).real
-    table[table < 0.0] = 0.0
-    table = table / table.sum()
-    return _entropy_bits(table.sum(axis=1)) + _entropy_bits(table.sum(axis=0)) - _entropy_bits(table)
+    return _information(probs, rhos, _normalize_factors(factors))
 
 
 def _sqrt_measurement_factors(probs: np.ndarray, rhos: np.ndarray, outcomes: int) -> np.ndarray:
@@ -214,7 +192,7 @@ def _coordinate_ascent(
     step = 0.5
     iters = 0
     shape = factors.shape
-    while iters < cfg.max_iters and step > cfg.step_tol:
+    while iters < cfg.max_iters and step > STEP_TOL:
         improved = False
         for flat in range(factors.size):
             idx = np.unravel_index(flat, shape)
@@ -252,7 +230,7 @@ def estimate_accessible_info(
     rhos = np.stack([density_of(s) for s in e.states])
     probs = e.probs
     cap = min(hx, holevo_chi(probs, list(rhos), tol))
-    outcomes = cfg.outcomes if cfg.outcomes is not None else max(2, len(e.members))
+    outcomes = max(2, len(e.members))
     n = e.dims.joint
 
     best_factors = None
@@ -277,30 +255,3 @@ def estimate_accessible_info(
     if capped_restarts:
         note = f"local search hit max_iters={cfg.max_iters} before step_tol on {capped_restarts}/{cfg.restarts} restarts"
     return InfoInterval(lo, cap, note)
-
-
-def delta_epsilon(e: Ensemble, info: InfoInterval, tol: Tolerances = DEFAULT_TOLERANCES) -> InfoInterval:
-    """Delta = S(rho_AB) - I_Global, propagated through the info interval."""
-    return _delta_epsilon(ensemble_facts(e, tol), info)
-
-
-def _delta_epsilon(facts: EnsembleFacts, info: InfoInterval) -> InfoInterval:
-    return InfoInterval(facts.s_ab - info.hi, facts.s_ab - info.lo)
-
-
-def lower_bound_general(e: Ensemble, info: InfoInterval, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Charge lower bound for general pure ensembles:
-    sum p_X S(rho_X^A) - I(A;B) - Delta, taken at Delta's conservative edge.
-
-    Reduces to the orthogonal-pure lower bound when Delta vanishes.
-    """
-    return _lower_bound_general(e, ensemble_facts(e, tol), info)
-
-
-def _lower_bound_general(e: Ensemble, facts: EnsembleFacts, info: InfoInterval) -> float:
-    for k, s in enumerate(e.states):
-        if not s.is_pure:
-            raise PreconditionError(
-                f"the generalized lower bound needs pure members; member {k} is a density matrix"
-            )
-    return facts.avg_member_entropy - facts.mutual_information - _delta_epsilon(facts, info).hi

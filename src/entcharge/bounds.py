@@ -12,6 +12,9 @@ fires. Conventions:
   * the lower bound for pure orthogonal ensembles is the average member
     entanglement minus the total correlation,
     sum_X p_X S(rho_X^A) - I(A;B);
+  * for pure ensembles that are not orthogonal the same bound loses
+    Delta = S(rho_AB) - I_Global, carried through the interval that
+    brackets the accessible information I_Global;
   * chi rewriting: the same lower bound equals S(A|B) - chi_A = S(B|A) - chi_B
     where chi is the Holevo information of a reduced ensemble, so the bracket
     collapses, and the charge is exact, whenever one party's reduced states
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accessible import InfoInterval, _lower_bound_general
+from .accessible import InfoInterval
 from .ensembles import Ensemble, EnsembleFacts, StructureFlags, ensemble_facts, shannon_of
 from .entropy import binary_entropy, entanglement_entropy, holevo_chi
 from .errors import PreconditionError, ValidationError
@@ -154,7 +157,7 @@ def _chi_rewrite_bounds(
 ) -> tuple[float, float, tuple[float, float]]:
     _require_pure(e, "the chi-rewritten bracket")
     _require_orthogonal(facts, "the chi-rewritten bracket")
-    chi_a = holevo_chi(e.probs, facts.reduced_a, tol)
+    chi_a = facts.chi_a(e.probs, tol)
     chi_b = holevo_chi(e.probs, facts.reduced_b, tol)
     s_ab, s_a, s_b = facts.s_ab, facts.s_a, facts.s_b
     if chi_a <= chi_b:
@@ -162,6 +165,29 @@ def _chi_rewrite_bounds(
     else:
         bracket = (s_ab - s_a - chi_b, s_ab - s_a)
     return chi_a, chi_b, bracket
+
+
+def delta_epsilon(e: Ensemble, info: InfoInterval, tol: Tolerances = DEFAULT_TOLERANCES) -> InfoInterval:
+    """Delta = S(rho_AB) - I_Global, propagated through the info interval."""
+    return _delta_epsilon(ensemble_facts(e, tol), info)
+
+
+def _delta_epsilon(facts: EnsembleFacts, info: InfoInterval) -> InfoInterval:
+    return InfoInterval(facts.s_ab - info.hi, facts.s_ab - info.lo)
+
+
+def lower_bound_general(e: Ensemble, info: InfoInterval, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+    """Charge lower bound for general pure ensembles:
+    sum p_X S(rho_X^A) - I(A;B) - Delta, taken at Delta's conservative edge.
+
+    Reduces to the orthogonal-pure lower bound when Delta vanishes.
+    """
+    return _lower_bound_general(e, ensemble_facts(e, tol), info)
+
+
+def _lower_bound_general(e: Ensemble, facts: EnsembleFacts, info: InfoInterval) -> float:
+    _require_pure(e, "the generalized lower bound")
+    return facts.avg_member_entropy - facts.mutual_information - _delta_epsilon(facts, info).hi
 
 
 def exact_charge_max_entangled(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

@@ -40,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance-profile", choices=("default", "strict"), default="default",
         help="numeric tolerance profile (default: default)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for the measurement optimizer")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_validate = sub.add_parser("validate", help="parse and validate an ensemble file")
@@ -54,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bracket the accessible information and use it for the lower bound",
     )
     p_analyze.add_argument("--restarts", type=int, default=8, help="optimizer restarts")
-    p_analyze.add_argument("--seed", type=int, default=None, dest="sub_seed", help="optimizer seed")
+    p_analyze.add_argument("--seed", type=int, default=0, help="optimizer seed")
     p_analyze.add_argument("--format", choices=("text", "structured"), default="text")
     p_analyze.set_defaults(func=_cmd_analyze)
 
@@ -161,10 +160,9 @@ def _cmd_validate(args) -> int:
 def _cmd_analyze(args) -> int:
     tol = _tolerances(args)
     e = _read_ensemble(args.input, tol)
-    seed = args.sub_seed if args.sub_seed is not None else args.seed
     accessible = None
     if args.accessible_info == "estimate":
-        cfg = OptimizerConfig(restarts=args.restarts, seed=seed)
+        cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
         accessible = estimate_accessible_info(e, cfg, tol)
     report = analyze(e, accessible, tol)
     if args.format == "structured":

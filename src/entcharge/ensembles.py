@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import shannon_entropy, valid_probs, von_neumann_entropy
+from .entropy import _holevo_chi, shannon_entropy, valid_probs, von_neumann_entropy
 from .errors import ShapeError, ValidationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, partial_trace
 from .states import (
@@ -142,6 +142,11 @@ class EnsembleFacts:
     def mutual_information(self) -> float:
         """I(A;B) = S(rho_A) + S(rho_B) - S(rho_AB) of the average state."""
         return self.s_a + self.s_b - self.s_ab
+
+    def chi_a(self, probs: np.ndarray, tol: Tolerances) -> float:
+        """Holevo chi of the reduced ensemble on A; its member term
+        sum_X p_X S(rho_X^A) is avg_member_entropy, not recomputed."""
+        return _holevo_chi(probs, self.reduced_a, self.avg_member_entropy, tol)
 
 
 def ensemble_facts(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> EnsembleFacts:

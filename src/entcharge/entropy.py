@@ -71,28 +71,6 @@ def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     return _entropy_bits(clamp_spectrum(density_eigenvalues(rho, tol), tol))
 
 
-def conditional_entropy(
-    rho_ab,
-    dims: BipartiteDims,
-    conditioned_on: str = "B",
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
-    """S(A|B) = S(rho_AB) - S(rho_B) for conditioned_on='B' (mirror for 'A').
-
-    Can be negative; the sign is meaningful and is returned as-is.
-    """
-    a = as_square_matrix(rho_ab)
-    if a.shape[0] != dims.joint:
-        raise ShapeError(f"joint matrix dim {a.shape[0]} does not match dims {dims.dA}x{dims.dB}")
-    if conditioned_on == "B":
-        marginal = partial_trace(a, dims.dA, dims.dB, "A")
-    elif conditioned_on == "A":
-        marginal = partial_trace(a, dims.dA, dims.dB, "B")
-    else:
-        raise ValidationError(f"conditioned_on must be 'A' or 'B', got {conditioned_on!r}")
-    return von_neumann_entropy(a, tol) - von_neumann_entropy(marginal, tol)
-
-
 def quantum_mutual_information(
     rho_ab, dims: BipartiteDims, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
@@ -117,14 +95,21 @@ def holevo_chi(probs, states, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     for k, m in enumerate(mats):
         if m.shape[0] != dim:
             raise ShapeError(f"state {k} has dim {m.shape[0]}, expected {dim}")
+    return _holevo_chi(p, mats, None, tol)
+
+
+def _holevo_chi(p: np.ndarray, mats, member_term: float | None, tol: Tolerances) -> float:
+    """holevo_chi on checked input; member_term, when given, is the caller's
+    own sum_X p_X S(rho_X) and is used in place of recomputing it."""
     # Identical members carry no information; short-circuit keeps chi exactly 0.
     if all(np.array_equal(mats[0], m) for m in mats[1:]):
         density_eigenvalues(mats[0], tol)
         return 0.0
     avg = np.einsum("x,xij->ij", p, np.stack(mats))
     avg_entropy = von_neumann_entropy(avg, tol)
-    member_term = sum(pi * von_neumann_entropy(m, tol) for pi, m in zip(p, mats))
-    return avg_entropy - float(member_term)
+    if member_term is None:
+        member_term = float(sum(pi * von_neumann_entropy(m, tol) for pi, m in zip(p, mats)))
+    return avg_entropy - member_term
 
 
 def entanglement_entropy(s: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

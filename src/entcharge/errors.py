@@ -17,10 +17,6 @@ class ShapeError(ValidationError):
     """Dimensions of an input do not match what the operation requires."""
 
 
-class ResourceLimitError(EntchargeError):
-    """A requested computation exceeds the configured joint-dimension cap."""
-
-
 class PreconditionError(EntchargeError):
     """A bound or exact formula was requested outside its hypothesis."""
 

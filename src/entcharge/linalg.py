@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 
 # Hard cap on any joint Hilbert-space dimension handled by this package.
 MAX_JOINT_DIM = 64
@@ -54,18 +54,6 @@ def as_square_matrix(m) -> np.ndarray:
 def frobenius(m: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(m))
-
-
-def kron(a, b, max_dim: int = MAX_JOINT_DIM) -> np.ndarray:
-    """Kronecker product with a joint-dimension cap."""
-    a = as_square_matrix(a)
-    b = as_square_matrix(b)
-    joint = a.shape[0] * b.shape[0]
-    if joint > max_dim:
-        raise ResourceLimitError(
-            f"Kronecker product dimension {joint} exceeds the joint-dimension cap {max_dim}"
-        )
-    return np.kron(a, b)
 
 
 def partial_trace(m, dA: int, dB: int, traced_party: str) -> np.ndarray:
@@ -112,14 +100,6 @@ def hermitian_eigenvalues(m, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray
     a = as_square_matrix(m)
     _check_hermitian(a, tol)
     return np.linalg.eigvalsh(hermitian_part(a))
-
-
-def hermitian_eigensystem(m, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and the matching eigenvector columns."""
-    a = as_square_matrix(m)
-    _check_hermitian(a, tol)
-    w, v = np.linalg.eigh(hermitian_part(a))
-    return w, v
 
 
 def density_eigenvalues(m, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

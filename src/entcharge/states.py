@@ -21,7 +21,6 @@ from .linalg import (
     as_square_matrix,
     density_eigenvalues,
     frobenius,
-    partial_trace,
 )
 
 # Below this deviation a pure vector is already unit to machine precision and
@@ -122,15 +121,6 @@ def schmidt_coefficients(s: BipartiteState) -> np.ndarray:
     if not s.is_pure:
         raise UnsupportedFormError("Schmidt coefficients are defined for pure states only")
     return np.linalg.svd(s.vector.reshape(s.dims.dA, s.dims.dB), compute_uv=False)
-
-
-def is_maximally_entangled(s: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """True iff s is pure with dA = dB = d and both reduced states equal I/d."""
-    if not s.is_pure or s.dims.dA != s.dims.dB:
-        return False
-    d = s.dims.dA
-    rho = density_of(s)
-    return _all_maximally_mixed((partial_trace(rho, d, d, party) for party in ("A", "B")), tol)
 
 
 def _all_maximally_mixed(reduced, tol: Tolerances) -> bool:

@@ -10,7 +10,6 @@ from entcharge import (
     PreconditionError,
     ShapeError,
     ValidationError,
-    accessible_info_exact_orthogonal,
     bell_basis,
     delta_epsilon,
     density_of,
@@ -23,6 +22,7 @@ from entcharge import (
     make_povm,
     mutual_information_of_measurement,
     quantum_mutual_information,
+    rotated_basis,
     shannon_entropy,
     validate_state,
     von_neumann_entropy,
@@ -67,8 +67,6 @@ def test_make_povm_validation():
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValidationError):
-        OptimizerConfig(outcomes=1)
     with pytest.raises(ValidationError):
         OptimizerConfig(restarts=0)
 
@@ -166,18 +164,23 @@ def test_refinement_monotonicity_random_splits(seed):
 
 
 def test_accessible_info_exact_orthogonal():
-    assert accessible_info_exact_orthogonal(bell_basis(equal_probs(4))) == pytest.approx(2.0, abs=1e-12)
-    assert accessible_info_exact_orthogonal(bell_basis([1, 0, 0, 0])) == 0.0
-    from entcharge import rotated_basis
-
-    assert accessible_info_exact_orthogonal(rotated_basis(0.3, equal_probs(4))) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(PreconditionError, match="orthogonality"):
-        accessible_info_exact_orthogonal(two_state_ensemble(np.pi / 8))
+    for e, hx in (
+        (bell_basis(equal_probs(4)), 2.0),
+        (bell_basis([1, 0, 0, 0]), 0.0),
+        (rotated_basis(0.3, equal_probs(4)), 2.0),
+    ):
+        info = estimate_accessible_info(e)
+        assert info.lo == info.hi == pytest.approx(hx, abs=1e-12)
+    # non-orthogonal members get a bracket, never the exact H(X) value
+    info = estimate_accessible_info(two_state_ensemble(np.pi / 8), OptimizerConfig(restarts=1, max_iters=5))
+    assert info.lo < info.hi < 1.0
+    assert "orthogonal" not in info.note
 
 
 def test_estimate_orthogonal_short_circuit():
     info = estimate_accessible_info(bell_basis(equal_probs(4)))
     assert info.lo == info.hi == pytest.approx(2.0, abs=1e-12)
+    assert info.note == "orthogonal ensemble: exact value H(X)"
 
 
 def test_estimate_identical_states_interval_is_zero():

@@ -296,6 +296,20 @@ def test_analyze_computes_overlaps_and_average_state_once(monkeypatch):
     assert sorted(args[1] for args in reduced) == ["A", "B"]
 
 
+def test_analyze_reuses_member_entropies_for_chi_a(monkeypatch):
+    # 64 orthogonal pure members on 8x8 whose reduced states all differ.
+    # S(rho_X^A) is computed once per member, for the average member entropy,
+    # and chi_A reuses that sum: S(AB), S(A), S(B), 64 A-side members, the
+    # chi_A average, then the chi_B average and its 64 B-side members.
+    from entcharge import holevo_chi, reduced_ensemble
+
+    e = random_orthogonal_pure_ensemble(np.random.default_rng(11), 8, count=64)
+    entropies = _count_calls(monkeypatch, "entropy", "von_neumann_entropy")
+    report = analyze(e)
+    assert len(entropies) == 3 + 64 + 1 + 1 + 64
+    assert report.chi_a == holevo_chi(*reduced_ensemble(e, "A"))
+
+
 def test_rotated_family_report_computes_facts_once(monkeypatch):
     facts = _count_calls(monkeypatch, "ensembles", "ensemble_facts")
     rotated_family_report(np.pi / 7, equal_probs(4))

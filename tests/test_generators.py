@@ -11,7 +11,6 @@ from entcharge import (
     equal_probs,
     generalized_bell_basis,
     is_canonical_product_basis,
-    is_maximally_entangled,
     pairwise_orthogonal,
     partial_trace,
     product_basis,
@@ -88,7 +87,7 @@ def test_rotated_basis_theta_zero_is_product_basis():
 
 def test_rotated_basis_theta_pi_over_4_maximally_entangled():
     e = rotated_basis(np.pi / 4, equal_probs(4))
-    assert all(is_maximally_entangled(s) for s in e.states)
+    assert classify_structure(e).all_maximally_entangled
 
 
 def test_rotated_basis_entanglement_matches_binary_entropy():

@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 
 from entcharge import (
     DEFAULT_TOLERANCES,
-    ResourceLimitError,
     ShapeError,
     Tolerances,
     ValidationError,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
-    kron,
     partial_trace,
 )
 from helpers import charpoly_eigenvalues, partial_trace_loop, random_density
@@ -24,41 +21,6 @@ def test_tolerances_must_be_positive():
         Tolerances(hermiticity_tol=0.0)
     with pytest.raises(ValidationError):
         Tolerances(trace_tol=-1e-9)
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_sigma_x_pair_permutes_00_to_11():
-    xx = kron(SX, SX)
-    mapped = xx @ np.array([1, 0, 0, 0], dtype=complex)
-    assert mapped[3] == 1
-    assert xx[3, 0] == 1
-
-
-def test_kron_diagonal_multiplicativity():
-    got = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert np.array_equal(got, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-
-def test_kron_dimension_cap():
-    with pytest.raises(ResourceLimitError):
-        kron(np.eye(16), np.eye(8))
-    # exactly at the cap is fine
-    kron(np.eye(8), np.eye(8))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_kron_associativity_exact_on_integer_matrices(seed):
-    # Integer-valued entries keep float products exact, so associativity
-    # holds entry-wise exactly.
-    rng = np.random.default_rng(seed)
-    a, b, c = (rng.integers(-3, 4, size=(2, 2)) + 1j * rng.integers(-3, 4, size=(2, 2)) for _ in range(3))
-    left = kron(a, kron(b, c))
-    right = kron(kron(a, b), c)
-    assert np.array_equal(left, right)
 
 
 def test_partial_trace_bell_reduces_to_maximally_mixed():
@@ -132,18 +94,6 @@ def test_eigenvalues_match_charpoly_oracle(seed, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2
     assert np.allclose(hermitian_eigenvalues(h), charpoly_eigenvalues(h), atol=1e-8)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_eigenvalue_sum_and_reconstruction(seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = (g + g.conj().T) / 2
-    w, v = hermitian_eigensystem(h)
-    assert list(w) == sorted(w)
-    assert abs(w.sum() - np.trace(h).real) < DEFAULT_TOLERANCES.trace_tol
-    assert np.linalg.norm(h - (v * w) @ v.conj().T) <= 1e-8 * np.linalg.norm(h)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))

@@ -8,11 +8,12 @@ from entcharge import (
     ShapeError,
     UnsupportedFormError,
     ValidationError,
+    classify_structure,
     density_of,
     entanglement_entropy,
     hermitian_eigenvalues,
-    is_maximally_entangled,
     is_product,
+    make_ensemble,
     pairwise_orthogonal,
     partial_trace,
     schmidt_coefficients,
@@ -122,6 +123,10 @@ def test_schmidt_rejects_density_form():
     d = validate_state(D22, np.eye(4) / 4)
     with pytest.raises(UnsupportedFormError):
         schmidt_coefficients(d)
+
+
+def is_maximally_entangled(s) -> bool:
+    return classify_structure(make_ensemble([(1.0, s)])).all_maximally_entangled
 
 
 def test_is_maximally_entangled_examples():
