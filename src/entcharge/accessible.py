@@ -1,7 +1,8 @@
 """Bracketing the globally accessible information of an ensemble.
 
 For mutually orthogonal ensembles the value is exactly H(X). Otherwise a
-seeded local search over POVMs supplies a certified achievable value (the
+seeded, monotone fixed-point search over POVMs (Rehacek, Englert and
+Kaszlikowski, PRA 71, 054303, 2005) supplies a certified achievable value (the
 interval's lower edge) while min(H(X), Holevo chi) caps it from above. The
 reported quantity is always an interval; only the orthogonal short-circuit
 is a point.
@@ -28,8 +29,10 @@ from .states import BipartiteDims, _freeze, density_of
 
 # Completeness tolerance for sum of POVM elements vs identity (Frobenius).
 POVM_COMPLETENESS_TOL = 1e-8
-# The local search stops once its perturbation step falls below this.
+# A restart of the search stops once its step size falls below this.
 STEP_TOL = 1e-9
+# How far an interval's lower edge may exceed its upper edge through rounding.
+INTERVAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,7 @@ class InfoInterval:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi + 1e-9:
+        if self.lo > self.hi + INTERVAL_TOL:
             raise ValidationError(f"interval lower edge {self.lo!r} exceeds upper edge {self.hi!r}")
 
 
@@ -59,10 +62,12 @@ class Povm:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the seeded local search.
+    """Knobs of the seeded POVM search.
 
-    The searched POVMs have max(2, m) outcomes for an m-member ensemble, and
-    each restart halves its step until STEP_TOL or max_iters.
+    The searched POVMs have max(2, m) outcomes for an m-member ensemble.
+    max_iters caps the fixed-point iterations of each restart: one trial step
+    and one renormalization each, kept or not. A restart also stops once its
+    step size falls below STEP_TOL.
     """
 
     restarts: int = 8
@@ -101,13 +106,17 @@ def make_povm(dims: BipartiteDims, elements, tol: Tolerances = DEFAULT_TOLERANCE
     return Povm(dims=dims, elements=tuple(_freeze(m) for m in mats))
 
 
-def _information(probs: np.ndarray, rhos: np.ndarray, elements: np.ndarray) -> float:
-    """H(X) + H(Y) - H(XY) of p(x, y) = p_x Tr(rho_x M_y); may round below 0."""
+def _joint_table(probs: np.ndarray, rhos: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """p(x, y) = p_x Tr(rho_x M_y), clipped at 0 and summing to 1."""
     table = np.einsum("x,xij,yji->xy", probs, rhos, elements).real
     table[table < 0.0] = 0.0
     # Completeness holds only within POVM_COMPLETENESS_TOL; renormalize so the
     # entropy terms see an exact joint distribution.
-    table = table / table.sum()
+    return table / table.sum()
+
+
+def _information(table: np.ndarray) -> float:
+    """H(X) + H(Y) - H(XY) of a joint table; may round below 0."""
     return _entropy_bits(table.sum(axis=1)) + _entropy_bits(table.sum(axis=0)) - _entropy_bits(table)
 
 
@@ -118,17 +127,16 @@ def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
             f"POVM dims {m.dims.dA}x{m.dims.dB} do not match ensemble dims {e.dims.dA}x{e.dims.dB}"
         )
     rhos = np.stack([density_of(s) for s in e.states])
-    return max(0.0, _information(e.probs, rhos, np.stack(m.elements)))
+    return max(0.0, _information(_joint_table(e.probs, rhos, np.stack(m.elements))))
 
 
-# -- POVM local search --------------------------------------------------------
+# -- POVM search ---------------------------------------------------------------
 #
-# Each element is parameterized as M_y = F_y^dag F_y and the stack is pushed
-# onto the completeness manifold by conjugating with (sum_y M_y)^(-1/2).
-# The search is plain coordinate-wise perturbation with a decaying step and
-# seeded restarts: determinism and auditability outrank speed at this scale.
-# Restart 0 starts from the square-root measurement, the rest from Gaussian
-# factors.
+# Each element is M_y = F_y^dag F_y with the factors renormalized to
+# completeness. A step F_y <- F_y (1 + eps R_y / |R|), R_y = sum_x p_x rho_x
+# ln p(y|x)/p(y) the gradient of I(X;Y) in M_y, is kept only if I rises; eps
+# then doubles (up to 1), else halves. Restart 0 starts from the square-root
+# measurement, the rest from seeded Gaussian factors.
 
 
 def _pinv_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,34 +150,18 @@ def _pinv_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv_sqrt, null_proj
 
 
-def _normalize_factors(factors: np.ndarray) -> np.ndarray:
-    mats = np.einsum("yki,ykj->yij", factors.conj(), factors)
-    inv_sqrt, null_proj = _pinv_sqrt(mats.sum(axis=0))
-    out = np.einsum("ab,ybc,cd->yad", inv_sqrt, mats, inv_sqrt)
-    # A rank-deficient stack normalizes onto its support only; route the
-    # complement into the first outcome so completeness holds exactly.
-    out[0] = out[0] + null_proj
-    return out
-
-
-def _povm_elements(factors: np.ndarray) -> np.ndarray:
-    """The validated form of _normalize_factors: G_y^dag G_y with
-    G_y = F_y Sigma^(-1/2), plus the null projector on element 0.
-
-    Each element is a Gram matrix, so it is PSD to rounding; conjugating the
-    summed stack, as the search objective does, can leave eigenvalues of
-    -1e-11 on ill-conditioned stacks.
+def _povm_elements(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G_y = F_y Sigma^(-1/2), Sigma = sum_y F_y^dag F_y, and the elements
+    G_y^dag G_y, plus the null projector of Sigma on element 0 so completeness
+    holds exactly. Gram matrices are PSD to rounding; conjugating the summed
+    stack instead can leave eigenvalues of -1e-11 on ill-conditioned stacks.
     """
     mats = np.einsum("yki,ykj->yij", factors.conj(), factors)
     inv_sqrt, null_proj = _pinv_sqrt(mats.sum(axis=0))
     g = factors @ inv_sqrt
     out = np.einsum("yki,ykj->yij", g.conj(), g)
     out[0] = out[0] + null_proj
-    return out
-
-
-def _factors_value(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray) -> float:
-    return _information(probs, rhos, _normalize_factors(factors))
+    return g, out
 
 
 def _sqrt_measurement_factors(probs: np.ndarray, rhos: np.ndarray, outcomes: int) -> np.ndarray:
@@ -185,30 +177,37 @@ def _sqrt_measurement_factors(probs: np.ndarray, rhos: np.ndarray, outcomes: int
     return factors
 
 
-def _coordinate_ascent(
+def _ascent_direction(table: np.ndarray, probs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """R_y / max_y |R_y|_F (so |eps R_y / |R|| <= eps); p(x, y) = 0 adds 0."""
+    seen = table > 0.0
+    marginals = np.outer(table.sum(axis=1), table.sum(axis=0))
+    log_ratio = np.log(np.where(seen, table, 1.0) / np.where(seen, marginals, 1.0))
+    r = np.einsum("x,xy,xij->yij", probs, log_ratio, rhos)
+    return r / (np.linalg.norm(r, axis=(1, 2)).max() or 1.0)
+
+
+def _fixed_point_ascent(
     factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, cfg: OptimizerConfig
 ) -> tuple[np.ndarray, float, int]:
-    best = _factors_value(factors, rhos, probs)
-    step = 0.5
+    """The best elements of one restart, their information and iterations."""
+    factors, elements = _povm_elements(factors)
+    table = _joint_table(probs, rhos, elements)
+    best = _information(table)
+    direction = _ascent_direction(table, probs, rhos)
+    step = 1.0
     iters = 0
-    shape = factors.shape
-    while iters < cfg.max_iters and step > STEP_TOL:
-        improved = False
-        for flat in range(factors.size):
-            idx = np.unravel_index(flat, shape)
-            saved = factors[idx]
-            for delta in (step, -step, step * 1j, -step * 1j):
-                factors[idx] = saved + delta
-                value = _factors_value(factors, rhos, probs)
-                if value > best + 1e-12:
-                    best = value
-                    improved = True
-                    break
-                factors[idx] = saved
-        if not improved:
+    while iters < cfg.max_iters and step >= STEP_TOL:
+        trial, trial_elements = _povm_elements(factors + step * factors @ direction)
+        table = _joint_table(probs, rhos, trial_elements)
+        value = _information(table)
+        if value > best + 1e-12:
+            factors, elements, best = trial, trial_elements, value
+            direction = _ascent_direction(table, probs, rhos)
+            step = min(1.0, 2.0 * step)
+        else:
             step *= 0.5
         iters += 1
-    return factors, best, iters
+    return elements, best, iters
 
 
 def estimate_accessible_info(
@@ -219,9 +218,9 @@ def estimate_accessible_info(
     """Bracket the accessible information of an ensemble.
 
     Orthogonal ensembles short-circuit to the exact value H(X). Otherwise the
-    lower edge is the best mutual information found by the seeded local
+    lower edge is the best mutual information found by the seeded POVM
     search (re-evaluated through a validated POVM) and the upper edge is
-    min(H(X), Holevo chi).
+    min(H(X), Holevo chi); a lower edge above it beyond INTERVAL_TOL raises.
     """
     flags = classify_structure(e, tol)
     hx = shannon_of(e, tol)
@@ -233,7 +232,6 @@ def estimate_accessible_info(
     outcomes = max(2, len(e.members))
     n = e.dims.joint
 
-    best_factors = None
     best_value = -np.inf
     capped_restarts = 0
     for restart in range(cfg.restarts):
@@ -242,14 +240,16 @@ def estimate_accessible_info(
         else:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,)))
             factors = rng.standard_normal((outcomes, n, n)) + 1j * rng.standard_normal((outcomes, n, n))
-        factors, value, iters = _coordinate_ascent(factors, rhos, probs, cfg)
+        elements, value, iters = _fixed_point_ascent(factors, rhos, probs, cfg)
         if iters >= cfg.max_iters:
             capped_restarts += 1
         if value > best_value:
             best_value = value
-            best_factors = factors
-    povm = make_povm(e.dims, list(_povm_elements(best_factors)), tol)
+            best_elements = elements
+    povm = make_povm(e.dims, list(best_elements), tol)
     lo = mutual_information_of_measurement(e, povm)
+    if lo > cap + INTERVAL_TOL:
+        raise ValidationError(f"measured information {lo!r} exceeds min(H(X), Holevo chi) = {cap!r}")
     lo = min(lo, cap)
     note = ""
     if capped_restarts:

@@ -149,17 +149,15 @@ class EnsembleFacts:
         return _holevo_chi(probs, self.reduced_a, self.avg_member_entropy, tol)
 
 
-def ensemble_facts(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> EnsembleFacts:
-    """Compute every derived fact of e once: overlaps, flags, average state,
-    joint and marginal entropies, reduced ensembles, average member entropy.
-
-    Flags cover all members including zero-probability ones; support_size
-    counts only members with probability above PROB_FLOOR.
+def _structure(e: Ensemble, tol: Tolerances):
+    """The flags of e plus what they are read from: the overlap matrix, the
+    orthogonality witness, per-member maximal entanglement and both reduced
+    ensembles. Computes no entropy.
     """
     states = e.states
     overlaps = overlap_matrix(states)
     witness = orthogonality_witness(overlaps, tol)
-    probs, reduced_a = reduced_ensemble(e, "A")
+    _, reduced_a = reduced_ensemble(e, "A")
     _, reduced_b = reduced_ensemble(e, "B")
     square = e.dims.dA == e.dims.dB
     max_ent = tuple(
@@ -174,6 +172,17 @@ def ensemble_facts(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensembl
         all_product=all_pure and all(is_product(s, tol) for s in states),
         support_size=int(sum(1 for p, _ in e.members if p > PROB_FLOOR)),
     )
+    return flags, overlaps, witness, max_ent, reduced_a, reduced_b
+
+
+def ensemble_facts(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> EnsembleFacts:
+    """Compute every derived fact of e once: overlaps, flags, average state,
+    joint and marginal entropies, reduced ensembles, average member entropy.
+
+    Flags cover all members including zero-probability ones; support_size
+    counts only members with probability above PROB_FLOOR.
+    """
+    flags, overlaps, witness, max_ent, reduced_a, reduced_b = _structure(e, tol)
     rho = average_state(e)
     dA, dB = e.dims.dA, e.dims.dB
     return EnsembleFacts(
@@ -187,13 +196,13 @@ def ensemble_facts(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensembl
         s_b=von_neumann_entropy(partial_trace(rho, dA, dB, "A"), tol),
         reduced_a=tuple(reduced_a),
         reduced_b=tuple(reduced_b),
-        avg_member_entropy=float(sum(p * von_neumann_entropy(m, tol) for p, m in zip(probs, reduced_a))),
+        avg_member_entropy=float(sum(p * von_neumann_entropy(m, tol) for p, m in zip(e.probs, reduced_a))),
     )
 
 
 def classify_structure(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> StructureFlags:
-    """The structure flags of e (see ensemble_facts)."""
-    return ensemble_facts(e, tol).flags
+    """The structure flags of e (see ensemble_facts); computes no entropy."""
+    return _structure(e, tol)[0]
 
 
 def shannon_of(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

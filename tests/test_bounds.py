@@ -310,6 +310,16 @@ def test_analyze_reuses_member_entropies_for_chi_a(monkeypatch):
     assert report.chi_a == holevo_chi(*reduced_ensemble(e, "A"))
 
 
+def test_classify_structure_computes_no_entropy(monkeypatch):
+    from entcharge import classify_structure, ensemble_facts
+
+    e = generalized_bell_basis(3, equal_probs(9))
+    entropies = _count_calls(monkeypatch, "entropy", "von_neumann_entropy")
+    flags = classify_structure(e)
+    assert len(entropies) == 0
+    assert flags == ensemble_facts(e).flags
+
+
 def test_rotated_family_report_computes_facts_once(monkeypatch):
     facts = _count_calls(monkeypatch, "ensembles", "ensemble_facts")
     rotated_family_report(np.pi / 7, equal_probs(4))

@@ -5,7 +5,9 @@ a rotated-family point, a random orthogonal pure ensemble, an orthogonal
 mixed-state ensemble, a non-orthogonal pure ensemble, a non-orthogonal
 pure/density mix and a product basis) next to the exact `analyze` text and
 structured output and one `sweep rotated` CSV. Any refactor of the
-computation must reproduce them byte for byte.
+computation must reproduce them byte for byte. One more file pins the
+structured output of `--accessible-info estimate` on the non-orthogonal pure
+ensemble, so a change to the POVM search shows up as a diff.
 """
 
 from pathlib import Path
@@ -43,3 +45,9 @@ def test_sweep_output_is_byte_identical(capsys, monkeypatch):
     argv = ["sweep", "rotated", "--theta-min", "0", "--theta-max", "1.5707963267948966",
             "--steps", "9", "--probs", "0.1,0.2,0.3,0.4"]
     assert _run(argv, capsys, monkeypatch) == (GOLDEN / "sweep_rotated.csv").read_text()
+
+
+def test_estimate_output_is_byte_identical(capsys, monkeypatch):
+    argv = ["analyze", "nonorth2x2.json", "--accessible-info", "estimate", "--restarts", "2",
+            "--seed", "3", "--format", "structured"]
+    assert _run(argv, capsys, monkeypatch) == (GOLDEN / "nonorth2x2.estimate.structured.json").read_text()
