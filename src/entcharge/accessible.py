@@ -14,25 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, classify_structure, shannon_of
+from .ensembles import Ensemble, shannon_of
 from .entropy import _entropy_bits, holevo_chi
 from .errors import ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
+    ROUNDING_SLACK,
     Tolerances,
     as_square_matrix,
     frobenius,
     hermitian_eigenvalues,
     hermitian_part,
 )
-from .states import BipartiteDims, _freeze, density_of
+from .states import BipartiteDims, _freeze, density_of, pairwise_orthogonal
 
 # Completeness tolerance for sum of POVM elements vs identity (Frobenius).
 POVM_COMPLETENESS_TOL = 1e-8
 # A restart of the search stops once its step size falls below this.
 STEP_TOL = 1e-9
-# How far an interval's lower edge may exceed its upper edge through rounding.
-INTERVAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class InfoInterval:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi + INTERVAL_TOL:
+        if self.lo > self.hi + ROUNDING_SLACK:
             raise ValidationError(f"interval lower edge {self.lo!r} exceeds upper edge {self.hi!r}")
 
 
@@ -79,6 +78,8 @@ class OptimizerConfig:
             raise ValidationError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def make_povm(dims: BipartiteDims, elements, tol: Tolerances = DEFAULT_TOLERANCES) -> Povm:
@@ -220,11 +221,11 @@ def estimate_accessible_info(
     Orthogonal ensembles short-circuit to the exact value H(X). Otherwise the
     lower edge is the best mutual information found by the seeded POVM
     search (re-evaluated through a validated POVM) and the upper edge is
-    min(H(X), Holevo chi); a lower edge above it beyond INTERVAL_TOL raises.
+    min(H(X), Holevo chi); a lower edge above it beyond ROUNDING_SLACK raises.
     """
-    flags = classify_structure(e, tol)
+    orthogonal, _ = pairwise_orthogonal(e.states, tol)
     hx = shannon_of(e, tol)
-    if flags.mutually_orthogonal:
+    if orthogonal:
         return InfoInterval(hx, hx, "orthogonal ensemble: exact value H(X)")
     rhos = np.stack([density_of(s) for s in e.states])
     probs = e.probs
@@ -248,7 +249,7 @@ def estimate_accessible_info(
             best_elements = elements
     povm = make_povm(e.dims, list(best_elements), tol)
     lo = mutual_information_of_measurement(e, povm)
-    if lo > cap + INTERVAL_TOL:
+    if lo > cap + ROUNDING_SLACK:
         raise ValidationError(f"measured information {lo!r} exceeds min(H(X), Holevo chi) = {cap!r}")
     lo = min(lo, cap)
     note = ""

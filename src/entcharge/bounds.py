@@ -35,16 +35,12 @@ from .ensembles import Ensemble, EnsembleFacts, StructureFlags, ensemble_facts, 
 from .entropy import binary_entropy, entanglement_entropy, holevo_chi
 from .errors import PreconditionError, ValidationError
 from .generators import PRODUCT_BASIS_NOTE, is_canonical_product_basis, rotated_basis
-from .linalg import DEFAULT_TOLERANCES, Tolerances
+from .linalg import DEFAULT_TOLERANCES, ROUNDING_SLACK, Tolerances
 
 VERDICT_INFORMATION = "information_nonlocality"
 VERDICT_ENTANGLEMENT = "entanglement_nonlocality"
 VERDICT_NEITHER = "neither"
 VERDICT_INDETERMINATE = "indeterminate"
-
-# Dead zone separating numerically-zero from genuinely signed values.
-VERDICT_DEAD_ZONE = 1e-9
-EXACTNESS_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +62,10 @@ class ChargeReport:
 
     def __post_init__(self) -> None:
         lo, hi = self.interval
-        if lo > hi + 1e-9:
+        if lo > hi + ROUNDING_SLACK:
             raise ValidationError(f"charge interval [{lo!r}, {hi!r}] is inverted")
         if self.exact_value is not None:
-            if abs(hi - lo) > 1e-9:
+            if abs(hi - lo) > ROUNDING_SLACK:
                 raise ValidationError("exact value present but interval is not degenerate")
             if self.verdict == VERDICT_INDETERMINATE:
                 raise ValidationError("exact value present but verdict is indeterminate")
@@ -90,7 +86,7 @@ class FamilyReport:
 
     def __post_init__(self) -> None:
         expected = binary_entropy(float(np.cos(self.theta)) ** 2)
-        if abs(self.entanglement_per_state - expected) > 1e-9:
+        if abs(self.entanglement_per_state - expected) > ROUNDING_SLACK:
             raise ValidationError(
                 "per-state entanglement disagrees with H(cos^2 theta) beyond 1e-9"
             )
@@ -209,7 +205,7 @@ def _exact_charge_max_entangled(e: Ensemble, facts: EnsembleFacts, tol: Toleranc
                 f"member {k} is not"
             )
     value = shannon_of(e, tol) - float(np.log2(e.dims.dA))
-    if abs((facts.s_ab - facts.s_b) - value) > 1e-9:
+    if abs((facts.s_ab - facts.s_b) - value) > ROUNDING_SLACK:
         raise ValidationError(
             "internal inconsistency: H(X) - log2 d and S(rho_AB) - S(rho_B) disagree beyond 1e-9"
         )
@@ -217,11 +213,11 @@ def _exact_charge_max_entangled(e: Ensemble, facts: EnsembleFacts, tol: Toleranc
 
 
 def _verdict(lo: float, hi: float, exact: float | None) -> str:
-    if lo > VERDICT_DEAD_ZONE:
+    if lo > ROUNDING_SLACK:
         return VERDICT_INFORMATION
-    if hi < -VERDICT_DEAD_ZONE:
+    if hi < -ROUNDING_SLACK:
         return VERDICT_ENTANGLEMENT
-    if exact is not None and abs(exact) <= VERDICT_DEAD_ZONE:
+    if exact is not None and abs(exact) <= ROUNDING_SLACK:
         return VERDICT_NEITHER
     return VERDICT_INDETERMINATE
 
@@ -289,9 +285,9 @@ def _analyze(
         if flags.all_maximally_entangled and e.dims.dA == e.dims.dB:
             exact = _exact_charge_max_entangled(e, facts, tol)
             notes.append("exact: orthogonal maximally entangled ensemble, charge = H(X) - log2 d")
-        elif chi_a <= EXACTNESS_TOL or chi_b <= EXACTNESS_TOL:
+        elif chi_a <= ROUNDING_SLACK or chi_b <= ROUNDING_SLACK:
             exact = bracket[1]
-            side = "A" if chi_a <= EXACTNESS_TOL else "B"
+            side = "A" if chi_a <= ROUNDING_SLACK else "B"
             notes.append(
                 f"exact: chi_{side} = 0, one party's reduced states are identical "
                 "and the bracket collapses"
@@ -302,12 +298,8 @@ def _analyze(
     elif winner_note:
         notes.append(winner_note)
 
-    known = e.known_charge
-    known_note = e.known_charge_note
-    if known is None and is_canonical_product_basis(e, tol):
-        known = 0.0
-        known_note = PRODUCT_BASIS_NOTE
-    if known is not None:
+    known = is_canonical_product_basis(e, tol)
+    if known:
         notes.append("known-value annotation attached; it is cited, not computed")
 
     return ChargeReport(
@@ -321,8 +313,8 @@ def _analyze(
         flags=flags,
         chi_a=chi_a,
         chi_b=chi_b,
-        known_charge=known,
-        known_charge_note=known_note,
+        known_charge=0.0 if known else None,
+        known_charge_note=PRODUCT_BASIS_NOTE if known else None,
     )
 
 
@@ -337,12 +329,14 @@ def rotated_family_report(
     On top of the generic analysis this reports the probability-dependent
     refined upper bound H(X) - H(cos^2 theta) and, when supplied, folds a
     user-provided average gate-implementation cost into the interval. The
-    gate cost is accepted only as input, never computed.
+    gate cost is accepted only as input, never computed, and must be finite.
     """
+    if gate_cost is not None and not np.isfinite(gate_cost):
+        raise ValidationError(f"supplied gate cost {gate_cost!r} is not finite")
     e = rotated_basis(theta, probs, tol)
     facts = ensemble_facts(e, tol)
     per_state = entanglement_entropy(e.states[0], tol)
-    if facts.s_a < facts.avg_member_entropy - 1e-9:
+    if facts.s_a < facts.avg_member_entropy - ROUNDING_SLACK:
         raise ValidationError(
             "internal inconsistency: S(rho_A) fell below the average member entropy"
         )
@@ -360,7 +354,7 @@ def rotated_family_report(
         uppers["external_gate_cost"] = float(gate_cost)
         hi = min(hi, float(gate_cost))
         notes = notes + ("external gate cost supplied by the user, not computed",)
-        if hi < lo - 1e-9:
+        if hi < lo - ROUNDING_SLACK:
             raise ValidationError(
                 f"supplied gate cost {gate_cost!r} lies below the certified lower bound {lo!r}"
             )

@@ -90,6 +90,13 @@ def _read_ensemble(path: str, tol: Tolerances) -> Ensemble:
     return parse_ensemble(text, tol)
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, newline="\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_probs(text: str | None, n: int) -> np.ndarray:
     if text is None:
         return equal_probs(n)
@@ -189,7 +196,7 @@ def _cmd_generate(args) -> int:
         if args.theta is None:
             raise ValidationError("generate rotated requires --theta")
         e = rotated_basis(args.theta, _parse_probs(args.probs, 4), tol)
-    Path(args.output).write_text(write_ensemble(e))
+    _write_text(args.output, write_ensemble(e))
     flags = classify_structure(e, tol)
     print(f"wrote {e.label} ensemble to {args.output}: dims={e.dims.dA}x{e.dims.dB} members={len(e.members)}")
     print(f"flags: {_flags_line(flags)}")
@@ -211,7 +218,7 @@ def _cmd_sweep(args) -> int:
         lines.append(family_csv_row(rotated_family_report(float(theta), probs, tol=tol)))
     text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text, newline="\n")
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return 0

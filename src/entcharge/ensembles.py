@@ -32,18 +32,11 @@ PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """A validated ensemble of bipartite states with probabilities.
-
-    known_charge is an optional cited value attached by generators for
-    families whose charge is known on other grounds; it is metadata, kept
-    distinct from computed bounds, and never affects verdicts.
-    """
+    """A validated ensemble of bipartite states with probabilities."""
 
     dims: BipartiteDims
     members: tuple[tuple[float, BipartiteState], ...]
     label: str | None = None
-    known_charge: float | None = None
-    known_charge_note: str | None = None
 
     @property
     def probs(self) -> np.ndarray:
@@ -65,13 +58,7 @@ class StructureFlags:
     support_size: int
 
 
-def make_ensemble(
-    members,
-    label: str | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    known_charge: float | None = None,
-    known_charge_note: str | None = None,
-) -> Ensemble:
+def make_ensemble(members, label: str | None = None, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
     """Build an Ensemble from (prob, BipartiteState) pairs, validating probs and dims."""
     pairs = [(float(p), s) for p, s in members]
     if not pairs:
@@ -83,13 +70,7 @@ def make_ensemble(
             raise ShapeError(
                 f"member {k} has dims {s.dims.dA}x{s.dims.dB}, expected {dims.dA}x{dims.dB}"
             )
-    return Ensemble(
-        dims=dims,
-        members=tuple(pairs),
-        label=label,
-        known_charge=known_charge,
-        known_charge_note=known_charge_note,
-    )
+    return Ensemble(dims=dims, members=tuple(pairs), label=label)
 
 
 def average_state(e: Ensemble) -> np.ndarray:

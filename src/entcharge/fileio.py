@@ -9,6 +9,8 @@ written files round-trip byte-identically through parse + write.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -49,6 +51,8 @@ def _render(value, indent: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot render non-finite number {float(value)!r}")
         return format_float(float(value))
     if isinstance(value, str):
         return json.dumps(value)
@@ -58,7 +62,10 @@ def _render(value, indent: int) -> str:
 
 
 def dumps_canonical(doc: dict) -> str:
-    """Deterministic JSON text (insertion-ordered keys, LF, trailing newline)."""
+    """Deterministic JSON text (insertion-ordered keys, LF, trailing newline).
+
+    Raises ValueError on a NaN or infinite float, which strict JSON cannot hold.
+    """
     return _render(doc, 0) + "\n"
 
 
@@ -196,13 +203,8 @@ def _bits(value: float, provenance: str = "computed") -> dict:
 
 
 def flags_to_document(flags: StructureFlags) -> dict:
-    return {
-        "all_pure": flags.all_pure,
-        "mutually_orthogonal": flags.mutually_orthogonal,
-        "all_maximally_entangled": flags.all_maximally_entangled,
-        "all_product": flags.all_product,
-        "support_size": flags.support_size,
-    }
+    """The flags by field name, in field order."""
+    return asdict(flags)
 
 
 def charge_to_document(report: ChargeReport) -> dict:
@@ -234,12 +236,7 @@ def report_document(
 ) -> dict:
     doc: dict = {
         "tool": {"name": "entcharge", "version": version},
-        "tolerances": {
-            "hermiticity_tol": tol.hermiticity_tol,
-            "trace_tol": tol.trace_tol,
-            "eigenvalue_clamp": tol.eigenvalue_clamp,
-            "orthogonality_tol": tol.orthogonality_tol,
-        },
+        "tolerances": asdict(tol),
         "input": {
             "source": source,
             "label": e.label,

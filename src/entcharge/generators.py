@@ -70,11 +70,7 @@ def generalized_bell_basis(d: int, probs, tol: Tolerances = DEFAULT_TOLERANCES) 
 
 
 def product_basis(dA: int, dB: int, probs, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
-    """Computational product basis |i>|j> in row-major order.
-
-    Carries the known-value annotation charge = 0 for this LOCC
-    distinguishable family; the annotation is metadata, not a computed bound.
-    """
+    """Computational product basis |i>|j> in row-major order."""
     dims = BipartiteDims(dA, dB)
     p = _check_probs_length(probs, dims.joint)
     states = []
@@ -82,13 +78,7 @@ def product_basis(dA: int, dB: int, probs, tol: Tolerances = DEFAULT_TOLERANCES)
         v = np.zeros(dims.joint, dtype=complex)
         v[k] = 1.0
         states.append(_pure(dims, v, tol))
-    return make_ensemble(
-        zip(p, states),
-        label=f"product-{dA}x{dB}",
-        tol=tol,
-        known_charge=0.0,
-        known_charge_note=PRODUCT_BASIS_NOTE,
-    )
+    return make_ensemble(zip(p, states), label=f"product-{dA}x{dB}", tol=tol)
 
 
 def rotated_basis(theta: float, probs, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
@@ -110,7 +100,8 @@ def rotated_basis(theta: float, probs, tol: Tolerances = DEFAULT_TOLERANCES) -> 
 
 def is_canonical_product_basis(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """True iff the members are exactly the computational basis states (up to
-    phase and order), the family the known-value annotation applies to."""
+    phase and order). This is the one rule for the known-value annotation:
+    analyze attaches PRODUCT_BASIS_NOTE and charge 0 exactly when it holds."""
     n = e.dims.joint
     if len(e.members) != n:
         return False

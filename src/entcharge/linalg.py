@@ -6,7 +6,7 @@ Operators are plain numpy arrays of complex128. Joint dimensions are capped
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -14,6 +14,12 @@ from .errors import ShapeError, ValidationError
 
 # Hard cap on any joint Hilbert-space dimension handled by this package.
 MAX_JOINT_DIM = 64
+
+# Rounding slack of computed bits: a value within it of 0 counts as 0 for the
+# verdict and the exactness rules, and it is how far an identity between two
+# computed values, or an interval's lower edge over its upper edge, may be off
+# before that counts as an error. No tolerance profile changes it.
+ROUNDING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -26,9 +32,9 @@ class Tolerances:
     orthogonality_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("hermiticity_tol", "trace_tol", "eigenvalue_clamp", "orthogonality_tol"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"tolerance {name} must be strictly positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValidationError(f"tolerance {f.name} must be strictly positive")
 
 
 DEFAULT_TOLERANCES = Tolerances()

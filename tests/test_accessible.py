@@ -184,6 +184,25 @@ def test_estimate_orthogonal_short_circuit():
     assert info.note == "orthogonal ensemble: exact value H(X)"
 
 
+def test_estimate_short_circuit_builds_no_reduced_ensemble(monkeypatch):
+    # Orthogonality is read from the overlap matrix alone; the reduced
+    # ensembles of the structure flags are never needed by the estimate.
+    import entcharge.ensembles as ensembles
+
+    calls = []
+    original = ensembles.reduced_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ensembles, "reduced_ensemble", counted)
+    assert estimate_accessible_info(bell_basis(equal_probs(4))).lo == pytest.approx(2.0, abs=1e-12)
+    info = estimate_accessible_info(two_state_ensemble(np.pi / 8), OptimizerConfig(restarts=1, max_iters=5))
+    assert info.lo < info.hi
+    assert calls == []
+
+
 def test_estimate_identical_states_interval_is_zero():
     bell = bell_basis(equal_probs(4)).states[0]
     e = make_ensemble([(0.5, bell), (0.5, bell)])

@@ -164,7 +164,6 @@ def test_analyze_annotation_attached_to_parsed_product_basis():
     # structural detection, without the generator's in-memory annotation
     e = product_basis(2, 2, equal_probs(4))
     rebuilt = make_ensemble(list(e.members))
-    assert rebuilt.known_charge is None
     r = analyze(rebuilt)
     assert r.known_charge == 0.0
 
@@ -198,6 +197,13 @@ def test_rotated_family_report_gate_cost_tightens_interval():
     assert fam.charge.interval[1] == pytest.approx(0.9, abs=1e-12)
     with pytest.raises(ValidationError, match="gate cost"):
         rotated_family_report(np.pi / 6, equal_probs(4), gate_cost=0.2)
+
+
+@pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+def test_rotated_family_report_rejects_non_finite_gate_cost(cost):
+    # min(hi, nan) and min(hi, inf) would both keep hi and hide the input
+    with pytest.raises(ValidationError, match="gate cost .* not finite"):
+        rotated_family_report(np.pi / 6, equal_probs(4), gate_cost=cost)
 
 
 def test_rotated_family_report_theta_range():

@@ -213,6 +213,30 @@ def test_sweep_rows_rederivable_by_analyze(tmp_path, capsys):
         assert float(cols[1]) == pytest.approx(binary_entropy(np.cos(theta) ** 2), abs=1e-9)
 
 
+def test_analyze_negative_seed_exit_2(tmp_path, capsys):
+    path = write_bell(tmp_path)
+    assert main(["analyze", str(path), "--accessible-info", "estimate", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "bell"],
+        ["sweep", "rotated", "--theta-min", "0", "--theta-max", "1", "--steps", "3"],
+    ],
+)
+def test_write_to_unwritable_path_exit_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing-dir" / "out.txt"
+    assert main([*argv, "-o", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
 def test_sweep_empty_range_exit_2(capsys):
     assert main(["sweep", "rotated", "--theta-min", "0", "--theta-max", "1", "--steps", "0"]) == 2
     assert "step" in capsys.readouterr().err

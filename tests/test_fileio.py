@@ -153,6 +153,16 @@ def test_family_document_units_and_provenance():
     assert parsed["charge"]["verdict"] == fam.charge.verdict
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")], ids=["nan", "inf", "-inf", "np-nan"]
+)
+def test_dumps_canonical_rejects_non_finite_numbers(value):
+    from entcharge.fileio import dumps_canonical
+
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps_canonical({"points": [{"value": value}]})
+
+
 def test_report_document_annotation_provenance():
     import json
 

@@ -3,6 +3,7 @@ import pytest
 
 from entcharge import (
     ValidationError,
+    analyze,
     bell_basis,
     binary_entropy,
     classify_structure,
@@ -16,6 +17,7 @@ from entcharge import (
     product_basis,
     rotated_basis,
 )
+from entcharge.generators import PRODUCT_BASIS_NOTE
 from helpers import bell_vectors
 
 
@@ -73,9 +75,10 @@ def test_product_basis_flags_and_annotation():
     e = product_basis(3, 2, equal_probs(6))
     flags = classify_structure(e)
     assert flags.all_product and not flags.all_maximally_entangled
-    assert e.known_charge == 0.0
-    assert e.known_charge_note
     assert is_canonical_product_basis(e)
+    r = analyze(e)
+    assert r.known_charge == 0.0
+    assert r.known_charge_note == PRODUCT_BASIS_NOTE
 
 
 def test_rotated_basis_theta_zero_is_product_basis():

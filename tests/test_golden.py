@@ -7,7 +7,9 @@ pure/density mix and a product basis) next to the exact `analyze` text and
 structured output and one `sweep rotated` CSV. Any refactor of the
 computation must reproduce them byte for byte. One more file pins the
 structured output of `--accessible-info estimate` on the non-orthogonal pure
-ensemble, so a change to the POVM search shows up as a diff.
+ensemble, so a change to the POVM search shows up as a diff, and one the
+structured output under `--tolerance-profile strict`, whose tolerance block and
+known-value annotation no other golden covers.
 """
 
 from pathlib import Path
@@ -51,3 +53,8 @@ def test_estimate_output_is_byte_identical(capsys, monkeypatch):
     argv = ["analyze", "nonorth2x2.json", "--accessible-info", "estimate", "--restarts", "2",
             "--seed", "3", "--format", "structured"]
     assert _run(argv, capsys, monkeypatch) == (GOLDEN / "nonorth2x2.estimate.structured.json").read_text()
+
+
+def test_strict_profile_output_is_byte_identical(capsys, monkeypatch):
+    argv = ["--tolerance-profile", "strict", "analyze", "product2x3.json", "--format", "structured"]
+    assert _run(argv, capsys, monkeypatch) == (GOLDEN / "product2x3.strict.structured.json").read_text()
