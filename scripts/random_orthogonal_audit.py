@@ -4,14 +4,19 @@
 Samples seeded random mutually orthogonal pure ensembles, checks that the
 lower bound never exceeds the merging upper bounds and that the two
 chi-rewritten forms of the lower bound agree, then prints the worst margins.
+Invalid input ends in one `error: ...` line on stderr and exit code 2, as in
+the CLI; a failed audit exits 1.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
 from entcharge import (
     BipartiteDims,
+    EntchargeError,
+    ValidationError,
     chi_rewrite_bounds,
     lower_bound_pure,
     make_ensemble,
@@ -36,6 +41,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dims", type=int, nargs="+", default=[2, 3])
     args = parser.parse_args()
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+    if min(args.dims) < 2:
+        raise ValidationError(f"--dims entries must be >= 2, got {min(args.dims)}")
 
     rng = np.random.default_rng(args.seed)
     worst_gap = np.inf
@@ -59,4 +70,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except EntchargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

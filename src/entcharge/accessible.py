@@ -30,8 +30,11 @@ from .states import BipartiteDims, _freeze, density_of, pairwise_orthogonal
 
 # Completeness tolerance for sum of POVM elements vs identity (Frobenius).
 POVM_COMPLETENESS_TOL = 1e-8
-# A restart of the search stops once its step size falls below this.
+# Stop rules, not rounding slacks: they bound the search's effort, not what it
+# certifies. A restart stops once its step falls below STEP_TOL; a step counts
+# as a rise only if it gains more than RISE_TOL bits, far above I's rounding.
 STEP_TOL = 1e-9
+RISE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,9 +138,9 @@ def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
 #
 # Each element is M_y = F_y^dag F_y with the factors renormalized to
 # completeness. A step F_y <- F_y (1 + eps R_y / |R|), R_y = sum_x p_x rho_x
-# ln p(y|x)/p(y) the gradient of I(X;Y) in M_y, is kept only if I rises; eps
-# then doubles (up to 1), else halves. Restart 0 starts from the square-root
-# measurement, the rest from seeded Gaussian factors.
+# ln p(y|x)/p(y) the gradient of I(X;Y) in M_y, is kept only if I rises by more
+# than RISE_TOL; eps then doubles (up to 1), else halves. Restart 0 starts from
+# the square-root measurement, the rest from seeded Gaussian factors.
 
 
 def _pinv_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +204,7 @@ def _fixed_point_ascent(
         trial, trial_elements = _povm_elements(factors + step * factors @ direction)
         table = _joint_table(probs, rhos, trial_elements)
         value = _information(table)
-        if value > best + 1e-12:
+        if value > best + RISE_TOL:
             factors, elements, best = trial, trial_elements, value
             direction = _ascent_direction(table, probs, rhos)
             step = min(1.0, 2.0 * step)

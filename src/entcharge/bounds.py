@@ -107,10 +107,6 @@ def _require_pure(e: Ensemble, what: str) -> None:
             raise PreconditionError(f"{what} requires pure members; member {k} is a density matrix")
 
 
-# Each public bound below builds the ensemble facts itself; analyze and
-# rotated_family_report build them once and call the private forms.
-
-
 def upper_bound_merging(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[float, float]:
     """State-merging upper bounds (S(A|B), S(B|A)) of the average state."""
     facts = ensemble_facts(e, tol)
@@ -128,10 +124,7 @@ def upper_bound_compress_teleport(e: Ensemble, tol: Tolerances = DEFAULT_TOLERAN
 def lower_bound_pure(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Average member entanglement minus total correlation, for pure
     mutually orthogonal ensembles."""
-    return _lower_bound_pure(e, ensemble_facts(e, tol))
-
-
-def _lower_bound_pure(e: Ensemble, facts: EnsembleFacts) -> float:
+    facts = ensemble_facts(e, tol)
     _require_pure(e, "the pure-ensemble lower bound")
     _require_orthogonal(facts, "the pure-ensemble lower bound")
     return facts.avg_member_entropy - facts.mutual_information
@@ -145,12 +138,7 @@ def chi_rewrite_bounds(
 
     The bracket's lower edge always coincides with lower_bound_pure.
     """
-    return _chi_rewrite_bounds(e, ensemble_facts(e, tol), tol)
-
-
-def _chi_rewrite_bounds(
-    e: Ensemble, facts: EnsembleFacts, tol: Tolerances
-) -> tuple[float, float, tuple[float, float]]:
+    facts = ensemble_facts(e, tol)
     _require_pure(e, "the chi-rewritten bracket")
     _require_orthogonal(facts, "the chi-rewritten bracket")
     chi_a = facts.chi_a(e.probs, tol)
@@ -165,11 +153,8 @@ def _chi_rewrite_bounds(
 
 def delta_epsilon(e: Ensemble, info: InfoInterval, tol: Tolerances = DEFAULT_TOLERANCES) -> InfoInterval:
     """Delta = S(rho_AB) - I_Global, propagated through the info interval."""
-    return _delta_epsilon(ensemble_facts(e, tol), info)
-
-
-def _delta_epsilon(facts: EnsembleFacts, info: InfoInterval) -> InfoInterval:
-    return InfoInterval(facts.s_ab - info.hi, facts.s_ab - info.lo)
+    s_ab = ensemble_facts(e, tol).s_ab
+    return InfoInterval(s_ab - info.hi, s_ab - info.lo)
 
 
 def lower_bound_general(e: Ensemble, info: InfoInterval, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -178,21 +163,15 @@ def lower_bound_general(e: Ensemble, info: InfoInterval, tol: Tolerances = DEFAU
 
     Reduces to the orthogonal-pure lower bound when Delta vanishes.
     """
-    return _lower_bound_general(e, ensemble_facts(e, tol), info)
-
-
-def _lower_bound_general(e: Ensemble, facts: EnsembleFacts, info: InfoInterval) -> float:
+    facts = ensemble_facts(e, tol)
     _require_pure(e, "the generalized lower bound")
-    return facts.avg_member_entropy - facts.mutual_information - _delta_epsilon(facts, info).hi
+    return facts.avg_member_entropy - facts.mutual_information - delta_epsilon(e, info, tol).hi
 
 
 def exact_charge_max_entangled(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Exact charge H(X) - log2 d for orthogonal d x d maximally entangled
     pure ensembles; cross-checked against S(rho_AB) - S(rho_B)."""
-    return _exact_charge_max_entangled(e, ensemble_facts(e, tol), tol)
-
-
-def _exact_charge_max_entangled(e: Ensemble, facts: EnsembleFacts, tol: Tolerances) -> float:
+    facts = ensemble_facts(e, tol)
     if e.dims.dA != e.dims.dB:
         raise PreconditionError(
             f"the exact maximally-entangled formula requires dA = dB, got {e.dims.dA}x{e.dims.dB}"
@@ -232,12 +211,7 @@ def analyze(
     Degraded situations (non-orthogonal ensembles, uninformative lower
     bounds) are reported through notes instead of errors.
     """
-    return _analyze(e, ensemble_facts(e, tol), accessible_info, tol)
-
-
-def _analyze(
-    e: Ensemble, facts: EnsembleFacts, accessible_info: InfoInterval | None, tol: Tolerances
-) -> ChargeReport:
+    facts = ensemble_facts(e, tol)
     flags = facts.flags
     notes: list[str] = []
     uppers = {
@@ -254,12 +228,12 @@ def _analyze(
 
     candidates: list[tuple[float, bool, str | None]] = []
     if flags.all_pure and flags.mutually_orthogonal:
-        candidates.append((_lower_bound_pure(e, facts), True, None))
+        candidates.append((lower_bound_pure(e, tol), True, None))
     if accessible_info is not None:
         if flags.all_pure:
             candidates.append(
                 (
-                    _lower_bound_general(e, facts, accessible_info),
+                    lower_bound_general(e, accessible_info, tol),
                     True,
                     "lower bound uses the accessible-information interval",
                 )
@@ -281,9 +255,9 @@ def _analyze(
     chi_a: float | None = None
     chi_b: float | None = None
     if flags.all_pure and flags.mutually_orthogonal:
-        chi_a, chi_b, bracket = _chi_rewrite_bounds(e, facts, tol)
+        chi_a, chi_b, bracket = chi_rewrite_bounds(e, tol)
         if flags.all_maximally_entangled and e.dims.dA == e.dims.dB:
-            exact = _exact_charge_max_entangled(e, facts, tol)
+            exact = exact_charge_max_entangled(e, tol)
             notes.append("exact: orthogonal maximally entangled ensemble, charge = H(X) - log2 d")
         elif chi_a <= ROUNDING_SLACK or chi_b <= ROUNDING_SLACK:
             exact = bracket[1]
@@ -342,9 +316,9 @@ def rotated_family_report(
         )
     hx = shannon_of(e, tol)
     refined = hx - binary_entropy(float(np.cos(theta)) ** 2)
-    lower = _lower_bound_pure(e, facts)
+    lower = lower_bound_pure(e, tol)
 
-    base = _analyze(e, facts, None, tol)
+    base = analyze(e, None, tol)
     uppers = dict(base.upper_bounds)
     uppers["family_refined"] = refined
     lo, hi = base.interval

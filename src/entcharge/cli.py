@@ -97,7 +97,8 @@ def _write_text(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_probs(text: str | None, n: int) -> np.ndarray:
+def parse_probs(text: str | None, n: int) -> np.ndarray:
+    """A --probs value of comma-separated probabilities; n equal ones if None."""
     if text is None:
         return equal_probs(n)
     try:
@@ -166,10 +167,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     tol = _tolerances(args)
+    cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     e = _read_ensemble(args.input, tol)
     accessible = None
     if args.accessible_info == "estimate":
-        cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
         accessible = estimate_accessible_info(e, cfg, tol)
     report = analyze(e, accessible, tol)
     if args.format == "structured":
@@ -183,19 +184,19 @@ def _cmd_analyze(args) -> int:
 def _cmd_generate(args) -> int:
     tol = _tolerances(args)
     if args.family == "bell":
-        e = bell_basis(_parse_probs(args.probs, 4), tol)
+        e = bell_basis(parse_probs(args.probs, 4), tol)
     elif args.family == "gbell":
         if args.d is None:
             raise ValidationError("generate gbell requires --d")
-        e = generalized_bell_basis(args.d, _parse_probs(args.probs, args.d * args.d), tol)
+        e = generalized_bell_basis(args.d, parse_probs(args.probs, args.d * args.d), tol)
     elif args.family == "product":
         if args.da is None or args.db is None:
             raise ValidationError("generate product requires --da and --db")
-        e = product_basis(args.da, args.db, _parse_probs(args.probs, args.da * args.db), tol)
+        e = product_basis(args.da, args.db, parse_probs(args.probs, args.da * args.db), tol)
     else:
         if args.theta is None:
             raise ValidationError("generate rotated requires --theta")
-        e = rotated_basis(args.theta, _parse_probs(args.probs, 4), tol)
+        e = rotated_basis(args.theta, parse_probs(args.probs, 4), tol)
     _write_text(args.output, write_ensemble(e))
     flags = classify_structure(e, tol)
     print(f"wrote {e.label} ensemble to {args.output}: dims={e.dims.dA}x{e.dims.dB} members={len(e.members)}")
@@ -211,7 +212,7 @@ def _cmd_sweep(args) -> int:
         raise ValidationError(
             f"sweep range [{args.theta_min!r}, {args.theta_max!r}] must lie inside [0, pi/2]"
         )
-    probs = _parse_probs(args.probs, 4)
+    probs = parse_probs(args.probs, 4)
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
     lines = [CSV_HEADER]
     for theta in thetas:

@@ -1,6 +1,6 @@
 """The ensemble data model {p_X, rho_X} with its derived objects: average
-state, per-party reduced ensembles, structural classification flags and the
-EnsembleFacts record that holds all of them, computed once per analysis.
+state, per-party reduced ensembles, structure flags and the EnsembleFacts
+record that holds all of them, computed once per (ensemble, tolerances) pair.
 
 Zero-probability members are retained: they affect orthogonality and
 entanglement flags but contribute nothing to entropies. Member order is
@@ -9,6 +9,7 @@ preserved for reporting and witnesses but never changes computed values.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +99,8 @@ def reduced_ensemble(e: Ensemble, party: str) -> tuple[np.ndarray, list[np.ndarr
 @dataclass(frozen=True, eq=False)
 class EnsembleFacts:
     """Every derived fact the bounds engine reads, for one (ensemble,
-    tolerances) pair. Build through ensemble_facts; the arrays are shared,
-    not copied, and must be treated as immutable.
+    tolerances) pair, as ensemble_facts returns it on every call for that
+    pair. The arrays are shared and read-only; no field refers to the ensemble.
 
     overlaps[i, j] = Tr(rho_i rho_j); witness is the first non-orthogonal
     pair (i, j, overlap) or None. s_ab, s_a, s_b are the entropies of the
@@ -156,17 +157,27 @@ def _structure(e: Ensemble, tol: Tolerances):
     return flags, overlaps, witness, max_ent, reduced_a, reduced_b
 
 
+# Each live ensemble's facts by tolerances; weak keys die with their ensemble.
+_FACTS: weakref.WeakKeyDictionary[Ensemble, dict[Tolerances, EnsembleFacts]] = weakref.WeakKeyDictionary()
+
+
 def ensemble_facts(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> EnsembleFacts:
-    """Compute every derived fact of e once: overlaps, flags, average state,
-    joint and marginal entropies, reduced ensembles, average member entropy.
+    """Every derived fact of e under tol, computed on the first call for
+    (e, tol) and returned from then on: overlaps, flags, average state, joint
+    and marginal entropies, reduced ensembles, average member entropy.
 
     Flags cover all members including zero-probability ones; support_size
     counts only members with probability above PROB_FLOOR.
     """
+    by_tol = _FACTS.setdefault(e, {})
+    if tol in by_tol:
+        return by_tol[tol]
     flags, overlaps, witness, max_ent, reduced_a, reduced_b = _structure(e, tol)
     rho = average_state(e)
+    for a in (overlaps, rho, *reduced_a, *reduced_b):
+        a.setflags(write=False)
     dA, dB = e.dims.dA, e.dims.dB
-    return EnsembleFacts(
+    by_tol[tol] = EnsembleFacts(
         flags=flags,
         overlaps=overlaps,
         witness=witness,
@@ -179,6 +190,7 @@ def ensemble_facts(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensembl
         reduced_b=tuple(reduced_b),
         avg_member_entropy=float(sum(p * von_neumann_entropy(m, tol) for p, m in zip(e.probs, reduced_a))),
     )
+    return by_tol[tol]
 
 
 def classify_structure(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> StructureFlags:

@@ -327,9 +327,55 @@ def test_classify_structure_computes_no_entropy(monkeypatch):
 
 
 def test_rotated_family_report_computes_facts_once(monkeypatch):
-    facts = _count_calls(monkeypatch, "ensembles", "ensemble_facts")
+    overlaps = _count_calls(monkeypatch, "states", "overlap_matrix")
+    averages = _count_calls(monkeypatch, "ensembles", "average_state")
     rotated_family_report(np.pi / 7, equal_probs(4))
-    assert len(facts) == 1
+    assert len(overlaps) == 1
+    assert len(averages) == 1
+
+
+def test_facts_are_computed_once_across_public_bounds(monkeypatch):
+    e = generalized_bell_basis(3, equal_probs(9))
+    overlaps = _count_calls(monkeypatch, "states", "overlap_matrix")
+    averages = _count_calls(monkeypatch, "ensembles", "average_state")
+    analyze(e)
+    lower_bound_pure(e)
+    upper_bound_merging(e)
+    chi_rewrite_bounds(e)
+    exact_charge_max_entangled(e)
+    assert (len(overlaps), len(averages)) == (1, 1)
+
+
+def test_facts_are_keyed_by_tolerances():
+    from entcharge import STRICT_TOLERANCES
+
+    dims = BipartiteDims(2, 2)
+    s0 = validate_state(dims, [1, 0, 0, 0])
+    s1 = validate_state(dims, [1e-5, np.sqrt(1 - 1e-10), 0, 0])  # Tr(rho_0 rho_1) = 1e-10
+    e = make_ensemble([(0.5, s0), (0.5, s1)])
+    assert analyze(e).flags.mutually_orthogonal
+    assert not analyze(e, tol=STRICT_TOLERANCES).flags.mutually_orthogonal
+
+
+def test_facts_do_not_keep_the_ensemble_alive():
+    import gc
+    import weakref
+
+    e = generalized_bell_basis(2, equal_probs(4))
+    analyze(e)
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert ref() is None
+
+
+def test_shared_facts_are_read_only():
+    from entcharge import ensemble_facts
+
+    facts = ensemble_facts(bell_basis(equal_probs(4)))
+    for a in (facts.overlaps, facts.average, *facts.reduced_a, *facts.reduced_b):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -222,6 +222,18 @@ def test_analyze_negative_seed_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, diagnostic",
+    [(["--restarts", "0"], "error: restarts must be >= 1\n"), (["--seed", "-5"], "error: seed must be >= 0, got -5\n")],
+)
+def test_analyze_rejects_bad_optimizer_options_without_estimate(tmp_path, capsys, flags, diagnostic):
+    path = write_bell(tmp_path)
+    assert main(["analyze", str(path), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == diagnostic
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["generate", "bell"],
