@@ -25,7 +25,6 @@ from .bounds import (
     lower_bound_general,
     lower_bound_pure,
     rotated_family_report,
-    upper_bound_compress_teleport,
     upper_bound_merging,
 )
 from .ensembles import (

@@ -214,11 +214,7 @@ def _fixed_point_ascent(
     return elements, best, iters
 
 
-def estimate_accessible_info(
-    e: Ensemble,
-    cfg: OptimizerConfig = OptimizerConfig(),
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> InfoInterval:
+def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig()) -> InfoInterval:
     """Bracket the accessible information of an ensemble.
 
     Orthogonal ensembles short-circuit to the exact value H(X). Otherwise the
@@ -226,13 +222,13 @@ def estimate_accessible_info(
     search (re-evaluated through a validated POVM) and the upper edge is
     min(H(X), Holevo chi); a lower edge above it beyond ROUNDING_SLACK raises.
     """
-    orthogonal, _ = pairwise_orthogonal(e.states, tol)
-    hx = shannon_of(e, tol)
+    orthogonal, _ = pairwise_orthogonal(e.states, e.tol)
+    hx = shannon_of(e)
     if orthogonal:
         return InfoInterval(hx, hx, "orthogonal ensemble: exact value H(X)")
     rhos = np.stack([density_of(s) for s in e.states])
     probs = e.probs
-    cap = min(hx, holevo_chi(probs, list(rhos), tol))
+    cap = min(hx, holevo_chi(probs, list(rhos), e.tol))
     outcomes = max(2, len(e.members))
     n = e.dims.joint
 
@@ -250,7 +246,7 @@ def estimate_accessible_info(
         if value > best_value:
             best_value = value
             best_elements = elements
-    povm = make_povm(e.dims, list(best_elements), tol)
+    povm = make_povm(e.dims, list(best_elements), e.tol)
     lo = mutual_information_of_measurement(e, povm)
     if lo > cap + ROUNDING_SLACK:
         raise ValidationError(f"measured information {lo!r} exceeds min(H(X), Holevo chi) = {cap!r}")

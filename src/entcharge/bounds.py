@@ -107,42 +107,33 @@ def _require_pure(e: Ensemble, what: str) -> None:
             raise PreconditionError(f"{what} requires pure members; member {k} is a density matrix")
 
 
-def upper_bound_merging(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[float, float]:
+def upper_bound_merging(e: Ensemble) -> tuple[float, float]:
     """State-merging upper bounds (S(A|B), S(B|A)) of the average state."""
-    facts = ensemble_facts(e, tol)
+    facts = ensemble_facts(e)
     _require_orthogonal(facts, "the merging upper bound")
     return facts.s_ab - facts.s_b, facts.s_ab - facts.s_a
 
 
-def upper_bound_compress_teleport(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Compress-and-teleport upper bound S(rho_A); for comparison only."""
-    facts = ensemble_facts(e, tol)
-    _require_orthogonal(facts, "the compress-and-teleport upper bound")
-    return facts.s_a
-
-
-def lower_bound_pure(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def lower_bound_pure(e: Ensemble) -> float:
     """Average member entanglement minus total correlation, for pure
     mutually orthogonal ensembles."""
-    facts = ensemble_facts(e, tol)
+    facts = ensemble_facts(e)
     _require_pure(e, "the pure-ensemble lower bound")
     _require_orthogonal(facts, "the pure-ensemble lower bound")
     return facts.avg_member_entropy - facts.mutual_information
 
 
-def chi_rewrite_bounds(
-    e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[float, float, tuple[float, float]]:
+def chi_rewrite_bounds(e: Ensemble) -> tuple[float, float, tuple[float, float]]:
     """Holevo informations (chi_A, chi_B) of the reduced ensembles plus the
     tighter of the two brackets [S(A|B) - chi_A, S(A|B)] / [S(B|A) - chi_B, S(B|A)].
 
     The bracket's lower edge always coincides with lower_bound_pure.
     """
-    facts = ensemble_facts(e, tol)
+    facts = ensemble_facts(e)
     _require_pure(e, "the chi-rewritten bracket")
     _require_orthogonal(facts, "the chi-rewritten bracket")
-    chi_a = facts.chi_a(e.probs, tol)
-    chi_b = holevo_chi(e.probs, facts.reduced_b, tol)
+    chi_a = facts.chi_a(e.probs, e.tol)
+    chi_b = holevo_chi(e.probs, facts.reduced_b, e.tol)
     s_ab, s_a, s_b = facts.s_ab, facts.s_a, facts.s_b
     if chi_a <= chi_b:
         bracket = (s_ab - s_b - chi_a, s_ab - s_b)
@@ -151,27 +142,27 @@ def chi_rewrite_bounds(
     return chi_a, chi_b, bracket
 
 
-def delta_epsilon(e: Ensemble, info: InfoInterval, tol: Tolerances = DEFAULT_TOLERANCES) -> InfoInterval:
+def delta_epsilon(e: Ensemble, info: InfoInterval) -> InfoInterval:
     """Delta = S(rho_AB) - I_Global, propagated through the info interval."""
-    s_ab = ensemble_facts(e, tol).s_ab
+    s_ab = ensemble_facts(e).s_ab
     return InfoInterval(s_ab - info.hi, s_ab - info.lo)
 
 
-def lower_bound_general(e: Ensemble, info: InfoInterval, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def lower_bound_general(e: Ensemble, info: InfoInterval) -> float:
     """Charge lower bound for general pure ensembles:
     sum p_X S(rho_X^A) - I(A;B) - Delta, taken at Delta's conservative edge.
 
     Reduces to the orthogonal-pure lower bound when Delta vanishes.
     """
-    facts = ensemble_facts(e, tol)
+    facts = ensemble_facts(e)
     _require_pure(e, "the generalized lower bound")
-    return facts.avg_member_entropy - facts.mutual_information - delta_epsilon(e, info, tol).hi
+    return facts.avg_member_entropy - facts.mutual_information - delta_epsilon(e, info).hi
 
 
-def exact_charge_max_entangled(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def exact_charge_max_entangled(e: Ensemble) -> float:
     """Exact charge H(X) - log2 d for orthogonal d x d maximally entangled
     pure ensembles; cross-checked against S(rho_AB) - S(rho_B)."""
-    facts = ensemble_facts(e, tol)
+    facts = ensemble_facts(e)
     if e.dims.dA != e.dims.dB:
         raise PreconditionError(
             f"the exact maximally-entangled formula requires dA = dB, got {e.dims.dA}x{e.dims.dB}"
@@ -183,7 +174,7 @@ def exact_charge_max_entangled(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES
                 f"the exact maximally-entangled formula requires maximally entangled members; "
                 f"member {k} is not"
             )
-    value = shannon_of(e, tol) - float(np.log2(e.dims.dA))
+    value = shannon_of(e) - float(np.log2(e.dims.dA))
     if abs((facts.s_ab - facts.s_b) - value) > ROUNDING_SLACK:
         raise ValidationError(
             "internal inconsistency: H(X) - log2 d and S(rho_AB) - S(rho_B) disagree beyond 1e-9"
@@ -201,17 +192,13 @@ def _verdict(lo: float, hi: float, exact: float | None) -> str:
     return VERDICT_INDETERMINATE
 
 
-def analyze(
-    e: Ensemble,
-    accessible_info: InfoInterval | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> ChargeReport:
+def analyze(e: Ensemble, accessible_info: InfoInterval | None = None) -> ChargeReport:
     """Full charge analysis of an ensemble: bounds, exactness, verdict.
 
     Degraded situations (non-orthogonal ensembles, uninformative lower
     bounds) are reported through notes instead of errors.
     """
-    facts = ensemble_facts(e, tol)
+    facts = ensemble_facts(e)
     flags = facts.flags
     notes: list[str] = []
     uppers = {
@@ -228,12 +215,12 @@ def analyze(
 
     candidates: list[tuple[float, bool, str | None]] = []
     if flags.all_pure and flags.mutually_orthogonal:
-        candidates.append((lower_bound_pure(e, tol), True, None))
+        candidates.append((lower_bound_pure(e), True, None))
     if accessible_info is not None:
         if flags.all_pure:
             candidates.append(
                 (
-                    lower_bound_general(e, accessible_info, tol),
+                    lower_bound_general(e, accessible_info),
                     True,
                     "lower bound uses the accessible-information interval",
                 )
@@ -255,9 +242,9 @@ def analyze(
     chi_a: float | None = None
     chi_b: float | None = None
     if flags.all_pure and flags.mutually_orthogonal:
-        chi_a, chi_b, bracket = chi_rewrite_bounds(e, tol)
+        chi_a, chi_b, bracket = chi_rewrite_bounds(e)
         if flags.all_maximally_entangled and e.dims.dA == e.dims.dB:
-            exact = exact_charge_max_entangled(e, tol)
+            exact = exact_charge_max_entangled(e)
             notes.append("exact: orthogonal maximally entangled ensemble, charge = H(X) - log2 d")
         elif chi_a <= ROUNDING_SLACK or chi_b <= ROUNDING_SLACK:
             exact = bracket[1]
@@ -272,7 +259,7 @@ def analyze(
     elif winner_note:
         notes.append(winner_note)
 
-    known = is_canonical_product_basis(e, tol)
+    known = is_canonical_product_basis(e)
     if known:
         notes.append("known-value annotation attached; it is cited, not computed")
 
@@ -308,17 +295,17 @@ def rotated_family_report(
     if gate_cost is not None and not np.isfinite(gate_cost):
         raise ValidationError(f"supplied gate cost {gate_cost!r} is not finite")
     e = rotated_basis(theta, probs, tol)
-    facts = ensemble_facts(e, tol)
+    facts = ensemble_facts(e)
     per_state = entanglement_entropy(e.states[0], tol)
     if facts.s_a < facts.avg_member_entropy - ROUNDING_SLACK:
         raise ValidationError(
             "internal inconsistency: S(rho_A) fell below the average member entropy"
         )
-    hx = shannon_of(e, tol)
+    hx = shannon_of(e)
     refined = hx - binary_entropy(float(np.cos(theta)) ** 2)
-    lower = lower_bound_pure(e, tol)
+    lower = lower_bound_pure(e)
 
-    base = analyze(e, None, tol)
+    base = analyze(e)
     uppers = dict(base.upper_bounds)
     uppers["family_refined"] = refined
     lo, hi = base.interval

@@ -84,8 +84,8 @@ def _tolerances(args) -> Tolerances:
 
 def _read_ensemble(path: str, tol: Tolerances) -> Ensemble:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_ensemble(text, tol)
 
@@ -156,9 +156,8 @@ def _render_text_report(
 
 
 def _cmd_validate(args) -> int:
-    tol = _tolerances(args)
-    e = _read_ensemble(args.input, tol)
-    flags = classify_structure(e, tol)
+    e = _read_ensemble(args.input, _tolerances(args))
+    flags = classify_structure(e)
     label = e.label if e.label is not None else "(none)"
     print(f"valid ensemble: label={label} dims={e.dims.dA}x{e.dims.dB} members={len(e.members)}")
     print(f"flags: {_flags_line(flags)}")
@@ -166,15 +165,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    tol = _tolerances(args)
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    e = _read_ensemble(args.input, tol)
+    e = _read_ensemble(args.input, _tolerances(args))
     accessible = None
     if args.accessible_info == "estimate":
-        accessible = estimate_accessible_info(e, cfg, tol)
-    report = analyze(e, accessible, tol)
+        accessible = estimate_accessible_info(e, cfg)
+    report = analyze(e, accessible)
     if args.format == "structured":
-        doc = report_document(e, report, tol, source=args.input, version=__version__, accessible=accessible)
+        doc = report_document(e, report, source=args.input, version=__version__, accessible=accessible)
         sys.stdout.write(dumps_canonical(doc))
     else:
         sys.stdout.write(_render_text_report(e, report, accessible))
@@ -198,7 +196,7 @@ def _cmd_generate(args) -> int:
             raise ValidationError("generate rotated requires --theta")
         e = rotated_basis(args.theta, parse_probs(args.probs, 4), tol)
     _write_text(args.output, write_ensemble(e))
-    flags = classify_structure(e, tol)
+    flags = classify_structure(e)
     print(f"wrote {e.label} ensemble to {args.output}: dims={e.dims.dA}x{e.dims.dB} members={len(e.members)}")
     print(f"flags: {_flags_line(flags)}")
     return 0

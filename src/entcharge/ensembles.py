@@ -1,6 +1,9 @@
 """The ensemble data model {p_X, rho_X} with its derived objects: average
 state, per-party reduced ensembles, structure flags and the EnsembleFacts
-record that holds all of them, computed once per (ensemble, tolerances) pair.
+record that holds all of them, computed once per ensemble.
+
+An ensemble carries the Tolerances policy it was validated under, and every
+analysis of it reads that policy; none takes a tolerance of its own.
 
 Zero-probability members are retained: they affect orthogonality and
 entanglement flags but contribute nothing to entropies. Member order is
@@ -33,11 +36,13 @@ PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """A validated ensemble of bipartite states with probabilities."""
+    """A validated ensemble of bipartite states with probabilities, and the
+    tolerance policy it was validated under."""
 
     dims: BipartiteDims
     members: tuple[tuple[float, BipartiteState], ...]
     label: str | None = None
+    tol: Tolerances = DEFAULT_TOLERANCES
 
     @property
     def probs(self) -> np.ndarray:
@@ -60,7 +65,8 @@ class StructureFlags:
 
 
 def make_ensemble(members, label: str | None = None, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
-    """Build an Ensemble from (prob, BipartiteState) pairs, validating probs and dims."""
+    """Build an Ensemble under tol from (prob, BipartiteState) pairs,
+    validating probs, dims and the trace of the average state."""
     pairs = [(float(p), s) for p, s in members]
     if not pairs:
         raise ValidationError("ensemble must have at least one member")
@@ -71,7 +77,14 @@ def make_ensemble(members, label: str | None = None, tol: Tolerances = DEFAULT_T
             raise ShapeError(
                 f"member {k} has dims {s.dims.dA}x{s.dims.dB}, expected {dims.dA}x{dims.dB}"
             )
-    return Ensemble(dims=dims, members=tuple(pairs), label=label)
+    # Tr of the average state, sum_X p_X Tr(rho_X), with Tr = |psi_X|^2 for pure members.
+    trace = float(sum(p * (np.vdot(s.vector, s.vector) if s.is_pure else np.trace(s.matrix)).real for p, s in pairs))
+    if abs(trace - 1.0) > tol.trace_tol:
+        raise ValidationError(
+            f"average state trace {trace!r} deviates from 1 by {abs(trace - 1.0):.3e}, "
+            f"beyond trace_tol={tol.trace_tol:.0e}"
+        )
+    return Ensemble(dims=dims, members=tuple(pairs), label=label, tol=tol)
 
 
 def average_state(e: Ensemble) -> np.ndarray:
@@ -98,9 +111,10 @@ def reduced_ensemble(e: Ensemble, party: str) -> tuple[np.ndarray, list[np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class EnsembleFacts:
-    """Every derived fact the bounds engine reads, for one (ensemble,
-    tolerances) pair, as ensemble_facts returns it on every call for that
-    pair. The arrays are shared and read-only; no field refers to the ensemble.
+    """Every derived fact the bounds engine reads about one ensemble, under
+    its own tolerances, as ensemble_facts returns it on every call for that
+    ensemble. The arrays are shared and read-only; no field refers to the
+    ensemble.
 
     overlaps[i, j] = Tr(rho_i rho_j); witness is the first non-orthogonal
     pair (i, j, overlap) or None. s_ab, s_a, s_b are the entropies of the
@@ -131,12 +145,12 @@ class EnsembleFacts:
         return _holevo_chi(probs, self.reduced_a, self.avg_member_entropy, tol)
 
 
-def _structure(e: Ensemble, tol: Tolerances):
+def _structure(e: Ensemble):
     """The flags of e plus what they are read from: the overlap matrix, the
     orthogonality witness, per-member maximal entanglement and both reduced
     ensembles. Computes no entropy.
     """
-    states = e.states
+    states, tol = e.states, e.tol
     overlaps = overlap_matrix(states)
     witness = orthogonality_witness(overlaps, tol)
     _, reduced_a = reduced_ensemble(e, "A")
@@ -157,27 +171,27 @@ def _structure(e: Ensemble, tol: Tolerances):
     return flags, overlaps, witness, max_ent, reduced_a, reduced_b
 
 
-# Each live ensemble's facts by tolerances; weak keys die with their ensemble.
-_FACTS: weakref.WeakKeyDictionary[Ensemble, dict[Tolerances, EnsembleFacts]] = weakref.WeakKeyDictionary()
+# Each live ensemble's facts; weak keys die with their ensemble.
+_FACTS: weakref.WeakKeyDictionary[Ensemble, EnsembleFacts] = weakref.WeakKeyDictionary()
 
 
-def ensemble_facts(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> EnsembleFacts:
-    """Every derived fact of e under tol, computed on the first call for
-    (e, tol) and returned from then on: overlaps, flags, average state, joint
-    and marginal entropies, reduced ensembles, average member entropy.
+def ensemble_facts(e: Ensemble) -> EnsembleFacts:
+    """Every derived fact of e under e.tol, computed on the first call for e
+    and returned from then on: overlaps, flags, average state, joint and
+    marginal entropies, reduced ensembles, average member entropy.
 
     Flags cover all members including zero-probability ones; support_size
     counts only members with probability above PROB_FLOOR.
     """
-    by_tol = _FACTS.setdefault(e, {})
-    if tol in by_tol:
-        return by_tol[tol]
-    flags, overlaps, witness, max_ent, reduced_a, reduced_b = _structure(e, tol)
+    if e in _FACTS:
+        return _FACTS[e]
+    tol = e.tol
+    flags, overlaps, witness, max_ent, reduced_a, reduced_b = _structure(e)
     rho = average_state(e)
     for a in (overlaps, rho, *reduced_a, *reduced_b):
         a.setflags(write=False)
     dA, dB = e.dims.dA, e.dims.dB
-    by_tol[tol] = EnsembleFacts(
+    facts = _FACTS[e] = EnsembleFacts(
         flags=flags,
         overlaps=overlaps,
         witness=witness,
@@ -190,14 +204,14 @@ def ensemble_facts(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensembl
         reduced_b=tuple(reduced_b),
         avg_member_entropy=float(sum(p * von_neumann_entropy(m, tol) for p, m in zip(e.probs, reduced_a))),
     )
-    return by_tol[tol]
+    return facts
 
 
-def classify_structure(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> StructureFlags:
+def classify_structure(e: Ensemble) -> StructureFlags:
     """The structure flags of e (see ensemble_facts); computes no entropy."""
-    return _structure(e, tol)[0]
+    return _structure(e)[0]
 
 
-def shannon_of(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def shannon_of(e: Ensemble) -> float:
     """H(X) of the probability vector; zero-probability members contribute 0."""
-    return shannon_entropy(e.probs, tol)
+    return shannon_entropy(e.probs, e.tol)

@@ -101,9 +101,26 @@ def _reject_constant(name: str):
     raise ParseError(f"non-finite number {name!r} is not allowed")
 
 
+class _JsonObject(dict):
+    """A parsed JSON object plus its first repeated key, if any; json.loads
+    alone would keep the repeated key's last value without a word."""
+
+    duplicate: str | None = None
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> _JsonObject:
+    obj = _JsonObject(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        obj.duplicate = next(k for i, k in enumerate(keys) if k in keys[:i])
+    return obj
+
+
 def _expect_object(value, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
     if not isinstance(value, dict):
         raise ParseError(f"{path}: expected an object")
+    if value.duplicate is not None:
+        raise ParseError(f"{path}: duplicate field {value.duplicate!r}")
     for key in value:
         if key not in required and key not in optional:
             raise ParseError(f"{path}: unknown field {key!r}")
@@ -136,7 +153,7 @@ def _expect_pair(value, path: str) -> complex:
 def parse_ensemble(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
     """Parse and fully validate an ensemble file (strict mode)."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _expect_object(doc, "$", required=("schema_version", "dims", "members"), optional=("label",))
@@ -229,14 +246,13 @@ def charge_to_document(report: ChargeReport) -> dict:
 def report_document(
     e: Ensemble,
     report: ChargeReport,
-    tol: Tolerances,
     source: str,
     version: str,
     accessible: InfoInterval | None = None,
 ) -> dict:
     doc: dict = {
         "tool": {"name": "entcharge", "version": version},
-        "tolerances": asdict(tol),
+        "tolerances": asdict(e.tol),
         "input": {
             "source": source,
             "label": e.label,

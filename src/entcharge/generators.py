@@ -98,7 +98,7 @@ def rotated_basis(theta: float, probs, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     return make_ensemble(zip(p, states), label=f"rotated-theta{theta:.17g}", tol=tol)
 
 
-def is_canonical_product_basis(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def is_canonical_product_basis(e: Ensemble) -> bool:
     """True iff the members are exactly the computational basis states (up to
     phase and order). This is the one rule for the known-value annotation:
     analyze attaches PRODUCT_BASIS_NOTE and charge 0 exactly when it holds."""
@@ -110,7 +110,7 @@ def is_canonical_product_basis(e: Ensemble, tol: Tolerances = DEFAULT_TOLERANCES
         if not s.is_pure:
             return False
         idx = int(np.argmax(np.abs(s.vector)))
-        if abs(abs(s.vector[idx]) - 1.0) > tol.orthogonality_tol:
+        if abs(abs(s.vector[idx]) - 1.0) > e.tol.orthogonality_tol:
             return False
         seen.add(idx)
     return len(seen) == n

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from entcharge import BipartiteDims, make_ensemble, validate_state
+from entcharge import DEFAULT_TOLERANCES, BipartiteDims, make_ensemble, validate_state
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -35,6 +35,15 @@ def random_orthogonal_pure_ensemble(rng: np.random.Generator, d: int, count: int
     states = [validate_state(dims, q[:, k]) for k in range(count)]
     probs = rng.dirichlet(np.ones(count))
     return make_ensemble(zip(probs, states))
+
+
+def near_orthogonal_pair(tol=DEFAULT_TOLERANCES):
+    """Two equal-prob pure states with Tr(rho_0 rho_1) = 1e-10, built under
+    tol: orthogonal under the default orthogonality_tol, not the strict one."""
+    dims = BipartiteDims(2, 2)
+    s0 = validate_state(dims, [1, 0, 0, 0])
+    s1 = validate_state(dims, [1e-5, np.sqrt(1 - 1e-10), 0, 0])
+    return make_ensemble([(0.5, s0), (0.5, s1)], tol=tol)
 
 
 def partial_trace_loop(m: np.ndarray, dA: int, dB: int, traced_party: str) -> np.ndarray:

@@ -28,7 +28,7 @@ from entcharge import (
     validate_state,
     von_neumann_entropy,
 )
-from helpers import random_orthogonal_pure_ensemble
+from helpers import near_orthogonal_pair, random_orthogonal_pure_ensemble
 
 D12 = BipartiteDims(1, 2)
 D22 = BipartiteDims(2, 2)
@@ -182,6 +182,17 @@ def test_estimate_orthogonal_short_circuit():
     info = estimate_accessible_info(bell_basis(equal_probs(4)))
     assert info.lo == info.hi == pytest.approx(2.0, abs=1e-12)
     assert info.note == "orthogonal ensemble: exact value H(X)"
+
+
+def test_estimate_follows_the_ensembles_tolerances():
+    # Tr(rho_0 rho_1) = 1e-10 is orthogonal by default but not under the
+    # strict policy the ensemble was built with, so the search must run.
+    from entcharge import STRICT_TOLERANCES
+
+    assert estimate_accessible_info(near_orthogonal_pair()).note == "orthogonal ensemble: exact value H(X)"
+    info = estimate_accessible_info(near_orthogonal_pair(STRICT_TOLERANCES), OptimizerConfig(restarts=2))
+    assert "orthogonal" not in info.note
+    assert info.lo <= info.hi < 1.0
 
 
 def test_estimate_short_circuit_builds_no_reduced_ensemble(monkeypatch):

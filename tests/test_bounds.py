@@ -24,11 +24,10 @@ from entcharge import (
     rotated_basis,
     rotated_family_report,
     shannon_entropy,
-    upper_bound_compress_teleport,
     upper_bound_merging,
     validate_state,
 )
-from helpers import random_orthogonal_pure_ensemble
+from helpers import near_orthogonal_pair, random_orthogonal_pure_ensemble
 
 H34 = binary_entropy(0.75)  # per-state entanglement of the family at pi/6
 
@@ -56,9 +55,12 @@ def test_upper_bound_merging_precondition():
 
 
 def test_upper_bound_compress_teleport_examples():
-    assert upper_bound_compress_teleport(bell_basis(equal_probs(4))) == pytest.approx(1.0, abs=1e-9)
-    assert upper_bound_compress_teleport(product_basis(2, 2, equal_probs(4))) == pytest.approx(1.0, abs=1e-9)
-    assert upper_bound_compress_teleport(bell_basis([1, 0, 0, 0])) == pytest.approx(1.0, abs=1e-9)
+    def compress_teleport(e):
+        return analyze(e).upper_bounds["compress_teleport"]
+
+    assert compress_teleport(bell_basis(equal_probs(4))) == pytest.approx(1.0, abs=1e-9)
+    assert compress_teleport(product_basis(2, 2, equal_probs(4))) == pytest.approx(1.0, abs=1e-9)
+    assert compress_teleport(bell_basis([1, 0, 0, 0])) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lower_bound_pure_examples():
@@ -347,14 +349,11 @@ def test_facts_are_computed_once_across_public_bounds(monkeypatch):
 
 
 def test_facts_are_keyed_by_tolerances():
+    # The same states under two policies are two ensembles with their own facts.
     from entcharge import STRICT_TOLERANCES
 
-    dims = BipartiteDims(2, 2)
-    s0 = validate_state(dims, [1, 0, 0, 0])
-    s1 = validate_state(dims, [1e-5, np.sqrt(1 - 1e-10), 0, 0])  # Tr(rho_0 rho_1) = 1e-10
-    e = make_ensemble([(0.5, s0), (0.5, s1)])
-    assert analyze(e).flags.mutually_orthogonal
-    assert not analyze(e, tol=STRICT_TOLERANCES).flags.mutually_orthogonal
+    assert analyze(near_orthogonal_pair()).flags.mutually_orthogonal
+    assert not analyze(near_orthogonal_pair(STRICT_TOLERANCES)).flags.mutually_orthogonal
 
 
 def test_facts_do_not_keep_the_ensemble_alive():

@@ -37,6 +37,40 @@ def test_validate_missing_file_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_non_utf8_file_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_validate_and_analyze_reject_average_trace_alike(tmp_path, capsys):
+    # Each member and the probabilities pass trace_tol = 1e-9; the average
+    # state's trace 1 + 1.8e-9 does not, and both commands say so.
+    t, p = 1 + 9e-10, 0.5 + 4.5e-10
+
+    def member(diag):
+        data = [[[diag[i] if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        return {"prob": p, "state": {"kind": "density", "data": data}}
+
+    doc = {"schema_version": 1, "dims": {"dA": 2, "dB": 2},
+           "members": [member([t / 2, t / 2, 0, 0]), member([0, 0, t / 2, t / 2])]}
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(doc))
+    errors = []
+    for command in ("validate", "analyze"):
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: members: average state trace 1.0000000018")
+
+
 def test_analyze_bell_text(tmp_path, capsys):
     path = write_bell(tmp_path)
     assert main(["analyze", str(path)]) == 0

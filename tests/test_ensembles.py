@@ -33,6 +33,38 @@ def test_make_ensemble_validation():
     t = validate_state(BipartiteDims(1, 2), [1, 0])
     with pytest.raises(ShapeError):
         make_ensemble([(0.5, s), (0.5, t)])
+    # members of trace 1 + 9e-10 and probabilities summing to 1 + 9e-10 each
+    # pass trace_tol = 1e-9; the average state's trace 1 + 1.8e-9 does not
+    halves = [validate_state(BipartiteDims(2, 2), np.diag(d) * (1 + 9e-10) / 2) for d in ([1, 1, 0, 0], [0, 0, 1, 1])]
+    with pytest.raises(ValidationError, match="average state trace .* beyond trace_tol"):
+        make_ensemble([(0.5 + 4.5e-10, m) for m in halves])
+
+
+def test_ensemble_level_functions_take_no_tolerance():
+    # An ensemble carries the policy it was built under; a separate tol
+    # parameter could analyze it under another one.
+    import importlib
+    import inspect
+    import pkgutil
+
+    import entcharge
+    from entcharge import Ensemble
+
+    checked = set()
+    for info in pkgutil.iter_modules(entcharge.__path__):
+        module = importlib.import_module(f"entcharge.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            params = list(inspect.signature(fn, eval_str=True).parameters.values())
+            if params and params[0].annotation is Ensemble:
+                checked.add(name)
+                assert "tol" not in [p.name for p in params[1:]], name
+    assert checked >= {
+        "analyze", "upper_bound_merging", "lower_bound_pure", "chi_rewrite_bounds", "delta_epsilon",
+        "lower_bound_general", "exact_charge_max_entangled", "ensemble_facts", "classify_structure",
+        "shannon_of", "estimate_accessible_info", "is_canonical_product_basis", "report_document",
+    }
 
 
 def test_average_state_bell_equal_is_maximally_mixed():

@@ -84,6 +84,22 @@ def test_parse_rejects_unknown_fields_with_path():
         parse_ensemble(nested)
 
 
+@pytest.mark.parametrize(
+    "dims,member,diagnostic",
+    [
+        ('{"dA": 1, "dB": 2, "dA": 2}', '{"prob": 1.0, "state": {"kind": "pure", "data": [[1, 0], [0, 0]]}}',
+         "dims: duplicate field 'dA'"),
+        ('{"dA": 1, "dB": 2}', '{"prob": 5.0, "prob": 1.0, "state": {"kind": "pure", "data": [[1, 0], [0, 0]]}}',
+         r"members\[0\]: duplicate field 'prob'"),
+    ],
+    ids=["dims", "member"],
+)
+def test_parse_rejects_repeated_fields_with_path(dims, member, diagnostic):
+    text = f'{{"schema_version": 1, "dims": {dims}, "members": [{member}]}}'
+    with pytest.raises(ParseError, match=diagnostic):
+        parse_ensemble(text)
+
+
 def test_parse_syntax_error_reports_line_and_column():
     with pytest.raises(ParseError, match="line 2, column"):
         parse_ensemble('{"schema_version": 1,\n  "dims": }')
@@ -168,11 +184,10 @@ def test_report_document_annotation_provenance():
 
     from entcharge import analyze, product_basis
     from entcharge.fileio import dumps_canonical, report_document
-    from entcharge.linalg import DEFAULT_TOLERANCES
 
     e = product_basis(2, 2, equal_probs(4))
     report = analyze(e)
-    doc = report_document(e, report, DEFAULT_TOLERANCES, source="mem", version="0.1.0")
+    doc = report_document(e, report, source="mem", version="0.1.0")
     parsed = json.loads(dumps_canonical(doc))
     assert parsed["charge"]["known_charge"]["provenance"] == "annotated"
     assert parsed["charge"]["known_charge"]["value"] == 0.0

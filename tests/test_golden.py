@@ -9,7 +9,9 @@ computation must reproduce them byte for byte. One more file pins the
 structured output of `--accessible-info estimate` on the non-orthogonal pure
 ensemble, so a change to the POVM search shows up as a diff, and one the
 structured output under `--tolerance-profile strict`, whose tolerance block and
-known-value annotation no other golden covers.
+known-value annotation no other golden covers. The `validate` output of every
+input under both tolerance profiles, and the `generate` output and written
+file of each family, are pinned as well.
 """
 
 from pathlib import Path
@@ -22,10 +24,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 NAMES = sorted(p.name.split(".")[0] for p in GOLDEN.glob("*.analyze.txt"))
 
 
-def _run(argv, capsys, monkeypatch) -> str:
+def _run(argv, capsys, monkeypatch, cwd=GOLDEN) -> str:
     # The structured report records the input path as given, so run from the
     # golden directory with bare file names.
-    monkeypatch.chdir(GOLDEN)
+    monkeypatch.chdir(cwd)
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert err == ""
@@ -58,3 +60,22 @@ def test_estimate_output_is_byte_identical(capsys, monkeypatch):
 def test_strict_profile_output_is_byte_identical(capsys, monkeypatch):
     argv = ["--tolerance-profile", "strict", "analyze", "product2x3.json", "--format", "structured"]
     assert _run(argv, capsys, monkeypatch) == (GOLDEN / "product2x3.strict.structured.json").read_text()
+
+
+@pytest.mark.parametrize("profile,golden", [("default", "validate.txt"), ("strict", "validate.strict.txt")])
+def test_validate_output_is_byte_identical(profile, golden, capsys, monkeypatch):
+    out = "".join(
+        _run(["--tolerance-profile", profile, "validate", f"{name}.json"], capsys, monkeypatch) for name in NAMES
+    )
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_generate_output_is_byte_identical(tmp_path, capsys, monkeypatch):
+    families = [("bell", []), ("gbell", ["--d", "3"]), ("product", ["--da", "2", "--db", "3"]),
+                ("rotated", ["--theta", "0.3"])]
+    out = ""
+    for family, extra in families:
+        written = f"generate.{family}.json"
+        out += _run(["generate", family, *extra, "-o", written], capsys, monkeypatch, cwd=tmp_path)
+        assert (tmp_path / written).read_text() == (GOLDEN / written).read_text()
+    assert out == (GOLDEN / "generate.txt").read_text()
