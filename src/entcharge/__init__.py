@@ -29,12 +29,9 @@ from .bounds import (
 )
 from .ensembles import (
     Ensemble,
-    EnsembleFacts,
     PROB_FLOOR,
     StructureFlags,
     average_state,
-    classify_structure,
-    ensemble_facts,
     make_ensemble,
     reduced_ensemble,
     shannon_of,

@@ -26,7 +26,7 @@ from .linalg import (
     hermitian_eigenvalues,
     hermitian_part,
 )
-from .states import BipartiteDims, _freeze, density_of, pairwise_orthogonal
+from .states import BipartiteDims, _freeze, density_of
 
 # Completeness tolerance for sum of POVM elements vs identity (Frobenius).
 POVM_COMPLETENESS_TOL = 1e-8
@@ -222,9 +222,8 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     search (re-evaluated through a validated POVM) and the upper edge is
     min(H(X), Holevo chi); a lower edge above it beyond ROUNDING_SLACK raises.
     """
-    orthogonal, _ = pairwise_orthogonal(e.states, e.tol)
     hx = shannon_of(e)
-    if orthogonal:
+    if e.witness is None:
         return InfoInterval(hx, hx, "orthogonal ensemble: exact value H(X)")
     rhos = np.stack([density_of(s) for s in e.states])
     probs = e.probs

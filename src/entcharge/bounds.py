@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accessible import InfoInterval
-from .ensembles import Ensemble, EnsembleFacts, StructureFlags, ensemble_facts, shannon_of
-from .entropy import binary_entropy, entanglement_entropy, holevo_chi
+from .ensembles import Ensemble, StructureFlags, shannon_of
+from .entropy import binary_entropy, entanglement_entropy
 from .errors import PreconditionError, ValidationError
 from .generators import PRODUCT_BASIS_NOTE, is_canonical_product_basis, rotated_basis
 from .linalg import DEFAULT_TOLERANCES, ROUNDING_SLACK, Tolerances
@@ -92,9 +92,9 @@ class FamilyReport:
             )
 
 
-def _require_orthogonal(facts: EnsembleFacts, what: str) -> None:
-    if facts.witness is not None:
-        i, j, overlap = facts.witness
+def _require_orthogonal(e: Ensemble, what: str) -> None:
+    if e.witness is not None:
+        i, j, overlap = e.witness
         raise PreconditionError(
             f"{what} requires a mutually orthogonal ensemble; "
             f"members {i} and {j} overlap by {overlap:.3e}"
@@ -109,18 +109,16 @@ def _require_pure(e: Ensemble, what: str) -> None:
 
 def upper_bound_merging(e: Ensemble) -> tuple[float, float]:
     """State-merging upper bounds (S(A|B), S(B|A)) of the average state."""
-    facts = ensemble_facts(e)
-    _require_orthogonal(facts, "the merging upper bound")
-    return facts.s_ab - facts.s_b, facts.s_ab - facts.s_a
+    _require_orthogonal(e, "the merging upper bound")
+    return e.s_ab - e.s_b, e.s_ab - e.s_a
 
 
 def lower_bound_pure(e: Ensemble) -> float:
     """Average member entanglement minus total correlation, for pure
     mutually orthogonal ensembles."""
-    facts = ensemble_facts(e)
     _require_pure(e, "the pure-ensemble lower bound")
-    _require_orthogonal(facts, "the pure-ensemble lower bound")
-    return facts.avg_member_entropy - facts.mutual_information
+    _require_orthogonal(e, "the pure-ensemble lower bound")
+    return e.avg_member_entropy - e.mutual_information
 
 
 def chi_rewrite_bounds(e: Ensemble) -> tuple[float, float, tuple[float, float]]:
@@ -129,12 +127,10 @@ def chi_rewrite_bounds(e: Ensemble) -> tuple[float, float, tuple[float, float]]:
 
     The bracket's lower edge always coincides with lower_bound_pure.
     """
-    facts = ensemble_facts(e)
     _require_pure(e, "the chi-rewritten bracket")
-    _require_orthogonal(facts, "the chi-rewritten bracket")
-    chi_a = facts.chi_a(e.probs, e.tol)
-    chi_b = holevo_chi(e.probs, facts.reduced_b, e.tol)
-    s_ab, s_a, s_b = facts.s_ab, facts.s_a, facts.s_b
+    _require_orthogonal(e, "the chi-rewritten bracket")
+    chi_a, chi_b = e.chi_a, e.chi_b
+    s_ab, s_a, s_b = e.s_ab, e.s_a, e.s_b
     if chi_a <= chi_b:
         bracket = (s_ab - s_b - chi_a, s_ab - s_b)
     else:
@@ -144,8 +140,7 @@ def chi_rewrite_bounds(e: Ensemble) -> tuple[float, float, tuple[float, float]]:
 
 def delta_epsilon(e: Ensemble, info: InfoInterval) -> InfoInterval:
     """Delta = S(rho_AB) - I_Global, propagated through the info interval."""
-    s_ab = ensemble_facts(e).s_ab
-    return InfoInterval(s_ab - info.hi, s_ab - info.lo)
+    return InfoInterval(e.s_ab - info.hi, e.s_ab - info.lo)
 
 
 def lower_bound_general(e: Ensemble, info: InfoInterval) -> float:
@@ -154,28 +149,26 @@ def lower_bound_general(e: Ensemble, info: InfoInterval) -> float:
 
     Reduces to the orthogonal-pure lower bound when Delta vanishes.
     """
-    facts = ensemble_facts(e)
     _require_pure(e, "the generalized lower bound")
-    return facts.avg_member_entropy - facts.mutual_information - delta_epsilon(e, info).hi
+    return e.avg_member_entropy - e.mutual_information - delta_epsilon(e, info).hi
 
 
 def exact_charge_max_entangled(e: Ensemble) -> float:
     """Exact charge H(X) - log2 d for orthogonal d x d maximally entangled
     pure ensembles; cross-checked against S(rho_AB) - S(rho_B)."""
-    facts = ensemble_facts(e)
     if e.dims.dA != e.dims.dB:
         raise PreconditionError(
             f"the exact maximally-entangled formula requires dA = dB, got {e.dims.dA}x{e.dims.dB}"
         )
-    _require_orthogonal(facts, "the exact maximally-entangled formula")
-    for k, maximal in enumerate(facts.maximally_entangled):
+    _require_orthogonal(e, "the exact maximally-entangled formula")
+    for k, maximal in enumerate(e.maximally_entangled):
         if not maximal:
             raise PreconditionError(
                 f"the exact maximally-entangled formula requires maximally entangled members; "
                 f"member {k} is not"
             )
     value = shannon_of(e) - float(np.log2(e.dims.dA))
-    if abs((facts.s_ab - facts.s_b) - value) > ROUNDING_SLACK:
+    if abs((e.s_ab - e.s_b) - value) > ROUNDING_SLACK:
         raise ValidationError(
             "internal inconsistency: H(X) - log2 d and S(rho_AB) - S(rho_B) disagree beyond 1e-9"
         )
@@ -198,13 +191,12 @@ def analyze(e: Ensemble, accessible_info: InfoInterval | None = None) -> ChargeR
     Degraded situations (non-orthogonal ensembles, uninformative lower
     bounds) are reported through notes instead of errors.
     """
-    facts = ensemble_facts(e)
-    flags = facts.flags
+    flags = e.flags
     notes: list[str] = []
     uppers = {
-        "merging_AtoB": facts.s_ab - facts.s_b,
-        "merging_BtoA": facts.s_ab - facts.s_a,
-        "compress_teleport": facts.s_a,
+        "merging_AtoB": e.s_ab - e.s_b,
+        "merging_BtoA": e.s_ab - e.s_a,
+        "compress_teleport": e.s_a,
     }
     if not flags.mutually_orthogonal:
         notes.append(
@@ -295,9 +287,8 @@ def rotated_family_report(
     if gate_cost is not None and not np.isfinite(gate_cost):
         raise ValidationError(f"supplied gate cost {gate_cost!r} is not finite")
     e = rotated_basis(theta, probs, tol)
-    facts = ensemble_facts(e)
     per_state = entanglement_entropy(e.states[0], tol)
-    if facts.s_a < facts.avg_member_entropy - ROUNDING_SLACK:
+    if e.s_a < e.avg_member_entropy - ROUNDING_SLACK:
         raise ValidationError(
             "internal inconsistency: S(rho_A) fell below the average member entropy"
         )

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .accessible import InfoInterval, OptimizerConfig, estimate_accessible_info
 from .bounds import ChargeReport, analyze, rotated_family_report
-from .ensembles import Ensemble, classify_structure
+from .ensembles import Ensemble
 from .errors import EntchargeError, ParseError, ValidationError
 from .fileio import (
     CSV_HEADER,
@@ -157,10 +157,9 @@ def _render_text_report(
 
 def _cmd_validate(args) -> int:
     e = _read_ensemble(args.input, _tolerances(args))
-    flags = classify_structure(e)
     label = e.label if e.label is not None else "(none)"
     print(f"valid ensemble: label={label} dims={e.dims.dA}x{e.dims.dB} members={len(e.members)}")
-    print(f"flags: {_flags_line(flags)}")
+    print(f"flags: {_flags_line(e.flags)}")
     return 0
 
 
@@ -196,9 +195,8 @@ def _cmd_generate(args) -> int:
             raise ValidationError("generate rotated requires --theta")
         e = rotated_basis(args.theta, parse_probs(args.probs, 4), tol)
     _write_text(args.output, write_ensemble(e))
-    flags = classify_structure(e)
     print(f"wrote {e.label} ensemble to {args.output}: dims={e.dims.dA}x{e.dims.dB} members={len(e.members)}")
-    print(f"flags: {_flags_line(flags)}")
+    print(f"flags: {_flags_line(e.flags)}")
     return 0
 
 

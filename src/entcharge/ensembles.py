@@ -1,9 +1,10 @@
-"""The ensemble data model {p_X, rho_X} with its derived objects: average
-state, per-party reduced ensembles, structure flags and the EnsembleFacts
-record that holds all of them, computed once per ensemble.
+"""The ensemble data model {p_X, rho_X} and its derived facts: overlaps,
+average state and its entropies, per-party reduced ensembles, structure flags
+and the Holevo chi of each side.
 
 An ensemble carries the Tolerances policy it was validated under, and every
-analysis of it reads that policy; none takes a tolerance of its own.
+analysis of it reads that policy; none takes a tolerance of its own. Each
+derived fact is a lazy attribute of the ensemble, computed once on first read.
 
 Zero-probability members are retained: they affect orthogonality and
 entanglement flags but contribute nothing to entropies. Member order is
@@ -12,18 +13,19 @@ preserved for reporting and witnesses but never changes computed values.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .entropy import _holevo_chi, shannon_entropy, valid_probs, von_neumann_entropy
+from .entropy import _holevo_chi, holevo_chi, shannon_entropy, valid_probs, von_neumann_entropy
 from .errors import ShapeError, ValidationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, partial_trace
 from .states import (
     BipartiteDims,
     BipartiteState,
     _all_maximally_mixed,
+    _freeze,
     density_of,
     is_product,
     orthogonality_witness,
@@ -37,7 +39,19 @@ PROB_FLOOR = 1e-12
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """A validated ensemble of bipartite states with probabilities, and the
-    tolerance policy it was validated under."""
+    tolerance policy it was validated under.
+
+    Every derived fact is a lazy attribute, computed under tol on its first
+    read and kept for the ensemble's lifetime; its arrays are shared and
+    read-only. Reading the flags computes no entropy, and reading the witness
+    builds no reduced ensemble.
+
+    overlaps[i, j] = Tr(rho_i rho_j); witness is the first non-orthogonal
+    pair (i, j, overlap) or None. s_ab, s_a, s_b are the entropies of the
+    average state and its marginals. reduced_a / reduced_b hold each member
+    traced down to A / B, avg_member_entropy = sum_X p_X S(rho_X^A), and
+    chi_a / chi_b are the Holevo chi of the two reduced ensembles.
+    """
 
     dims: BipartiteDims
     members: tuple[tuple[float, BipartiteState], ...]
@@ -51,6 +65,79 @@ class Ensemble:
     @property
     def states(self) -> list[BipartiteState]:
         return [s for _, s in self.members]
+
+    @cached_property
+    def overlaps(self) -> np.ndarray:
+        return _freeze(overlap_matrix(self.states))
+
+    @cached_property
+    def witness(self) -> tuple[int, int, float] | None:
+        return orthogonality_witness(self.overlaps, self.tol)
+
+    @cached_property
+    def reduced_a(self) -> tuple[np.ndarray, ...]:
+        return tuple(_freeze(m) for m in reduced_ensemble(self, "A")[1])
+
+    @cached_property
+    def reduced_b(self) -> tuple[np.ndarray, ...]:
+        return tuple(_freeze(m) for m in reduced_ensemble(self, "B")[1])
+
+    @cached_property
+    def maximally_entangled(self) -> tuple[bool, ...]:
+        square = self.dims.dA == self.dims.dB
+        return tuple(
+            s.is_pure and square and _all_maximally_mixed((ra, rb), self.tol)
+            for s, ra, rb in zip(self.states, self.reduced_a, self.reduced_b)
+        )
+
+    @cached_property
+    def flags(self) -> StructureFlags:
+        """Flags cover all members including zero-probability ones;
+        support_size counts only members with probability above PROB_FLOOR."""
+        states = self.states
+        all_pure = all(s.is_pure for s in states)
+        return StructureFlags(
+            all_pure=all_pure,
+            mutually_orthogonal=self.witness is None,
+            all_maximally_entangled=all(self.maximally_entangled),
+            all_product=all_pure and all(is_product(s, self.tol) for s in states),
+            support_size=int(sum(1 for p, _ in self.members if p > PROB_FLOOR)),
+        )
+
+    @cached_property
+    def average(self) -> np.ndarray:
+        return _freeze(average_state(self))
+
+    @cached_property
+    def s_ab(self) -> float:
+        return von_neumann_entropy(self.average, self.tol)
+
+    @cached_property
+    def s_a(self) -> float:
+        return von_neumann_entropy(partial_trace(self.average, self.dims.dA, self.dims.dB, "B"), self.tol)
+
+    @cached_property
+    def s_b(self) -> float:
+        return von_neumann_entropy(partial_trace(self.average, self.dims.dA, self.dims.dB, "A"), self.tol)
+
+    @cached_property
+    def avg_member_entropy(self) -> float:
+        return float(sum(p * von_neumann_entropy(m, self.tol) for p, m in zip(self.probs, self.reduced_a)))
+
+    @property
+    def mutual_information(self) -> float:
+        """I(A;B) = S(rho_A) + S(rho_B) - S(rho_AB) of the average state."""
+        return self.s_a + self.s_b - self.s_ab
+
+    @cached_property
+    def chi_a(self) -> float:
+        """Holevo chi of the A-side reduced ensemble; its member term
+        sum_X p_X S(rho_X^A) is avg_member_entropy, not recomputed."""
+        return _holevo_chi(self.probs, self.reduced_a, self.avg_member_entropy, self.tol)
+
+    @cached_property
+    def chi_b(self) -> float:
+        return holevo_chi(self.probs, self.reduced_b, self.tol)
 
 
 @dataclass(frozen=True)
@@ -107,109 +194,6 @@ def reduced_ensemble(e: Ensemble, party: str) -> tuple[np.ndarray, list[np.ndarr
         raise ValidationError(f"party must be 'A' or 'B', got {party!r}")
     mats = [partial_trace(density_of(s), e.dims.dA, e.dims.dB, traced) for _, s in e.members]
     return e.probs, mats
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleFacts:
-    """Every derived fact the bounds engine reads about one ensemble, under
-    its own tolerances, as ensemble_facts returns it on every call for that
-    ensemble. The arrays are shared and read-only; no field refers to the
-    ensemble.
-
-    overlaps[i, j] = Tr(rho_i rho_j); witness is the first non-orthogonal
-    pair (i, j, overlap) or None. s_ab, s_a, s_b are the entropies of the
-    average state and its marginals. reduced_a / reduced_b hold each member
-    traced down to A / B, and avg_member_entropy = sum_X p_X S(rho_X^A).
-    """
-
-    flags: StructureFlags
-    overlaps: np.ndarray
-    witness: tuple[int, int, float] | None
-    maximally_entangled: tuple[bool, ...]
-    average: np.ndarray
-    s_ab: float
-    s_a: float
-    s_b: float
-    reduced_a: tuple[np.ndarray, ...]
-    reduced_b: tuple[np.ndarray, ...]
-    avg_member_entropy: float
-
-    @property
-    def mutual_information(self) -> float:
-        """I(A;B) = S(rho_A) + S(rho_B) - S(rho_AB) of the average state."""
-        return self.s_a + self.s_b - self.s_ab
-
-    def chi_a(self, probs: np.ndarray, tol: Tolerances) -> float:
-        """Holevo chi of the reduced ensemble on A; its member term
-        sum_X p_X S(rho_X^A) is avg_member_entropy, not recomputed."""
-        return _holevo_chi(probs, self.reduced_a, self.avg_member_entropy, tol)
-
-
-def _structure(e: Ensemble):
-    """The flags of e plus what they are read from: the overlap matrix, the
-    orthogonality witness, per-member maximal entanglement and both reduced
-    ensembles. Computes no entropy.
-    """
-    states, tol = e.states, e.tol
-    overlaps = overlap_matrix(states)
-    witness = orthogonality_witness(overlaps, tol)
-    _, reduced_a = reduced_ensemble(e, "A")
-    _, reduced_b = reduced_ensemble(e, "B")
-    square = e.dims.dA == e.dims.dB
-    max_ent = tuple(
-        s.is_pure and square and _all_maximally_mixed((ra, rb), tol)
-        for s, ra, rb in zip(states, reduced_a, reduced_b)
-    )
-    all_pure = all(s.is_pure for s in states)
-    flags = StructureFlags(
-        all_pure=all_pure,
-        mutually_orthogonal=witness is None,
-        all_maximally_entangled=all(max_ent),
-        all_product=all_pure and all(is_product(s, tol) for s in states),
-        support_size=int(sum(1 for p, _ in e.members if p > PROB_FLOOR)),
-    )
-    return flags, overlaps, witness, max_ent, reduced_a, reduced_b
-
-
-# Each live ensemble's facts; weak keys die with their ensemble.
-_FACTS: weakref.WeakKeyDictionary[Ensemble, EnsembleFacts] = weakref.WeakKeyDictionary()
-
-
-def ensemble_facts(e: Ensemble) -> EnsembleFacts:
-    """Every derived fact of e under e.tol, computed on the first call for e
-    and returned from then on: overlaps, flags, average state, joint and
-    marginal entropies, reduced ensembles, average member entropy.
-
-    Flags cover all members including zero-probability ones; support_size
-    counts only members with probability above PROB_FLOOR.
-    """
-    if e in _FACTS:
-        return _FACTS[e]
-    tol = e.tol
-    flags, overlaps, witness, max_ent, reduced_a, reduced_b = _structure(e)
-    rho = average_state(e)
-    for a in (overlaps, rho, *reduced_a, *reduced_b):
-        a.setflags(write=False)
-    dA, dB = e.dims.dA, e.dims.dB
-    facts = _FACTS[e] = EnsembleFacts(
-        flags=flags,
-        overlaps=overlaps,
-        witness=witness,
-        maximally_entangled=max_ent,
-        average=rho,
-        s_ab=von_neumann_entropy(rho, tol),
-        s_a=von_neumann_entropy(partial_trace(rho, dA, dB, "B"), tol),
-        s_b=von_neumann_entropy(partial_trace(rho, dA, dB, "A"), tol),
-        reduced_a=tuple(reduced_a),
-        reduced_b=tuple(reduced_b),
-        avg_member_entropy=float(sum(p * von_neumann_entropy(m, tol) for p, m in zip(e.probs, reduced_a))),
-    )
-    return facts
-
-
-def classify_structure(e: Ensemble) -> StructureFlags:
-    """The structure flags of e (see ensemble_facts); computes no entropy."""
-    return _structure(e)[0]
 
 
 def shannon_of(e: Ensemble) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import unicodedata
 from dataclasses import asdict
 
 import numpy as np
@@ -156,6 +157,8 @@ def parse_ensemble(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
         doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("syntax error: arrays or objects nested too deeply") from exc
     _expect_object(doc, "$", required=("schema_version", "dims", "members"), optional=("label",))
     version = _expect_int(doc["schema_version"], "schema_version")
     if version != SCHEMA_VERSION:
@@ -163,6 +166,10 @@ def parse_ensemble(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise ParseError("label: expected a string")
+    # A control character would let a label forge lines of a text report.
+    bad = next((c for c in label or "" if unicodedata.category(c) == "Cc"), None)
+    if bad is not None:
+        raise ParseError(f"label: control character U+{ord(bad):04X} is not allowed")
     dims_doc = _expect_object(doc["dims"], "dims", required=("dA", "dB"))
     dims = BipartiteDims(_expect_int(dims_doc["dA"], "dims.dA"), _expect_int(dims_doc["dB"], "dims.dB"))
     members_doc = doc["members"]

@@ -319,13 +319,10 @@ def test_analyze_reuses_member_entropies_for_chi_a(monkeypatch):
 
 
 def test_classify_structure_computes_no_entropy(monkeypatch):
-    from entcharge import classify_structure, ensemble_facts
-
     e = generalized_bell_basis(3, equal_probs(9))
     entropies = _count_calls(monkeypatch, "entropy", "von_neumann_entropy")
-    flags = classify_structure(e)
+    e.flags
     assert len(entropies) == 0
-    assert flags == ensemble_facts(e).flags
 
 
 def test_rotated_family_report_computes_facts_once(monkeypatch):
@@ -368,11 +365,55 @@ def test_facts_do_not_keep_the_ensemble_alive():
     assert ref() is None
 
 
-def test_shared_facts_are_read_only():
-    from entcharge import ensemble_facts
+def test_estimate_then_analyze_builds_one_overlap_matrix(monkeypatch):
+    from entcharge import OptimizerConfig, estimate_accessible_info
 
-    facts = ensemble_facts(bell_basis(equal_probs(4)))
-    for a in (facts.overlaps, facts.average, *facts.reduced_a, *facts.reduced_b):
+    e = make_ensemble([
+        (0.5, validate_state(BipartiteDims(2, 2), [1, 0, 0, 0])),
+        (0.5, validate_state(BipartiteDims(2, 2), [np.cos(0.4), np.sin(0.4), 0, 0])),
+    ])
+    overlaps = _count_calls(monkeypatch, "states", "overlap_matrix")
+    info = estimate_accessible_info(e, OptimizerConfig(restarts=1, max_iters=5))
+    assert not analyze(e, info).flags.mutually_orthogonal
+    assert len(overlaps) == 1
+
+
+def test_witness_builds_no_reduced_ensemble_and_no_entropy(monkeypatch):
+    e = generalized_bell_basis(3, equal_probs(9))
+    reduced = _count_calls(monkeypatch, "ensembles", "reduced_ensemble")
+    entropies = _count_calls(monkeypatch, "entropy", "von_neumann_entropy")
+    assert e.witness is None
+    assert (len(reduced), len(entropies)) == (0, 0)
+
+
+FACTS = (
+    "overlaps", "witness", "reduced_a", "reduced_b", "maximally_entangled", "flags", "average",
+    "s_ab", "s_a", "s_b", "avg_member_entropy", "chi_a", "chi_b",
+)
+
+
+def test_each_fact_is_computed_once(monkeypatch):
+    e = random_orthogonal_pure_ensemble(np.random.default_rng(5), 3)
+    calls = {
+        name: _count_calls(monkeypatch, module, name)
+        for module, name in (
+            ("states", "overlap_matrix"), ("states", "orthogonality_witness"), ("states", "is_product"),
+            ("ensembles", "reduced_ensemble"), ("ensembles", "average_state"),
+            ("entropy", "von_neumann_entropy"), ("linalg", "partial_trace"),
+        )
+    }
+    first = {name: getattr(e, name) for name in FACTS}
+    counts = {name: len(c) for name, c in calls.items()}
+    assert (counts["overlap_matrix"], counts["orthogonality_witness"], counts["average_state"]) == (1, 1, 1)
+    assert counts["reduced_ensemble"] == 2
+    second = {name: getattr(e, name) for name in FACTS}
+    assert {name: len(c) for name, c in calls.items()} == counts
+    assert all(second[name] is first[name] for name in FACTS)
+
+
+def test_shared_facts_are_read_only():
+    e = bell_basis(equal_probs(4))
+    for a in (e.overlaps, e.average, *e.reduced_a, *e.reduced_b):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
 
@@ -382,20 +423,16 @@ def test_shared_facts_are_read_only():
 def test_ensemble_facts_match_the_standalone_functions(seed):
     from entcharge import (
         average_state,
-        classify_structure,
-        ensemble_facts,
         quantum_mutual_information,
         reduced_ensemble,
         von_neumann_entropy,
     )
 
     e = random_orthogonal_pure_ensemble(np.random.default_rng(seed), 2)
-    facts = ensemble_facts(e)
-    assert np.array_equal(facts.average, average_state(e))
-    assert facts.flags == classify_structure(e)
-    assert facts.mutual_information == quantum_mutual_information(facts.average, e.dims)
-    for party, reduced in (("A", facts.reduced_a), ("B", facts.reduced_b)):
+    assert np.array_equal(e.average, average_state(e))
+    assert e.mutual_information == quantum_mutual_information(e.average, e.dims)
+    for party, reduced in (("A", e.reduced_a), ("B", e.reduced_b)):
         assert all(np.array_equal(x, y) for x, y in zip(reduced, reduced_ensemble(e, party)[1]))
-    assert facts.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, facts.reduced_a)))
-    assert upper_bound_merging(e) == (facts.s_ab - facts.s_b, facts.s_ab - facts.s_a)
-    assert lower_bound_pure(e) == facts.avg_member_entropy - facts.mutual_information
+    assert e.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, e.reduced_a)))
+    assert upper_bound_merging(e) == (e.s_ab - e.s_b, e.s_ab - e.s_a)
+    assert lower_bound_pure(e) == e.avg_member_entropy - e.mutual_information

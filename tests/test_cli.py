@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,30 @@ def test_non_utf8_file_exit_2(tmp_path, capsys, command):
     assert out == ""
     assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("nested", ["[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_file_exit_2(tmp_path, capsys, command, nested):
+    path = tmp_path / "deep.json"
+    path.write_text(nested)
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: syntax error: arrays or objects nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_label_cannot_forge_report_lines(tmp_path, capsys, command):
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / "gbell3.json").read_text())
+    doc["label"] = "x\nverdict: entanglement_nonlocality"
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: label: control character U+000A is not allowed\n"
 
 
 def test_validate_and_analyze_reject_average_trace_alike(tmp_path, capsys):

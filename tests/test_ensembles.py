@@ -9,7 +9,6 @@ from entcharge import (
     ValidationError,
     average_state,
     bell_basis,
-    classify_structure,
     equal_probs,
     make_ensemble,
     partial_trace,
@@ -62,8 +61,8 @@ def test_ensemble_level_functions_take_no_tolerance():
                 assert "tol" not in [p.name for p in params[1:]], name
     assert checked >= {
         "analyze", "upper_bound_merging", "lower_bound_pure", "chi_rewrite_bounds", "delta_epsilon",
-        "lower_bound_general", "exact_charge_max_entangled", "ensemble_facts", "classify_structure",
-        "shannon_of", "estimate_accessible_info", "is_canonical_product_basis", "report_document",
+        "lower_bound_general", "exact_charge_max_entangled", "shannon_of", "estimate_accessible_info",
+        "is_canonical_product_basis", "report_document",
     }
 
 
@@ -115,7 +114,7 @@ def test_reduced_ensemble_rotated_family_patterns():
 
 
 def test_classify_structure_bell():
-    flags = classify_structure(bell_basis(equal_probs(4)))
+    flags = bell_basis(equal_probs(4)).flags
     assert flags.all_pure
     assert flags.mutually_orthogonal
     assert flags.all_maximally_entangled
@@ -124,13 +123,13 @@ def test_classify_structure_bell():
 
 
 def test_classify_structure_product_basis():
-    flags = classify_structure(product_basis(2, 2, equal_probs(4)))
+    flags = product_basis(2, 2, equal_probs(4)).flags
     assert flags.all_product
     assert not flags.all_maximally_entangled
 
 
 def test_classify_structure_degenerate_probs():
-    flags = classify_structure(bell_basis([1, 0, 0, 0]))
+    flags = bell_basis([1, 0, 0, 0]).flags
     assert flags.support_size == 1
     assert flags.all_maximally_entangled  # zero-prob members still checked
 
@@ -159,7 +158,7 @@ def test_classify_structure_permutation_invariant(seed):
     e = random_orthogonal_pure_ensemble(rng, 2)
     perm = rng.permutation(len(e.members))
     shuffled = make_ensemble([e.members[i] for i in perm])
-    assert classify_structure(e) == classify_structure(shuffled)
+    assert e.flags == shuffled.flags
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -167,7 +166,7 @@ def test_classify_structure_permutation_invariant(seed):
 def test_flags_never_both_product_and_maximally_entangled(seed):
     rng = np.random.default_rng(seed)
     e = random_orthogonal_pure_ensemble(rng, 2)
-    flags = classify_structure(e)
+    flags = e.flags
     assert not (flags.all_maximally_entangled and flags.all_product)
 
 

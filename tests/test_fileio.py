@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,18 @@ def test_parse_rejects_repeated_fields_with_path(dims, member, diagnostic):
     text = f'{{"schema_version": 1, "dims": {dims}, "members": [{member}]}}'
     with pytest.raises(ParseError, match=diagnostic):
         parse_ensemble(text)
+
+
+@pytest.mark.parametrize("char", ["\n", "\r", "\t", "\x00", "\x1b", "\x7f", "\x85"])
+def test_parse_rejects_control_characters_in_label(char):
+    canonical = write_ensemble(bell_basis(equal_probs(4)))
+
+    def with_label(label):
+        return canonical.replace('"label": "bell"', f'"label": {json.dumps(label)}')
+
+    with pytest.raises(ParseError, match=rf"^label: control character U\+{ord(char):04X} is not allowed$"):
+        parse_ensemble(with_label("a" + char))
+    assert parse_ensemble(with_label("Bell é — ψ")).label == "Bell é — ψ"
 
 
 def test_parse_syntax_error_reports_line_and_column():

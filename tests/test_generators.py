@@ -6,7 +6,6 @@ from entcharge import (
     analyze,
     bell_basis,
     binary_entropy,
-    classify_structure,
     density_of,
     entanglement_entropy,
     equal_probs,
@@ -25,7 +24,7 @@ def test_bell_basis_fixed_order_and_flags():
     e = bell_basis(equal_probs(4))
     for got, want in zip(e.states, bell_vectors()):
         assert np.allclose(got.vector, want, atol=1e-15)
-    flags = classify_structure(e)
+    flags = e.flags
     assert flags.all_pure and flags.mutually_orthogonal and flags.all_maximally_entangled
 
 
@@ -49,13 +48,13 @@ def test_generalized_bell_d2_matches_bell_up_to_phase():
     for gs, bs in zip(g.states, b.states):
         inner = np.vdot(gs.vector, bs.vector)
         assert abs(abs(inner) - 1.0) < 1e-12
-    assert classify_structure(g) == classify_structure(b)
+    assert g.flags == b.flags
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_generalized_bell_flags_and_reductions(d):
     e = generalized_bell_basis(d, equal_probs(d * d))
-    flags = classify_structure(e)
+    flags = e.flags
     assert flags.all_pure and flags.mutually_orthogonal and flags.all_maximally_entangled
     target = np.eye(d) / d
     for s in e.states:
@@ -73,7 +72,7 @@ def test_generalized_bell_d_range():
 
 def test_product_basis_flags_and_annotation():
     e = product_basis(3, 2, equal_probs(6))
-    flags = classify_structure(e)
+    flags = e.flags
     assert flags.all_product and not flags.all_maximally_entangled
     assert is_canonical_product_basis(e)
     r = analyze(e)
@@ -90,7 +89,7 @@ def test_rotated_basis_theta_zero_is_product_basis():
 
 def test_rotated_basis_theta_pi_over_4_maximally_entangled():
     e = rotated_basis(np.pi / 4, equal_probs(4))
-    assert classify_structure(e).all_maximally_entangled
+    assert e.flags.all_maximally_entangled
 
 
 def test_rotated_basis_entanglement_matches_binary_entropy():

@@ -8,7 +8,6 @@ from entcharge import (
     ShapeError,
     UnsupportedFormError,
     ValidationError,
-    classify_structure,
     density_of,
     entanglement_entropy,
     hermitian_eigenvalues,
@@ -126,7 +125,7 @@ def test_schmidt_rejects_density_form():
 
 
 def is_maximally_entangled(s) -> bool:
-    return classify_structure(make_ensemble([(1.0, s)])).all_maximally_entangled
+    return make_ensemble([(1.0, s)]).flags.all_maximally_entangled
 
 
 def test_is_maximally_entangled_examples():
