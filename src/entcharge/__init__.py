@@ -41,7 +41,6 @@ from .entropy import (
     clamp_spectrum,
     entanglement_entropy,
     holevo_chi,
-    quantum_mutual_information,
     shannon_entropy,
     von_neumann_entropy,
 )

@@ -20,12 +20,16 @@ fires. Conventions:
     collapses, and the charge is exact, whenever one party's reduced states
     carry no information (chi = 0);
   * orthogonal ensembles of d x d maximally entangled pure states have the
-    exact charge H(X) - log2 d.
+    exact charge H(X) - log2 d;
+  * the lower edge is the largest certified lower bound, never below the
+    floor -log2 min(dA, dB), and the verdict is neither when both edges lie
+    within ROUNDING_SLACK of zero.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,12 +179,12 @@ def exact_charge_max_entangled(e: Ensemble) -> float:
     return value
 
 
-def _verdict(lo: float, hi: float, exact: float | None) -> str:
+def _verdict(lo: float, hi: float) -> str:
     if lo > ROUNDING_SLACK:
         return VERDICT_INFORMATION
     if hi < -ROUNDING_SLACK:
         return VERDICT_ENTANGLEMENT
-    if exact is not None and abs(exact) <= ROUNDING_SLACK:
+    if -ROUNDING_SLACK <= lo and hi <= ROUNDING_SLACK:
         return VERDICT_NEITHER
     return VERDICT_INDETERMINATE
 
@@ -222,12 +226,11 @@ def analyze(e: Ensemble, accessible_info: InfoInterval | None = None) -> ChargeR
                 "accessible-information interval ignored: the generalized lower "
                 "bound needs pure members"
             )
-    if not candidates:
-        floor = -float(np.log2(min(e.dims.dA, e.dims.dB))) + 0.0
-        candidates.append((floor, False, None))
-        notes.append(
-            f"lower bound is the uninformative floor -log2(min(dA,dB)) = {floor:g}"
-        )
+    # The floor is always certified; listed last, it loses every tie.
+    floor = -math.log2(min(e.dims.dA, e.dims.dB)) + 0.0
+    candidates.append(
+        (floor, False, f"lower bound is the uninformative floor -log2(min(dA,dB)) = {floor:g}")
+    )
     lo, informative, winner_note = max(candidates, key=lambda c: c[0])
 
     exact: float | None = None
@@ -261,7 +264,7 @@ def analyze(e: Ensemble, accessible_info: InfoInterval | None = None) -> ChargeR
         lower_bound_informative=informative,
         exact_value=exact,
         interval=(lo, hi),
-        verdict=_verdict(lo, hi, exact),
+        verdict=_verdict(lo, hi),
         notes=tuple(notes),
         flags=flags,
         chi_a=chi_a,
@@ -314,7 +317,7 @@ def rotated_family_report(
         base,
         upper_bounds=uppers,
         interval=(lo, hi),
-        verdict=_verdict(lo, hi, base.exact_value),
+        verdict=_verdict(lo, hi),
         notes=notes,
     )
     theorem1 = min(base.upper_bounds["merging_AtoB"], base.upper_bounds["merging_BtoA"])

@@ -22,6 +22,7 @@ from .fileio import (
     CSV_HEADER,
     dumps_canonical,
     family_csv_row,
+    family_to_document,
     flags_to_document,
     parse_ensemble,
     report_document,
@@ -67,13 +68,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("-o", "--output", required=True, help="output file path")
     p_generate.set_defaults(func=_cmd_generate)
 
-    p_sweep = sub.add_parser("sweep", help="CSV of family bounds over a theta range")
+    p_sweep = sub.add_parser("sweep", help="family bounds over a theta range")
     p_sweep.add_argument("family", choices=("rotated",))
     p_sweep.add_argument("--theta-min", type=float, required=True)
     p_sweep.add_argument("--theta-max", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--probs", help="comma-separated probabilities (default: equal)")
-    p_sweep.add_argument("-o", "--output", help="output CSV path (default: stdout)")
+    p_sweep.add_argument(
+        "--gate-cost", type=float,
+        help="average entanglement cost of the unrotating gate in bits, supplied not computed",
+    )
+    p_sweep.add_argument(
+        "--format", choices=("csv", "structured"), default="csv",
+        help="CSV rows or one structured document per point",
+    )
+    p_sweep.add_argument("-o", "--output", help="output path (default: stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 
@@ -97,7 +106,7 @@ def _write_text(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def parse_probs(text: str | None, n: int) -> np.ndarray:
+def _parse_probs(text: str | None, n: int) -> np.ndarray:
     """A --probs value of comma-separated probabilities; n equal ones if None."""
     if text is None:
         return equal_probs(n)
@@ -181,19 +190,19 @@ def _cmd_analyze(args) -> int:
 def _cmd_generate(args) -> int:
     tol = _tolerances(args)
     if args.family == "bell":
-        e = bell_basis(parse_probs(args.probs, 4), tol)
+        e = bell_basis(_parse_probs(args.probs, 4), tol)
     elif args.family == "gbell":
         if args.d is None:
             raise ValidationError("generate gbell requires --d")
-        e = generalized_bell_basis(args.d, parse_probs(args.probs, args.d * args.d), tol)
+        e = generalized_bell_basis(args.d, _parse_probs(args.probs, args.d * args.d), tol)
     elif args.family == "product":
         if args.da is None or args.db is None:
             raise ValidationError("generate product requires --da and --db")
-        e = product_basis(args.da, args.db, parse_probs(args.probs, args.da * args.db), tol)
+        e = product_basis(args.da, args.db, _parse_probs(args.probs, args.da * args.db), tol)
     else:
         if args.theta is None:
             raise ValidationError("generate rotated requires --theta")
-        e = rotated_basis(args.theta, parse_probs(args.probs, 4), tol)
+        e = rotated_basis(args.theta, _parse_probs(args.probs, 4), tol)
     _write_text(args.output, write_ensemble(e))
     print(f"wrote {e.label} ensemble to {args.output}: dims={e.dims.dA}x{e.dims.dB} members={len(e.members)}")
     print(f"flags: {_flags_line(e.flags)}")
@@ -208,12 +217,13 @@ def _cmd_sweep(args) -> int:
         raise ValidationError(
             f"sweep range [{args.theta_min!r}, {args.theta_max!r}] must lie inside [0, pi/2]"
         )
-    probs = parse_probs(args.probs, 4)
+    probs = _parse_probs(args.probs, 4)
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
-    lines = [CSV_HEADER]
-    for theta in thetas:
-        lines.append(family_csv_row(rotated_family_report(float(theta), probs, tol=tol)))
-    text = "\n".join(lines) + "\n"
+    fams = [rotated_family_report(float(theta), probs, args.gate_cost, tol) for theta in thetas]
+    if args.format == "structured":
+        text = dumps_canonical({"points": [family_to_document(fam) for fam in fams]})
+    else:
+        text = "\n".join([CSV_HEADER, *(family_csv_row(fam) for fam in fams)]) + "\n"
     if args.output:
         _write_text(args.output, text)
     else:

@@ -13,6 +13,7 @@ preserved for reporting and witnesses but never changes computed values.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -151,9 +152,22 @@ class StructureFlags:
     support_size: int
 
 
+def _check_label(label: str | None, error: type[ValidationError] = ValidationError) -> None:
+    """Reject a label holding a character at which str.splitlines() breaks a
+    line (categories Cc, Zl, Zp): it could forge lines of a text report."""
+    if label is None or label.isprintable():
+        return
+    for c in label:
+        category = unicodedata.category(c)
+        if category in ("Cc", "Zl", "Zp"):
+            kind = "control character" if category == "Cc" else "line separator"
+            raise error(f"label: {kind} U+{ord(c):04X} is not allowed")
+
+
 def make_ensemble(members, label: str | None = None, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
     """Build an Ensemble under tol from (prob, BipartiteState) pairs,
-    validating probs, dims and the trace of the average state."""
+    validating the label, probs, dims and the trace of the average state."""
+    _check_label(label)
     pairs = [(float(p), s) for p, s in members]
     if not pairs:
         raise ValidationError("ensemble must have at least one member")

@@ -10,9 +10,8 @@ from .linalg import (
     Tolerances,
     as_square_matrix,
     density_eigenvalues,
-    partial_trace,
 )
-from .states import BipartiteDims, BipartiteState, schmidt_coefficients
+from .states import BipartiteState, schmidt_coefficients
 
 
 def _entropy_bits(p) -> float:
@@ -69,18 +68,6 @@ def clamp_spectrum(evals, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
 def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """S(rho) in bits; eigenvalues are clamped before the x log x evaluation."""
     return _entropy_bits(clamp_spectrum(density_eigenvalues(rho, tol), tol))
-
-
-def quantum_mutual_information(
-    rho_ab, dims: BipartiteDims, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """I(A;B) = S(rho_A) + S(rho_B) - S(rho_AB); zero for product states."""
-    a = as_square_matrix(rho_ab)
-    if a.shape[0] != dims.joint:
-        raise ShapeError(f"joint matrix dim {a.shape[0]} does not match dims {dims.dA}x{dims.dB}")
-    s_a = von_neumann_entropy(partial_trace(a, dims.dA, dims.dB, "B"), tol)
-    s_b = von_neumann_entropy(partial_trace(a, dims.dA, dims.dB, "A"), tol)
-    return s_a + s_b - von_neumann_entropy(a, tol)
 
 
 def holevo_chi(probs, states, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import unicodedata
 from dataclasses import asdict
 
 import numpy as np
 
 from .accessible import InfoInterval
 from .bounds import ChargeReport, FamilyReport
-from .ensembles import Ensemble, StructureFlags, make_ensemble
+from .ensembles import Ensemble, StructureFlags, _check_label, make_ensemble
 from .errors import ParseError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .states import BipartiteDims, validate_state
@@ -166,10 +165,7 @@ def parse_ensemble(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise ParseError("label: expected a string")
-    # A control character would let a label forge lines of a text report.
-    bad = next((c for c in label or "" if unicodedata.category(c) == "Cc"), None)
-    if bad is not None:
-        raise ParseError(f"label: control character U+{ord(bad):04X} is not allowed")
+    _check_label(label, ParseError)
     dims_doc = _expect_object(doc["dims"], "dims", required=("dA", "dB"))
     dims = BipartiteDims(_expect_int(dims_doc["dA"], "dims.dA"), _expect_int(dims_doc["dB"], "dims.dB"))
     members_doc = doc["members"]

@@ -2,7 +2,7 @@
 
 The oracles here deliberately avoid the library's own code paths:
 partial traces are index-loop summations and eigenvalues come from
-characteristic-polynomial root finding.
+characteristic-polynomial root finding or straight from numpy.
 """
 
 from __future__ import annotations
@@ -61,6 +61,20 @@ def partial_trace_loop(m: np.ndarray, dA: int, dB: int, traced_party: str) -> np
             for i in range(dA):
                 out[k, L] += m[i * dB + k, i * dB + L]
     return out
+
+
+def mutual_information_oracle(rho: np.ndarray, dA: int, dB: int) -> float:
+    """I(A;B) = S(rho_A) + S(rho_B) - S(rho_AB) in bits, from loop partial
+    traces and numpy's eigvalsh."""
+
+    def entropy(m):
+        w = np.linalg.eigvalsh(m)
+        w = w[w > 1e-12]
+        return float(-(w * np.log2(w)).sum())
+
+    s_a = entropy(partial_trace_loop(rho, dA, dB, "B"))
+    s_b = entropy(partial_trace_loop(rho, dA, dB, "A"))
+    return s_a + s_b - entropy(rho)
 
 
 def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -22,13 +22,12 @@ from entcharge import (
     make_ensemble,
     make_povm,
     mutual_information_of_measurement,
-    quantum_mutual_information,
     rotated_basis,
     shannon_entropy,
     validate_state,
     von_neumann_entropy,
 )
-from helpers import near_orthogonal_pair, random_orthogonal_pure_ensemble
+from helpers import mutual_information_oracle, near_orthogonal_pair, random_orthogonal_pure_ensemble
 
 D12 = BipartiteDims(1, 2)
 D22 = BipartiteDims(2, 2)
@@ -359,7 +358,7 @@ def test_lower_bound_general_identical_bell_states():
     e = make_ensemble([(0.5, bell), (0.5, bell)])
     from entcharge import average_state
 
-    assert quantum_mutual_information(average_state(e), D22) == pytest.approx(2.0, abs=1e-9)
+    assert mutual_information_oracle(average_state(e), 2, 2) == pytest.approx(2.0, abs=1e-9)
     info = estimate_accessible_info(e, OptimizerConfig(restarts=2, max_iters=40))
     assert lower_bound_general(e, info) == pytest.approx(-1.0, abs=1e-9)
 
@@ -376,7 +375,7 @@ def test_lower_bound_general_two_state_composed_oracles():
     avg_member = sum(
         0.5 * von_neumann_entropy(partial_trace(density_of(s), 1, 2, "B")) for s in e.states
     )
-    mutual = quantum_mutual_information(avg, D12)
+    mutual = mutual_information_oracle(avg, 1, 2)
     delta_hi = von_neumann_entropy(avg) - info.lo
     expected = avg_member - mutual - delta_hi
     assert lower_bound_general(e, info) == pytest.approx(expected, abs=1e-12)

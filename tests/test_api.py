@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "hermitian_eigenvalues", "holevo_chi", "is_canonical_product_basis", "is_product",
     "lower_bound_general", "lower_bound_pure", "make_ensemble", "make_povm",
     "mutual_information_of_measurement", "pairwise_orthogonal", "parse_ensemble",
-    "partial_trace", "product_basis", "quantum_mutual_information", "reduced_ensemble",
+    "partial_trace", "product_basis", "reduced_ensemble",
     "rotated_basis", "rotated_family_report", "schmidt_coefficients", "shannon_entropy",
     "shannon_of", "upper_bound_merging", "validate_state", "von_neumann_entropy",
     "write_ensemble",

@@ -16,6 +16,7 @@ from entcharge import (
     binary_entropy,
     chi_rewrite_bounds,
     equal_probs,
+    estimate_accessible_info,
     exact_charge_max_entangled,
     generalized_bell_basis,
     lower_bound_pure,
@@ -27,7 +28,9 @@ from entcharge import (
     upper_bound_merging,
     validate_state,
 )
-from helpers import near_orthogonal_pair, random_orthogonal_pure_ensemble
+from entcharge.bounds import _verdict
+from entcharge.linalg import ROUNDING_SLACK
+from helpers import mutual_information_oracle, near_orthogonal_pair, random_orthogonal_pure_ensemble
 
 H34 = binary_entropy(0.75)  # per-state entanglement of the family at pi/6
 
@@ -267,6 +270,44 @@ def test_analyze_non_orthogonal_with_accessible_info_certifies_sign():
     assert r.verdict == VERDICT_ENTANGLEMENT
 
 
+def readme_pair():
+    """The README's 1x2 example: |0> and cos(pi/8)|0> + sin(pi/8)|1>, equal priors."""
+    dims = BipartiteDims(1, 2)
+    return make_ensemble([
+        (0.5, validate_state(dims, [1, 0])),
+        (0.5, validate_state(dims, [np.cos(np.pi / 8), np.sin(np.pi / 8)])),
+    ])
+
+
+@pytest.mark.parametrize("estimate", [False, True], ids=["default", "estimate"])
+def test_readme_pair_charge_sits_at_zero(estimate):
+    # dA = 1: the floor -log2 min(dA, dB) = 0 and S(rho_A) = 0 close the
+    # interval at zero, whether or not the accessible information is bracketed.
+    e = readme_pair()
+    report = analyze(e, estimate_accessible_info(e) if estimate else None)
+    assert report.interval == pytest.approx((0.0, 0.0), abs=ROUNDING_SLACK)
+    assert report.lower_bound_informative is False
+    assert report.verdict == VERDICT_NEITHER
+
+
+SLACK_ZONE = st.sampled_from([-2, -1, -0.5, 0, 0.5, 1, 2]).map(lambda k: k * ROUNDING_SLACK) | st.floats(
+    -4 * ROUNDING_SLACK, 4 * ROUNDING_SLACK
+)
+
+
+@given(SLACK_ZONE, SLACK_ZONE)
+def test_verdict_follows_the_readme_definitions(a, b):
+    # README: certified positive / certified negative / exactly zero / straddles
+    # zero, each up to the rounding slack.
+    lo, hi = min(a, b), max(a, b)
+    verdict = _verdict(lo, hi)
+    assert (verdict == VERDICT_INFORMATION) == (lo > ROUNDING_SLACK)
+    assert (verdict == VERDICT_ENTANGLEMENT) == (hi < -ROUNDING_SLACK)
+    assert (verdict == VERDICT_NEITHER) == (-ROUNDING_SLACK <= lo and hi <= ROUNDING_SLACK)
+    straddles = lo <= ROUNDING_SLACK and hi >= -ROUNDING_SLACK and (lo < -ROUNDING_SLACK or hi > ROUNDING_SLACK)
+    assert (verdict == VERDICT_INDETERMINATE) == straddles
+
+
 def test_probability_dependence_of_verdict():
     info = analyze(bell_basis(equal_probs(4))).verdict
     ent = analyze(bell_basis([1, 0, 0, 0])).verdict
@@ -423,14 +464,13 @@ def test_shared_facts_are_read_only():
 def test_ensemble_facts_match_the_standalone_functions(seed):
     from entcharge import (
         average_state,
-        quantum_mutual_information,
         reduced_ensemble,
         von_neumann_entropy,
     )
 
     e = random_orthogonal_pure_ensemble(np.random.default_rng(seed), 2)
     assert np.array_equal(e.average, average_state(e))
-    assert e.mutual_information == quantum_mutual_information(e.average, e.dims)
+    assert e.mutual_information == pytest.approx(mutual_information_oracle(e.average, 2, 2), abs=1e-9)
     for party, reduced in (("A", e.reduced_a), ("B", e.reduced_b)):
         assert all(np.array_equal(x, y) for x, y in zip(reduced, reduced_ensemble(e, party)[1]))
     assert e.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, e.reduced_a)))

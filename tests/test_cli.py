@@ -73,6 +73,20 @@ def test_label_cannot_forge_report_lines(tmp_path, capsys, command):
     assert err == "error: label: control character U+000A is not allowed\n"
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029"])
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_label_line_separator_cannot_forge_report_lines(tmp_path, capsys, command, separator):
+    # str.splitlines() breaks lines at U+2028 / U+2029 as well as at control characters.
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / "gbell3.json").read_text())
+    doc["label"] = f"x{separator}verdict: entanglement_nonlocality"
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: label: line separator U+{ord(separator):04X} is not allowed\n"
+
+
 def test_validate_and_analyze_reject_average_trace_alike(tmp_path, capsys):
     # Each member and the probabilities pass trace_tol = 1e-9; the average
     # state's trace 1 + 1.8e-9 does not, and both commands say so.
@@ -315,6 +329,45 @@ def test_sweep_empty_range_exit_2(capsys):
 
 def test_sweep_out_of_range_exit_2(capsys):
     assert main(["sweep", "rotated", "--theta-min", "0", "--theta-max", "3", "--steps", "2"]) == 2
+
+
+SWEEP = ["sweep", "rotated", "--theta-min", "0", "--theta-max", "1.5707963267948966", "--steps", "3"]
+
+
+@pytest.mark.parametrize(
+    "flags, diagnostic",
+    [
+        (["--probs", "0.5,0.5"], "error: expected 4 probabilities, got 2"),
+        (["--probs", "a,b"], "error: cannot parse --probs 'a,b'"),
+    ],
+)
+def test_sweep_reports_bad_probs_as_one_error_line(capsys, flags, diagnostic):
+    assert main([*SWEEP, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(diagnostic)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+@pytest.mark.parametrize(
+    "gate_cost, diagnostic",
+    [
+        ("nan", "error: supplied gate cost nan is not finite\n"),
+        # 0.5 passes at theta = 0 (lower bound 0) and lies below the lower
+        # bound 1 at pi/4, so nothing is written although one point succeeded.
+        ("0.5", "error: supplied gate cost 0.5 lies below the certified lower bound "),
+    ],
+    ids=["nan", "below-lower-bound"],
+)
+def test_sweep_rejects_bad_gate_cost_and_writes_nothing(tmp_path, capsys, gate_cost, diagnostic, fmt):
+    target = tmp_path / "points.out"
+    assert main([*SWEEP, "--gate-cost", gate_cost, "--format", fmt, "-o", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(diagnostic)
+    assert err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_cli_byte_identical_reruns(tmp_path):

@@ -10,7 +10,6 @@ from entcharge import (
     entanglement_entropy,
     holevo_chi,
     make_ensemble,
-    quantum_mutual_information,
     shannon_entropy,
     upper_bound_merging,
     validate_state,
@@ -88,17 +87,22 @@ def test_conditional_entropy_definition_consistency(seed):
     assert lhs == pytest.approx(von_neumann_entropy(rho), abs=1e-9)
 
 
+def mutual_information(rho, dims) -> float:
+    """I(A;B) of rho through its one path, the attribute of a one-member ensemble."""
+    return make_ensemble([(1.0, validate_state(dims, rho))]).mutual_information
+
+
 def test_quantum_mutual_information_examples():
     rng = np.random.default_rng(7)
     a = random_density(rng, 2)
     b = random_density(rng, 2)
-    assert quantum_mutual_information(np.kron(a, b), D22) == pytest.approx(0.0, abs=1e-9)
+    assert mutual_information(np.kron(a, b), D22) == pytest.approx(0.0, abs=1e-9)
     v = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    assert quantum_mutual_information(np.outer(v, v.conj()), D22) == pytest.approx(2.0, abs=1e-9)
+    assert mutual_information(np.outer(v, v.conj()), D22) == pytest.approx(2.0, abs=1e-9)
     # matrix-average oracle: equal Bell mixture is I/4
     mixture = sum(np.outer(w, w.conj()) for w in bell_vectors()) / 4
     assert np.allclose(mixture, np.eye(4) / 4, atol=1e-12)
-    assert quantum_mutual_information(mixture, D22) == pytest.approx(0.0, abs=1e-9)
+    assert mutual_information(mixture, D22) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_quantum_mutual_information_nonnegative_on_random_states():
@@ -106,7 +110,7 @@ def test_quantum_mutual_information_nonnegative_on_random_states():
     for dims in (BipartiteDims(2, 2), BipartiteDims(2, 3)):
         for _ in range(1000):
             rho = random_density(rng, dims.joint)
-            assert quantum_mutual_information(rho, dims) >= -1e-9
+            assert mutual_information(rho, dims) >= -1e-9
 
 
 def test_holevo_examples():

@@ -3,7 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from entcharge import ParseError, bell_basis, equal_probs, generalized_bell_basis, product_basis, rotated_basis
+from entcharge import (
+    BipartiteDims,
+    ParseError,
+    ValidationError,
+    bell_basis,
+    equal_probs,
+    generalized_bell_basis,
+    make_ensemble,
+    product_basis,
+    rotated_basis,
+    validate_state,
+)
 from entcharge.fileio import format_float, parse_ensemble, write_ensemble
 
 
@@ -112,6 +123,36 @@ def test_parse_rejects_control_characters_in_label(char):
     with pytest.raises(ParseError, match=rf"^label: control character U\+{ord(char):04X} is not allowed$"):
         parse_ensemble(with_label("a" + char))
     assert parse_ensemble(with_label("Bell é — ψ")).label == "Bell é — ψ"
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029"])
+def test_parse_rejects_line_separators_in_label(char):
+    canonical = write_ensemble(bell_basis(equal_probs(4)))
+    text = canonical.replace('"label": "bell"', f'"label": {json.dumps("a" + char)}')
+    with pytest.raises(ParseError, match=rf"^label: line separator U\+{ord(char):04X} is not allowed$"):
+        parse_ensemble(text)
+
+
+def test_make_ensemble_accepts_only_labels_that_round_trip():
+    members = bell_basis(equal_probs(4)).members
+    with pytest.raises(ValidationError, match=r"^label: control character U\+000A is not allowed$"):
+        make_ensemble(members, label="a\nverdict: x")
+    with pytest.raises(ValidationError, match=r"^label: line separator U\+2029 is not allowed$"):
+        make_ensemble(members, label="a\u2029verdict: x")
+    e = make_ensemble(members, label="Bell é — ψ")
+    text = write_ensemble(e)
+    assert write_ensemble(parse_ensemble(text)) == text
+
+
+def test_bad_label_is_reported_before_a_dims_error():
+    mismatched = [(0.5, validate_state(BipartiteDims(2, 2), [1, 0, 0, 0])),
+                  (0.5, validate_state(BipartiteDims(1, 2), [1, 0]))]
+    with pytest.raises(ValidationError, match=r"^label: control character U\+000A is not allowed$"):
+        make_ensemble(mismatched, label="a\n")
+    text = json.dumps({"schema_version": 1, "label": "a\n", "dims": {"dA": 2, "dB": 2},
+                       "members": [{"prob": 1, "state": {"kind": "pure", "data": [[1, 0]]}}]})
+    with pytest.raises(ParseError, match=r"^label: control character U\+000A is not allowed$"):
+        parse_ensemble(text)
 
 
 def test_parse_syntax_error_reports_line_and_column():

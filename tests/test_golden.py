@@ -4,7 +4,8 @@ tests/golden/ holds small canonical ensemble files (a generalized Bell basis,
 a rotated-family point, a random orthogonal pure ensemble, an orthogonal
 mixed-state ensemble, a non-orthogonal pure ensemble, a non-orthogonal
 pure/density mix and a product basis) next to the exact `analyze` text and
-structured output and one `sweep rotated` CSV. Any refactor of the
+structured output and one `sweep rotated` CSV, plus the structured sweep of
+the same points with a user-supplied gate cost. Any refactor of the
 computation must reproduce them byte for byte. One more file pins the
 structured output of `--accessible-info estimate` on the non-orthogonal pure
 ensemble, so a change to the POVM search shows up as a diff, and one the
@@ -49,6 +50,19 @@ def test_sweep_output_is_byte_identical(capsys, monkeypatch):
     argv = ["sweep", "rotated", "--theta-min", "0", "--theta-max", "1.5707963267948966",
             "--steps", "9", "--probs", "0.1,0.2,0.3,0.4"]
     assert _run(argv, capsys, monkeypatch) == (GOLDEN / "sweep_rotated.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "fmt, golden",
+    [([], "sweep_rotated.csv"), (["--format", "structured"], "sweep_rotated.gate.structured.json")],
+    ids=["csv", "structured"],
+)
+def test_sweep_with_gate_cost_is_byte_identical(fmt, golden, capsys, monkeypatch):
+    # A gate cost of 0.85 binds the upper edge at 8 of the 9 points; the CSV
+    # does not show it, so it equals the plain sweep's.
+    argv = ["sweep", "rotated", "--theta-min", "0", "--theta-max", "1.5707963267948966",
+            "--steps", "9", "--probs", "0.1,0.2,0.3,0.4", "--gate-cost", "0.85", *fmt]
+    assert _run(argv, capsys, monkeypatch) == (GOLDEN / golden).read_text()
 
 
 def test_estimate_output_is_byte_identical(capsys, monkeypatch):

@@ -7,8 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from entcharge.cli import main
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -25,48 +23,25 @@ def test_random_orthogonal_audit_passes():
     assert "audit ok" in proc.stdout
 
 
-def test_rotated_family_scan_rejects_nan_gate_cost(tmp_path):
-    out = tmp_path / "points.json"
-    proc = run_script("rotated_family_scan.py", "--steps", "3", "--gate-cost", "nan", "--json-out", str(out))
-    assert proc.returncode != 0
-    assert "gate cost nan is not finite" in proc.stderr
-    assert not out.exists()
+AUDIT_BAD_INPUT = [
+    (["--dims", "9"], "error: joint dimension 81 exceeds the cap 64"),
+    (["--dims", "2", "1"], "error: --dims entries must be >= 2, got 1"),
+    (["--seed", "-1"], "error: --seed must be >= 0, got -1"),
+    (["--samples", "0"], "error: --samples must be >= 1, got 0"),
+]
 
 
-def test_rotated_family_scan_csv_equals_cli_sweep(tmp_path):
-    scan = tmp_path / "scan.csv"
-    proc = run_script("rotated_family_scan.py", "--steps", "5", "-o", str(scan))
-    assert proc.returncode == 0, proc.stderr
-    sweep = tmp_path / "sweep.csv"
-    argv = ["sweep", "rotated", "--theta-min", "0", "--theta-max", "1.5707963267948966", "--steps", "5"]
-    assert main([*argv, "-o", str(sweep)]) == 0
-    assert scan.read_bytes() == sweep.read_bytes()
-
-
+# The ids start at args4 so that they match the ids that earlier runs of
+# this suite recorded for these cases.
 @pytest.mark.parametrize(
-    "script, args, diagnostic",
-    [
-        ("rotated_family_scan.py", ["--probs", "0.5,0.5"], "error: expected 4 probabilities, got 2"),
-        ("rotated_family_scan.py", ["--probs", "a,b"], "error: cannot parse --probs 'a,b'"),
-        ("rotated_family_scan.py", ["--steps", "0"], "error: the scan needs at least one step, got 0"),
-        ("rotated_family_scan.py", ["--steps", "2", "--theta-max", "3"], "error: theta 3.0 outside [0, pi/2]"),
-        ("random_orthogonal_audit.py", ["--dims", "9"], "error: joint dimension 81 exceeds the cap 64"),
-        ("random_orthogonal_audit.py", ["--dims", "2", "1"], "error: --dims entries must be >= 2, got 1"),
-        ("random_orthogonal_audit.py", ["--seed", "-1"], "error: --seed must be >= 0, got -1"),
-        ("random_orthogonal_audit.py", ["--samples", "0"], "error: --samples must be >= 1, got 0"),
-    ],
+    "args, diagnostic",
+    AUDIT_BAD_INPUT,
+    ids=[f"random_orthogonal_audit.py-args{k}-{diagnostic}" for k, (_, diagnostic) in enumerate(AUDIT_BAD_INPUT, 4)],
 )
-def test_scripts_report_bad_input_as_one_error_line(script, args, diagnostic):
-    proc = run_script(script, *args)
+def test_scripts_report_bad_input_as_one_error_line(args, diagnostic):
+    proc = run_script("random_orthogonal_audit.py", *args)
     assert proc.returncode == 2
     assert proc.stderr.startswith(diagnostic)
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
-
-
-def test_rotated_family_scan_reports_unwritable_output(tmp_path):
-    proc = run_script("rotated_family_scan.py", "--steps", "2", "-o", str(tmp_path / "missing" / "scan.csv"))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: [Errno 2] No such file or directory")
-    assert "Traceback" not in proc.stderr
