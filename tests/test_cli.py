@@ -349,6 +349,21 @@ def test_sweep_reports_bad_probs_as_one_error_line(capsys, flags, diagnostic):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flags, diagnostic",
+    [
+        (["--steps", "0"], "error: sweep needs at least one step, got 0\n"),
+        (["--theta-max", "3"], "error: sweep range [0.0, 3.0] must lie inside [0, pi/2]\n"),
+    ],
+    ids=["steps-0", "theta-3"],
+)
+def test_sweep_reports_bad_range_as_one_error_line(capsys, flags, diagnostic):
+    assert main([*SWEEP, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == diagnostic
+
+
 @pytest.mark.parametrize("fmt", ["csv", "structured"])
 @pytest.mark.parametrize(
     "gate_cost, diagnostic",
