@@ -7,6 +7,7 @@ All angles are radians. Output is deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from pathlib import Path
@@ -32,7 +33,9 @@ from .generators import bell_basis, equal_probs, generalized_bell_basis, product
 from .linalg import DEFAULT_TOLERANCES, STRICT_TOLERANCES, Tolerances
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="entcharge",
         description="Entanglement-charge bounds and nonlocality verdicts for bipartite-state ensembles.",
@@ -232,8 +235,7 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except EntchargeError as exc:

@@ -19,14 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import _holevo_chi, holevo_chi, shannon_entropy, valid_probs, von_neumann_entropy
+from .entropy import _holevo_chi, member_term, shannon_entropy, valid_probs, von_neumann_entropies, von_neumann_entropy
 from .errors import ShapeError, ValidationError
-from .linalg import DEFAULT_TOLERANCES, Tolerances, partial_trace
+from .linalg import DEFAULT_TOLERANCES, Tolerances, partial_trace, partial_traces, vector_partial_traces
 from .states import (
     BipartiteDims,
     BipartiteState,
-    _all_maximally_mixed,
     _freeze,
+    _maximally_mixed,
     density_of,
     is_product,
     orthogonality_witness,
@@ -49,9 +49,12 @@ class Ensemble:
 
     overlaps[i, j] = Tr(rho_i rho_j); witness is the first non-orthogonal
     pair (i, j, overlap) or None. s_ab, s_a, s_b are the entropies of the
-    average state and its marginals. reduced_a / reduced_b hold each member
-    traced down to A / B, avg_member_entropy = sum_X p_X S(rho_X^A), and
-    chi_a / chi_b are the Holevo chi of the two reduced ensembles.
+    average state and its marginals. reduced_a / reduced_b stack each member
+    traced down to A / B, entropies_a / entropies_b hold each member's
+    S(rho_X^A) / S(rho_X^B), avg_member_entropy = sum_X p_X S(rho_X^A), and
+    chi_a / chi_b are the Holevo chi of the two reduced ensembles. The reduced
+    states and member entropies of each side are one batched computation over
+    all members.
     """
 
     dims: BipartiteDims
@@ -76,20 +79,26 @@ class Ensemble:
         return orthogonality_witness(self.overlaps, self.tol)
 
     @cached_property
-    def reduced_a(self) -> tuple[np.ndarray, ...]:
-        return tuple(_freeze(m) for m in reduced_ensemble(self, "A")[1])
+    def reduced_a(self) -> np.ndarray:
+        return _freeze(reduced_ensemble(self, "A")[1])
 
     @cached_property
-    def reduced_b(self) -> tuple[np.ndarray, ...]:
-        return tuple(_freeze(m) for m in reduced_ensemble(self, "B")[1])
+    def reduced_b(self) -> np.ndarray:
+        return _freeze(reduced_ensemble(self, "B")[1])
+
+    @cached_property
+    def entropies_a(self) -> np.ndarray:
+        return _freeze(von_neumann_entropies(self.reduced_a, self.tol))
+
+    @cached_property
+    def entropies_b(self) -> np.ndarray:
+        return _freeze(von_neumann_entropies(self.reduced_b, self.tol))
 
     @cached_property
     def maximally_entangled(self) -> tuple[bool, ...]:
         square = self.dims.dA == self.dims.dB
-        return tuple(
-            s.is_pure and square and _all_maximally_mixed((ra, rb), self.tol)
-            for s, ra, rb in zip(self.states, self.reduced_a, self.reduced_b)
-        )
+        mixed = _maximally_mixed(self.reduced_a, self.tol) & _maximally_mixed(self.reduced_b, self.tol)
+        return tuple(bool(s.is_pure and square and m) for s, m in zip(self.states, mixed))
 
     @cached_property
     def flags(self) -> StructureFlags:
@@ -101,6 +110,8 @@ class Ensemble:
             all_pure=all_pure,
             mutually_orthogonal=self.witness is None,
             all_maximally_entangled=all(self.maximally_entangled),
+            # One SVD per member, stopping at the first entangled one: a batched
+            # SVD of every member costs more whenever an early member is entangled.
             all_product=all_pure and all(is_product(s, self.tol) for s in states),
             support_size=int(sum(1 for p, _ in self.members if p > PROB_FLOOR)),
         )
@@ -123,7 +134,7 @@ class Ensemble:
 
     @cached_property
     def avg_member_entropy(self) -> float:
-        return float(sum(p * von_neumann_entropy(m, self.tol) for p, m in zip(self.probs, self.reduced_a)))
+        return member_term(self.probs, self.entropies_a)
 
     @property
     def mutual_information(self) -> float:
@@ -132,13 +143,13 @@ class Ensemble:
 
     @cached_property
     def chi_a(self) -> float:
-        """Holevo chi of the A-side reduced ensemble; its member term
-        sum_X p_X S(rho_X^A) is avg_member_entropy, not recomputed."""
-        return _holevo_chi(self.probs, self.reduced_a, self.avg_member_entropy, self.tol)
+        """Holevo chi of the A-side reduced ensemble; its member entropies are
+        entropies_a, the ones avg_member_entropy sums."""
+        return _holevo_chi(self.probs, self.reduced_a, lambda: self.entropies_a, self.tol)
 
     @cached_property
     def chi_b(self) -> float:
-        return holevo_chi(self.probs, self.reduced_b, self.tol)
+        return _holevo_chi(self.probs, self.reduced_b, lambda: self.entropies_b, self.tol)
 
 
 @dataclass(frozen=True)
@@ -198,16 +209,26 @@ def average_state(e: Ensemble) -> np.ndarray:
     return out
 
 
-def reduced_ensemble(e: Ensemble, party: str) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Probabilities plus each member partial-traced down to the given party."""
+def reduced_ensemble(e: Ensemble, party: str) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities plus the stack (m, d, d) of every member partial-traced
+    down to the given party: pure members from their vectors, density members
+    in one einsum, each with the bits of partial_trace(density_of(s), ...)."""
     if party == "A":
         traced = "B"
     elif party == "B":
         traced = "A"
     else:
         raise ValidationError(f"party must be 'A' or 'B', got {party!r}")
-    mats = [partial_trace(density_of(s), e.dims.dA, e.dims.dB, traced) for _, s in e.members]
-    return e.probs, mats
+    dA, dB = e.dims.dA, e.dims.dB
+    states = e.states
+    pure = np.array([s.is_pure for s in states])
+    d = dA if party == "A" else dB
+    out = np.empty((len(states), d, d), dtype=complex)
+    if pure.any():
+        out[pure] = vector_partial_traces(np.stack([s.vector for s in states if s.is_pure]), dA, dB, traced)
+    if not pure.all():
+        out[~pure] = partial_traces(np.stack([s.matrix for s in states if not s.is_pure]), dA, dB, traced)
+    return e.probs, out
 
 
 def shannon_of(e: Ensemble) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .errors import ShapeError, ValidationError
@@ -9,7 +11,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     as_square_matrix,
-    density_eigenvalues,
+    density_spectra,
 )
 from .states import BipartiteState, schmidt_coefficients
 
@@ -67,7 +69,19 @@ def clamp_spectrum(evals, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
 
 def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """S(rho) in bits; eigenvalues are clamped before the x log x evaluation."""
-    return _entropy_bits(clamp_spectrum(density_eigenvalues(rho, tol), tol))
+    return float(von_neumann_entropies(as_square_matrix(rho)[None], tol)[0])
+
+
+def von_neumann_entropies(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """S(rho) of each density matrix in a stack (m, d, d), from one batched
+    spectrum. Each entropy sums its own row, so it has the bits of
+    von_neumann_entropy of that matrix alone."""
+    return np.array([_entropy_bits(row) for row in clamp_spectrum(density_spectra(stack, tol), tol)])
+
+
+def member_term(p: np.ndarray, entropies) -> float:
+    """sum_X p_X S(rho_X), summed in member order."""
+    return float(sum(pi * s for pi, s in zip(p, entropies)))
 
 
 def holevo_chi(probs, states, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -82,21 +96,19 @@ def holevo_chi(probs, states, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     for k, m in enumerate(mats):
         if m.shape[0] != dim:
             raise ShapeError(f"state {k} has dim {m.shape[0]}, expected {dim}")
-    return _holevo_chi(p, mats, None, tol)
+    stack = np.stack(mats)
+    return _holevo_chi(p, stack, lambda: von_neumann_entropies(stack, tol), tol)
 
 
-def _holevo_chi(p: np.ndarray, mats, member_term: float | None, tol: Tolerances) -> float:
-    """holevo_chi on checked input; member_term, when given, is the caller's
-    own sum_X p_X S(rho_X) and is used in place of recomputing it."""
+def _holevo_chi(p: np.ndarray, mats: np.ndarray, entropies: Callable[[], np.ndarray], tol: Tolerances) -> float:
+    """holevo_chi on a checked stack; entropies() gives each member's S(rho_X)
+    and is called only when the members are not all identical."""
     # Identical members carry no information; short-circuit keeps chi exactly 0.
-    if all(np.array_equal(mats[0], m) for m in mats[1:]):
-        density_eigenvalues(mats[0], tol)
+    if (mats == mats[:1]).all():
+        density_spectra(mats[:1], tol)
         return 0.0
-    avg = np.einsum("x,xij->ij", p, np.stack(mats))
-    avg_entropy = von_neumann_entropy(avg, tol)
-    if member_term is None:
-        member_term = float(sum(pi * von_neumann_entropy(m, tol) for pi, m in zip(p, mats)))
-    return avg_entropy - member_term
+    avg_entropy = von_neumann_entropy(np.einsum("x,xij->ij", p, mats), tol)
+    return avg_entropy - member_term(p, entropies())
 
 
 def entanglement_entropy(s: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

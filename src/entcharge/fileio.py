@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -139,7 +140,10 @@ def _expect_int(value, path: str) -> int:
 def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{path}: integer too large to convert to a float") from None
 
 
 def _expect_pair(value, path: str) -> complex:
@@ -150,12 +154,30 @@ def _expect_pair(value, path: str) -> complex:
     return complex(re, im)
 
 
+def _pair_array(data: list, path: str) -> np.ndarray:
+    """The complex numbers of a list of [re, im] pairs; path names the list.
+
+    Well-formed input passes one type test per number (json.loads makes exact
+    ints and floats, and a bool's type is bool) and converts in one exact
+    np.array call. Anything else goes through _expect_pair element by
+    element, which raises the first bad element's path-qualified error.
+    """
+    if all(type(v) is list and len(v) == 2 and type(v[0]) in (int, float) and type(v[1]) in (int, float) for v in data):
+        try:
+            return np.array(data, dtype=float).reshape(-1, 2).view(complex)[:, 0]
+        except OverflowError:  # an integer beyond float range, which _expect_pair names
+            pass
+    return np.array([_expect_pair(v, f"{path}[{k}]") for k, v in enumerate(data)])
+
+
 def parse_ensemble(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
     """Parse and fully validate an ensemble file (strict mode)."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # int() refuses a literal beyond the interpreter's digit limit
+        raise ParseError(f"syntax error: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
         raise ParseError("syntax error: arrays or objects nested too deeply") from exc
     _expect_object(doc, "$", required=("schema_version", "dims", "members"), optional=("label",))
@@ -182,10 +204,7 @@ def parse_ensemble(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
         if kind == "pure":
             if not isinstance(data, list) or not data:
                 raise ParseError(f"{path}.state.data: expected a nonempty list of [re, im] pairs")
-            vector = np.array(
-                [_expect_pair(v, f"{path}.state.data[{k}]") for k, v in enumerate(data)]
-            )
-            raw = vector
+            raw = _pair_array(data, f"{path}.state.data")
         elif kind == "density":
             if not isinstance(data, list) or not data:
                 raise ParseError(f"{path}.state.data: expected a nonempty list of rows")
@@ -193,9 +212,7 @@ def parse_ensemble(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
             for r, row in enumerate(data):
                 if not isinstance(row, list):
                     raise ParseError(f"{path}.state.data[{r}]: expected a row of [re, im] pairs")
-                rows.append(
-                    [_expect_pair(v, f"{path}.state.data[{r}][{c}]") for c, v in enumerate(row)]
-                )
+                rows.append(_pair_array(row, f"{path}.state.data[{r}]"))
             lengths = {len(r) for r in rows}
             if lengths != {len(rows)}:
                 raise ParseError(f"{path}.state.data: expected a square matrix")

@@ -75,21 +75,48 @@ def partial_trace(m, dA: int, dB: int, traced_party: str) -> np.ndarray:
         raise ShapeError(
             f"matrix dim {a.shape[0]} does not match dims {dA}x{dB} (joint {dA * dB})"
         )
-    t = a.reshape(dA, dB, dA, dB)
+    return partial_traces(a[None], dA, dB, traced_party)[0]
+
+
+def partial_traces(stack: np.ndarray, dA: int, dB: int, traced_party: str) -> np.ndarray:
+    """partial_trace of each operator in a stack (m, dA*dB, dA*dB), in one einsum."""
+    t = stack.reshape(-1, dA, dB, dA, dB)
     if traced_party == "A":
-        return np.einsum("ikil->kl", t)
+        return np.einsum("xikil->xkl", t)
     if traced_party == "B":
-        return np.einsum("ikjk->ij", t)
+        return np.einsum("xikjk->xij", t)
     raise ValidationError(f"traced_party must be 'A' or 'B', got {traced_party!r}")
 
 
+def vector_partial_traces(vectors: np.ndarray, dA: int, dB: int, traced_party: str) -> np.ndarray:
+    """partial_trace of |v><v| for each vector in a stack (m, dA*dB), with no
+    joint matrix formed: rho^A[i, j] = sum_k v[i k] conj(v[j k]), and rho^B
+    alike. The sum runs in order over k from zero, as partial_trace's einsum
+    does, so the result has its bits; a regrouping sum (.sum, matmul) does not.
+    """
+    v = vectors.reshape(-1, dA, dB)
+    if traced_party == "A":
+        v = v.transpose(0, 2, 1)
+    elif traced_party != "B":
+        raise ValidationError(f"traced_party must be 'A' or 'B', got {traced_party!r}")
+    vc = v.conj()
+    out = np.zeros((v.shape[0], v.shape[1], v.shape[1]), dtype=complex)
+    for k in range(v.shape[2]):
+        out += v[:, :, None, k] * vc[:, None, :, k]
+    return out
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dagger) / 2."""
-    return (m + m.conj().T) / 2
+    """(m + m^dagger) / 2 of a matrix, or of each matrix in a stack."""
+    return (m + m.swapaxes(-1, -2).conj()) / 2
 
 
-def _check_hermitian(a: np.ndarray, tol: Tolerances) -> None:
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def _hermiticity_deviation(a: np.ndarray) -> np.ndarray:
+    """max |m - m^dagger| of each matrix in a stack."""
+    return np.abs(a - a.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+
+
+def _check_hermitian(dev: float, tol: Tolerances) -> None:
     if dev > tol.hermiticity_tol:
         raise ValidationError(
             f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} "
@@ -104,7 +131,7 @@ def hermitian_eigenvalues(m, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray
     asymmetry within hermiticity_tol is handled deterministically.
     """
     a = as_square_matrix(m)
-    _check_hermitian(a, tol)
+    _check_hermitian(float(_hermiticity_deviation(a)) if a.size else 0.0, tol)
     return np.linalg.eigvalsh(hermitian_part(a))
 
 
@@ -114,17 +141,30 @@ def density_eigenvalues(m, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     Eigenvalues below -eigenvalue_clamp abort instead of being clamped:
     that separates numeric noise from genuinely invalid inputs.
     """
-    evals = hermitian_eigenvalues(m, tol)
-    low = float(evals.min())
-    if low < -tol.eigenvalue_clamp:
+    return density_spectra(as_square_matrix(m)[None], tol)[0]
+
+
+def density_spectra(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Ascending eigenvalues of each matrix in a stack of finite square
+    matrices, from one eigvalsh call, checked as density_eigenvalues checks
+    one matrix. The first member that fails a check raises that check's
+    error, the checks taken in the order Hermitian, PSD, unit trace.
+    """
+    dev = _hermiticity_deviation(stack)
+    evals = np.linalg.eigvalsh(hermitian_part(stack))
+    low, tr = evals.min(axis=-1), evals.sum(axis=-1)
+    bad = (dev > tol.hermiticity_tol) | (low < -tol.eigenvalue_clamp) | (np.abs(tr - 1.0) > tol.trace_tol)
+    if not bad.any():
+        return evals
+    k = int(np.argmax(bad))
+    _check_hermitian(float(dev[k]), tol)
+    if low[k] < -tol.eigenvalue_clamp:
         raise ValidationError(
-            f"negative eigenvalue {low:.6e} below -eigenvalue_clamp "
+            f"negative eigenvalue {float(low[k]):.6e} below -eigenvalue_clamp "
             f"(-{tol.eigenvalue_clamp:.0e}); not a valid density matrix"
         )
-    tr = float(evals.sum())
-    if abs(tr - 1.0) > tol.trace_tol:
-        raise ValidationError(
-            f"trace {tr!r} deviates from 1 by {abs(tr - 1.0):.3e}, "
-            f"beyond trace_tol={tol.trace_tol:.0e}; not a valid density matrix"
-        )
-    return evals
+    t = float(tr[k])
+    raise ValidationError(
+        f"trace {t!r} deviates from 1 by {abs(t - 1.0):.3e}, "
+        f"beyond trace_tol={tol.trace_tol:.0e}; not a valid density matrix"
+    )

@@ -20,7 +20,6 @@ from .linalg import (
     Tolerances,
     as_square_matrix,
     density_eigenvalues,
-    frobenius,
 )
 
 # Below this deviation a pure vector is already unit to machine precision and
@@ -123,13 +122,11 @@ def schmidt_coefficients(s: BipartiteState) -> np.ndarray:
     return np.linalg.svd(s.vector.reshape(s.dims.dA, s.dims.dB), compute_uv=False)
 
 
-def _all_maximally_mixed(reduced, tol: Tolerances) -> bool:
-    """True iff every d x d matrix in reduced is within orthogonality_tol of I/d."""
-    for red in reduced:
-        d = red.shape[0]
-        if frobenius(red - np.eye(d) / d) > tol.orthogonality_tol:
-            return False
-    return True
+def _maximally_mixed(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Whether each d x d matrix in a stack is within orthogonality_tol of I/d
+    (Frobenius)."""
+    d = stack.shape[-1]
+    return np.linalg.norm(stack - np.eye(d) / d, axis=(-2, -1)) <= tol.orthogonality_tol
 
 
 def overlap_matrix(states: list[BipartiteState] | tuple[BipartiteState, ...]) -> np.ndarray:

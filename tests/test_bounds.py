@@ -347,15 +347,16 @@ def test_analyze_computes_overlaps_and_average_state_once(monkeypatch):
 
 def test_analyze_reuses_member_entropies_for_chi_a(monkeypatch):
     # 64 orthogonal pure members on 8x8 whose reduced states all differ.
-    # S(rho_X^A) is computed once per member, for the average member entropy,
-    # and chi_A reuses that sum: S(AB), S(A), S(B), 64 A-side members, the
-    # chi_A average, then the chi_B average and its 64 B-side members.
+    # Each side's 64 member entropies are one batched call, made once: the A
+    # side for the average member entropy, which chi_A reuses, the B side for
+    # chi_B. Every other entropy is of one matrix: S(AB), S(A), S(B) and the
+    # two chi averages.
     from entcharge import holevo_chi, reduced_ensemble
 
     e = random_orthogonal_pure_ensemble(np.random.default_rng(11), 8, count=64)
-    entropies = _count_calls(monkeypatch, "entropy", "von_neumann_entropy")
+    stacks = _count_calls(monkeypatch, "entropy", "von_neumann_entropies")
     report = analyze(e)
-    assert len(entropies) == 3 + 64 + 1 + 1 + 64
+    assert sorted(len(args[0]) for args in stacks) == [1] * 5 + [64, 64]
     assert report.chi_a == holevo_chi(*reduced_ensemble(e, "A"))
 
 
@@ -428,8 +429,8 @@ def test_witness_builds_no_reduced_ensemble_and_no_entropy(monkeypatch):
 
 
 FACTS = (
-    "overlaps", "witness", "reduced_a", "reduced_b", "maximally_entangled", "flags", "average",
-    "s_ab", "s_a", "s_b", "avg_member_entropy", "chi_a", "chi_b",
+    "overlaps", "witness", "reduced_a", "reduced_b", "entropies_a", "entropies_b", "maximally_entangled",
+    "flags", "average", "s_ab", "s_a", "s_b", "avg_member_entropy", "chi_a", "chi_b",
 )
 
 
@@ -440,13 +441,16 @@ def test_each_fact_is_computed_once(monkeypatch):
         for module, name in (
             ("states", "overlap_matrix"), ("states", "orthogonality_witness"), ("states", "is_product"),
             ("ensembles", "reduced_ensemble"), ("ensembles", "average_state"),
-            ("entropy", "von_neumann_entropy"), ("linalg", "partial_trace"),
+            ("entropy", "von_neumann_entropy"), ("entropy", "von_neumann_entropies"),
+            ("linalg", "partial_trace"),
         )
     }
     first = {name: getattr(e, name) for name in FACTS}
     counts = {name: len(c) for name, c in calls.items()}
     assert (counts["overlap_matrix"], counts["orthogonality_witness"], counts["average_state"]) == (1, 1, 1)
     assert counts["reduced_ensemble"] == 2
+    # One batched spectrum per side covers every member.
+    assert [len(args[0]) for args in calls["von_neumann_entropies"]].count(len(e.members)) == 2
     second = {name: getattr(e, name) for name in FACTS}
     assert {name: len(c) for name, c in calls.items()} == counts
     assert all(second[name] is first[name] for name in FACTS)
@@ -457,6 +461,9 @@ def test_shared_facts_are_read_only():
     for a in (e.overlaps, e.average, *e.reduced_a, *e.reduced_b):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
+    for a in (e.entropies_a, e.entropies_b):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -62,6 +62,30 @@ def test_deeply_nested_file_exit_2(tmp_path, capsys, command, nested):
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize(
+    "prob,amplitude,diagnostic",
+    [
+        ("1" + "0" * 400, "1", "members[0].prob: integer too large to convert to a float"),
+        ("1", "1" + "0" * 400, "members[0].state.data[0][0]: integer too large to convert to a float"),
+        ("1", "1" + "0" * 4999, f"syntax error: an integer has more than {sys.get_int_max_str_digits()} digits"),
+    ],
+    ids=["prob", "amplitude", "digits"],
+)
+def test_oversized_integer_exit_2(tmp_path, capsys, command, prob, amplitude, diagnostic):
+    # Written as text: such integers have no float, and json.dumps refuses
+    # the 5000-digit one.
+    path = tmp_path / "huge.json"
+    path.write_text(
+        f'{{"schema_version": 1, "dims": {{"dA": 1, "dB": 2}}, "members": [{{"prob": {prob}, '
+        f'"state": {{"kind": "pure", "data": [[{amplitude}, 0], [0, 0]]}}}}]}}'
+    )
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {diagnostic}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
 def test_label_cannot_forge_report_lines(tmp_path, capsys, command):
     doc = json.loads((Path(__file__).resolve().parent / "golden" / "gbell3.json").read_text())
     doc["label"] = "x\nverdict: entanglement_nonlocality"

@@ -9,7 +9,9 @@ from entcharge import (
     ValidationError,
     average_state,
     bell_basis,
+    density_of,
     equal_probs,
+    holevo_chi,
     make_ensemble,
     partial_trace,
     product_basis,
@@ -17,8 +19,9 @@ from entcharge import (
     rotated_basis,
     shannon_of,
     validate_state,
+    von_neumann_entropy,
 )
-from helpers import bell_vectors, random_orthogonal_pure_ensemble
+from helpers import bell_vectors, random_density, random_orthogonal_pure_ensemble, random_pure_vector
 
 
 def test_make_ensemble_validation():
@@ -177,3 +180,75 @@ def test_full_orthonormal_basis_averages_to_identity(seed):
     e = random_orthogonal_pure_ensemble(rng, 2, count=4)
     uniform = make_ensemble([(0.25, s) for s in e.states])
     assert np.allclose(average_state(uniform), np.eye(4) / 4, atol=1e-12)
+
+
+def _seeded_ensemble(seed: int, dA: int, dB: int, kinds: str, zero_probs: int = 0):
+    """Members of the given kinds ('p' pure, 'd' density) on dA x dB with
+    seeded random states; the first zero_probs members get probability 0."""
+    rng = np.random.default_rng(seed)
+    dims = BipartiteDims(dA, dB)
+    n = dims.joint
+    states = [
+        validate_state(dims, random_pure_vector(rng, n) if kind == "p" else random_density(rng, n))
+        for kind in kinds
+    ]
+    probs = rng.dirichlet(np.ones(len(kinds)))
+    probs[:zero_probs] = 0.0
+    return make_ensemble(zip(probs / probs.sum(), states))
+
+
+@pytest.mark.parametrize(
+    "dA,dB,kinds,zero_probs",
+    [
+        (2, 3, "ppppp", 0), (3, 2, "pppp", 2), (1, 4, "ppp", 1), (4, 8, "p" * 12, 3),
+        (2, 2, "p", 0), (3, 3, "p", 0), (2, 3, "d", 0),
+        (2, 2, "ddd", 1), (3, 2, "dddd", 0),
+        (2, 3, "pdpd", 1), (3, 2, "dppdp", 0), (2, 2, "dp", 0),
+    ],
+    ids=lambda v: str(v),
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_member_facts_match_the_per_member_reference(seed, dA, dB, kinds, zero_probs):
+    # Each member's reduced states and entropies are one batched computation
+    # per side; every value must carry the bits of the single-member path.
+    e = _seeded_ensemble(seed, dA, dB, kinds, zero_probs)
+    for party, traced, reduced, entropies in (
+        ("A", "B", e.reduced_a, e.entropies_a), ("B", "A", e.reduced_b, e.entropies_b)
+    ):
+        ref = [partial_trace(density_of(s), dA, dB, traced) for s in e.states]
+        assert reduced.shape == (len(kinds), *ref[0].shape)
+        assert all(np.array_equal(got, want) for got, want in zip(reduced, ref)), party
+        assert all(got == von_neumann_entropy(want) for got, want in zip(entropies, ref)), party
+    ref_a = [partial_trace(density_of(s), dA, dB, "B") for s in e.states]
+    ref_b = [partial_trace(density_of(s), dA, dB, "A") for s in e.states]
+    assert e.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, ref_a)))
+    assert e.chi_a == holevo_chi(e.probs, ref_a)
+    assert e.chi_b == holevo_chi(e.probs, ref_b)
+
+
+def _reduced_invalid_member(fault: str):
+    """A valid 2x2 density matrix whose A-side reduced state is not valid:
+    two diagonal entries of -0.9e-12 pass eigenvalue_clamp alone but add up
+    past it, and two Hermiticity deviations of 0.8e-10 add up past
+    hermiticity_tol."""
+    if fault == "negative":
+        eps = 2.0**-40
+        m = np.diag([-eps, -eps, 0.0, 1.0 + 2 * eps]).astype(complex)
+    else:
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 2] = m[1, 3] = 0.1 + 0.8e-10
+        m[2, 0] = m[3, 1] = 0.1
+    return validate_state(BipartiteDims(2, 2), m)
+
+
+@pytest.mark.parametrize("faults", [("negative", "hermitian"), ("hermitian", "negative")])
+def test_invalid_reduced_member_raises_the_first_bad_members_message(faults):
+    good = validate_state(BipartiteDims(2, 2), np.eye(4) / 4)
+    states = [good, *(_reduced_invalid_member(f) for f in faults)]
+    e = make_ensemble([(1 / 3, s) for s in states])
+    with pytest.raises(ValidationError) as want:
+        von_neumann_entropy(partial_trace(density_of(states[1]), 2, 2, "B"))
+    assert str(want.value).startswith("negative eigenvalue" if faults[0] == "negative" else "matrix is not Hermitian")
+    with pytest.raises(ValidationError) as got:
+        e.avg_member_entropy
+    assert str(got.value) == str(want.value)

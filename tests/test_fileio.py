@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -193,12 +194,31 @@ def test_parse_rejects_dims_mismatch():
         parse_ensemble(text)
 
 
-def test_parse_rejects_bad_pair():
-    text = """
-    {"schema_version": 1, "dims": {"dA": 1, "dB": 2},
-     "members": [{"prob": 1, "state": {"kind": "pure", "data": [[1, 0, 0], [0, 0]]}}]}
+@pytest.mark.parametrize(
+    "kind,data,diagnostic",
+    [
+        ("pure", "[[1, 0, 0], [0, 0]]", "members[0].state.data[0]: expected a [re, im] pair"),
+        ("pure", "[[1, 0], 5]", "members[0].state.data[1]: expected a [re, im] pair"),
+        ("pure", "[[1, 0], [true, 0]]", "members[0].state.data[1][0]: expected a number"),
+        ("pure", '[[1, 0], [0, "0"]]', "members[0].state.data[1][1]: expected a number"),
+        ("pure", "[[1, 0], [0, null]]", "members[0].state.data[1][1]: expected a number"),
+        ("pure", "[[1, 0], [[0], 0]]", "members[0].state.data[1][0]: expected a number"),
+        ("pure", "[[1" + "0" * 400 + ", 0], [0, 0]]",
+         "members[0].state.data[0][0]: integer too large to convert to a float"),
+        ("density", "[[[1, 0], [0, 0]], [[0, 0]]]", "members[0].state.data: expected a square matrix"),
+        ("density", "[[[1, 0], [0, 0]], 3]", "members[0].state.data[1]: expected a row of [re, im] pairs"),
+        ("density", "[[[1, 0], [0, 0]], [[0, 0], [0, false]]]", "members[0].state.data[1][1][1]: expected a number"),
+        ("density", "[[[1, 0], [0, 0]], [[0, 0], [0]]]", "members[0].state.data[1][1]: expected a [re, im] pair"),
+    ],
+    ids=["length", "non-list", "bool", "string", "null", "nested", "huge-int",
+         "ragged-row", "row-non-list", "row-bool", "row-length"],
+)
+def test_parse_rejects_bad_pair(kind, data, diagnostic):
+    text = f"""
+    {{"schema_version": 1, "dims": {{"dA": 1, "dB": 2}},
+     "members": [{{"prob": 1, "state": {{"kind": "{kind}", "data": {data}}}}}]}}
     """
-    with pytest.raises(ParseError, match=r"data\[0\].*pair"):
+    with pytest.raises(ParseError, match=f"^{re.escape(diagnostic)}$"):
         parse_ensemble(text)
 
 
