@@ -3,9 +3,10 @@
 For mutually orthogonal ensembles the value is exactly H(X). Otherwise a
 seeded, monotone fixed-point search over POVMs (Rehacek, Englert and
 Kaszlikowski, PRA 71, 054303, 2005) supplies a certified achievable value (the
-interval's lower edge) while min(H(X), Holevo chi) caps it from above. The
-reported quantity is always an interval; only the orthogonal short-circuit
-is a point.
+interval's lower edge) while min(H(X), Holevo chi) caps it from above. Its
+restarts run in lockstep blocks, each with its own step size; the result is
+bit for bit that of running them one after another. The reported quantity is
+always an interval; only the orthogonal short-circuit is a point.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     ROUNDING_SLACK,
     Tolerances,
+    _check_hermitian,
+    _hermiticity_deviation,
     as_square_matrix,
     frobenius,
-    hermitian_eigenvalues,
     hermitian_part,
 )
 from .states import BipartiteDims, _freeze, density_of
@@ -69,7 +71,9 @@ class OptimizerConfig:
     The searched POVMs have max(2, m) outcomes for an m-member ensemble.
     max_iters caps the fixed-point iterations of each restart: one trial step
     and one renormalization each, kept or not. A restart also stops once its
-    step size falls below STEP_TOL.
+    step size falls below STEP_TOL. The restarts run in lockstep blocks (see
+    BLOCK_ENTRIES), each with its own step size, best value and iteration
+    count; the results equal those of running them one after another.
     """
 
     restarts: int = 8
@@ -91,15 +95,21 @@ def make_povm(dims: BipartiteDims, elements, tol: Tolerances = DEFAULT_TOLERANCE
     if not mats:
         raise ValidationError("a POVM needs at least one element")
     n = dims.joint
-    for k, m in enumerate(mats):
-        if m.shape[0] != n:
-            raise ShapeError(f"POVM element {k} has dim {m.shape[0]}, dims {dims.dA}x{dims.dB} require {n}")
-        evals = hermitian_eigenvalues(m, tol)
-        if float(evals.min()) < -tol.eigenvalue_clamp:
+    # One stacked spectrum of the elements before the first of a wrong shape; the
+    # first bad one (else element 0, which passes) raises as a loop would.
+    shaped = next((k for k, m in enumerate(mats) if m.shape[0] != n), len(mats))
+    if shaped:
+        stack = np.stack(mats[:shaped])
+        dev, low = _hermiticity_deviation(stack), np.linalg.eigvalsh(hermitian_part(stack)).min(axis=-1)
+        k = int(np.argmax((dev > tol.hermiticity_tol) | (low < -tol.eigenvalue_clamp)))
+        _check_hermitian(float(dev[k]), tol)
+        if low[k] < -tol.eigenvalue_clamp:
             raise ValidationError(
-                f"POVM element {k} has negative eigenvalue {float(evals.min()):.6e}, "
+                f"POVM element {k} has negative eigenvalue {float(low[k]):.6e}, "
                 f"below -eigenvalue_clamp (-{tol.eigenvalue_clamp:.0e})"
             )
+    if shaped < len(mats):
+        raise ShapeError(f"POVM element {shaped} has dim {mats[shaped].shape[0]}, dims {dims.dA}x{dims.dB} require {n}")
     total = np.sum(mats, axis=0)
     dev = frobenius(total - np.eye(n))
     if dev > POVM_COMPLETENESS_TOL:
@@ -111,17 +121,30 @@ def make_povm(dims: BipartiteDims, elements, tol: Tolerances = DEFAULT_TOLERANCE
 
 
 def _joint_table(probs: np.ndarray, rhos: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """p(x, y) = p_x Tr(rho_x M_y), clipped at 0 and summing to 1."""
-    table = np.einsum("x,xij,yji->xy", probs, rhos, elements).real
+    """p(x, y) = p_x Tr(rho_x M_y) per POVM of a stack (r, outcomes, n, n), clipped at 0 and summing to 1."""
+    table = np.einsum("x,xij,ryji->rxy", probs, rhos, elements).real
     table[table < 0.0] = 0.0
     # Completeness holds only within POVM_COMPLETENESS_TOL; renormalize so the
     # entropy terms see an exact joint distribution.
-    return table / table.sum()
+    return table / table.sum(axis=(1, 2), keepdims=True)
 
 
-def _information(table: np.ndarray) -> float:
-    """H(X) + H(Y) - H(XY) of a joint table; may round below 0."""
-    return _entropy_bits(table.sum(axis=1)) + _entropy_bits(table.sum(axis=0)) - _entropy_bits(table)
+def _information(table: np.ndarray) -> np.ndarray:
+    """H(X) + H(Y) - H(XY) of each joint table in a stack; may round below 0.
+    Each entropy has _entropy_bits' bits: numpy's pairwise sum groups a masked
+    row of 8 or more entries otherwise, so a row with a zero goes through it."""
+    r, x, y = table.shape
+    p = np.concatenate([table.sum(axis=2), table.sum(axis=1), table.reshape(r, -1)], axis=1)
+    seen = p > 0.0
+    q = np.where(seen, p, 1.0)
+    terms = q * np.log2(q)
+    cuts = ((0, x), (x, x + y), (x + y, p.shape[1]))
+    h = np.maximum(0.0, -np.stack([terms[:, i:j].sum(axis=1) for i, j in cuts]))
+    if not seen.all():
+        for s, (i, j) in enumerate(cuts):
+            for k in np.flatnonzero(~seen[:, i:j].all(axis=1)):
+                h[s, k] = _entropy_bits(p[k, i:j])
+    return h[0] + h[1] - h[2]
 
 
 def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
@@ -131,7 +154,7 @@ def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
             f"POVM dims {m.dims.dA}x{m.dims.dB} do not match ensemble dims {e.dims.dA}x{e.dims.dB}"
         )
     rhos = np.stack([density_of(s) for s in e.states])
-    return max(0.0, _information(_joint_table(e.probs, rhos, np.stack(m.elements))))
+    return max(0.0, float(_information(_joint_table(e.probs, rhos, np.stack(m.elements)[None]))[0]))
 
 
 # -- POVM search ---------------------------------------------------------------
@@ -140,77 +163,82 @@ def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
 # completeness. A step F_y <- F_y (1 + eps R_y / |R|), R_y = sum_x p_x rho_x
 # ln p(y|x)/p(y) the gradient of I(X;Y) in M_y, is kept only if I rises by more
 # than RISE_TOL; eps then doubles (up to 1), else halves. Restart 0 starts from
-# the square-root measurement, the rest from seeded Gaussian factors.
+# the square-root measurement, the rest from seeded Gaussian factors. Restarts
+# run in lockstep blocks: one stacked call per kernel advances every running
+# restart of a block, each with its own eps, best value and iteration count.
+# The kernels treat each restart of a stack apart, so every trajectory, and the
+# result, equals the serial search's. A block holds at most BLOCK_ENTRIES
+# stacked entries (restarts x outcomes x n^2), and at least one restart.
+BLOCK_ENTRIES = 1 << 16
 
 
 def _pinv_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse square root plus the projector onto the null space."""
+    """Pseudo-inverse square root of each matrix in a stack, plus the
+    projector onto its null space."""
     w, v = np.linalg.eigh(hermitian_part(matrix))
-    floor = max(float(w.max()), 1e-30) * 1e-14
+    floor = np.maximum(w.max(axis=-1, keepdims=True), 1e-30) * 1e-14
     keep = w > floor
     inv_diag = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    inv_sqrt = (v * inv_diag) @ v.conj().T
-    null_proj = (v * (~keep)) @ v.conj().T
-    return inv_sqrt, null_proj
+    vh = v.conj().swapaxes(-1, -2)
+    return (v * inv_diag[..., None, :]) @ vh, (v * ~keep[..., None, :]) @ vh
 
 
 def _povm_elements(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G_y = F_y Sigma^(-1/2), Sigma = sum_y F_y^dag F_y, and the elements
-    G_y^dag G_y, plus the null projector of Sigma on element 0 so completeness
-    holds exactly. Gram matrices are PSD to rounding; conjugating the summed
-    stack instead can leave eigenvalues of -1e-11 on ill-conditioned stacks.
-    """
-    mats = np.einsum("yki,ykj->yij", factors.conj(), factors)
-    inv_sqrt, null_proj = _pinv_sqrt(mats.sum(axis=0))
-    g = factors @ inv_sqrt
-    out = np.einsum("yki,ykj->yij", g.conj(), g)
-    out[0] = out[0] + null_proj
+    G_y^dag G_y of each factor stack in (r, outcomes, n, n), plus the null
+    projector of Sigma on element 0 so completeness holds exactly. Gram
+    matrices are PSD to rounding; conjugating the summed stack instead can
+    leave eigenvalues of -1e-11 on ill-conditioned stacks."""
+    mats = np.einsum("ryki,rykj->ryij", factors.conj(), factors)
+    inv_sqrt, null_proj = _pinv_sqrt(mats.sum(axis=1))
+    g = factors @ inv_sqrt[:, None]
+    out = np.einsum("ryki,rykj->ryij", g.conj(), g)
+    out[:, 0] += null_proj
     return g, out
 
 
 def _sqrt_measurement_factors(probs: np.ndarray, rhos: np.ndarray, outcomes: int) -> np.ndarray:
-    n = rhos.shape[1]
-    avg = np.einsum("x,xij->ij", probs, rhos)
-    inv_sqrt, _ = _pinv_sqrt(avg)
-    factors = np.zeros((outcomes, n, n), dtype=complex)
-    for y in range(min(outcomes, len(probs))):
-        m = hermitian_part(probs[y] * rhos[y])
-        we, ve = np.linalg.eigh(m)
-        root = (ve * np.sqrt(np.clip(we, 0.0, None))) @ ve.conj().T
-        factors[y] = root @ inv_sqrt
+    inv_sqrt, _ = _pinv_sqrt(np.einsum("x,xij->ij", probs, rhos)[None])
+    we, ve = np.linalg.eigh(hermitian_part(probs[:outcomes, None, None] * rhos[:outcomes]))
+    factors = np.zeros((outcomes, *rhos.shape[1:]), dtype=complex)
+    factors[: len(we)] = (ve * np.sqrt(np.clip(we, 0.0, None))[:, None, :]) @ ve.conj().swapaxes(-1, -2) @ inv_sqrt[0]
     return factors
 
 
 def _ascent_direction(table: np.ndarray, probs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """R_y / max_y |R_y|_F (so |eps R_y / |R|| <= eps); p(x, y) = 0 adds 0."""
+    """R_y / max_y |R_y|_F per restart (so |eps R_y / |R|| <= eps); p(x, y) = 0 adds 0."""
     seen = table > 0.0
-    marginals = np.outer(table.sum(axis=1), table.sum(axis=0))
+    marginals = table.sum(axis=2)[:, :, None] * table.sum(axis=1)[:, None, :]
     log_ratio = np.log(np.where(seen, table, 1.0) / np.where(seen, marginals, 1.0))
-    r = np.einsum("x,xy,xij->yij", probs, log_ratio, rhos)
-    return r / (np.linalg.norm(r, axis=(1, 2)).max() or 1.0)
+    r = np.einsum("x,rxy,xij->ryij", probs, log_ratio, rhos)
+    norm = np.sqrt((r.conj() * r).real.sum(axis=(2, 3))).max(axis=1)  # Frobenius, as np.linalg.norm
+    return r / np.where(norm == 0.0, 1.0, norm)[:, None, None, None]
 
 
-def _fixed_point_ascent(
-    factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, cfg: OptimizerConfig
-) -> tuple[np.ndarray, float, int]:
-    """The best elements of one restart, their information and iterations."""
+def _lockstep_ascent(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, cfg: OptimizerConfig):
+    """The best elements of each restart in a factor stack, their information
+    and iterations. A restart drops out at max_iters or once its step falls
+    below STEP_TOL; the others run on."""
     factors, elements = _povm_elements(factors)
     table = _joint_table(probs, rhos, elements)
     best = _information(table)
     direction = _ascent_direction(table, probs, rhos)
-    step = 1.0
-    iters = 0
-    while iters < cfg.max_iters and step >= STEP_TOL:
-        trial, trial_elements = _povm_elements(factors + step * factors @ direction)
+    live, step, iters = np.arange(len(best)), np.ones(len(best)), np.zeros(len(best), dtype=int)
+    while live.size:
+        trial, trial_elements = _povm_elements(factors + step[:, None, None, None] * factors @ direction)
         table = _joint_table(probs, rhos, trial_elements)
         value = _information(table)
-        if value > best + RISE_TOL:
-            factors, elements, best = trial, trial_elements, value
-            direction = _ascent_direction(table, probs, rhos)
-            step = min(1.0, 2.0 * step)
-        else:
-            step *= 0.5
-        iters += 1
+        rise = value > best[live] + RISE_TOL
+        if rise.any():
+            kept = rise[:, None, None, None]
+            factors = np.where(kept, trial, factors)
+            direction = np.where(kept, _ascent_direction(table, probs, rhos), direction)
+            elements[live[rise]], best[live[rise]] = trial_elements[rise], value[rise]
+        step = np.where(rise, np.minimum(1.0, 2.0 * step), step * 0.5)
+        iters[live] += 1
+        go = (iters[live] < cfg.max_iters) & (step >= STEP_TOL)
+        if not go.all():
+            live, factors, direction, step = live[go], factors[go], direction[go], step[go]
     return elements, best, iters
 
 
@@ -229,22 +257,24 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     probs = e.probs
     cap = min(hx, holevo_chi(probs, list(rhos), e.tol))
     outcomes = max(2, len(e.members))
-    n = e.dims.joint
+    shape = (outcomes, e.dims.joint, e.dims.joint)
 
-    best_value = -np.inf
-    capped_restarts = 0
-    for restart in range(cfg.restarts):
+    def start(restart: int) -> np.ndarray:
         if restart == 0:
-            factors = _sqrt_measurement_factors(probs, rhos, outcomes)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,)))
-            factors = rng.standard_normal((outcomes, n, n)) + 1j * rng.standard_normal((outcomes, n, n))
-        elements, value, iters = _fixed_point_ascent(factors, rhos, probs, cfg)
-        if iters >= cfg.max_iters:
-            capped_restarts += 1
-        if value > best_value:
-            best_value = value
-            best_elements = elements
+            return _sqrt_measurement_factors(probs, rhos, outcomes)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,)))
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    best_value, capped_restarts = -np.inf, 0
+    block = max(1, BLOCK_ENTRIES // (outcomes * e.dims.joint**2))
+    for first in range(0, cfg.restarts, block):
+        factors = np.stack([start(k) for k in range(first, min(first + block, cfg.restarts))])
+        elements, values, iters = _lockstep_ascent(factors, rhos, probs, cfg)
+        capped_restarts += int((iters >= cfg.max_iters).sum())
+        # The first restart whose value beats all earlier ones wins; NaN never does.
+        for k, value in enumerate(values):
+            if value > best_value:
+                best_value, best_elements = value, elements[k]
     povm = make_povm(e.dims, list(best_elements), e.tol)
     lo = mutual_information_of_measurement(e, povm)
     if lo > cap + ROUNDING_SLACK:

@@ -407,3 +407,174 @@ def test_estimate_final_povm_is_psd_on_ill_conditioned_search():
     info = estimate_accessible_info(e, OptimizerConfig(restarts=2, max_iters=30))
     assert 0.0 < info.lo <= info.hi
     assert info.hi == pytest.approx(min(shannon_entropy(e.probs), holevo_chi(e.probs, [density_of(s) for s in e.states])), abs=1e-12)
+
+
+# -- pinned search outputs -------------------------------------------------------
+
+
+def _seeded_pure(dims: BipartiteDims, members: int, seed: int):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((members, dims.joint)) + 1j * rng.standard_normal((members, dims.joint))
+    v = v / np.linalg.norm(v, axis=1)[:, None]
+    return make_ensemble(zip(rng.dirichlet(np.ones(members)), [validate_state(dims, x) for x in v]))
+
+
+def _basis_and_plus(d: int, probs):
+    """|0>, ..., |d-1> and |+> = (|0> + |1>) / sqrt 2 on 1 x d: real members
+    whose joint tables hold exact zeros."""
+    dims = BipartiteDims(1, d)
+    vectors = list(np.eye(d)) + [np.r_[1.0, 1.0, np.zeros(d - 2)] / np.sqrt(2)]
+    return make_ensemble(zip(probs, [validate_state(dims, v) for v in vectors]))
+
+
+def _mixed(dims: BipartiteDims, seed: int):
+    from helpers import random_density, random_pure_vector
+
+    rng = np.random.default_rng(seed)
+    members = [validate_state(dims, random_pure_vector(rng, dims.joint)), validate_state(dims, random_density(rng, dims.joint))]
+    return make_ensemble([(0.4, members[0]), (0.6, members[1])])
+
+
+def _trine():
+    angles = 2 * np.pi * np.arange(3) / 3
+    return make_ensemble([(1 / 3, validate_state(D12, [np.cos(a), np.sin(a)])) for a in angles])
+
+
+def _identical_bell():
+    bell = bell_basis(equal_probs(4)).states[0]
+    return make_ensemble([(0.5, bell), (0.5, bell)])
+
+
+def _strict_near_orthogonal():
+    from entcharge import STRICT_TOLERANCES
+
+    return near_orthogonal_pair(STRICT_TOLERANCES)
+
+
+PINNED_CASES = {
+    "pair_pi8": (lambda: two_state_ensemble(np.pi / 8), {}),
+    "trine": (_trine, {}),
+    "pure3_2x2_capped": (lambda: _seeded_pure(D22, 3, 6), {"restarts": 2, "max_iters": 30}),
+    "mixed_1x2": (lambda: _mixed(D12, 3), {"restarts": 3, "max_iters": 200}),
+    "mixed_2x2": (lambda: _mixed(D22, 4), {"restarts": 4, "max_iters": 150, "seed": 2}),
+    "pair_restarts1": (lambda: two_state_ensemble(0.3), {"restarts": 1}),
+    "zero_table_1x3": (lambda: _basis_and_plus(3, equal_probs(4)), {"restarts": 3, "max_iters": 300, "seed": 1}),
+    "zero_plus_1x2": (lambda: _basis_and_plus(2, [0.4, 0.3, 0.3]), {"restarts": 4, "max_iters": 200, "seed": 3}),
+    "pure4_1x3": (lambda: _seeded_pure(BipartiteDims(1, 3), 4, 5), {"restarts": 3, "max_iters": 100, "seed": 5}),
+    "pure3_2x3": (lambda: _seeded_pure(BipartiteDims(2, 3), 3, 2), {"restarts": 2, "max_iters": 200, "seed": 2}),
+    "identical_bell": (_identical_bell, {"restarts": 2, "max_iters": 40}),
+    "strict_near_orthogonal": (_strict_near_orthogonal, {"restarts": 2}),
+}
+
+# float.hex of lo and hi and the note of each case, captured on the serial
+# restart loop; the search must reproduce every restart's trajectory exactly.
+PINNED = {
+    "zero_plus_1x2": ("0x1.62c8b7180d8c4p-1", "0x1.da6ce8d8455a4p-1", ""),
+    "identical_bell": ("0x0.0p+0", "0x0.0p+0", ""),
+    "mixed_1x2": ("0x1.403f45b20ca54p-2", "0x1.60519913201efp-2", ""),
+    "mixed_2x2": ("0x1.850adad7f4200p-2", "0x1.049c372cc146dp-1", "local search hit max_iters=150 before step_tol on 3/4 restarts"),
+    "pair_pi8": ("0x1.bbee220839a70p-4", "0x1.ddda59fabbce8p-3", ""),
+    "pair_restarts1": ("0x1.05edbab77fcb0p-4", "0x1.3c167d81a32dep-3", ""),
+    "pure3_2x2_capped": ("0x1.53cc16f39d674p-1", "0x1.96b41bd99c44ap-1", "local search hit max_iters=30 before step_tol on 2/2 restarts"),
+    "pure3_2x3": ("0x1.f47bc31ab8b0cp-1", "0x1.0b76ccd5915c8p+0", "local search hit max_iters=200 before step_tol on 1/2 restarts"),
+    "pure4_1x3": ("0x1.0efe54f4e7f72p+0", "0x1.601f10e7a137dp+0", "local search hit max_iters=100 before step_tol on 2/3 restarts"),
+    "strict_near_orthogonal": ("0x1.fffffff8207c8p-1", "0x1.ffffffff615fcp-1", ""),
+    "trine": ("0x1.2b803473f6680p-1", "0x1.fffffffffffffp-1", ""),
+    "zero_table_1x3": ("0x1.4fafec548162cp+0", "0x1.8000000000000p+0", "local search hit max_iters=300 before step_tol on 1/3 restarts"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_estimate_outputs_are_pinned(name):
+    build, cfg = PINNED_CASES[name]
+    info = estimate_accessible_info(build(), OptimizerConfig(**cfg))
+    assert (info.lo.hex(), info.hi.hex(), info.note) == PINNED[name]
+
+
+def test_default_pair_search_runs_its_restarts_in_lockstep(monkeypatch):
+    # One stacked eigh per iteration for all restarts: the count follows the
+    # longest restart (~230 iterations here), not the sum over the 8 restarts
+    # (~1450) that a serial restart loop takes, one eigh each.
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    estimate_accessible_info(two_state_ensemble(np.pi / 8))
+    assert 0 < len(calls) < 400
+
+
+def _count_blocks(monkeypatch):
+    import entcharge.accessible as accessible
+
+    blocks = []
+    original = accessible._lockstep_ascent
+
+    def counted(factors, *args):
+        blocks.append(len(factors))
+        return original(factors, *args)
+
+    monkeypatch.setattr(accessible, "_lockstep_ascent", counted)
+    return blocks
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_block_boundaries_never_change_the_estimate(name, monkeypatch):
+    import entcharge.accessible as accessible
+
+    build, cfg = PINNED_CASES[name]
+    e, cfg = build(), OptimizerConfig(**cfg)
+    blocks = _count_blocks(monkeypatch)
+    whole = estimate_accessible_info(e, cfg)
+    monkeypatch.setattr(accessible, "BLOCK_ENTRIES", 1)
+    single = estimate_accessible_info(e, cfg)
+    if e.witness is not None:
+        assert blocks == [cfg.restarts] + [1] * cfg.restarts
+    assert (single.lo.hex(), single.hi.hex(), single.note) == (whole.lo.hex(), whole.hi.hex(), whole.note)
+
+
+def test_benchmark_sized_searches_fit_one_block_and_large_ones_are_split(monkeypatch):
+    blocks = _count_blocks(monkeypatch)
+    estimate_accessible_info(_trine())
+    estimate_accessible_info(_seeded_pure(D22, 3, 6), OptimizerConfig(restarts=2, max_iters=30))
+    # 1x64 with 17 members: 17 x 64^2 entries per restart, above the block
+    # budget, so each block holds the one restart it must.
+    e = _seeded_pure(BipartiteDims(1, 64), 17, 0)
+    estimate_accessible_info(e, OptimizerConfig(restarts=2, max_iters=1))
+    assert blocks == [8, 2, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "elements,error,message",
+    [
+        ([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0]), np.diag([0.0, -0.25])], ValidationError, "element 1 has negative eigenvalue -5.000000e-01"),
+        ([np.diag([1.0, 1.5]), np.diag([0.0, -0.25]), np.diag([-0.5, 0.0])], ValidationError, "element 1 has negative eigenvalue -2.500000e-01"),
+        ([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])], ValidationError, "element 1"),
+        ([np.diag([1.0, 1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([-0.5, 0.0])], ValidationError, "not Hermitian"),
+        ([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0]), np.eye(4)], ValidationError, "element 1 has negative"),
+        ([np.diag([1.5, 1.0]), np.eye(4), np.diag([-0.5, 0.0])], ShapeError, "element 1 has dim 4"),
+        ([np.eye(4), np.diag([-0.5, 0.0])], ShapeError, "element 0 has dim 4"),
+    ],
+)
+def test_make_povm_names_the_first_bad_element(elements, error, message):
+    with pytest.raises(error, match=message):
+        make_povm(D12, elements)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 3), (5, 5), (1, 9)])
+def test_stacked_information_has_the_bits_of_the_serial_sums(shape):
+    # A joint table with exact zeros must give the bits of _entropy_bits' sum
+    # over its compressed rows; a masked pairwise sum of 8 or more entries
+    # groups the terms otherwise.
+    from entcharge.accessible import _information
+    from entcharge.entropy import _entropy_bits
+
+    rng = np.random.default_rng(sum(shape))
+    tables = rng.dirichlet(np.ones(shape[0] * shape[1]), size=40)
+    tables[rng.random(tables.shape) < 0.3] = 0.0
+    tables = (tables / tables.sum(axis=1, keepdims=True)).reshape(-1, *shape)
+    serial = [_entropy_bits(t.sum(axis=1)) + _entropy_bits(t.sum(axis=0)) - _entropy_bits(t) for t in tables]
+    assert [v.hex() for v in _information(tables)] == [v.hex() for v in serial]
