@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import Ensemble, shannon_of
-from .entropy import _entropy_bits, holevo_chi
+from .entropy import _row_entropies, holevo_chi
 from .errors import ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -131,19 +131,10 @@ def _joint_table(probs: np.ndarray, rhos: np.ndarray, elements: np.ndarray) -> n
 
 def _information(table: np.ndarray) -> np.ndarray:
     """H(X) + H(Y) - H(XY) of each joint table in a stack; may round below 0.
-    Each entropy has _entropy_bits' bits: numpy's pairwise sum groups a masked
-    row of 8 or more entries otherwise, so a row with a zero goes through it."""
+    Each entropy has _entropy_bits' bits."""
     r, x, y = table.shape
     p = np.concatenate([table.sum(axis=2), table.sum(axis=1), table.reshape(r, -1)], axis=1)
-    seen = p > 0.0
-    q = np.where(seen, p, 1.0)
-    terms = q * np.log2(q)
-    cuts = ((0, x), (x, x + y), (x + y, p.shape[1]))
-    h = np.maximum(0.0, -np.stack([terms[:, i:j].sum(axis=1) for i, j in cuts]))
-    if not seen.all():
-        for s, (i, j) in enumerate(cuts):
-            for k in np.flatnonzero(~seen[:, i:j].all(axis=1)):
-                h[s, k] = _entropy_bits(p[k, i:j])
+    h = _row_entropies(p, ((0, x), (x, x + y), (x + y, p.shape[1])))
     return h[0] + h[1] - h[2]
 
 

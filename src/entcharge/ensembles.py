@@ -19,7 +19,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import _holevo_chi, member_term, shannon_entropy, valid_probs, von_neumann_entropies, von_neumann_entropy
+from .entropy import (
+    _holevo_chi,
+    chi_average,
+    member_term,
+    shannon_entropy,
+    valid_probs,
+    von_neumann_entropies,
+    von_neumann_entropy,
+)
 from .errors import ShapeError, ValidationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, partial_trace, partial_traces, vector_partial_traces
 from .states import (
@@ -53,8 +61,9 @@ class Ensemble:
     traced down to A / B, entropies_a / entropies_b hold each member's
     S(rho_X^A) / S(rho_X^B), avg_member_entropy = sum_X p_X S(rho_X^A), and
     chi_a / chi_b are the Holevo chi of the two reduced ensembles. The reduced
-    states and member entropies of each side are one batched computation over
-    all members.
+    states of each side are one batched computation over all members, and one
+    spectrum per party covers its marginal, its chi average and its members:
+    reading any of s_a, entropies_a or chi_a computes all three (B alike).
     """
 
     dims: BipartiteDims
@@ -86,13 +95,28 @@ class Ensemble:
     def reduced_b(self) -> np.ndarray:
         return _freeze(reduced_ensemble(self, "B")[1])
 
+    def _party_entropies(self, reduced: np.ndarray, traced: str) -> np.ndarray:
+        """Entropies of [Tr_traced rho, sum_X p_X rho_X, rho_X ...] for one
+        party's reduced states, from one batched spectrum."""
+        marginal = partial_trace(self.average, self.dims.dA, self.dims.dB, traced)
+        stack = np.concatenate([marginal[None], chi_average(self.probs, reduced)[None], reduced])
+        return _freeze(von_neumann_entropies(stack, self.tol))
+
+    @cached_property
+    def _entropies_of_a(self) -> np.ndarray:
+        return self._party_entropies(self.reduced_a, "B")
+
+    @cached_property
+    def _entropies_of_b(self) -> np.ndarray:
+        return self._party_entropies(self.reduced_b, "A")
+
     @cached_property
     def entropies_a(self) -> np.ndarray:
-        return _freeze(von_neumann_entropies(self.reduced_a, self.tol))
+        return self._entropies_of_a[2:]
 
     @cached_property
     def entropies_b(self) -> np.ndarray:
-        return _freeze(von_neumann_entropies(self.reduced_b, self.tol))
+        return self._entropies_of_b[2:]
 
     @cached_property
     def maximally_entangled(self) -> tuple[bool, ...]:
@@ -126,11 +150,11 @@ class Ensemble:
 
     @cached_property
     def s_a(self) -> float:
-        return von_neumann_entropy(partial_trace(self.average, self.dims.dA, self.dims.dB, "B"), self.tol)
+        return float(self._entropies_of_a[0])
 
     @cached_property
     def s_b(self) -> float:
-        return von_neumann_entropy(partial_trace(self.average, self.dims.dA, self.dims.dB, "A"), self.tol)
+        return float(self._entropies_of_b[0])
 
     @cached_property
     def avg_member_entropy(self) -> float:
@@ -145,11 +169,11 @@ class Ensemble:
     def chi_a(self) -> float:
         """Holevo chi of the A-side reduced ensemble; its member entropies are
         entropies_a, the ones avg_member_entropy sums."""
-        return _holevo_chi(self.probs, self.reduced_a, lambda: self.entropies_a, self.tol)
+        return _holevo_chi(self.probs, self.reduced_a, self._entropies_of_a[1:])
 
     @cached_property
     def chi_b(self) -> float:
-        return _holevo_chi(self.probs, self.reduced_b, lambda: self.entropies_b, self.tol)
+        return _holevo_chi(self.probs, self.reduced_b, self._entropies_of_b[1:])
 
 
 @dataclass(frozen=True)

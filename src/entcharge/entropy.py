@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from .errors import ShapeError, ValidationError
@@ -74,9 +72,30 @@ def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
 
 def von_neumann_entropies(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """S(rho) of each density matrix in a stack (m, d, d), from one batched
-    spectrum. Each entropy sums its own row, so it has the bits of
-    von_neumann_entropy of that matrix alone."""
-    return np.array([_entropy_bits(row) for row in clamp_spectrum(density_spectra(stack, tol), tol)])
+    spectrum. Each entropy has the bits of von_neumann_entropy of that matrix
+    alone."""
+    spectra = clamp_spectrum(density_spectra(stack, tol), tol)
+    return _row_entropies(spectra, ((0, spectra.shape[1]),))[0]
+
+
+def _row_entropies(p: np.ndarray, cuts: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """_entropy_bits of each row's segment p[k, i:j], for each cut (i, j), as
+    an array (cuts, rows), with its bits. All rows are summed in one pass;
+    a segment holding a zero goes through _entropy_bits itself, as numpy's
+    pairwise sum groups a masked row of 8 or more entries otherwise."""
+    seen = p > 0.0
+    q = np.where(seen, p, 1.0)
+    terms = q * np.log2(q)
+    h = np.empty((len(cuts), len(p)))
+    for c, (i, j) in enumerate(cuts):
+        terms[:, i:j].sum(axis=1, out=h[c])
+    # max(0.0, -sum) as _entropy_bits takes it; 0.0 - x is never -0.0.
+    h = np.maximum(0.0 - h, 0.0)
+    if not seen.all():
+        for c, (i, j) in enumerate(cuts):
+            for k in np.flatnonzero(~seen[:, i:j].all(axis=1)):
+                h[c, k] = _entropy_bits(p[k, i:j])
+    return h
 
 
 def member_term(p: np.ndarray, entropies) -> float:
@@ -97,18 +116,21 @@ def holevo_chi(probs, states, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
         if m.shape[0] != dim:
             raise ShapeError(f"state {k} has dim {m.shape[0]}, expected {dim}")
     stack = np.stack(mats)
-    return _holevo_chi(p, stack, lambda: von_neumann_entropies(stack, tol), tol)
+    return _holevo_chi(p, stack, von_neumann_entropies(np.concatenate([chi_average(p, stack)[None], stack]), tol))
 
 
-def _holevo_chi(p: np.ndarray, mats: np.ndarray, entropies: Callable[[], np.ndarray], tol: Tolerances) -> float:
-    """holevo_chi on a checked stack; entropies() gives each member's S(rho_X)
-    and is called only when the members are not all identical."""
+def chi_average(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_X p_X rho_X of a stack, the state whose entropy chi starts from."""
+    return np.einsum("x,xij->ij", p, stack)
+
+
+def _holevo_chi(p: np.ndarray, stack: np.ndarray, h: np.ndarray) -> float:
+    """holevo_chi of a checked stack from h, the entropies of
+    [chi_average(p, stack), *stack] in that order."""
     # Identical members carry no information; short-circuit keeps chi exactly 0.
-    if (mats == mats[:1]).all():
-        density_spectra(mats[:1], tol)
+    if (stack == stack[:1]).all():
         return 0.0
-    avg_entropy = von_neumann_entropy(np.einsum("x,xij->ij", p, mats), tol)
-    return avg_entropy - member_term(p, entropies())
+    return float(h[0]) - member_term(p, h[1:])
 
 
 def entanglement_entropy(s: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

@@ -18,9 +18,9 @@ import numpy as np
 from .accessible import InfoInterval
 from .bounds import ChargeReport, FamilyReport
 from .ensembles import Ensemble, StructureFlags, _check_label, make_ensemble
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .states import BipartiteDims, validate_state
+from .states import BipartiteDims, BipartiteState, validate_pure_states, validate_state
 
 SCHEMA_VERSION = 1
 
@@ -170,6 +170,52 @@ def _pair_array(data: list, path: str) -> np.ndarray:
     return np.array([_expect_pair(v, f"{path}[{k}]") for k, v in enumerate(data)])
 
 
+def _parse_member(item, path: str) -> tuple[float, np.ndarray]:
+    """The probability and raw state data of one member entry; path names it."""
+    _expect_object(item, path, required=("prob", "state"))
+    prob = _expect_number(item["prob"], f"{path}.prob")
+    state_doc = _expect_object(item["state"], f"{path}.state", required=("kind", "data"))
+    kind = state_doc["kind"]
+    data = state_doc["data"]
+    if kind == "pure":
+        if not isinstance(data, list) or not data:
+            raise ParseError(f"{path}.state.data: expected a nonempty list of [re, im] pairs")
+        return prob, _pair_array(data, f"{path}.state.data")
+    if kind == "density":
+        if not isinstance(data, list) or not data:
+            raise ParseError(f"{path}.state.data: expected a nonempty list of rows")
+        rows = []
+        for r, row in enumerate(data):
+            if not isinstance(row, list):
+                raise ParseError(f"{path}.state.data[{r}]: expected a row of [re, im] pairs")
+            rows.append(_pair_array(row, f"{path}.state.data[{r}]"))
+        lengths = {len(r) for r in rows}
+        if lengths != {len(rows)}:
+            raise ParseError(f"{path}.state.data: expected a square matrix")
+        return prob, np.array(rows)
+    raise ParseError(f"{path}.state.kind: expected 'pure' or 'density', got {kind!r}")
+
+
+def _member_states(dims: BipartiteDims, raws: list[np.ndarray], tol: Tolerances) -> list[BipartiteState]:
+    """Validated states of the members' raw data, in member order. The pure
+    vectors of the right length are validated in one stack; when that fails,
+    each member is validated alone, so the error is the first bad member's."""
+    fits = [a.ndim == 1 and a.shape[0] == dims.joint for a in raws]
+    batch = iter(())
+    if any(fits):
+        try:
+            batch = iter(validate_pure_states(dims, [a for a, fit in zip(raws, fits) if fit], tol))
+        except ValidationError:
+            fits = [False] * len(raws)
+    states = []
+    for i, (a, fit) in enumerate(zip(raws, fits)):
+        try:
+            states.append(next(batch) if fit else validate_state(dims, a, tol))
+        except Exception as exc:
+            raise ParseError(f"members[{i}].state: {exc}") from exc
+    return states
+
+
 def parse_ensemble(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
     """Parse and fully validate an ensemble file (strict mode)."""
     try:
@@ -193,37 +239,20 @@ def parse_ensemble(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
     members_doc = doc["members"]
     if not isinstance(members_doc, list) or not members_doc:
         raise ParseError("members: expected a nonempty list")
-    members = []
+    probs, raws, fault = [], [], None
     for i, item in enumerate(members_doc):
-        path = f"members[{i}]"
-        _expect_object(item, path, required=("prob", "state"))
-        prob = _expect_number(item["prob"], f"{path}.prob")
-        state_doc = _expect_object(item["state"], f"{path}.state", required=("kind", "data"))
-        kind = state_doc["kind"]
-        data = state_doc["data"]
-        if kind == "pure":
-            if not isinstance(data, list) or not data:
-                raise ParseError(f"{path}.state.data: expected a nonempty list of [re, im] pairs")
-            raw = _pair_array(data, f"{path}.state.data")
-        elif kind == "density":
-            if not isinstance(data, list) or not data:
-                raise ParseError(f"{path}.state.data: expected a nonempty list of rows")
-            rows = []
-            for r, row in enumerate(data):
-                if not isinstance(row, list):
-                    raise ParseError(f"{path}.state.data[{r}]: expected a row of [re, im] pairs")
-                rows.append(_pair_array(row, f"{path}.state.data[{r}]"))
-            lengths = {len(r) for r in rows}
-            if lengths != {len(rows)}:
-                raise ParseError(f"{path}.state.data: expected a square matrix")
-            raw = np.array(rows)
-        else:
-            raise ParseError(f"{path}.state.kind: expected 'pure' or 'density', got {kind!r}")
         try:
-            state = validate_state(dims, raw, tol)
-        except Exception as exc:
-            raise ParseError(f"{path}.state: {exc}") from exc
-        members.append((prob, state))
+            prob, raw = _parse_member(item, f"members[{i}]")
+        except ParseError as exc:
+            fault = exc
+            break
+        probs.append(prob)
+        raws.append(raw)
+    # A bad state before a malformed member is the first fault of the file.
+    states = _member_states(dims, raws, tol)
+    if fault is not None:
+        raise fault
+    members = list(zip(probs, states))
     try:
         return make_ensemble(members, label=label, tol=tol)
     except ParseError:

@@ -8,9 +8,10 @@ import numpy as np
 from .ensembles import Ensemble, make_ensemble
 from .errors import ValidationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .states import BipartiteDims, BipartiteState, validate_state
+from .states import BipartiteDims, validate_pure_states
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_XX = np.kron(_SIGMA_X, _SIGMA_X)
 
 PRODUCT_BASIS_NOTE = (
     "canonical computational product basis is LOCC distinguishable; "
@@ -29,10 +30,6 @@ def _check_probs_length(probs, n: int) -> np.ndarray:
     return arr
 
 
-def _pure(dims: BipartiteDims, vec, tol: Tolerances) -> BipartiteState:
-    return validate_state(dims, np.asarray(vec, dtype=complex), tol)
-
-
 def bell_basis(probs, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
     """The four Bell states in fixed order Phi+, Phi-, Psi+, Psi-."""
     p = _check_probs_length(probs, 4)
@@ -44,8 +41,7 @@ def bell_basis(probs, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
         [0, s, s, 0],
         [0, s, -s, 0],
     ]
-    states = [_pure(dims, v, tol) for v in vectors]
-    return make_ensemble(zip(p, states), label="bell", tol=tol)
+    return make_ensemble(zip(p, validate_pure_states(dims, vectors, tol)), label="bell", tol=tol)
 
 
 def generalized_bell_basis(d: int, probs, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
@@ -59,25 +55,19 @@ def generalized_bell_basis(d: int, probs, tol: Tolerances = DEFAULT_TOLERANCES) 
         raise ValidationError(f"generalized Bell basis needs d >= 2, got {d}")
     dims = BipartiteDims(d, d)  # enforces the joint-dimension cap
     p = _check_probs_length(probs, d * d)
-    states = []
+    vectors = np.zeros((d * d, d * d), dtype=complex)
     for a in range(d):
         for b in range(d):
-            v = np.zeros(d * d, dtype=complex)
             for k in range(d):
-                v[k * d + (k + a) % d] = np.exp(2j * np.pi * b * k / d) / np.sqrt(d)
-            states.append(_pure(dims, v, tol))
-    return make_ensemble(zip(p, states), label=f"gbell-d{d}", tol=tol)
+                vectors[a * d + b, k * d + (k + a) % d] = np.exp(2j * np.pi * b * k / d) / np.sqrt(d)
+    return make_ensemble(zip(p, validate_pure_states(dims, vectors, tol)), label=f"gbell-d{d}", tol=tol)
 
 
 def product_basis(dA: int, dB: int, probs, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
     """Computational product basis |i>|j> in row-major order."""
     dims = BipartiteDims(dA, dB)
     p = _check_probs_length(probs, dims.joint)
-    states = []
-    for k in range(dims.joint):
-        v = np.zeros(dims.joint, dtype=complex)
-        v[k] = 1.0
-        states.append(_pure(dims, v, tol))
+    states = validate_pure_states(dims, np.eye(dims.joint, dtype=complex), tol)
     return make_ensemble(zip(p, states), label=f"product-{dA}x{dB}", tol=tol)
 
 
@@ -92,10 +82,9 @@ def rotated_basis(theta: float, probs, tol: Tolerances = DEFAULT_TOLERANCES) -> 
         raise ValidationError(f"theta {theta!r} outside [0, pi/2]")
     p = _check_probs_length(probs, 4)
     dims = BipartiteDims(2, 2)
-    xx = np.kron(_SIGMA_X, _SIGMA_X)
-    u = np.cos(theta) * np.eye(4, dtype=complex) - 1j * np.sin(theta) * xx
-    states = [_pure(dims, u[:, k], tol) for k in range(4)]
-    return make_ensemble(zip(p, states), label=f"rotated-theta{theta:.17g}", tol=tol)
+    u = np.cos(theta) * np.eye(4, dtype=complex) - 1j * np.sin(theta) * _XX
+    # Member k is column k of u.
+    return make_ensemble(zip(p, validate_pure_states(dims, u.T, tol)), label=f"rotated-theta{theta:.17g}", tol=tol)
 
 
 def is_canonical_product_basis(e: Ensemble) -> bool:

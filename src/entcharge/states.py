@@ -81,22 +81,7 @@ def validate_state(dims: BipartiteDims, data, tol: Tolerances = DEFAULT_TOLERANC
     a = np.asarray(data, dtype=complex)
     n = dims.joint
     if a.ndim == 1:
-        if a.shape[0] != n:
-            raise ShapeError(
-                f"pure state has length {a.shape[0]}, but dims {dims.dA}x{dims.dB} require {n}"
-            )
-        if not np.all(np.isfinite(a)):
-            raise ValidationError("pure-state amplitudes must be finite (no NaN/Inf)")
-        norm = float(np.linalg.norm(a))
-        dev = abs(norm - 1.0)
-        if dev > tol.trace_tol:
-            raise ValidationError(
-                f"pure state norm {norm!r} deviates from 1 by {dev:.3e}, "
-                f"beyond trace_tol={tol.trace_tol:.0e}"
-            )
-        if dev > _RENORM_FLOOR:
-            a = a / norm
-        return BipartiteState(dims, vector=_freeze(a), matrix=None)
+        return validate_pure_states(dims, a[None], tol)[0]
     if a.ndim == 2:
         m = as_square_matrix(a)
         if m.shape[0] != n:
@@ -106,6 +91,42 @@ def validate_state(dims: BipartiteDims, data, tol: Tolerances = DEFAULT_TOLERANC
         density_eigenvalues(m, tol)
         return BipartiteState(dims, vector=None, matrix=_freeze(m))
     raise ShapeError("state data must be a vector (pure) or a square matrix (density)")
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a complex stack (m, n), with its bits: it
+    sums the dot products of the real and of the imaginary parts, and a
+    stacked matmul of (1, n) by (n, 1) makes each dot product as it does."""
+    re, im = a.real, a.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
+def validate_pure_states(dims: BipartiteDims, vectors, tol: Tolerances = DEFAULT_TOLERANCES) -> list[BipartiteState]:
+    """validate_state of each amplitude vector in a stack (m, dims.joint), in
+    one pass: one finite check and one norm per row, and renormalization of
+    only the rows that need it. The first bad row raises validate_state's
+    error for it. The states' vectors are rows of one read-only copy."""
+    a = np.array(vectors, dtype=complex)
+    n = dims.joint
+    if a.shape[1] != n:
+        raise ShapeError(f"pure state has length {a.shape[1]}, but dims {dims.dA}x{dims.dB} require {n}")
+    finite = np.isfinite(a).all(axis=1)
+    norm = _row_norms(a)
+    dev = np.abs(norm - 1.0)
+    bad = ~finite | (dev > tol.trace_tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            raise ValidationError("pure-state amplitudes must be finite (no NaN/Inf)")
+        raise ValidationError(
+            f"pure state norm {float(norm[k])!r} deviates from 1 by {dev[k]:.3e}, "
+            f"beyond trace_tol={tol.trace_tol:.0e}"
+        )
+    off = dev > _RENORM_FLOOR
+    if off.any():
+        a[off] = a[off] / norm[off, None]
+    a.setflags(write=False)
+    return [BipartiteState(dims, vector=v, matrix=None) for v in a]
 
 
 def density_of(s: BipartiteState) -> np.ndarray:

@@ -347,16 +347,16 @@ def test_analyze_computes_overlaps_and_average_state_once(monkeypatch):
 
 def test_analyze_reuses_member_entropies_for_chi_a(monkeypatch):
     # 64 orthogonal pure members on 8x8 whose reduced states all differ.
-    # Each side's 64 member entropies are one batched call, made once: the A
-    # side for the average member entropy, which chi_A reuses, the B side for
-    # chi_B. Every other entropy is of one matrix: S(AB), S(A), S(B) and the
-    # two chi averages.
+    # Each side's entropies are one batched call of 64 + 2 matrices, made
+    # once: the marginal, the chi average and the 64 members, which S(A),
+    # the average member entropy and chi_A (and S(B) and chi_B) all read.
+    # S(AB) is the only entropy of one matrix.
     from entcharge import holevo_chi, reduced_ensemble
 
     e = random_orthogonal_pure_ensemble(np.random.default_rng(11), 8, count=64)
     stacks = _count_calls(monkeypatch, "entropy", "von_neumann_entropies")
     report = analyze(e)
-    assert sorted(len(args[0]) for args in stacks) == [1] * 5 + [64, 64]
+    assert sorted(len(args[0]) for args in stacks) == [1, 66, 66]
     assert report.chi_a == holevo_chi(*reduced_ensemble(e, "A"))
 
 
@@ -449,8 +449,10 @@ def test_each_fact_is_computed_once(monkeypatch):
     counts = {name: len(c) for name, c in calls.items()}
     assert (counts["overlap_matrix"], counts["orthogonality_witness"], counts["average_state"]) == (1, 1, 1)
     assert counts["reduced_ensemble"] == 2
-    # One batched spectrum per side covers every member.
-    assert [len(args[0]) for args in calls["von_neumann_entropies"]].count(len(e.members)) == 2
+    # One batched spectrum per side covers its marginal, its chi average and
+    # every member; S(AB) is the only other entropy.
+    m = len(e.members)
+    assert sorted(len(args[0]) for args in calls["von_neumann_entropies"]) == [1, m + 2, m + 2]
     second = {name: getattr(e, name) for name in FACTS}
     assert {name: len(c) for name, c in calls.items()} == counts
     assert all(second[name] is first[name] for name in FACTS)

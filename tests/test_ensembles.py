@@ -252,3 +252,52 @@ def test_invalid_reduced_member_raises_the_first_bad_members_message(faults):
     with pytest.raises(ValidationError) as got:
         e.avg_member_entropy
     assert str(got.value) == str(want.value)
+
+
+def _identical_reduced_states():
+    from entcharge import generalized_bell_basis
+
+    e = generalized_bell_basis(4, np.random.default_rng(4).dirichlet(np.ones(16)))
+    assert (e.reduced_a == e.reduced_a[:1]).all() and (e.reduced_b == e.reduced_b[:1]).all()
+    return e
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _identical_reduced_states,
+        lambda: product_basis(2, 3, [0.5, 0.0, 0.1, 0.2, 0.0, 0.2]),
+        lambda: rotated_basis(0.3, [0.1, 0.2, 0.3, 0.4]),
+        lambda: _seeded_ensemble(0, 2, 3, "ppppp"),
+        lambda: _seeded_ensemble(1, 3, 2, "pppp", 2),
+        lambda: _seeded_ensemble(2, 1, 4, "ppp", 1),
+        lambda: _seeded_ensemble(3, 4, 1, "pdp", 1),
+        lambda: _seeded_ensemble(4, 2, 2, "p"),
+        lambda: _seeded_ensemble(5, 2, 3, "d"),
+        lambda: _seeded_ensemble(6, 2, 2, "ddd", 1),
+        lambda: _seeded_ensemble(7, 3, 2, "dppdp"),
+        lambda: _seeded_ensemble(8, 4, 8, "p" * 12, 3),
+        lambda: make_ensemble([(0.5, validate_state(BipartiteDims(2, 2), np.diag([0.5, 0.5, 0, 0]))),
+                               (0.5, validate_state(BipartiteDims(2, 2), [0, 0, 0.6, 0.8]))]),
+    ],
+    ids=["gbell4", "product2x3", "rotated", "2x3-pure", "3x2-zero-probs", "1x4", "4x1-mixed", "m1-pure",
+         "m1-density", "density", "mixed", "4x8", "rank-deficient"],
+)
+def test_party_spectra_match_the_per_matrix_reference(build):
+    # Each party's marginal entropy, member entropies and chi come from one
+    # batched spectrum; every value must carry the bits of the entropy of its
+    # own matrix alone.
+    e = build()
+    dA, dB = e.dims.dA, e.dims.dB
+    for party, traced, s, entropies, chi in (
+        ("A", "B", e.s_a, e.entropies_a, e.chi_a), ("B", "A", e.s_b, e.entropies_b, e.chi_b)
+    ):
+        probs, reduced = reduced_ensemble(e, party)
+        assert s == von_neumann_entropy(partial_trace(e.average, dA, dB, traced)), party
+        assert [x.hex() for x in entropies] == [von_neumann_entropy(m).hex() for m in reduced], party
+        assert chi == holevo_chi(probs, reduced), party
+        if (reduced == reduced[:1]).all():
+            assert chi == 0.0
+        else:
+            average = von_neumann_entropy(np.einsum("x,xij->ij", probs, reduced))
+            assert chi == average - float(sum(p * von_neumann_entropy(m) for p, m in zip(probs, reduced)))

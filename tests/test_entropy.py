@@ -163,3 +163,23 @@ def test_entanglement_entropy_examples():
     v = np.zeros(9, dtype=complex)
     v[[0, 4, 8]] = 1 / np.sqrt(3)
     assert entanglement_entropy(validate_state(d33, v)) == pytest.approx(np.log2(3), abs=1e-9)
+
+
+def test_row_entropies_have_the_bits_of_entropy_bits():
+    # One pass over the rows must give each row segment _entropy_bits' value
+    # and sign bit: segments with zeros, all-zero ones and [1.0] included.
+    from entcharge.entropy import _entropy_bits, _row_entropies
+
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 7, 8, 9, 16, 31, 64):
+        p = rng.dirichlet(np.ones(n), size=30)
+        p[rng.random(p.shape) < 0.3] = 0.0
+        p[0] = 0.0
+        p[1] = np.eye(n)[0]
+        p[2, 0] = -1e-13
+        p[3] = 1.0
+        cuts = ((0, n), (0, n // 2), (n // 2, n), (n - 1, n))
+        got = _row_entropies(p, cuts)
+        assert got.shape == (len(cuts), len(p))
+        for c, (i, j) in enumerate(cuts):
+            assert [x.hex() for x in got[c]] == [_entropy_bits(row[i:j]).hex() for row in p], (n, i, j)

@@ -267,3 +267,46 @@ def test_report_document_annotation_provenance():
     assert parsed["charge"]["known_charge"]["provenance"] == "annotated"
     assert parsed["charge"]["known_charge"]["value"] == 0.0
     assert parsed["charge"]["lower_bound"]["provenance"] == "computed"
+
+
+_UNIT = [[0.6, 0], [0, 0.8], [0, 0], [0, 0]]
+_LONG = [[0.7, 0], [0, 0.8], [0, 0], [0, 0]]  # norm 1.063...
+_NORM_ERROR = "pure state norm 1.063014581273465 deviates from 1 by 6.301e-02, beyond trace_tol=1e-09"
+_NEGATIVE = {"kind": "density", "data": [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [-0.5, 0], [0, 0], [0, 0]],
+                                          [[0, 0], [0, 0], [0.5, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0, 0]]]}
+
+
+def _pure_member(data):
+    return {"prob": 0.25, "state": {"kind": "pure", "data": data}}
+
+
+@pytest.mark.parametrize(
+    "members,diagnostic",
+    [
+        ([_pure_member(_UNIT), _pure_member(_LONG), {"prob": 0.25}], f"members[1].state: {_NORM_ERROR}"),
+        ([_pure_member(_UNIT), {"prob": 0.25}, _pure_member(_LONG)], "members[1]: missing required field 'state'"),
+        ([_pure_member(_LONG), {"prob": 0.25, "state": {"kind": "mixed", "data": []}}],
+         f"members[0].state: {_NORM_ERROR}"),
+        ([_pure_member(_UNIT), _pure_member(_LONG), {"prob": 0.25, "state": _NEGATIVE}],
+         f"members[1].state: {_NORM_ERROR}"),
+        ([_pure_member(_UNIT), {"prob": 0.25, "state": _NEGATIVE}, _pure_member(_LONG)],
+         "members[1].state: negative eigenvalue -5.000000e-01 below -eigenvalue_clamp (-1e-12); "
+         "not a valid density matrix"),
+        ([_pure_member(_UNIT), _pure_member([[1, 0]]), _pure_member(_LONG)],
+         "members[1].state: pure state has length 1, but dims 2x2 require 4"),
+        ([_pure_member(_UNIT), _pure_member(_LONG), _pure_member([[1, 0]])], f"members[1].state: {_NORM_ERROR}"),
+        ([_pure_member(_UNIT), _pure_member([[0.6, 0], [0, 0.9], [0, 0], [0, 0]]), _pure_member(_LONG)],
+         "members[1].state: pure state norm 1.0816653826391966 deviates from 1 by 8.167e-02, beyond trace_tol=1e-09"),
+        ([_pure_member(_LONG), _pure_member([[1e999, 0], [0, 0], [0, 0], [0, 0]])], f"members[0].state: {_NORM_ERROR}"),
+        ([_pure_member([[1e999, 0], [0, 0], [0, 0], [0, 0]]), _pure_member(_LONG)],
+         "members[0].state: pure-state amplitudes must be finite (no NaN/Inf)"),
+    ],
+    ids=["norm-then-missing-state", "missing-state-then-norm", "norm-then-bad-kind", "norm-then-density",
+         "density-then-norm", "short-then-norm", "norm-then-short", "norm-then-norm", "norm-then-inf", "inf-then-norm"],
+)
+def test_parse_errors_name_the_first_bad_member(members, diagnostic):
+    # Pure members are validated in one stack after the structural pass; the
+    # error must still be the one of the first bad member in member order.
+    text = json.dumps({"schema_version": 1, "dims": {"dA": 2, "dB": 2}, "members": members}).replace("Infinity", "1e999")
+    with pytest.raises(ParseError, match=f"^{re.escape(diagnostic)}$"):
+        parse_ensemble(text)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,3 +271,29 @@ def test_overlap_matrix_matches_direct_pairwise_traces(states):
     if expected is not None:
         assert witness[:2] == expected[:2]
         assert witness[2] == pytest.approx(expected[2], abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 16, 17, 33, 64])
+def test_batched_norms_have_the_bits_of_numpy_norm(n):
+    # validate_pure_states takes one norm per row of a stack; each must be
+    # np.linalg.norm of that vector alone, and each state the vector, divided
+    # by that norm when it is off 1 by more than _RENORM_FLOOR.
+    from entcharge.states import _RENORM_FLOOR, _row_norms, validate_pure_states
+
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n))
+    a[1] = a[1].real
+    a[2, : n // 2] = 0.0
+    a = a / np.linalg.norm(a, axis=1)[:, None] * (1 + rng.uniform(-2e-9, 2e-9, (12, 1)))
+    a[3] = a[3] / np.linalg.norm(a[3])
+    norms = [np.linalg.norm(v) for v in a]
+    assert [x.hex() for x in _row_norms(a)] == [x.hex() for x in norms]
+    ok = [k for k in range(12) if abs(norms[k] - 1.0) <= 1e-9]
+    states = validate_pure_states(BipartiteDims(1, n), a[ok])
+    for s, k in zip(states, ok, strict=True):
+        want = a[k] / norms[k] if abs(norms[k] - 1.0) > _RENORM_FLOOR else a[k]
+        assert s.vector.tobytes() == want.tobytes()
+        assert not s.vector.flags.writeable
+    bad = next(k for k in range(12) if abs(norms[k] - 1.0) > 1e-9)
+    with pytest.raises(ValidationError, match=f"^pure state norm {re.escape(repr(float(norms[bad])))} "):
+        validate_pure_states(BipartiteDims(1, n), np.concatenate([a[ok], a[bad:]]))
