@@ -22,14 +22,21 @@ import numpy as np
 from .entropy import (
     _holevo_chi,
     chi_average,
+    entropies_and_faults,
     member_term,
     shannon_entropy,
     valid_probs,
-    von_neumann_entropies,
     von_neumann_entropy,
 )
 from .errors import ShapeError, ValidationError
-from .linalg import DEFAULT_TOLERANCES, Tolerances, partial_trace, partial_traces, vector_partial_traces
+from .linalg import (
+    DEFAULT_TOLERANCES,
+    Tolerances,
+    partial_trace,
+    partial_traces,
+    raise_first,
+    vector_partial_traces,
+)
 from .states import (
     BipartiteDims,
     BipartiteState,
@@ -63,7 +70,11 @@ class Ensemble:
     chi_a / chi_b are the Holevo chi of the two reduced ensembles. The reduced
     states of each side are one batched computation over all members, and one
     spectrum per party covers its marginal, its chi average and its members:
-    reading any of s_a, entropies_a or chi_a computes all three (B alike).
+    reading entropies_a or chi_a computes all three (B alike). s_a reads that
+    spectrum only when the members are all pure and mutually orthogonal, the
+    ensembles whose member entropies every analysis reads; otherwise it is
+    the marginal's own spectrum. Each fact raises only for the matrices it
+    reads, so an invalid member never fails s_a.
     """
 
     dims: BipartiteDims
@@ -95,28 +106,49 @@ class Ensemble:
     def reduced_b(self) -> np.ndarray:
         return _freeze(reduced_ensemble(self, "B")[1])
 
-    def _party_entropies(self, reduced: np.ndarray, traced: str) -> np.ndarray:
+    def _party_entropies(self, reduced: np.ndarray, traced: str) -> tuple[np.ndarray, list[str | None]]:
         """Entropies of [Tr_traced rho, sum_X p_X rho_X, rho_X ...] for one
-        party's reduced states, from one batched spectrum."""
+        party's reduced states, from one batched spectrum, with each matrix's
+        fault."""
         marginal = partial_trace(self.average, self.dims.dA, self.dims.dB, traced)
         stack = np.concatenate([marginal[None], chi_average(self.probs, reduced)[None], reduced])
-        return _freeze(von_neumann_entropies(stack, self.tol))
+        h, faults = entropies_and_faults(stack, self.tol)
+        return _freeze(h), faults
 
     @cached_property
-    def _entropies_of_a(self) -> np.ndarray:
+    def _entropies_of_a(self) -> tuple[np.ndarray, list[str | None]]:
         return self._party_entropies(self.reduced_a, "B")
 
     @cached_property
-    def _entropies_of_b(self) -> np.ndarray:
+    def _entropies_of_b(self) -> tuple[np.ndarray, list[str | None]]:
         return self._party_entropies(self.reduced_b, "A")
 
     @cached_property
     def entropies_a(self) -> np.ndarray:
-        return self._entropies_of_a[2:]
+        h, faults = self._entropies_of_a
+        raise_first(faults[2:])
+        return h[2:]
 
     @cached_property
     def entropies_b(self) -> np.ndarray:
-        return self._entropies_of_b[2:]
+        h, faults = self._entropies_of_b
+        raise_first(faults[2:])
+        return h[2:]
+
+    @cached_property
+    def _orthogonal_pure(self) -> bool:
+        return all(s.is_pure for s in self.states) and self.witness is None
+
+    def _marginal_entropy(self, traced: str, party_entropies) -> float:
+        """S of the marginal left by tracing out `traced`: row 0 of the
+        party's spectrum for an orthogonal pure ensemble, whose member
+        entropies are read too; else, as m + 2 spectra would cost more than
+        one, the marginal's own."""
+        if self._orthogonal_pure:
+            h, faults = party_entropies()
+            raise_first(faults[:1])
+            return float(h[0])
+        return von_neumann_entropy(partial_trace(self.average, self.dims.dA, self.dims.dB, traced), self.tol)
 
     @cached_property
     def maximally_entangled(self) -> tuple[bool, ...]:
@@ -150,11 +182,11 @@ class Ensemble:
 
     @cached_property
     def s_a(self) -> float:
-        return float(self._entropies_of_a[0])
+        return self._marginal_entropy("B", lambda: self._entropies_of_a)
 
     @cached_property
     def s_b(self) -> float:
-        return float(self._entropies_of_b[0])
+        return self._marginal_entropy("A", lambda: self._entropies_of_b)
 
     @cached_property
     def avg_member_entropy(self) -> float:
@@ -169,11 +201,13 @@ class Ensemble:
     def chi_a(self) -> float:
         """Holevo chi of the A-side reduced ensemble; its member entropies are
         entropies_a, the ones avg_member_entropy sums."""
-        return _holevo_chi(self.probs, self.reduced_a, self._entropies_of_a[1:])
+        h, faults = self._entropies_of_a
+        return _holevo_chi(self.probs, self.reduced_a, h[1:], faults[1:])
 
     @cached_property
     def chi_b(self) -> float:
-        return _holevo_chi(self.probs, self.reduced_b, self._entropies_of_b[1:])
+        h, faults = self._entropies_of_b
+        return _holevo_chi(self.probs, self.reduced_b, h[1:], faults[1:])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     as_square_matrix,
-    density_spectra,
+    density_spectra_faults,
+    raise_first,
 )
 from .states import BipartiteState, schmidt_coefficients
 
@@ -74,8 +75,21 @@ def von_neumann_entropies(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCE
     """S(rho) of each density matrix in a stack (m, d, d), from one batched
     spectrum. Each entropy has the bits of von_neumann_entropy of that matrix
     alone."""
-    spectra = clamp_spectrum(density_spectra(stack, tol), tol)
-    return _row_entropies(spectra, ((0, spectra.shape[1]),))[0]
+    h, faults = entropies_and_faults(stack, tol)
+    raise_first(faults)
+    return h
+
+
+def entropies_and_faults(
+    stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[np.ndarray, list[str | None]]:
+    """von_neumann_entropies without raising: the entropies, and each
+    matrix's fault from density_spectra_faults. The entropy of a matrix with
+    a fault means nothing; a caller raises the faults of the rows it reads."""
+    evals, faults = density_spectra_faults(stack, tol)
+    # clamp_spectrum's zeroing; an eigenvalue it would reject is a fault already.
+    spectra = np.where(np.abs(evals) <= tol.eigenvalue_clamp, 0.0, evals)
+    return _row_entropies(spectra, ((0, spectra.shape[1]),))[0], faults
 
 
 def _row_entropies(p: np.ndarray, cuts: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -116,7 +130,7 @@ def holevo_chi(probs, states, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
         if m.shape[0] != dim:
             raise ShapeError(f"state {k} has dim {m.shape[0]}, expected {dim}")
     stack = np.stack(mats)
-    return _holevo_chi(p, stack, von_neumann_entropies(np.concatenate([chi_average(p, stack)[None], stack]), tol))
+    return _holevo_chi(p, stack, *entropies_and_faults(np.concatenate([chi_average(p, stack)[None], stack]), tol))
 
 
 def chi_average(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -124,12 +138,15 @@ def chi_average(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.einsum("x,xij->ij", p, stack)
 
 
-def _holevo_chi(p: np.ndarray, stack: np.ndarray, h: np.ndarray) -> float:
+def _holevo_chi(p: np.ndarray, stack: np.ndarray, h: np.ndarray, faults: list[str | None]) -> float:
     """holevo_chi of a checked stack from h, the entropies of
-    [chi_average(p, stack), *stack] in that order."""
-    # Identical members carry no information; short-circuit keeps chi exactly 0.
+    [chi_average(p, stack), *stack] in that order, and their faults."""
+    # Identical members carry no information; short-circuit keeps chi exactly 0
+    # and needs only member 0 to be a valid state.
     if (stack == stack[:1]).all():
+        raise_first(faults[1:2])
         return 0.0
+    raise_first(faults)
     return float(h[0]) - member_term(p, h[1:])
 
 

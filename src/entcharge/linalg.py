@@ -118,10 +118,14 @@ def _hermiticity_deviation(a: np.ndarray) -> np.ndarray:
 
 def _check_hermitian(dev: float, tol: Tolerances) -> None:
     if dev > tol.hermiticity_tol:
-        raise ValidationError(
-            f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} "
-            f"exceeds hermiticity_tol={tol.hermiticity_tol:.0e}"
-        )
+        raise ValidationError(_hermitian_fault(dev, tol))
+
+
+def _hermitian_fault(dev: float, tol: Tolerances) -> str:
+    return (
+        f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} "
+        f"exceeds hermiticity_tol={tol.hermiticity_tol:.0e}"
+    )
 
 
 def hermitian_eigenvalues(m, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -150,21 +154,44 @@ def density_spectra(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     one matrix. The first member that fails a check raises that check's
     error, the checks taken in the order Hermitian, PSD, unit trace.
     """
+    evals, faults = density_spectra_faults(stack, tol)
+    raise_first(faults)
+    return evals
+
+
+def density_spectra_faults(
+    stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[np.ndarray, list[str | None]]:
+    """density_spectra without raising: the eigenvalues, and for each matrix
+    the message of the first check it fails, or None. The spectrum of a
+    matrix with a fault means nothing."""
     dev = _hermiticity_deviation(stack)
     evals = np.linalg.eigvalsh(hermitian_part(stack))
     low, tr = evals.min(axis=-1), evals.sum(axis=-1)
     bad = (dev > tol.hermiticity_tol) | (low < -tol.eigenvalue_clamp) | (np.abs(tr - 1.0) > tol.trace_tol)
-    if not bad.any():
-        return evals
-    k = int(np.argmax(bad))
-    _check_hermitian(float(dev[k]), tol)
-    if low[k] < -tol.eigenvalue_clamp:
-        raise ValidationError(
-            f"negative eigenvalue {float(low[k]):.6e} below -eigenvalue_clamp "
+    faults: list[str | None] = [None] * len(stack)
+    if bad.any():
+        for k in np.flatnonzero(bad):
+            faults[k] = _density_fault(float(dev[k]), float(low[k]), float(tr[k]), tol)
+    return evals, faults
+
+
+def _density_fault(dev: float, low: float, tr: float, tol: Tolerances) -> str:
+    if dev > tol.hermiticity_tol:
+        return _hermitian_fault(dev, tol)
+    if low < -tol.eigenvalue_clamp:
+        return (
+            f"negative eigenvalue {low:.6e} below -eigenvalue_clamp "
             f"(-{tol.eigenvalue_clamp:.0e}); not a valid density matrix"
         )
-    t = float(tr[k])
-    raise ValidationError(
-        f"trace {t!r} deviates from 1 by {abs(t - 1.0):.3e}, "
+    return (
+        f"trace {tr!r} deviates from 1 by {abs(tr - 1.0):.3e}, "
         f"beyond trace_tol={tol.trace_tol:.0e}; not a valid density matrix"
     )
+
+
+def raise_first(faults) -> None:
+    """Raise the first message in faults that is not None as a ValidationError."""
+    for fault in faults:
+        if fault is not None:
+            raise ValidationError(fault)

@@ -96,9 +96,12 @@ def validate_state(dims: BipartiteDims, data, tol: Tolerances = DEFAULT_TOLERANC
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row of a complex stack (m, n), with its bits: it
     sums the dot products of the real and of the imaginary parts, and a
-    stacked matmul of (1, n) by (n, 1) makes each dot product as it does."""
+    stacked matmul of (1, n) by (n, 1) makes each dot product as it does.
+    It warns of no overflow: a huge amplitude gives norm inf, which the norm
+    check reports."""
     re, im = a.real, a.imag
-    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
 def validate_pure_states(dims: BipartiteDims, vectors, tol: Tolerances = DEFAULT_TOLERANCES) -> list[BipartiteState]:

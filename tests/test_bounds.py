@@ -30,7 +30,13 @@ from entcharge import (
 )
 from entcharge.bounds import _verdict
 from entcharge.linalg import ROUNDING_SLACK
-from helpers import mutual_information_oracle, near_orthogonal_pair, random_orthogonal_pure_ensemble
+from helpers import (
+    mutual_information_oracle,
+    near_orthogonal_pair,
+    random_density,
+    random_orthogonal_pure_ensemble,
+    random_pure_vector,
+)
 
 H34 = binary_entropy(0.75)  # per-state entanglement of the family at pi/6
 
@@ -354,10 +360,22 @@ def test_analyze_reuses_member_entropies_for_chi_a(monkeypatch):
     from entcharge import holevo_chi, reduced_ensemble
 
     e = random_orthogonal_pure_ensemble(np.random.default_rng(11), 8, count=64)
-    stacks = _count_calls(monkeypatch, "entropy", "von_neumann_entropies")
+    stacks = _count_calls(monkeypatch, "entropy", "entropies_and_faults")
     report = analyze(e)
     assert sorted(len(args[0]) for args in stacks) == [1, 66, 66]
     assert report.chi_a == holevo_chi(*reduced_ensemble(e, "A"))
+
+
+@pytest.mark.parametrize("kind", ["density", "non-orthogonal"])
+def test_analyze_takes_no_member_spectrum_it_does_not_read(monkeypatch, kind):
+    # Without orthogonal pure members no bound reads a member entropy, so
+    # S(A) and S(B) are one spectrum each: never the m + 2 of a party stack.
+    rng = np.random.default_rng(3)
+    draw = random_density if kind == "density" else random_pure_vector
+    e = make_ensemble([(1 / 6, validate_state(BipartiteDims(2, 32), draw(rng, 64))) for _ in range(6)])
+    stacks = _count_calls(monkeypatch, "entropy", "entropies_and_faults")
+    analyze(e)
+    assert [len(args[0]) for args in stacks] == [1, 1, 1]
 
 
 def test_classify_structure_computes_no_entropy(monkeypatch):
@@ -441,7 +459,7 @@ def test_each_fact_is_computed_once(monkeypatch):
         for module, name in (
             ("states", "overlap_matrix"), ("states", "orthogonality_witness"), ("states", "is_product"),
             ("ensembles", "reduced_ensemble"), ("ensembles", "average_state"),
-            ("entropy", "von_neumann_entropy"), ("entropy", "von_neumann_entropies"),
+            ("entropy", "von_neumann_entropy"), ("entropy", "entropies_and_faults"),
             ("linalg", "partial_trace"),
         )
     }
@@ -452,7 +470,7 @@ def test_each_fact_is_computed_once(monkeypatch):
     # One batched spectrum per side covers its marginal, its chi average and
     # every member; S(AB) is the only other entropy.
     m = len(e.members)
-    assert sorted(len(args[0]) for args in calls["von_neumann_entropies"]) == [1, m + 2, m + 2]
+    assert sorted(len(args[0]) for args in calls["entropies_and_faults"]) == [1, m + 2, m + 2]
     second = {name: getattr(e, name) for name in FACTS}
     assert {name: len(c) for name, c in calls.items()} == counts
     assert all(second[name] is first[name] for name in FACTS)

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from entcharge import (
     BipartiteDims,
+    BipartiteState,
     ShapeError,
     ValidationError,
+    analyze,
     average_state,
     bell_basis,
     density_of,
@@ -252,6 +254,40 @@ def test_invalid_reduced_member_raises_the_first_bad_members_message(faults):
     with pytest.raises(ValidationError) as got:
         e.avg_member_entropy
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("fault", ["negative", "hermitian"])
+def test_a_reduced_member_nothing_reads_does_not_fail_analyze(fault):
+    # Each reduced member fails its checks, while the marginals, which average
+    # it with a valid member, pass them. No bound of a density ensemble reads a
+    # member entropy, so analyze succeeds; the member facts still raise.
+    good = validate_state(BipartiteDims(2, 2), np.eye(4) / 4)
+    bad = _reduced_invalid_member(fault)
+    e = make_ensemble([(0.5, good), (0.5, bad)])
+    with pytest.raises(ValidationError) as want:
+        von_neumann_entropy(partial_trace(density_of(bad), 2, 2, "B"))
+    report = analyze(e)
+    assert report.upper_bounds["compress_teleport"] == e.s_a == von_neumann_entropy(partial_trace(e.average, 2, 2, "B"))
+    assert e.s_b == von_neumann_entropy(partial_trace(e.average, 2, 2, "A"))
+    for fact in ("entropies_a", "chi_a", "avg_member_entropy"):
+        with pytest.raises(ValidationError) as got:
+            getattr(e, fact)
+        assert str(got.value) == str(want.value), fact
+
+
+def test_stacked_marginal_entropy_raises_only_for_the_marginal():
+    # An orthogonal pure ensemble takes S(A) from row 0 of side A's stack. A
+    # zero-probability member of norm 2, built around validate_state, leaves
+    # the average valid but its reduced states have trace 4: the member facts
+    # raise for it, and S(A) and S(B) do not.
+    dims = BipartiteDims(2, 2)
+    long = BipartiteState(dims, vector=np.array([0, 0, 0, 2], dtype=complex), matrix=None)
+    e = make_ensemble([(0.5, validate_state(dims, [1, 0, 0, 0])), (0.5, validate_state(dims, [0, 1, 0, 0])), (0.0, long)])
+    assert e._orthogonal_pure
+    assert (e.s_a, e.s_b) == (0.0, 1.0)
+    for fact in ("entropies_a", "chi_a", "entropies_b", "chi_b"):
+        with pytest.raises(ValidationError, match=r"^trace 4\.0 deviates from 1 by 3\.000e\+00"):
+            getattr(e, fact)
 
 
 def _identical_reduced_states():

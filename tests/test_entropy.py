@@ -121,6 +121,18 @@ def test_holevo_examples():
     assert holevo_chi([0.5, 0.5], [zero, one]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_holevo_of_identical_members_checks_only_member_0():
+    # Probabilities and a member trace each 9.9e-10 off 1 pass trace_tol, but
+    # the chi average's trace is about 2e-9 off. Identical members give chi = 0
+    # without that average, so only member 0 has to be a valid state.
+    rho = np.diag([0.5, 0.5 + 9.9e-10])
+    with pytest.raises(ValidationError, match="^trace 1.00000000"):
+        von_neumann_entropy(np.einsum("x,xij->ij", np.array([0.5, 0.5 + 9.9e-10]), np.stack([rho, rho])))
+    assert holevo_chi([0.5, 0.5 + 9.9e-10], [rho, rho]) == 0.0
+    with pytest.raises(ValidationError, match="^negative eigenvalue"):
+        holevo_chi([0.5, 0.5], [np.diag([-1e-9, 1 + 1e-9]), np.diag([-1e-9, 1 + 1e-9])])
+
+
 def test_holevo_rotated_family_reduction_at_pi_over_6():
     # Alice-side reduced states of the equal-prob rotated family: explicit
     # 2x2 oracle, diag(c2, s2) twice and diag(s2, c2) twice, average I/2.

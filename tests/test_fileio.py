@@ -310,3 +310,17 @@ def test_parse_errors_name_the_first_bad_member(members, diagnostic):
     text = json.dumps({"schema_version": 1, "dims": {"dA": 2, "dB": 2}, "members": members}).replace("Infinity", "1e999")
     with pytest.raises(ParseError, match=f"^{re.escape(diagnostic)}$"):
         parse_ensemble(text)
+
+
+def test_huge_amplitude_is_a_norm_error_without_a_warning():
+    # 1e200 squared overflows; the batched norm gives inf without an overflow
+    # warning, and the error names that norm.
+    import warnings
+
+    text = json.dumps({"schema_version": 1, "dims": {"dA": 2, "dB": 2}, "members": [_pure_member([[1e200, 0]] + _UNIT[1:])]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError) as got:
+            parse_ensemble(text)
+    assert str(got.value) == "members[0].state: pure state norm inf deviates from 1 by inf, beyond trace_tol=1e-09"
+    assert caught == []
