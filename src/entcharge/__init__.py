@@ -66,7 +66,6 @@ from .linalg import (
     MAX_JOINT_DIM,
     STRICT_TOLERANCES,
     Tolerances,
-    hermitian_eigenvalues,
     partial_trace,
 )
 from .states import (

@@ -22,10 +22,10 @@ import numpy as np
 from .entropy import (
     _holevo_chi,
     chi_average,
-    entropies_and_faults,
     member_term,
     shannon_entropy,
     valid_probs,
+    von_neumann_entropies,
     von_neumann_entropy,
 )
 from .errors import ShapeError, ValidationError
@@ -34,7 +34,6 @@ from .linalg import (
     Tolerances,
     partial_trace,
     partial_traces,
-    raise_first,
     vector_partial_traces,
 )
 from .states import (
@@ -73,8 +72,9 @@ class Ensemble:
     reading entropies_a or chi_a computes all three (B alike). s_a reads that
     spectrum only when the members are all pure and mutually orthogonal, the
     ensembles whose member entropies every analysis reads; otherwise it is
-    the marginal's own spectrum. Each fact raises only for the matrices it
-    reads, so an invalid member never fails s_a.
+    the marginal's own spectrum. These derived states are checked at the
+    bounds that valid members guarantee (see density_spectra), so no fact of
+    a validated ensemble fails its spectrum check.
     """
 
     dims: BipartiteDims
@@ -106,34 +106,31 @@ class Ensemble:
     def reduced_b(self) -> np.ndarray:
         return _freeze(reduced_ensemble(self, "B")[1])
 
-    def _party_entropies(self, reduced: np.ndarray, traced: str) -> tuple[np.ndarray, list[str | None]]:
+    def _traced_dim(self, traced: str) -> int:
+        return self.dims.dA if traced == "A" else self.dims.dB
+
+    def _party_entropies(self, reduced: np.ndarray, traced: str) -> np.ndarray:
         """Entropies of [Tr_traced rho, sum_X p_X rho_X, rho_X ...] for one
-        party's reduced states, from one batched spectrum, with each matrix's
-        fault."""
+        party's reduced states, from one batched spectrum."""
         marginal = partial_trace(self.average, self.dims.dA, self.dims.dB, traced)
         stack = np.concatenate([marginal[None], chi_average(self.probs, reduced)[None], reduced])
-        h, faults = entropies_and_faults(stack, self.tol)
-        return _freeze(h), faults
+        return _freeze(von_neumann_entropies(stack, self.tol, self._traced_dim(traced)))
 
     @cached_property
-    def _entropies_of_a(self) -> tuple[np.ndarray, list[str | None]]:
+    def _entropies_of_a(self) -> np.ndarray:
         return self._party_entropies(self.reduced_a, "B")
 
     @cached_property
-    def _entropies_of_b(self) -> tuple[np.ndarray, list[str | None]]:
+    def _entropies_of_b(self) -> np.ndarray:
         return self._party_entropies(self.reduced_b, "A")
 
     @cached_property
     def entropies_a(self) -> np.ndarray:
-        h, faults = self._entropies_of_a
-        raise_first(faults[2:])
-        return h[2:]
+        return self._entropies_of_a[2:]
 
     @cached_property
     def entropies_b(self) -> np.ndarray:
-        h, faults = self._entropies_of_b
-        raise_first(faults[2:])
-        return h[2:]
+        return self._entropies_of_b[2:]
 
     @cached_property
     def _orthogonal_pure(self) -> bool:
@@ -145,16 +142,26 @@ class Ensemble:
         entropies are read too; else, as m + 2 spectra would cost more than
         one, the marginal's own."""
         if self._orthogonal_pure:
-            h, faults = party_entropies()
-            raise_first(faults[:1])
-            return float(h[0])
-        return von_neumann_entropy(partial_trace(self.average, self.dims.dA, self.dims.dB, traced), self.tol)
+            return float(party_entropies()[0])
+        marginal = partial_trace(self.average, self.dims.dA, self.dims.dB, traced)
+        return float(von_neumann_entropies(marginal[None], self.tol, self._traced_dim(traced))[0])
 
     @cached_property
     def maximally_entangled(self) -> tuple[bool, ...]:
-        square = self.dims.dA == self.dims.dB
-        mixed = _maximally_mixed(self.reduced_a, self.tol) & _maximally_mixed(self.reduced_b, self.tol)
-        return tuple(bool(s.is_pure and square and m) for s, m in zip(self.states, mixed))
+        """Whether each member is pure with both reduced states within
+        orthogonality_tol of I/d. Only a pure member of a dA = dB ensemble can
+        be, so only those members are reduced."""
+        pure = np.array([s.is_pure for s in self.states])
+        dA, dB = self.dims.dA, self.dims.dB
+        if dA != dB or not pure.any():
+            return (False,) * len(pure)
+        if pure.all():
+            reduced = (self.reduced_a, self.reduced_b)
+        else:
+            vectors = np.stack([s.vector for s in self.states if s.is_pure])
+            reduced = tuple(vector_partial_traces(vectors, dA, dB, traced) for traced in "BA")
+        pure[pure] = _maximally_mixed(reduced[0], self.tol) & _maximally_mixed(reduced[1], self.tol)
+        return tuple(bool(x) for x in pure)
 
     @cached_property
     def flags(self) -> StructureFlags:
@@ -201,13 +208,11 @@ class Ensemble:
     def chi_a(self) -> float:
         """Holevo chi of the A-side reduced ensemble; its member entropies are
         entropies_a, the ones avg_member_entropy sums."""
-        h, faults = self._entropies_of_a
-        return _holevo_chi(self.probs, self.reduced_a, h[1:], faults[1:])
+        return _holevo_chi(self.probs, self.reduced_a, self._entropies_of_a[1:])
 
     @cached_property
     def chi_b(self) -> float:
-        h, faults = self._entropies_of_b
-        return _holevo_chi(self.probs, self.reduced_b, h[1:], faults[1:])
+        return _holevo_chi(self.probs, self.reduced_b, self._entropies_of_b[1:])
 
 
 @dataclass(frozen=True)

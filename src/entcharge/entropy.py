@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    as_square_matrix,
-    density_spectra_faults,
-    raise_first,
-)
+from .linalg import DEFAULT_TOLERANCES, Tolerances, as_square_matrix, density_spectra
 from .states import BipartiteState, schmidt_coefficients
 
 
@@ -71,25 +65,15 @@ def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     return float(von_neumann_entropies(as_square_matrix(rho)[None], tol)[0])
 
 
-def von_neumann_entropies(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def von_neumann_entropies(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, traced_dim: int = 1) -> np.ndarray:
     """S(rho) of each density matrix in a stack (m, d, d), from one batched
-    spectrum. Each entropy has the bits of von_neumann_entropy of that matrix
-    alone."""
-    h, faults = entropies_and_faults(stack, tol)
-    raise_first(faults)
-    return h
-
-
-def entropies_and_faults(
-    stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, list[str | None]]:
-    """von_neumann_entropies without raising: the entropies, and each
-    matrix's fault from density_spectra_faults. The entropy of a matrix with
-    a fault means nothing; a caller raises the faults of the rows it reads."""
-    evals, faults = density_spectra_faults(stack, tol)
-    # clamp_spectrum's zeroing; an eigenvalue it would reject is a fault already.
+    spectrum that density_spectra checks (traced_dim as there). Each entropy
+    has the bits of von_neumann_entropy of that matrix alone."""
+    evals = density_spectra(stack, tol, traced_dim)
+    # clamp_spectrum's zeroing. A derived state may keep an eigenvalue below
+    # -eigenvalue_clamp; like every negative one, the row sum drops it.
     spectra = np.where(np.abs(evals) <= tol.eigenvalue_clamp, 0.0, evals)
-    return _row_entropies(spectra, ((0, spectra.shape[1]),))[0], faults
+    return _row_entropies(spectra, ((0, spectra.shape[1]),))[0]
 
 
 def _row_entropies(p: np.ndarray, cuts: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -130,7 +114,11 @@ def holevo_chi(probs, states, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
         if m.shape[0] != dim:
             raise ShapeError(f"state {k} has dim {m.shape[0]}, expected {dim}")
     stack = np.stack(mats)
-    return _holevo_chi(p, stack, *entropies_and_faults(np.concatenate([chi_average(p, stack)[None], stack]), tol))
+    if (stack == stack[:1]).all():
+        # _holevo_chi's zero for identical members needs only member 0 valid.
+        density_spectra(stack[:1], tol)
+        return 0.0
+    return _holevo_chi(p, stack, von_neumann_entropies(np.concatenate([chi_average(p, stack)[None], stack]), tol))
 
 
 def chi_average(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -138,15 +126,12 @@ def chi_average(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.einsum("x,xij->ij", p, stack)
 
 
-def _holevo_chi(p: np.ndarray, stack: np.ndarray, h: np.ndarray, faults: list[str | None]) -> float:
+def _holevo_chi(p: np.ndarray, stack: np.ndarray, h: np.ndarray) -> float:
     """holevo_chi of a checked stack from h, the entropies of
-    [chi_average(p, stack), *stack] in that order, and their faults."""
-    # Identical members carry no information; short-circuit keeps chi exactly 0
-    # and needs only member 0 to be a valid state.
+    [chi_average(p, stack), *stack] in that order."""
+    # Identical members carry no information; short-circuit keeps chi exactly 0.
     if (stack == stack[:1]).all():
-        raise_first(faults[1:2])
         return 0.0
-    raise_first(faults)
     return float(h[0]) - member_term(p, h[1:])
 
 

@@ -24,7 +24,14 @@ ROUNDING_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerance policy shared by every module."""
+    """Numeric tolerance policy shared by every module.
+
+    A state derived by tracing out a d-dimensional party is checked at
+    d x hermiticity_tol and d x eigenvalue_clamp, the bounds its valid members
+    guarantee (see density_spectra); eigenvalues are zeroed for x log x
+    within eigenvalue_clamp of 0, and traces are checked at trace_tol, for
+    every state.
+    """
 
     hermiticity_tol: float = 1e-10
     trace_tol: float = 1e-9
@@ -116,82 +123,49 @@ def _hermiticity_deviation(a: np.ndarray) -> np.ndarray:
     return np.abs(a - a.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
 
 
-def _check_hermitian(dev: float, tol: Tolerances) -> None:
-    if dev > tol.hermiticity_tol:
-        raise ValidationError(_hermitian_fault(dev, tol))
+def _scaled(name: str, traced_dim: int) -> str:
+    return name if traced_dim == 1 else f"{traced_dim} x {name}"
 
 
-def _hermitian_fault(dev: float, tol: Tolerances) -> str:
-    return (
-        f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} "
-        f"exceeds hermiticity_tol={tol.hermiticity_tol:.0e}"
-    )
+def _check_hermitian(dev: float, tol: Tolerances, traced_dim: int = 1) -> None:
+    if dev > traced_dim * tol.hermiticity_tol:
+        raise ValidationError(
+            f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} "
+            f"exceeds {_scaled('hermiticity_tol', traced_dim)}={tol.hermiticity_tol:.0e}"
+        )
 
 
-def hermitian_eigenvalues(m, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    The Hermitian part is taken before decomposition so floating-point
-    asymmetry within hermiticity_tol is handled deterministically.
-    """
-    a = as_square_matrix(m)
-    _check_hermitian(float(_hermiticity_deviation(a)) if a.size else 0.0, tol)
-    return np.linalg.eigvalsh(hermitian_part(a))
-
-
-def density_eigenvalues(m, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Eigenvalues of a valid density matrix (Hermitian, PSD, unit trace).
-
-    Eigenvalues below -eigenvalue_clamp abort instead of being clamped:
-    that separates numeric noise from genuinely invalid inputs.
-    """
-    return density_spectra(as_square_matrix(m)[None], tol)[0]
-
-
-def density_spectra(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def density_spectra(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, traced_dim: int = 1) -> np.ndarray:
     """Ascending eigenvalues of each matrix in a stack of finite square
-    matrices, from one eigvalsh call, checked as density_eigenvalues checks
-    one matrix. The first member that fails a check raises that check's
-    error, the checks taken in the order Hermitian, PSD, unit trace.
+    matrices, from one eigvalsh call of their Hermitian parts, each checked as
+    a density matrix: Hermitian within hermiticity_tol, PSD within
+    eigenvalue_clamp and of unit trace within trace_tol. The first matrix that
+    fails a check raises that check's error, the checks taken in that order.
+
+    A matrix derived by tracing out a party of dimension traced_dim (a reduced
+    member, a marginal of the average state, a chi average of reduced members)
+    is checked at traced_dim x hermiticity_tol and traced_dim x
+    eigenvalue_clamp. Tr_B is a positive map, so lambda_min(Tr_B rho) >= -d c
+    when lambda_min(rho) >= -c, and each entry of Tr_B(rho - rho^dag) sums d
+    entries of rho - rho^dag: a state derived from valid members passes. The
+    trace check is not scaled, as a partial trace keeps the trace.
     """
-    evals, faults = density_spectra_faults(stack, tol)
-    raise_first(faults)
-    return evals
-
-
-def density_spectra_faults(
-    stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, list[str | None]]:
-    """density_spectra without raising: the eigenvalues, and for each matrix
-    the message of the first check it fails, or None. The spectrum of a
-    matrix with a fault means nothing."""
     dev = _hermiticity_deviation(stack)
     evals = np.linalg.eigvalsh(hermitian_part(stack))
     low, tr = evals.min(axis=-1), evals.sum(axis=-1)
-    bad = (dev > tol.hermiticity_tol) | (low < -tol.eigenvalue_clamp) | (np.abs(tr - 1.0) > tol.trace_tol)
-    faults: list[str | None] = [None] * len(stack)
-    if bad.any():
-        for k in np.flatnonzero(bad):
-            faults[k] = _density_fault(float(dev[k]), float(low[k]), float(tr[k]), tol)
-    return evals, faults
-
-
-def _density_fault(dev: float, low: float, tr: float, tol: Tolerances) -> str:
-    if dev > tol.hermiticity_tol:
-        return _hermitian_fault(dev, tol)
-    if low < -tol.eigenvalue_clamp:
-        return (
-            f"negative eigenvalue {low:.6e} below -eigenvalue_clamp "
-            f"(-{tol.eigenvalue_clamp:.0e}); not a valid density matrix"
+    clamp = traced_dim * tol.eigenvalue_clamp
+    bad = (dev > traced_dim * tol.hermiticity_tol) | (low < -clamp) | (np.abs(tr - 1.0) > tol.trace_tol)
+    if not bad.any():
+        return evals
+    k = int(np.argmax(bad))
+    _check_hermitian(float(dev[k]), tol, traced_dim)
+    if low[k] < -clamp:
+        raise ValidationError(
+            f"negative eigenvalue {float(low[k]):.6e} below -{_scaled('eigenvalue_clamp', traced_dim)} "
+            f"(-{clamp:.0e}); not a valid density matrix"
         )
-    return (
-        f"trace {tr!r} deviates from 1 by {abs(tr - 1.0):.3e}, "
+    t = float(tr[k])
+    raise ValidationError(
+        f"trace {t!r} deviates from 1 by {abs(t - 1.0):.3e}, "
         f"beyond trace_tol={tol.trace_tol:.0e}; not a valid density matrix"
     )
-
-
-def raise_first(faults) -> None:
-    """Raise the first message in faults that is not None as a ValidationError."""
-    for fault in faults:
-        if fault is not None:
-            raise ValidationError(fault)

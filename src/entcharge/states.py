@@ -19,7 +19,7 @@ from .linalg import (
     MAX_JOINT_DIM,
     Tolerances,
     as_square_matrix,
-    density_eigenvalues,
+    density_spectra,
 )
 
 # Below this deviation a pure vector is already unit to machine precision and
@@ -88,7 +88,7 @@ def validate_state(dims: BipartiteDims, data, tol: Tolerances = DEFAULT_TOLERANC
             raise ShapeError(
                 f"density matrix dim {m.shape[0]} does not match dims {dims.dA}x{dims.dB} (joint {n})"
             )
-        density_eigenvalues(m, tol)
+        density_spectra(m[None], tol)
         return BipartiteState(dims, vector=None, matrix=_freeze(m))
     raise ShapeError("state data must be a vector (pure) or a square matrix (density)")
 

@@ -1,7 +1,6 @@
-"""Child interpreters started by the tests (`python -m entcharge`, the
-scripts) import entcharge from src/, as the tests do through the
-`pythonpath` setting in pyproject.toml, so no installed copy or PYTHONPATH
-is needed."""
+"""Child interpreters started by the tests (`python -m entcharge`) import
+entcharge from src/, as the tests do through the `pythonpath` setting in
+pyproject.toml, so no installed copy or PYTHONPATH is needed."""
 
 import os
 from pathlib import Path

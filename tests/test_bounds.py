@@ -360,7 +360,7 @@ def test_analyze_reuses_member_entropies_for_chi_a(monkeypatch):
     from entcharge import holevo_chi, reduced_ensemble
 
     e = random_orthogonal_pure_ensemble(np.random.default_rng(11), 8, count=64)
-    stacks = _count_calls(monkeypatch, "entropy", "entropies_and_faults")
+    stacks = _count_calls(monkeypatch, "entropy", "von_neumann_entropies")
     report = analyze(e)
     assert sorted(len(args[0]) for args in stacks) == [1, 66, 66]
     assert report.chi_a == holevo_chi(*reduced_ensemble(e, "A"))
@@ -373,9 +373,38 @@ def test_analyze_takes_no_member_spectrum_it_does_not_read(monkeypatch, kind):
     rng = np.random.default_rng(3)
     draw = random_density if kind == "density" else random_pure_vector
     e = make_ensemble([(1 / 6, validate_state(BipartiteDims(2, 32), draw(rng, 64))) for _ in range(6)])
-    stacks = _count_calls(monkeypatch, "entropy", "entropies_and_faults")
+    stacks = _count_calls(monkeypatch, "entropy", "von_neumann_entropies")
     analyze(e)
     assert [len(args[0]) for args in stacks] == [1, 1, 1]
+
+
+def test_maximally_entangled_reduces_only_pure_members_of_square_ensembles(monkeypatch):
+    # Only a pure member of a dA = dB ensemble can be maximally entangled, so
+    # analyze of a density ensemble builds no reduced state, and a mixed
+    # ensemble reduces its pure members only, to the same entries.
+    from entcharge import density_of, partial_trace
+
+    rng = np.random.default_rng(9)
+    d22, d23 = BipartiteDims(2, 2), BipartiteDims(2, 3)
+    bell = validate_state(d22, [2**-0.5, 0, 0, 2**-0.5])
+    density = make_ensemble([(0.5, validate_state(d22, random_density(rng, 4))) for _ in range(2)])
+    mixed = make_ensemble([(0.25, validate_state(d22, random_density(rng, 4))), (0.25, bell),
+                           (0.25, validate_state(d22, random_pure_vector(rng, 4))), (0.25, validate_state(d22, np.eye(4) / 4))])
+    oblong = make_ensemble([(0.5, validate_state(d23, v)) for v in np.eye(6)[:2]])
+    reduced = _count_calls(monkeypatch, "ensembles", "reduced_ensemble")
+    vectors = _count_calls(monkeypatch, "linalg", "vector_partial_traces")
+    analyze(density)
+    assert (len(reduced), len(vectors)) == (0, 0)
+    assert mixed.maximally_entangled == (False, True, False, False)
+    assert len(reduced) == 0 and [len(args[0]) for args in vectors] == [2, 2]
+    for s, entry in zip(mixed.states, mixed.maximally_entangled):
+        reference = s.is_pure and all(
+            np.linalg.norm(partial_trace(density_of(s), 2, 2, traced) - np.eye(2) / 2) <= mixed.tol.orthogonality_tol
+            for traced in "AB"
+        )
+        assert entry == reference
+    assert oblong.maximally_entangled == (False, False)
+    assert (len(reduced), len(vectors)) == (0, 2)
 
 
 def test_classify_structure_computes_no_entropy(monkeypatch):
@@ -459,7 +488,7 @@ def test_each_fact_is_computed_once(monkeypatch):
         for module, name in (
             ("states", "overlap_matrix"), ("states", "orthogonality_witness"), ("states", "is_product"),
             ("ensembles", "reduced_ensemble"), ("ensembles", "average_state"),
-            ("entropy", "von_neumann_entropy"), ("entropy", "entropies_and_faults"),
+            ("entropy", "von_neumann_entropy"), ("entropy", "von_neumann_entropies"),
             ("linalg", "partial_trace"),
         )
     }
@@ -470,7 +499,7 @@ def test_each_fact_is_computed_once(monkeypatch):
     # One batched spectrum per side covers its marginal, its chi average and
     # every member; S(AB) is the only other entropy.
     m = len(e.members)
-    assert sorted(len(args[0]) for args in calls["entropies_and_faults"]) == [1, m + 2, m + 2]
+    assert sorted(len(args[0]) for args in calls["von_neumann_entropies"]) == [1, m + 2, m + 2]
     second = {name: getattr(e, name) for name in FACTS}
     assert {name: len(c) for name, c in calls.items()} == counts
     assert all(second[name] is first[name] for name in FACTS)

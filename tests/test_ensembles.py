@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entcharge import (
+    DEFAULT_TOLERANCES,
+    STRICT_TOLERANCES,
     BipartiteDims,
-    BipartiteState,
     ShapeError,
+    Tolerances,
     ValidationError,
     analyze,
     average_state,
@@ -15,6 +19,7 @@ from entcharge import (
     equal_probs,
     holevo_chi,
     make_ensemble,
+    parse_ensemble,
     partial_trace,
     product_basis,
     reduced_ensemble,
@@ -23,6 +28,8 @@ from entcharge import (
     validate_state,
     von_neumann_entropy,
 )
+from entcharge.entropy import von_neumann_entropies
+from entcharge.linalg import density_spectra
 from helpers import bell_vectors, random_density, random_orthogonal_pure_ensemble, random_pure_vector
 
 
@@ -228,10 +235,10 @@ def test_batched_member_facts_match_the_per_member_reference(seed, dA, dB, kinds
     assert e.chi_b == holevo_chi(e.probs, ref_b)
 
 
-def _reduced_invalid_member(fault: str):
-    """A valid 2x2 density matrix whose A-side reduced state is not valid:
-    two diagonal entries of -0.9e-12 pass eigenvalue_clamp alone but add up
-    past it, and two Hermiticity deviations of 0.8e-10 add up past
+def _member_at_the_edges(fault: str):
+    """A valid 2x2 density matrix whose A-side reduced state adds up two of
+    its deviations: two diagonal entries of -0.9e-12, each within
+    eigenvalue_clamp, or two Hermiticity deviations of 0.8e-10, each within
     hermiticity_tol."""
     if fault == "negative":
         eps = 2.0**-40
@@ -243,51 +250,128 @@ def _reduced_invalid_member(fault: str):
     return validate_state(BipartiteDims(2, 2), m)
 
 
+def _beyond_the_traced_bound(fault: str) -> np.ndarray:
+    """A 2x2 reduced state beyond what a member with a qubit traced out can
+    give: an eigenvalue of -3e-12 below -2 x eigenvalue_clamp, or a
+    Hermiticity deviation of 2.5e-10 above 2 x hermiticity_tol."""
+    if fault == "negative":
+        return np.diag([-3e-12, 1.0 + 3e-12]).astype(complex)
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 1] = 0.1 + 2.5e-10
+    m[1, 0] = 0.1
+    return m
+
+
+BEYOND_THE_TRACED_BOUND = {
+    "negative": "negative eigenvalue -3.000000e-12 below -2 x eigenvalue_clamp (-2e-12); not a valid density matrix",
+    "hermitian": "matrix is not Hermitian: max |m - m^dag| = 2.500e-10 exceeds 2 x hermiticity_tol=1e-10",
+}
+
+
 @pytest.mark.parametrize("faults", [("negative", "hermitian"), ("hermitian", "negative")])
 def test_invalid_reduced_member_raises_the_first_bad_members_message(faults):
-    good = validate_state(BipartiteDims(2, 2), np.eye(4) / 4)
-    states = [good, *(_reduced_invalid_member(f) for f in faults)]
-    e = make_ensemble([(1 / 3, s) for s in states])
-    with pytest.raises(ValidationError) as want:
-        von_neumann_entropy(partial_trace(density_of(states[1]), 2, 2, "B"))
-    assert str(want.value).startswith("negative eigenvalue" if faults[0] == "negative" else "matrix is not Hermitian")
-    with pytest.raises(ValidationError) as got:
-        e.avg_member_entropy
-    assert str(got.value) == str(want.value)
+    # A raw stack of reduced states, checked at the bounds of a traced-out
+    # qubit, with two rows beyond them: the first bad row's message is raised.
+    stack = np.stack([np.eye(2, dtype=complex) / 2, *(_beyond_the_traced_bound(f) for f in faults)])
+    for check in (density_spectra, von_neumann_entropies):
+        with pytest.raises(ValidationError) as got:
+            check(stack, DEFAULT_TOLERANCES, 2)
+        assert str(got.value) == BEYOND_THE_TRACED_BOUND[faults[0]], check.__name__
 
 
 @pytest.mark.parametrize("fault", ["negative", "hermitian"])
 def test_a_reduced_member_nothing_reads_does_not_fail_analyze(fault):
-    # Each reduced member fails its checks, while the marginals, which average
-    # it with a valid member, pass them. No bound of a density ensemble reads a
-    # member entropy, so analyze succeeds; the member facts still raise.
+    # The member's A-side reduced state fails the checks of an input state,
+    # but not those of a state with a qubit traced out, which are the bounds a
+    # valid member guarantees: analyze and every member fact succeed.
     good = validate_state(BipartiteDims(2, 2), np.eye(4) / 4)
-    bad = _reduced_invalid_member(fault)
-    e = make_ensemble([(0.5, good), (0.5, bad)])
-    with pytest.raises(ValidationError) as want:
-        von_neumann_entropy(partial_trace(density_of(bad), 2, 2, "B"))
+    edge = _member_at_the_edges(fault)
+    e = make_ensemble([(0.5, good), (0.5, edge)])
+    with pytest.raises(ValidationError):
+        von_neumann_entropy(partial_trace(density_of(edge), 2, 2, "B"))
     report = analyze(e)
     assert report.upper_bounds["compress_teleport"] == e.s_a == von_neumann_entropy(partial_trace(e.average, 2, 2, "B"))
     assert e.s_b == von_neumann_entropy(partial_trace(e.average, 2, 2, "A"))
-    for fact in ("entropies_a", "chi_a", "avg_member_entropy"):
-        with pytest.raises(ValidationError) as got:
-            getattr(e, fact)
-        assert str(got.value) == str(want.value), fact
+    for fact in ("entropies_a", "chi_a", "avg_member_entropy", "entropies_b", "chi_b"):
+        assert np.all(np.isfinite(getattr(e, fact))), fact
+    assert e.entropies_a[0] == von_neumann_entropy(np.eye(2) / 2)
 
 
-def test_stacked_marginal_entropy_raises_only_for_the_marginal():
-    # An orthogonal pure ensemble takes S(A) from row 0 of side A's stack. A
-    # zero-probability member of norm 2, built around validate_state, leaves
-    # the average valid but its reduced states have trace 4: the member facts
-    # raise for it, and S(A) and S(B) do not.
-    dims = BipartiteDims(2, 2)
-    long = BipartiteState(dims, vector=np.array([0, 0, 0, 2], dtype=complex), matrix=None)
-    e = make_ensemble([(0.5, validate_state(dims, [1, 0, 0, 0])), (0.5, validate_state(dims, [0, 1, 0, 0])), (0.0, long)])
-    assert e._orthogonal_pure
-    assert (e.s_a, e.s_b) == (0.0, 1.0)
-    for fact in ("entropies_a", "chi_a", "entropies_b", "chi_b"):
-        with pytest.raises(ValidationError, match=r"^trace 4\.0 deviates from 1 by 3\.000e\+00"):
-            getattr(e, fact)
+def _ensemble_text(dA: int, dB: int, members) -> str:
+    """An ensemble file of (prob, kind, data) members, its floats written
+    with repr, which parses back to the same bits."""
+    def pairs(a):
+        return [[float(z.real), float(z.imag)] for z in np.asarray(a, dtype=complex).ravel()]
+
+    def state(kind, data):
+        values = pairs(data)
+        if kind == "density":
+            n = int(round(np.sqrt(len(values))))
+            values = [values[i * n:(i + 1) * n] for i in range(n)]
+        return {"kind": kind, "data": values}
+
+    return json.dumps({
+        "schema_version": 1, "dims": {"dA": dA, "dB": dB},
+        "members": [{"prob": float(p), "state": state(kind, data)} for p, kind, data in members],
+    })
+
+
+def _edge_density(rng, n: int, negative, skewed, tol: Tolerances) -> np.ndarray:
+    """A density matrix, diagonal but for its Hermiticity deviations, whose
+    eigenvalues at the joint indices in negative are -0.99 eigenvalue_clamp,
+    and whose entries (i, j) in skewed, i < j, deviate from Hermiticity by
+    0.99 hermiticity_tol, in real or imaginary direction."""
+    low = -0.99 * tol.eigenvalue_clamp
+    weights = rng.random(n - len(negative)) + 0.1
+    diag = np.full(n, low)
+    diag[[i for i in range(n) if i not in negative]] = weights / weights.sum() * (1.0 - low * len(negative))
+    m = np.diag(diag).astype(complex)
+    half = 0.495 * tol.hermiticity_tol
+    for (i, j), imaginary in skewed:
+        # m - m^dag is 2 * half at (i, j), and the Hermitian part stays diagonal.
+        m[i, j], m[j, i] = (1j * half, 1j * half) if imaginary else (half, -half)
+    return m
+
+
+@st.composite
+def _ensembles_at_the_edges(draw):
+    """The text of a dA x dB ensemble, dA, dB in 1..4, of density members at
+    the tolerance edges, mixed with random pure members, and its profile."""
+    dA, dB = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = dA * dB
+    tol = draw(st.sampled_from([DEFAULT_TOLERANCES, STRICT_TOLERANCES]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["density", "pure"]), min_size=1, max_size=4).filter(lambda k: "density" in k))
+    members = []
+    for p, kind in zip(rng.dirichlet(np.ones(len(kinds))), kinds):
+        if kind == "pure":
+            members.append((p, kind, random_pure_vector(rng, n)))
+            continue
+        negative = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        skewed = draw(st.lists(
+            st.tuples(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] < t[1]), st.booleans()),
+            max_size=2 * n, unique_by=lambda t: t[0],
+        )) if n > 1 else []
+        members.append((p, kind, _edge_density(rng, n, negative, skewed, tol)))
+    return _ensemble_text(dA, dB, members), tol
+
+
+@given(_ensembles_at_the_edges())
+@example((_ensemble_text(2, 2, [(1.0, "density", np.diag([-8e-13, -8e-13, 0.5, 0.5 + 1.6e-12]))]), DEFAULT_TOLERANCES))
+@example((_ensemble_text(2, 2, [(1.0, "density", _edge_density(
+    np.random.default_rng(0), 4, {0, 1}, [((0, 2), False), ((1, 3), False)], DEFAULT_TOLERANCES))]), DEFAULT_TOLERANCES))
+@example((_ensemble_text(3, 2, [(0.5, "density", _edge_density(np.random.default_rng(1), 6, {0, 2, 4}, [], STRICT_TOLERANCES)),
+                                (0.5, "pure", random_pure_vector(np.random.default_rng(2), 6))]), STRICT_TOLERANCES))
+@settings(max_examples=60, deadline=None)
+def test_analyze_accepts_whatever_parse_accepts_at_the_tolerance_edges(case):
+    # A partial trace adds up d entries of each deviation of a member: the
+    # derived states of members at the edges of their own checks lie beyond
+    # those checks but within the d-fold bounds a valid member guarantees.
+    text, tol = case
+    e = parse_ensemble(text, tol)
+    analyze(e)
+    for fact in ("s_ab", "s_a", "s_b", "entropies_a", "entropies_b", "avg_member_entropy", "chi_a", "chi_b"):
+        assert np.all(np.isfinite(getattr(e, fact))), fact
 
 
 def _identical_reduced_states():

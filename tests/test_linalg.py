@@ -8,13 +8,10 @@ from entcharge import (
     ShapeError,
     Tolerances,
     ValidationError,
-    hermitian_eigenvalues,
     partial_trace,
 )
+from entcharge.linalg import density_spectra
 from helpers import charpoly_eigenvalues, partial_trace_loop, random_density
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-
 
 def test_tolerances_must_be_positive():
     with pytest.raises(ValidationError):
@@ -67,33 +64,22 @@ def test_partial_trace_shape_error():
         partial_trace(np.eye(4), 2, 3, "A")
 
 
-def test_hermitian_eigenvalues_diagonal():
-    got = hermitian_eigenvalues(np.diag([0.75, 0.25]))
+def test_density_spectra_diagonal():
+    got = density_spectra(np.diag([0.75, 0.25]).astype(complex)[None])[0]
     assert np.allclose(got, [0.25, 0.75], atol=0)
 
 
-def test_hermitian_eigenvalues_sigma_x():
-    assert np.allclose(hermitian_eigenvalues(SX), [-1.0, 1.0], atol=1e-12)
-
-
-def test_hermitian_eigenvalues_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
+def test_density_spectra_rejects_non_hermitian():
+    m = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
     with pytest.raises(ValidationError, match="Hermitian"):
-        hermitian_eigenvalues(m)
-
-
-def test_hermitian_eigenvalues_rejects_nan():
-    with pytest.raises(ValidationError, match="finite"):
-        hermitian_eigenvalues(np.array([[np.nan, 0], [0, 1.0]]))
+        density_spectra(m[None])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
 @settings(max_examples=40, deadline=None)
 def test_eigenvalues_match_charpoly_oracle(seed, dim):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2
-    assert np.allclose(hermitian_eigenvalues(h), charpoly_eigenvalues(h), atol=1e-8)
+    rho = random_density(np.random.default_rng(seed), dim)
+    assert np.allclose(density_spectra(rho[None])[0], charpoly_eigenvalues(rho), atol=1e-8)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
@@ -101,5 +87,5 @@ def test_eigenvalues_match_charpoly_oracle(seed, dim):
 def test_psd_eigenvalues_above_negative_clamp(seed, dim):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, dim)
-    w = hermitian_eigenvalues(rho)
+    w = density_spectra(rho[None])[0]
     assert w.min() >= -DEFAULT_TOLERANCES.eigenvalue_clamp

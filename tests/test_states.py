@@ -12,7 +12,6 @@ from entcharge import (
     ValidationError,
     density_of,
     entanglement_entropy,
-    hermitian_eigenvalues,
     is_product,
     make_ensemble,
     pairwise_orthogonal,
@@ -21,6 +20,7 @@ from entcharge import (
     validate_state,
     von_neumann_entropy,
 )
+from entcharge.linalg import density_spectra
 from helpers import random_pure_vector
 
 D22 = BipartiteDims(2, 2)
@@ -48,6 +48,11 @@ def test_validate_density_maximally_mixed():
     s = validate_state(D22, np.eye(4) / 4)
     assert not s.is_pure
     assert np.allclose(s.matrix, np.eye(4) / 4)
+
+
+def test_validate_density_rejects_nan():
+    with pytest.raises(ValidationError, match="finite"):
+        validate_state(BipartiteDims(1, 2), np.array([[np.nan, 0], [0, 1.0]]))
 
 
 def test_validate_rejects_negative_eigenvalue_density():
@@ -116,7 +121,7 @@ def test_schmidt_squares_match_reduced_eigenvalues(seed):
     coeffs = schmidt_coefficients(s)
     assert coeffs.sum() >= 0 and abs((coeffs**2).sum() - 1) < 1e-9
     reduced = partial_trace(density_of(s), 3, 3, "B")
-    evals = np.sort(hermitian_eigenvalues(reduced))[::-1]
+    evals = np.sort(density_spectra(reduced[None])[0])[::-1]
     assert np.allclose(coeffs**2, evals, atol=1e-9)
 
 
