@@ -129,13 +129,15 @@ def _joint_table(probs: np.ndarray, rhos: np.ndarray, elements: np.ndarray) -> n
     return table / table.sum(axis=(1, 2), keepdims=True)
 
 
-def _information(table: np.ndarray) -> np.ndarray:
-    """H(X) + H(Y) - H(XY) of each joint table in a stack; may round below 0.
+def _information(table: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """H(X) + H(Y) - H(XY) of each joint table in a stack (may round below 0),
+    and the marginals p(x), p(y) it summed, which _ascent_direction reuses.
     Each entropy has _entropy_bits' bits."""
     r, x, y = table.shape
-    p = np.concatenate([table.sum(axis=2), table.sum(axis=1), table.reshape(r, -1)], axis=1)
+    marginals = table.sum(axis=2), table.sum(axis=1)
+    p = np.concatenate([*marginals, table.reshape(r, -1)], axis=1)
     h = _row_entropies(p, ((0, x), (x, x + y), (x + y, p.shape[1])))
-    return h[0] + h[1] - h[2]
+    return h[0] + h[1] - h[2], marginals
 
 
 def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
@@ -145,7 +147,7 @@ def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
             f"POVM dims {m.dims.dA}x{m.dims.dB} do not match ensemble dims {e.dims.dA}x{e.dims.dB}"
         )
     rhos = np.stack([density_of(s) for s in e.states])
-    return max(0.0, float(_information(_joint_table(e.probs, rhos, np.stack(m.elements)[None]))[0]))
+    return max(0.0, float(_information(_joint_table(e.probs, rhos, np.stack(m.elements)[None]))[0][0]))
 
 
 # -- POVM search ---------------------------------------------------------------
@@ -156,35 +158,44 @@ def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
 # than RISE_TOL; eps then doubles (up to 1), else halves. Restart 0 starts from
 # the square-root measurement, the rest from seeded Gaussian factors. Restarts
 # run in lockstep blocks: one stacked call per kernel advances every running
-# restart of a block, each with its own eps, best value and iteration count.
-# The kernels treat each restart of a stack apart, so every trajectory, and the
-# result, equals the serial search's. A block holds at most BLOCK_ENTRIES
-# stacked entries (restarts x outcomes x n^2), and at least one restart.
+# restart of a block, each with its own eps and best value. The kernel relies
+# on three invariants:
+# - restarts are independent: every kernel treats each restart of a stack
+#   apart, so every trajectory, and the result, equals the serial search's;
+# - the step count is shared: the live restarts of a block started together
+#   and have all taken the same number of steps, so one counter serves them;
+# - a null projector exists only at rank deficiency: when every Sigma of a
+#   stack has full rank, _pinv_sqrt builds none and the elements need none.
+# A block holds at most BLOCK_ENTRIES stacked entries (restarts x outcomes x
+# n^2), and at least one restart.
 BLOCK_ENTRIES = 1 << 16
 
 
-def _pinv_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pinv_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Pseudo-inverse square root of each matrix in a stack, plus the
-    projector onto its null space."""
+    projector onto its null space, or None when every matrix has full rank."""
     w, v = np.linalg.eigh(hermitian_part(matrix))
     floor = np.maximum(w.max(axis=-1, keepdims=True), 1e-30) * 1e-14
     keep = w > floor
-    inv_diag = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
     vh = v.conj().swapaxes(-1, -2)
+    if keep.all():
+        return (v * (1.0 / np.sqrt(w))[..., None, :]) @ vh, None
+    inv_diag = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
     return (v * inv_diag[..., None, :]) @ vh, (v * ~keep[..., None, :]) @ vh
 
 
 def _povm_elements(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G_y = F_y Sigma^(-1/2), Sigma = sum_y F_y^dag F_y, and the elements
     G_y^dag G_y of each factor stack in (r, outcomes, n, n), plus the null
-    projector of Sigma on element 0 so completeness holds exactly. Gram
-    matrices are PSD to rounding; conjugating the summed stack instead can
-    leave eigenvalues of -1e-11 on ill-conditioned stacks."""
+    projector of Sigma, if any, on element 0 so completeness holds exactly.
+    Gram matrices are PSD to rounding; conjugating the summed stack instead
+    can leave eigenvalues of -1e-11 on ill-conditioned stacks."""
     mats = np.einsum("ryki,rykj->ryij", factors.conj(), factors)
     inv_sqrt, null_proj = _pinv_sqrt(mats.sum(axis=1))
     g = factors @ inv_sqrt[:, None]
     out = np.einsum("ryki,rykj->ryij", g.conj(), g)
-    out[:, 0] += null_proj
+    if null_proj is not None:
+        out[:, 0] += null_proj
     return g, out
 
 
@@ -196,11 +207,14 @@ def _sqrt_measurement_factors(probs: np.ndarray, rhos: np.ndarray, outcomes: int
     return factors
 
 
-def _ascent_direction(table: np.ndarray, probs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """R_y / max_y |R_y|_F per restart (so |eps R_y / |R|| <= eps); p(x, y) = 0 adds 0."""
+def _ascent_direction(
+    table: np.ndarray, marginals: tuple[np.ndarray, np.ndarray], probs: np.ndarray, rhos: np.ndarray
+) -> np.ndarray:
+    """R_y / max_y |R_y|_F per restart (so |eps R_y / |R|| <= eps), from the
+    joint tables and their marginals (p(x), p(y)); p(x, y) = 0 adds 0."""
+    px, py = marginals
     seen = table > 0.0
-    marginals = table.sum(axis=2)[:, :, None] * table.sum(axis=1)[:, None, :]
-    log_ratio = np.log(np.where(seen, table, 1.0) / np.where(seen, marginals, 1.0))
+    log_ratio = np.log(np.where(seen, table, 1.0) / np.where(seen, px[:, :, None] * py[:, None, :], 1.0))
     r = np.einsum("x,rxy,xij->ryij", probs, log_ratio, rhos)
     norm = np.sqrt((r.conj() * r).real.sum(axis=(2, 3))).max(axis=1)  # Frobenius, as np.linalg.norm
     return r / np.where(norm == 0.0, 1.0, norm)[:, None, None, None]
@@ -209,28 +223,39 @@ def _ascent_direction(table: np.ndarray, probs: np.ndarray, rhos: np.ndarray) ->
 def _lockstep_ascent(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, cfg: OptimizerConfig):
     """The best elements of each restart in a factor stack, their information
     and iterations. A restart drops out at max_iters or once its step falls
-    below STEP_TOL; the others run on."""
+    below STEP_TOL; the others run on. The loop holds only the live restarts'
+    state and writes a restart's results when it drops out."""
     factors, elements = _povm_elements(factors)
     table = _joint_table(probs, rhos, elements)
-    best = _information(table)
-    direction = _ascent_direction(table, probs, rhos)
-    live, step, iters = np.arange(len(best)), np.ones(len(best)), np.zeros(len(best), dtype=int)
+    value, marginals = _information(table)
+    direction = _ascent_direction(table, marginals, probs, rhos)
+    live, step, steps = np.arange(len(value)), np.ones(len(value)), 0
+    best_elements, best, iters = np.empty_like(elements), np.empty_like(value), np.empty(len(value), dtype=int)
     while live.size:
         trial, trial_elements = _povm_elements(factors + step[:, None, None, None] * factors @ direction)
         table = _joint_table(probs, rhos, trial_elements)
-        value = _information(table)
-        rise = value > best[live] + RISE_TOL
-        if rise.any():
+        trial_value, marginals = _information(table)
+        rise = trial_value > value + RISE_TOL
+        if rise.all():
+            factors, elements, value = trial, trial_elements, trial_value
+            direction = _ascent_direction(table, marginals, probs, rhos)
+            step = np.minimum(1.0, 2.0 * step)
+        elif rise.any():
             kept = rise[:, None, None, None]
             factors = np.where(kept, trial, factors)
-            direction = np.where(kept, _ascent_direction(table, probs, rhos), direction)
-            elements[live[rise]], best[live[rise]] = trial_elements[rise], value[rise]
-        step = np.where(rise, np.minimum(1.0, 2.0 * step), step * 0.5)
-        iters[live] += 1
-        go = (iters[live] < cfg.max_iters) & (step >= STEP_TOL)
+            direction = np.where(kept, _ascent_direction(table, marginals, probs, rhos), direction)
+            elements, value = np.where(kept, trial_elements, elements), np.where(rise, trial_value, value)
+            step = np.where(rise, np.minimum(1.0, 2.0 * step), step * 0.5)
+        else:
+            step = step * 0.5
+        steps += 1
+        go = (step >= STEP_TOL) & (steps < cfg.max_iters)
         if not go.all():
+            done = live[~go]
+            best_elements[done], best[done], iters[done] = elements[~go], value[~go], steps
             live, factors, direction, step = live[go], factors[go], direction[go], step[go]
-    return elements, best, iters
+            elements, value = elements[go], value[go]
+    return best_elements, best, iters
 
 
 def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig()) -> InfoInterval:

@@ -78,9 +78,11 @@ def von_neumann_entropies(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCE
 
 def _row_entropies(p: np.ndarray, cuts: tuple[tuple[int, int], ...]) -> np.ndarray:
     """_entropy_bits of each row's segment p[k, i:j], for each cut (i, j), as
-    an array (cuts, rows), with its bits. All rows are summed in one pass;
-    a segment holding a zero goes through _entropy_bits itself, as numpy's
-    pairwise sum groups a masked row of 8 or more entries otherwise."""
+    an array (cuts, rows), with its bits. All rows are summed in one pass. A
+    zero or negative entry adds a zero term. numpy sums fewer than 8 entries
+    strictly in order, where that term changes no bit, but groups 8 or more
+    by position (pairwise), where it can; so only a segment of 8 or more
+    entries holding such an entry goes through _entropy_bits itself."""
     seen = p > 0.0
     q = np.where(seen, p, 1.0)
     terms = q * np.log2(q)
@@ -91,6 +93,8 @@ def _row_entropies(p: np.ndarray, cuts: tuple[tuple[int, int], ...]) -> np.ndarr
     h = np.maximum(0.0 - h, 0.0)
     if not seen.all():
         for c, (i, j) in enumerate(cuts):
+            if j - i < 8:
+                continue
             for k in np.flatnonzero(~seen[:, i:j].all(axis=1)):
                 h[c, k] = _entropy_bits(p[k, i:j])
     return h

@@ -427,6 +427,13 @@ def _basis_and_plus(d: int, probs):
     return make_ensemble(zip(probs, [validate_state(dims, v) for v in vectors]))
 
 
+def _zero_member():
+    """|0>, |+> and |1> on 1 x 2 with p = (0.6, 0.4, 0): the last member's row
+    of every joint table is zero, so the 3-entry p(x) segment holds a zero."""
+    vectors = [[1.0, 0.0], np.array([1.0, 1.0]) / np.sqrt(2), [0.0, 1.0]]
+    return make_ensemble(zip([0.6, 0.4, 0.0], [validate_state(D12, v) for v in vectors]))
+
+
 def _mixed(dims: BipartiteDims, seed: int):
     from helpers import random_density, random_pure_vector
 
@@ -460,6 +467,7 @@ PINNED_CASES = {
     "pair_restarts1": (lambda: two_state_ensemble(0.3), {"restarts": 1}),
     "zero_table_1x3": (lambda: _basis_and_plus(3, equal_probs(4)), {"restarts": 3, "max_iters": 300, "seed": 1}),
     "zero_plus_1x2": (lambda: _basis_and_plus(2, [0.4, 0.3, 0.3]), {"restarts": 4, "max_iters": 200, "seed": 3}),
+    "zero_member_1x2": (_zero_member, {"restarts": 3, "max_iters": 100, "seed": 4}),
     "pure4_1x3": (lambda: _seeded_pure(BipartiteDims(1, 3), 4, 5), {"restarts": 3, "max_iters": 100, "seed": 5}),
     "pure3_2x3": (lambda: _seeded_pure(BipartiteDims(2, 3), 3, 2), {"restarts": 2, "max_iters": 200, "seed": 2}),
     "identical_bell": (_identical_bell, {"restarts": 2, "max_iters": 40}),
@@ -481,6 +489,7 @@ PINNED = {
     "strict_near_orthogonal": ("0x1.fffffff8207c8p-1", "0x1.ffffffff615fcp-1", ""),
     "trine": ("0x1.2b803473f6680p-1", "0x1.fffffffffffffp-1", ""),
     "zero_table_1x3": ("0x1.4fafec548162cp+0", "0x1.8000000000000p+0", "local search hit max_iters=300 before step_tol on 1/3 restarts"),
+    "zero_member_1x2": ("0x1.8d7bc54ae1a20p-2", "0x1.2a628d0cf5c1dp-1", "local search hit max_iters=100 before step_tol on 2/3 restarts"),
 }
 
 
@@ -489,6 +498,28 @@ def test_estimate_outputs_are_pinned(name):
     build, cfg = PINNED_CASES[name]
     info = estimate_accessible_info(build(), OptimizerConfig(**cfg))
     assert (info.lo.hex(), info.hi.hex(), info.note) == PINNED[name]
+
+
+def test_a_pinned_case_holds_zeros_in_segments_shorter_than_8(monkeypatch):
+    # _row_entropies sums a segment of fewer than 8 entries in its one pass
+    # even when it holds a zero; zero_member_1x2 pins such rows, in both
+    # 3-entry marginals, while the other zero cases hold theirs in 9- and
+    # 16-entry joint segments.
+    import entcharge.accessible as accessible
+
+    zeros = {}
+    original = accessible._row_entropies
+
+    def counted(p, cuts):
+        for c, (i, j) in enumerate(cuts):
+            if j - i < 8:
+                zeros[c] = zeros.get(c, 0) + int((p[:, i:j] <= 0.0).any(axis=1).sum())
+        return original(p, cuts)
+
+    monkeypatch.setattr(accessible, "_row_entropies", counted)
+    build, cfg = PINNED_CASES["zero_member_1x2"]
+    estimate_accessible_info(build(), OptimizerConfig(**cfg))
+    assert zeros[0] > 0 and zeros[1] > 0
 
 
 def test_default_pair_search_runs_its_restarts_in_lockstep(monkeypatch):
@@ -577,4 +608,4 @@ def test_stacked_information_has_the_bits_of_the_serial_sums(shape):
     tables[rng.random(tables.shape) < 0.3] = 0.0
     tables = (tables / tables.sum(axis=1, keepdims=True)).reshape(-1, *shape)
     serial = [_entropy_bits(t.sum(axis=1)) + _entropy_bits(t.sum(axis=0)) - _entropy_bits(t) for t in tables]
-    assert [v.hex() for v in _information(tables)] == [v.hex() for v in serial]
+    assert [v.hex() for v in _information(tables)[0]] == [v.hex() for v in serial]
