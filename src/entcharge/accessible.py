@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import Ensemble, shannon_of
-from .entropy import _row_entropies, holevo_chi
+from .entropy import _row_entropies
 from .errors import ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -28,9 +28,12 @@ from .linalg import (
     frobenius,
     hermitian_part,
 )
-from .states import BipartiteDims, _freeze, density_of
+from .states import BipartiteDims, _freeze
 
-# Completeness tolerance for sum of POVM elements vs identity (Frobenius).
+# Completeness tolerance for sum of POVM elements vs identity (Frobenius). No
+# tolerance profile changes it: a profile bounds how far input may be off, and
+# the package checks only the search's own POVMs, complete to rounding (the
+# null projector closes any gap), far inside any profile's value.
 POVM_COMPLETENESS_TOL = 1e-8
 # Stop rules, not rounding slacks: they bound the search's effort, not what it
 # certifies. A restart stops once its step falls below STEP_TOL; a step counts
@@ -146,8 +149,7 @@ def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
         raise ShapeError(
             f"POVM dims {m.dims.dA}x{m.dims.dB} do not match ensemble dims {e.dims.dA}x{e.dims.dB}"
         )
-    rhos = np.stack([density_of(s) for s in e.states])
-    return max(0.0, float(_information(_joint_table(e.probs, rhos, np.stack(m.elements)[None]))[0][0]))
+    return max(0.0, float(_information(_joint_table(e.probs, e.densities, np.stack(m.elements)[None]))[0][0]))
 
 
 # -- POVM search ---------------------------------------------------------------
@@ -173,7 +175,12 @@ BLOCK_ENTRIES = 1 << 16
 
 def _pinv_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Pseudo-inverse square root of each matrix in a stack, plus the
-    projector onto its null space, or None when every matrix has full rank."""
+    projector onto its null space, or None when every matrix has full rank.
+
+    Eigenvalues at or below 1e-14 of the largest count as null. No tolerance
+    profile changes that floor: like STEP_TOL it steers the search, not what
+    it certifies, since the winning POVM is validated and its information
+    measured again whatever the floor."""
     w, v = np.linalg.eigh(hermitian_part(matrix))
     floor = np.maximum(w.max(axis=-1, keepdims=True), 1e-30) * 1e-14
     keep = w > floor
@@ -199,8 +206,8 @@ def _povm_elements(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, out
 
 
-def _sqrt_measurement_factors(probs: np.ndarray, rhos: np.ndarray, outcomes: int) -> np.ndarray:
-    inv_sqrt, _ = _pinv_sqrt(np.einsum("x,xij->ij", probs, rhos)[None])
+def _sqrt_measurement_factors(average: np.ndarray, probs: np.ndarray, rhos: np.ndarray, outcomes: int) -> np.ndarray:
+    inv_sqrt, _ = _pinv_sqrt(average[None])
     we, ve = np.linalg.eigh(hermitian_part(probs[:outcomes, None, None] * rhos[:outcomes]))
     factors = np.zeros((outcomes, *rhos.shape[1:]), dtype=complex)
     factors[: len(we)] = (ve * np.sqrt(np.clip(we, 0.0, None))[:, None, :]) @ ve.conj().swapaxes(-1, -2) @ inv_sqrt[0]
@@ -265,19 +272,20 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     lower edge is the best mutual information found by the seeded POVM
     search (re-evaluated through a validated POVM) and the upper edge is
     min(H(X), Holevo chi); a lower edge above it beyond ROUNDING_SLACK raises.
+    The search reads the ensemble's densities, average state and chi, so a
+    later analysis of the same ensemble computes none of them again.
     """
     hx = shannon_of(e)
     if e.witness is None:
         return InfoInterval(hx, hx, "orthogonal ensemble: exact value H(X)")
-    rhos = np.stack([density_of(s) for s in e.states])
-    probs = e.probs
-    cap = min(hx, holevo_chi(probs, list(rhos), e.tol))
+    rhos, probs = e.densities, e.probs
+    cap = min(hx, e.chi)
     outcomes = max(2, len(e.members))
     shape = (outcomes, e.dims.joint, e.dims.joint)
 
     def start(restart: int) -> np.ndarray:
         if restart == 0:
-            return _sqrt_measurement_factors(probs, rhos, outcomes)
+            return _sqrt_measurement_factors(e.average, probs, rhos, outcomes)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,)))
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 

@@ -6,7 +6,8 @@ verdict, with a scalar exact value only when one of the exactness rules
 fires. Conventions:
 
   * merging_AtoB = S(rho_AB) - S(rho_B) and merging_BtoA = S(rho_AB) - S(rho_A)
-    are the state-merging upper bounds (either may be negative);
+    are the state-merging upper bounds of every ensemble (either may be
+    negative; see upper_bound_merging);
   * compress_teleport = S(rho_A) is the compress-and-teleport upper bound,
     reported for comparison only (it never beats merging_AtoB);
   * the lower bound for pure orthogonal ensembles is the average member
@@ -112,8 +113,19 @@ def _require_pure(e: Ensemble, what: str) -> None:
 
 
 def upper_bound_merging(e: Ensemble) -> tuple[float, float]:
-    """State-merging upper bounds (S(A|B), S(B|A)) of the average state."""
-    _require_orthogonal(e, "the merging upper bound")
+    """State-merging upper bounds (S(A|B), S(B|A)) of the average state, for
+    every ensemble: pure or mixed, orthogonal or not.
+
+    The referee keeps the register X and a purification of every member, so
+    Alice and Bob share the average state rho_AB with a reference that holds
+    X. State merging (Horodecki, Oppenheim and Winter, Nature 436, 673, 2005)
+    moves A to Bob by LOCC at an asymptotic cost of S(A|B) ebits of rho_AB
+    per copy, a gain of -S(A|B) ebits when negative, and keeps AB's
+    correlation with that reference. Bob then holds rho_X^AB for the
+    referee's X and performs the optimal global measurement, which needs no
+    entanglement; so the charge is at most S(A|B). Merging B into A gives
+    S(B|A).
+    """
     return e.s_ab - e.s_b, e.s_ab - e.s_a
 
 
@@ -134,11 +146,11 @@ def chi_rewrite_bounds(e: Ensemble) -> tuple[float, float, tuple[float, float]]:
     _require_pure(e, "the chi-rewritten bracket")
     _require_orthogonal(e, "the chi-rewritten bracket")
     chi_a, chi_b = e.chi_a, e.chi_b
-    s_ab, s_a, s_b = e.s_ab, e.s_a, e.s_b
+    a_to_b, b_to_a = upper_bound_merging(e)
     if chi_a <= chi_b:
-        bracket = (s_ab - s_b - chi_a, s_ab - s_b)
+        bracket = (a_to_b - chi_a, a_to_b)
     else:
-        bracket = (s_ab - s_a - chi_b, s_ab - s_a)
+        bracket = (b_to_a - chi_b, b_to_a)
     return chi_a, chi_b, bracket
 
 
@@ -159,7 +171,7 @@ def lower_bound_general(e: Ensemble, info: InfoInterval) -> float:
 
 def exact_charge_max_entangled(e: Ensemble) -> float:
     """Exact charge H(X) - log2 d for orthogonal d x d maximally entangled
-    pure ensembles; cross-checked against S(rho_AB) - S(rho_B)."""
+    pure ensembles; cross-checked against the merging bound S(A|B)."""
     if e.dims.dA != e.dims.dB:
         raise PreconditionError(
             f"the exact maximally-entangled formula requires dA = dB, got {e.dims.dA}x{e.dims.dB}"
@@ -172,7 +184,7 @@ def exact_charge_max_entangled(e: Ensemble) -> float:
                 f"member {k} is not"
             )
     value = shannon_of(e) - float(np.log2(e.dims.dA))
-    if abs((e.s_ab - e.s_b) - value) > ROUNDING_SLACK:
+    if abs(upper_bound_merging(e)[0] - value) > ROUNDING_SLACK:
         raise ValidationError(
             "internal inconsistency: H(X) - log2 d and S(rho_AB) - S(rho_B) disagree beyond 1e-9"
         )
@@ -197,11 +209,8 @@ def analyze(e: Ensemble, accessible_info: InfoInterval | None = None) -> ChargeR
     """
     flags = e.flags
     notes: list[str] = []
-    uppers = {
-        "merging_AtoB": e.s_ab - e.s_b,
-        "merging_BtoA": e.s_ab - e.s_a,
-        "compress_teleport": e.s_a,
-    }
+    a_to_b, b_to_a = upper_bound_merging(e)
+    uppers = {"merging_AtoB": a_to_b, "merging_BtoA": b_to_a, "compress_teleport": e.s_a}
     if not flags.mutually_orthogonal:
         notes.append(
             "members are not mutually orthogonal: upper bounds use the "

@@ -30,7 +30,7 @@ from .fileio import (
     write_ensemble,
 )
 from .generators import bell_basis, equal_probs, generalized_bell_basis, product_basis, rotated_basis
-from .linalg import DEFAULT_TOLERANCES, STRICT_TOLERANCES, Tolerances
+from .linalg import DEFAULT_TOLERANCES, STRICT_TOLERANCES, Tolerances, check_joint_dim
 
 
 @functools.cache
@@ -110,8 +110,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _parse_probs(text: str | None, n: int) -> np.ndarray:
-    """A --probs value of comma-separated probabilities; n equal ones if None."""
+    """A --probs value of comma-separated probabilities; n equal ones if None.
+    n is a basis family's member count, its joint dimension, so it is checked
+    against the cap before the default is allocated."""
     if text is None:
+        check_joint_dim(n)
         return equal_probs(n)
     try:
         values = [float(part) for part in text.split(",")]

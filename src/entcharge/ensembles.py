@@ -1,6 +1,6 @@
-"""The ensemble data model {p_X, rho_X} and its derived facts: overlaps,
-average state and its entropies, per-party reduced ensembles, structure flags
-and the Holevo chi of each side.
+"""The ensemble data model {p_X, rho_X} and its derived facts: the joint
+member stack, overlaps, average state and its entropies, per-party reduced
+ensembles, structure flags and the Holevo chi, joint and of each side.
 
 An ensemble carries the Tolerances policy it was validated under, and every
 analysis of it reads that policy; none takes a tolerance of its own. Each
@@ -42,6 +42,7 @@ from .states import (
     _freeze,
     _maximally_mixed,
     density_of,
+    density_overlaps,
     is_product,
     orthogonality_witness,
     overlap_matrix,
@@ -66,7 +67,11 @@ class Ensemble:
     average state and its marginals. reduced_a / reduced_b stack each member
     traced down to A / B, entropies_a / entropies_b hold each member's
     S(rho_X^A) / S(rho_X^B), avg_member_entropy = sum_X p_X S(rho_X^A), and
-    chi_a / chi_b are the Holevo chi of the two reduced ensembles. The reduced
+    chi_a / chi_b are the Holevo chi of the two reduced ensembles. probs and
+    states split the members once. densities stacks every member's joint
+    density matrix, which the overlaps of mixed members and the
+    accessible-information search read, and chi is the joint Holevo chi,
+    whose first term is s_ab. The reduced
     states of each side are one batched computation over all members, and one
     spectrum per party covers its marginal, its chi average and its members:
     reading entropies_a or chi_a computes all three (B alike). s_a reads that
@@ -82,17 +87,25 @@ class Ensemble:
     label: str | None = None
     tol: Tolerances = DEFAULT_TOLERANCES
 
-    @property
+    @cached_property
     def probs(self) -> np.ndarray:
-        return np.array([p for p, _ in self.members])
+        return _freeze(np.array([p for p, _ in self.members]))
 
-    @property
-    def states(self) -> list[BipartiteState]:
-        return [s for _, s in self.members]
+    @cached_property
+    def states(self) -> tuple[BipartiteState, ...]:
+        return tuple(s for _, s in self.members)
+
+    @cached_property
+    def densities(self) -> np.ndarray:
+        """The joint member stack (m, n, n), rho_X of every member in order."""
+        return _freeze(np.stack([density_of(s) for s in self.states]))
 
     @cached_property
     def overlaps(self) -> np.ndarray:
-        return _freeze(overlap_matrix(self.states))
+        # Mixed members: overlap_matrix's stack is the shared densities.
+        if all(s.is_pure for s in self.states):
+            return _freeze(overlap_matrix(self.states))
+        return _freeze(density_overlaps(self.densities))
 
     @cached_property
     def witness(self) -> tuple[int, int, float] | None:
@@ -213,6 +226,13 @@ class Ensemble:
     @cached_property
     def chi_b(self) -> float:
         return _holevo_chi(self.probs, self.reduced_b, self._entropies_of_b[1:])
+
+    @cached_property
+    def chi(self) -> float:
+        """Holevo chi of the joint ensemble, S(rho_AB) - sum_X p_X S(rho_X):
+        its first term is s_ab, from the same average state."""
+        members = von_neumann_entropies(self.densities, self.tol)
+        return _holevo_chi(self.probs, self.densities, np.concatenate([[self.s_ab], members]))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,10 @@ MAX_JOINT_DIM = 64
 # Rounding slack of computed bits: a value within it of 0 counts as 0 for the
 # verdict and the exactness rules, and it is how far an identity between two
 # computed values, or an interval's lower edge over its upper edge, may be off
-# before that counts as an error. No tolerance profile changes it.
+# before that counts as an error. No tolerance profile changes it: it must
+# cover the error of bits computed from any input the default profile accepts,
+# every input the strict profile accepts is one of those, and no error bound
+# yet shows that a smaller slack would still cover the strict ones.
 ROUNDING_SLACK = 1e-9
 
 
@@ -52,6 +55,12 @@ STRICT_TOLERANCES = Tolerances(
     eigenvalue_clamp=1e-14,
     orthogonality_tol=1e-11,
 )
+
+
+def check_joint_dim(n: int) -> None:
+    """Reject a joint dimension above MAX_JOINT_DIM."""
+    if n > MAX_JOINT_DIM:
+        raise ValidationError(f"joint dimension {n} exceeds the cap {MAX_JOINT_DIM}")
 
 
 def as_square_matrix(m) -> np.ndarray:

@@ -16,14 +16,17 @@ import numpy as np
 from .errors import ShapeError, UnsupportedFormError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
-    MAX_JOINT_DIM,
     Tolerances,
     as_square_matrix,
+    check_joint_dim,
     density_spectra,
 )
 
 # Below this deviation a pure vector is already unit to machine precision and
 # is kept bit-identical, which keeps canonical file round-trips byte-stable.
+# No tolerance profile changes it: it decides only whether a vector the
+# profile accepted keeps its bits, never whether a vector is accepted, and it
+# lies below every profile's trace_tol.
 _RENORM_FLOOR = 1e-15
 
 
@@ -37,10 +40,7 @@ class BipartiteDims:
     def __post_init__(self) -> None:
         if self.dA < 1 or self.dB < 1:
             raise ValidationError(f"local dims must be >= 1, got {self.dA}x{self.dB}")
-        if self.dA * self.dB > MAX_JOINT_DIM:
-            raise ValidationError(
-                f"joint dimension {self.dA * self.dB} exceeds the cap {MAX_JOINT_DIM}"
-            )
+        check_joint_dim(self.dA * self.dB)
 
     @property
     def joint(self) -> int:
@@ -169,7 +169,12 @@ def overlap_matrix(states: list[BipartiteState] | tuple[BipartiteState, ...]) ->
     if all(s.is_pure for s in states):
         v = np.stack([s.vector for s in states])
         return np.abs(v.conj() @ v.T) ** 2
-    m = np.stack([density_of(s).ravel() for s in states])
+    return density_overlaps(np.stack([density_of(s) for s in states]))
+
+
+def density_overlaps(stack: np.ndarray) -> np.ndarray:
+    """overlap_matrix of a stack (m, n, n) of density matrices."""
+    m = stack.reshape(len(stack), -1)
     return np.real(m @ m.conj().T)
 
 

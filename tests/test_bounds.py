@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,12 +57,40 @@ def test_upper_bound_merging_rotated_family_equal(theta):
     assert got == pytest.approx((1.0, 1.0), abs=1e-9)
 
 
-def test_upper_bound_merging_precondition():
-    s0 = validate_state(BipartiteDims(2, 2), [1, 0, 0, 0])
-    s1 = validate_state(BipartiteDims(2, 2), np.array([1, 1, 0, 0]) / np.sqrt(2))
-    e = make_ensemble([(0.5, s0), (0.5, s1)])
-    with pytest.raises(PreconditionError, match="orthogonal"):
-        upper_bound_merging(e)
+def _random_ensemble(rng: np.random.Generator, pure: bool, orthogonal: bool):
+    """A random ensemble on dA x dB with 2 to n members, pure or mixed, with
+    mutually orthogonal supports (split from one random unitary) or not."""
+    dims = BipartiteDims(int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+    n = dims.joint
+    m = int(rng.integers(2, n + 1))
+    if orthogonal:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        blocks = np.array_split(q[:, rng.permutation(n)], m, axis=1)
+        if pure:
+            data = [b[:, 0] for b in blocks]
+        else:
+            data = [(b * rng.dirichlet(np.ones(b.shape[1]))) @ b.conj().T for b in blocks]
+    else:
+        data = [random_pure_vector(rng, n) if pure else random_density(rng, n) for _ in range(m)]
+    return make_ensemble(zip(rng.dirichlet(np.ones(m)), (validate_state(dims, x) for x in data)))
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "nonorthogonal"])
+def test_upper_bound_merging_holds_for_every_ensemble(pure, orthogonal):
+    # analyze reports merging for every ensemble, so both must agree exactly.
+    # By concavity of S(A|B) and Araki-Lieb, each edge is at least
+    # -sum_X p_X min(S(rho_X^A), S(rho_X^B)), the most any member's
+    # entanglement could pay back.
+    rng = np.random.default_rng(2005 + 2 * pure + orthogonal)
+    for _ in range(40):
+        e = _random_ensemble(rng, pure, orthogonal)
+        assert (e.flags.all_pure, e.flags.mutually_orthogonal) == (pure, orthogonal)
+        uppers = analyze(e).upper_bounds
+        a_to_b, b_to_a = upper_bound_merging(e)
+        assert (a_to_b, b_to_a) == (uppers["merging_AtoB"], uppers["merging_BtoA"])
+        floor = -float(np.dot(e.probs, np.minimum(e.entropies_a, e.entropies_b)))
+        assert min(a_to_b, b_to_a) >= floor - ROUNDING_SLACK
 
 
 def test_upper_bound_compress_teleport_examples():
@@ -467,6 +497,23 @@ def test_estimate_then_analyze_builds_one_overlap_matrix(monkeypatch):
     assert len(overlaps) == 1
 
 
+@pytest.mark.parametrize("name", ["nonorth2x2", "mixedpure2x3"])
+def test_estimate_then_analyze_builds_each_joint_fact_once(name, monkeypatch):
+    import entcharge.accessible
+    from entcharge import OptimizerConfig, parse_ensemble
+
+    e = parse_ensemble((Path(__file__).resolve().parent / "golden" / f"{name}.json").read_text())
+    average = _count_calls(monkeypatch, "ensembles", "average_state")
+    chi = _count_calls(monkeypatch, "entropy", "holevo_chi")
+    densities = _count_calls(monkeypatch, "states", "density_of")
+    info = estimate_accessible_info(e, OptimizerConfig(restarts=2, max_iters=5))
+    analyze(e, info)
+    # The search reads the ensemble's densities, average and chi: m density_of
+    # calls stack the members once, and m sum the average state in order.
+    assert (len(average), len(chi), len(densities)) == (1, 0, 2 * len(e.members))
+    assert not hasattr(entcharge.accessible, "density_of")
+
+
 def test_witness_builds_no_reduced_ensemble_and_no_entropy(monkeypatch):
     e = generalized_bell_basis(3, equal_probs(9))
     reduced = _count_calls(monkeypatch, "ensembles", "reduced_ensemble")
@@ -477,7 +524,7 @@ def test_witness_builds_no_reduced_ensemble_and_no_entropy(monkeypatch):
 
 FACTS = (
     "overlaps", "witness", "reduced_a", "reduced_b", "entropies_a", "entropies_b", "maximally_entangled",
-    "flags", "average", "s_ab", "s_a", "s_b", "avg_member_entropy", "chi_a", "chi_b",
+    "flags", "average", "s_ab", "s_a", "s_b", "avg_member_entropy", "chi_a", "chi_b", "densities", "chi",
 )
 
 
@@ -497,9 +544,9 @@ def test_each_fact_is_computed_once(monkeypatch):
     assert (counts["overlap_matrix"], counts["orthogonality_witness"], counts["average_state"]) == (1, 1, 1)
     assert counts["reduced_ensemble"] == 2
     # One batched spectrum per side covers its marginal, its chi average and
-    # every member; S(AB) is the only other entropy.
+    # every member; S(AB) and the joint members, for chi, are the only others.
     m = len(e.members)
-    assert sorted(len(args[0]) for args in calls["von_neumann_entropies"]) == [1, m + 2, m + 2]
+    assert sorted(len(args[0]) for args in calls["von_neumann_entropies"]) == [1, m, m + 2, m + 2]
     second = {name: getattr(e, name) for name in FACTS}
     assert {name: len(c) for name, c in calls.items()} == counts
     assert all(second[name] is first[name] for name in FACTS)
@@ -507,10 +554,10 @@ def test_each_fact_is_computed_once(monkeypatch):
 
 def test_shared_facts_are_read_only():
     e = bell_basis(equal_probs(4))
-    for a in (e.overlaps, e.average, *e.reduced_a, *e.reduced_b):
+    for a in (e.overlaps, e.average, *e.reduced_a, *e.reduced_b, *e.densities):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
-    for a in (e.entropies_a, e.entropies_b):
+    for a in (e.probs, e.entropies_a, e.entropies_b):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 
@@ -520,6 +567,7 @@ def test_shared_facts_are_read_only():
 def test_ensemble_facts_match_the_standalone_functions(seed):
     from entcharge import (
         average_state,
+        holevo_chi,
         reduced_ensemble,
         von_neumann_entropy,
     )
@@ -530,5 +578,6 @@ def test_ensemble_facts_match_the_standalone_functions(seed):
     for party, reduced in (("A", e.reduced_a), ("B", e.reduced_b)):
         assert all(np.array_equal(x, y) for x, y in zip(reduced, reduced_ensemble(e, party)[1]))
     assert e.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, e.reduced_a)))
+    assert e.chi == holevo_chi(e.probs, list(e.densities))
     assert upper_bound_merging(e) == (e.s_ab - e.s_b, e.s_ab - e.s_a)
     assert lower_bound_pure(e) == e.avg_member_entropy - e.mutual_information

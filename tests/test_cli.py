@@ -201,6 +201,24 @@ def test_generate_missing_params_exit_2(tmp_path, capsys):
     assert "--d" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, n",
+    [(["gbell", "--d", "100000"], 10**10), (["product", "--da", "1000000", "--db", "1000000"], 10**12)],
+    ids=["gbell", "product"],
+)
+def test_generate_checks_the_cap_before_the_default_probs(args, n, tmp_path, capsys, monkeypatch):
+    import entcharge.cli
+
+    def small_equal_probs(k):
+        # Stands in for generators.equal_probs, so no huge array is asked for.
+        assert k <= 64, f"default probabilities for {k} members built before the cap check"
+        return np.full(k, 1.0 / k)
+
+    monkeypatch.setattr(entcharge.cli, "equal_probs", small_equal_probs)
+    assert main(["generate", *args, "-o", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == f"error: joint dimension {n} exceeds the cap 64\n"
+
+
 def test_sweep_two_point(tmp_path, capsys):
     assert (
         main(

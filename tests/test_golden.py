@@ -6,11 +6,12 @@ mixed-state ensemble, a non-orthogonal pure ensemble, a non-orthogonal
 pure/density mix and a product basis) next to the exact `analyze` text and
 structured output and one `sweep rotated` CSV, plus the structured sweep of
 the same points with a user-supplied gate cost. Any refactor of the
-computation must reproduce them byte for byte. One more file pins the
-structured output of `--accessible-info estimate` on the non-orthogonal pure
-ensemble, so a change to the POVM search shows up as a diff, and one the
-structured output under `--tolerance-profile strict`, whose tolerance block and
-known-value annotation no other golden covers. The `validate` output of every
+computation must reproduce them byte for byte. Two more files pin the
+structured output of `--accessible-info estimate`, so a change to the POVM
+search shows up as a diff: on the non-orthogonal pure ensemble, and on the
+pure/density mix, the one estimate whose Holevo chi has nonzero member
+entropies. One pins the structured output under `--tolerance-profile strict`,
+whose tolerance block and known-value annotation no other golden covers. The `validate` output of every
 input under both tolerance profiles, and the `generate` output and written
 file of each family, are pinned as well.
 """
@@ -65,10 +66,11 @@ def test_sweep_with_gate_cost_is_byte_identical(fmt, golden, capsys, monkeypatch
     assert _run(argv, capsys, monkeypatch) == (GOLDEN / golden).read_text()
 
 
-def test_estimate_output_is_byte_identical(capsys, monkeypatch):
-    argv = ["analyze", "nonorth2x2.json", "--accessible-info", "estimate", "--restarts", "2",
+@pytest.mark.parametrize("name", ["nonorth2x2", "mixedpure2x3"])
+def test_estimate_output_is_byte_identical(name, capsys, monkeypatch):
+    argv = ["analyze", f"{name}.json", "--accessible-info", "estimate", "--restarts", "2",
             "--seed", "3", "--format", "structured"]
-    assert _run(argv, capsys, monkeypatch) == (GOLDEN / "nonorth2x2.estimate.structured.json").read_text()
+    assert _run(argv, capsys, monkeypatch) == (GOLDEN / f"{name}.estimate.structured.json").read_text()
 
 
 def test_strict_profile_output_is_byte_identical(capsys, monkeypatch):
