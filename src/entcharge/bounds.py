@@ -29,9 +29,9 @@ fires. Conventions:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,11 +49,32 @@ VERDICT_INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True, eq=False)
-class ChargeReport:
-    """Certified bounds, optional exact value and the verdict for one ensemble."""
+class Candidate:
+    """One named bound on the charge, in bits.
 
-    upper_bounds: dict[str, float]
-    lower_bound: float
+    provenance is "computed" or "user-supplied". note is what the report
+    says about the candidate: a lower candidate's note when it sets the lower
+    edge, an extra upper candidate's note always.
+    """
+
+    name: str
+    value: float
+    provenance: str = "computed"
+    note: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class ChargeReport:
+    """Certified bounds, optional exact value and the verdict for one ensemble.
+
+    uppers and lowers are every candidate analyze weighed, in order; the
+    interval is [largest lower, smallest upper] unless an exact value
+    replaced both edges. upper_bounds maps each upper candidate's name to
+    its value.
+    """
+
+    uppers: tuple[Candidate, ...]
+    lowers: tuple[Candidate, ...]
     lower_bound_informative: bool
     exact_value: float | None
     interval: tuple[float, float]
@@ -75,6 +96,10 @@ class ChargeReport:
             if self.verdict == VERDICT_INDETERMINATE:
                 raise ValidationError("exact value present but verdict is indeterminate")
 
+    @cached_property
+    def upper_bounds(self) -> dict[str, float]:
+        return {c.name: c.value for c in self.uppers}
+
 
 @dataclass(frozen=True, eq=False)
 class FamilyReport:
@@ -88,13 +113,6 @@ class FamilyReport:
     lower_bound: float
     external_gate_cost: float | None
     charge: ChargeReport
-
-    def __post_init__(self) -> None:
-        expected = binary_entropy(float(np.cos(self.theta)) ** 2)
-        if abs(self.entanglement_per_state - expected) > ROUNDING_SLACK:
-            raise ValidationError(
-                "per-state entanglement disagrees with H(cos^2 theta) beyond 1e-9"
-            )
 
 
 def _require_orthogonal(e: Ensemble, what: str) -> None:
@@ -201,51 +219,39 @@ def _verdict(lo: float, hi: float) -> str:
     return VERDICT_INDETERMINATE
 
 
-def analyze(e: Ensemble, accessible_info: InfoInterval | None = None) -> ChargeReport:
+def analyze(
+    e: Ensemble,
+    accessible_info: InfoInterval | None = None,
+    extra_uppers: tuple[Candidate, ...] = (),
+) -> ChargeReport:
     """Full charge analysis of an ensemble: bounds, exactness, verdict.
 
-    Degraded situations (non-orthogonal ensembles, uninformative lower
-    bounds) are reported through notes instead of errors.
+    extra_uppers are further upper candidates, such as a family's own bound
+    or a user-supplied cost. They cap the upper edge even where an exact
+    value fixes the interval, and a user-supplied one below the lower edge
+    is rejected. Degraded situations (non-orthogonal ensembles,
+    uninformative lower bounds) are reported through notes instead of errors.
     """
     flags = e.flags
     notes: list[str] = []
     a_to_b, b_to_a = upper_bound_merging(e)
-    uppers = {"merging_AtoB": a_to_b, "merging_BtoA": b_to_a, "compress_teleport": e.s_a}
+    uppers = (
+        Candidate("merging_AtoB", a_to_b),
+        Candidate("merging_BtoA", b_to_a),
+        Candidate("compress_teleport", e.s_a),
+    )
     if not flags.mutually_orthogonal:
         notes.append(
             "members are not mutually orthogonal: upper bounds use the "
             "general-ensemble extension of the merging argument"
         )
-    hi = min(uppers.values())
 
-    candidates: list[tuple[float, bool, str | None]] = []
-    if flags.all_pure and flags.mutually_orthogonal:
-        candidates.append((lower_bound_pure(e), True, None))
-    if accessible_info is not None:
-        if flags.all_pure:
-            candidates.append(
-                (
-                    lower_bound_general(e, accessible_info),
-                    True,
-                    "lower bound uses the accessible-information interval",
-                )
-            )
-        else:
-            notes.append(
-                "accessible-information interval ignored: the generalized lower "
-                "bound needs pure members"
-            )
-    # The floor is always certified; listed last, it loses every tie.
-    floor = -math.log2(min(e.dims.dA, e.dims.dB)) + 0.0
-    candidates.append(
-        (floor, False, f"lower bound is the uninformative floor -log2(min(dA,dB)) = {floor:g}")
-    )
-    lo, informative, winner_note = max(candidates, key=lambda c: c[0])
-
+    lowers: list[Candidate] = []
     exact: float | None = None
     chi_a: float | None = None
     chi_b: float | None = None
     if flags.all_pure and flags.mutually_orthogonal:
+        lowers.append(Candidate("pure", lower_bound_pure(e)))
         chi_a, chi_b, bracket = chi_rewrite_bounds(e)
         if flags.all_maximally_entangled and e.dims.dA == e.dims.dB:
             exact = exact_charge_max_entangled(e)
@@ -257,20 +263,51 @@ def analyze(e: Ensemble, accessible_info: InfoInterval | None = None) -> ChargeR
                 f"exact: chi_{side} = 0, one party's reduced states are identical "
                 "and the bracket collapses"
             )
-    if exact is not None:
-        lo = hi = exact
-        informative = True
-    elif winner_note:
-        notes.append(winner_note)
+    if accessible_info is not None:
+        if flags.all_pure:
+            lowers.append(
+                Candidate(
+                    "general",
+                    lower_bound_general(e, accessible_info),
+                    note="lower bound uses the accessible-information interval",
+                )
+            )
+        else:
+            notes.append(
+                "accessible-information interval ignored: the generalized lower "
+                "bound needs pure members"
+            )
+    # The floor is always certified; listed last, it loses every tie.
+    floor = -math.log2(min(e.dims.dA, e.dims.dB)) + 0.0
+    lowers.append(
+        Candidate("floor", floor, note=f"lower bound is the uninformative floor -log2(min(dA,dB)) = {floor:g}")
+    )
+    best = max(lowers, key=lambda c: c.value)
+
+    # An exact value replaces both edges. The extra candidates still cap hi:
+    # a family's own bound can meet the exact value only up to rounding.
+    if exact is None:
+        lo, caps = best.value, [c.value for c in uppers]
+        if best.note:
+            notes.append(best.note)
+    else:
+        lo, caps = exact, [exact]
+    hi = min(caps + [c.value for c in extra_uppers])
+    for c in extra_uppers:
+        if c.provenance == "user-supplied" and c.value < lo - ROUNDING_SLACK:
+            raise ValidationError(
+                f"supplied gate cost {c.value!r} lies below the certified lower bound {lo!r}"
+            )
 
     known = is_canonical_product_basis(e)
     if known:
         notes.append("known-value annotation attached; it is cited, not computed")
+    notes.extend(c.note for c in extra_uppers if c.note)
 
     return ChargeReport(
-        upper_bounds=uppers,
-        lower_bound=lo,
-        lower_bound_informative=informative,
+        uppers=uppers + tuple(extra_uppers),
+        lowers=tuple(lowers),
+        lower_bound_informative=exact is not None or best.name != "floor",
         exact_value=exact,
         interval=(lo, hi),
         verdict=_verdict(lo, hi),
@@ -291,52 +328,42 @@ def rotated_family_report(
 ) -> FamilyReport:
     """Analyze one point of the rotated product-basis family.
 
-    On top of the generic analysis this reports the probability-dependent
-    refined upper bound H(X) - H(cos^2 theta) and, when supplied, folds a
-    user-provided average gate-implementation cost into the interval. The
-    gate cost is accepted only as input, never computed, and must be finite.
+    probs are the four members' weights, or None for equal ones. On top of
+    the generic analysis this reports the probability-dependent refined upper
+    bound H(X) - H(cos^2 theta) and, when supplied, folds a user-provided
+    average gate-implementation cost into the interval. The gate cost is
+    accepted only as input, never computed, and must be finite.
     """
     if gate_cost is not None and not np.isfinite(gate_cost):
         raise ValidationError(f"supplied gate cost {gate_cost!r} is not finite")
     e = rotated_basis(theta, probs, tol)
+    h = binary_entropy(float(np.cos(theta)) ** 2)
     per_state = entanglement_entropy(e.states[0], tol)
+    if abs(per_state - h) > ROUNDING_SLACK:
+        raise ValidationError("per-state entanglement disagrees with H(cos^2 theta) beyond 1e-9")
     if e.s_a < e.avg_member_entropy - ROUNDING_SLACK:
         raise ValidationError(
             "internal inconsistency: S(rho_A) fell below the average member entropy"
         )
-    hx = shannon_of(e)
-    refined = hx - binary_entropy(float(np.cos(theta)) ** 2)
-    lower = lower_bound_pure(e)
-
-    base = analyze(e)
-    uppers = dict(base.upper_bounds)
-    uppers["family_refined"] = refined
-    lo, hi = base.interval
-    hi = min(hi, refined)
-    notes = base.notes
+    extras = [Candidate("family_refined", shannon_of(e) - h)]
     if gate_cost is not None:
-        uppers["external_gate_cost"] = float(gate_cost)
-        hi = min(hi, float(gate_cost))
-        notes = notes + ("external gate cost supplied by the user, not computed",)
-        if hi < lo - ROUNDING_SLACK:
-            raise ValidationError(
-                f"supplied gate cost {gate_cost!r} lies below the certified lower bound {lo!r}"
+        extras.append(
+            Candidate(
+                "external_gate_cost",
+                float(gate_cost),
+                "user-supplied",
+                "external gate cost supplied by the user, not computed",
             )
-    charge = dataclasses.replace(
-        base,
-        upper_bounds=uppers,
-        interval=(lo, hi),
-        verdict=_verdict(lo, hi),
-        notes=notes,
-    )
-    theorem1 = min(base.upper_bounds["merging_AtoB"], base.upper_bounds["merging_BtoA"])
+        )
+    charge = analyze(e, extra_uppers=tuple(extras))
+    uppers = charge.upper_bounds
     return FamilyReport(
         theta=float(theta),
-        probs=tuple(float(p) for p in np.asarray(probs, dtype=float).ravel()),
+        probs=tuple(e.probs.tolist()),
         entanglement_per_state=per_state,
-        theorem1_bound=theorem1,
-        refined_bound=refined,
-        lower_bound=lower,
-        external_gate_cost=None if gate_cost is None else float(gate_cost),
+        theorem1_bound=min(uppers["merging_AtoB"], uppers["merging_BtoA"]),
+        refined_bound=uppers["family_refined"],
+        lower_bound=next(c.value for c in charge.lowers if c.name == "pure"),
+        external_gate_cost=uppers.get("external_gate_cost"),
         charge=charge,
     )

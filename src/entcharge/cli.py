@@ -29,8 +29,8 @@ from .fileio import (
     report_document,
     write_ensemble,
 )
-from .generators import bell_basis, equal_probs, generalized_bell_basis, product_basis, rotated_basis
-from .linalg import DEFAULT_TOLERANCES, STRICT_TOLERANCES, Tolerances, check_joint_dim
+from .generators import bell_basis, generalized_bell_basis, product_basis, rotated_basis
+from .linalg import DEFAULT_TOLERANCES, STRICT_TOLERANCES, Tolerances
 
 
 @functools.cache
@@ -109,13 +109,11 @@ def _write_text(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_probs(text: str | None, n: int) -> np.ndarray:
-    """A --probs value of comma-separated probabilities; n equal ones if None.
-    n is a basis family's member count, its joint dimension, so it is checked
-    against the cap before the default is allocated."""
+def _parse_probs(text: str | None) -> np.ndarray | None:
+    """A --probs value of comma-separated probabilities, or None when absent,
+    which each generator reads as equal weights."""
     if text is None:
-        check_joint_dim(n)
-        return equal_probs(n)
+        return None
     try:
         values = [float(part) for part in text.split(",")]
     except ValueError as exc:
@@ -143,7 +141,7 @@ def _render_text_report(
     for name, value in report.upper_bounds.items():
         lines.append(f"  {name:18s} {_fmt_bits(value)}")
     informative = "informative" if report.lower_bound_informative else "uninformative floor"
-    lines.append(f"lower bound (bits): {_fmt_bits(report.lower_bound)} ({informative})")
+    lines.append(f"lower bound (bits): {_fmt_bits(report.interval[0])} ({informative})")
     if report.chi_a is not None:
         lines.append(f"chi_A (bits): {_fmt_bits(report.chi_a)}  chi_B (bits): {_fmt_bits(report.chi_b)}")
     if report.exact_value is not None:
@@ -196,19 +194,19 @@ def _cmd_analyze(args) -> int:
 def _cmd_generate(args) -> int:
     tol = _tolerances(args)
     if args.family == "bell":
-        e = bell_basis(_parse_probs(args.probs, 4), tol)
+        e = bell_basis(_parse_probs(args.probs), tol)
     elif args.family == "gbell":
         if args.d is None:
             raise ValidationError("generate gbell requires --d")
-        e = generalized_bell_basis(args.d, _parse_probs(args.probs, args.d * args.d), tol)
+        e = generalized_bell_basis(args.d, _parse_probs(args.probs), tol)
     elif args.family == "product":
         if args.da is None or args.db is None:
             raise ValidationError("generate product requires --da and --db")
-        e = product_basis(args.da, args.db, _parse_probs(args.probs, args.da * args.db), tol)
+        e = product_basis(args.da, args.db, _parse_probs(args.probs), tol)
     else:
         if args.theta is None:
             raise ValidationError("generate rotated requires --theta")
-        e = rotated_basis(args.theta, _parse_probs(args.probs, 4), tol)
+        e = rotated_basis(args.theta, _parse_probs(args.probs), tol)
     _write_text(args.output, write_ensemble(e))
     print(f"wrote {e.label} ensemble to {args.output}: dims={e.dims.dA}x{e.dims.dB} members={len(e.members)}")
     print(f"flags: {_flags_line(e.flags)}")
@@ -223,7 +221,7 @@ def _cmd_sweep(args) -> int:
         raise ValidationError(
             f"sweep range [{args.theta_min!r}, {args.theta_max!r}] must lie inside [0, pi/2]"
         )
-    probs = _parse_probs(args.probs, 4)
+    probs = _parse_probs(args.probs)
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
     fams = [rotated_family_report(float(theta), probs, args.gate_cost, tol) for theta in thetas]
     if args.format == "structured":

@@ -275,8 +275,8 @@ def flags_to_document(flags: StructureFlags) -> dict:
 
 def charge_to_document(report: ChargeReport) -> dict:
     doc: dict = {
-        "upper_bounds": {name: _bits(v) for name, v in report.upper_bounds.items()},
-        "lower_bound": {**_bits(report.lower_bound), "informative": report.lower_bound_informative},
+        "upper_bounds": {c.name: _bits(c.value, c.provenance) for c in report.uppers},
+        "lower_bound": {**_bits(report.interval[0]), "informative": report.lower_bound_informative},
         "exact_value": None if report.exact_value is None else _bits(report.exact_value),
         "interval": {"lo": _bits(report.interval[0]), "hi": _bits(report.interval[1])},
         "verdict": report.verdict,

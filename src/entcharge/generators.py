@@ -24,6 +24,10 @@ def equal_probs(n: int) -> np.ndarray:
 
 
 def _check_probs_length(probs, n: int) -> np.ndarray:
+    """probs as an array of the n members' weights; None means n equal ones.
+    Each generator calls this after checking its dimensions, so n is valid."""
+    if probs is None:
+        return equal_probs(n)
     arr = np.asarray(probs, dtype=float).ravel()
     if arr.size != n:
         raise ValidationError(f"expected {n} probabilities, got {arr.size}")

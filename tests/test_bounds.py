@@ -189,7 +189,7 @@ def test_analyze_mixed_orthogonal_uses_floor():
     o = validate_state(BipartiteDims(2, 2), np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex))
     r = analyze(make_ensemble([(0.5, d), (0.5, o)]))
     assert not r.lower_bound_informative
-    assert r.lower_bound == pytest.approx(-1.0, abs=1e-12)
+    assert r.interval[0] == pytest.approx(-1.0, abs=1e-12)
     assert r.exact_value is None
 
 
@@ -238,6 +238,44 @@ def test_rotated_family_report_gate_cost_tightens_interval():
     assert fam.charge.interval[1] == pytest.approx(0.9, abs=1e-12)
     with pytest.raises(ValidationError, match="gate cost"):
         rotated_family_report(np.pi / 6, equal_probs(4), gate_cost=0.2)
+
+
+@pytest.mark.parametrize("gate_cost", [None, 0.85], ids=["plain", "gate"])
+def test_family_report_reads_the_charge_candidates(gate_cost):
+    probs = [0.1, 0.2, 0.3, 0.4]
+    for theta in np.linspace(0.0, np.pi / 2, 9):
+        fam = rotated_family_report(float(theta), probs, gate_cost)
+        charge = fam.charge
+        uppers = {c.name: c for c in charge.uppers}
+        lowers = {c.name: c for c in charge.lowers}
+        assert charge.upper_bounds == {name: c.value for name, c in uppers.items()}
+        assert fam.theorem1_bound == min(uppers["merging_AtoB"].value, uppers["merging_BtoA"].value)
+        assert fam.refined_bound == uppers["family_refined"].value
+        assert fam.lower_bound == lowers["pure"].value
+        assert fam.probs == tuple(probs)
+        if gate_cost is None:
+            assert fam.external_gate_cost is None and "external_gate_cost" not in uppers
+        else:
+            assert fam.external_gate_cost == uppers["external_gate_cost"].value == gate_cost
+            assert uppers["external_gate_cost"].provenance == "user-supplied"
+        assert all(c.provenance == "computed" for c in charge.lowers)
+        if charge.exact_value is None:
+            assert charge.interval == (max(c.value for c in charge.lowers), min(charge.upper_bounds.values()))
+
+
+@pytest.mark.parametrize(
+    "step, cost, message",
+    [
+        (4, 0.5, "supplied gate cost 0.5 lies below the certified lower bound 0.8464393446710154"),
+        (2, -2.0, "supplied gate cost -2.0 lies below the certified lower bound 0.5202937822835921"),
+    ],
+    ids=["exact", "pure"],
+)
+def test_family_report_rejects_a_gate_cost_below_the_lower_edge(step, cost, message):
+    theta = float(np.linspace(0.0, np.pi / 2, 9)[step])
+    with pytest.raises(ValidationError) as info:
+        rotated_family_report(theta, [0.1, 0.2, 0.3, 0.4], cost)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
@@ -450,6 +488,31 @@ def test_rotated_family_report_computes_facts_once(monkeypatch):
     rotated_family_report(np.pi / 7, equal_probs(4))
     assert len(overlaps) == 1
     assert len(averages) == 1
+
+
+def _count_reports(monkeypatch) -> list:
+    """Count ChargeReport builds, each of which validates itself once."""
+    from entcharge.bounds import ChargeReport
+
+    original = ChargeReport.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(ChargeReport, "__post_init__", counted)
+    return calls
+
+
+def test_each_report_is_decided_once(monkeypatch):
+    verdicts = _count_calls(monkeypatch, "bounds", "_verdict")
+    pures = _count_calls(monkeypatch, "bounds", "lower_bound_pure")
+    reports = _count_reports(monkeypatch)
+    rotated_family_report(np.pi / 7, equal_probs(4), gate_cost=0.95)
+    assert (len(verdicts), len(reports), len(pures)) == (1, 1, 1)
+    analyze(bell_basis(equal_probs(4)))
+    assert (len(verdicts), len(reports)) == (2, 2)
 
 
 def test_facts_are_computed_once_across_public_bounds(monkeypatch):

@@ -207,16 +207,33 @@ def test_generate_missing_params_exit_2(tmp_path, capsys):
     ids=["gbell", "product"],
 )
 def test_generate_checks_the_cap_before_the_default_probs(args, n, tmp_path, capsys, monkeypatch):
-    import entcharge.cli
+    import entcharge.generators
 
     def small_equal_probs(k):
         # Stands in for generators.equal_probs, so no huge array is asked for.
         assert k <= 64, f"default probabilities for {k} members built before the cap check"
         return np.full(k, 1.0 / k)
 
-    monkeypatch.setattr(entcharge.cli, "equal_probs", small_equal_probs)
+    monkeypatch.setattr(entcharge.generators, "equal_probs", small_equal_probs)
     assert main(["generate", *args, "-o", str(tmp_path / "x.json")]) == 2
     assert capsys.readouterr().err == f"error: joint dimension {n} exceeds the cap 64\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["gbell", "--d", "0"], "generalized Bell basis needs d >= 2, got 0"),
+        (["gbell", "--d", "-9"], "generalized Bell basis needs d >= 2, got -9"),
+        (["product", "--da", "0", "--db", "3"], "local dims must be >= 1, got 0x3"),
+        (["product", "--da", "-2", "--db", "3"], "local dims must be >= 1, got -2x3"),
+    ],
+    ids=["gbell-0", "gbell-negative", "product-0", "product-negative"],
+)
+def test_generate_rejects_bad_dimensions(args, message, tmp_path, capsys):
+    # The generator checks its dimensions before it builds the equal default.
+    assert main(["generate", *args, "-o", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_sweep_two_point(tmp_path, capsys):
@@ -265,7 +282,7 @@ def test_sweep_single_step_matches_analyze(tmp_path, capsys):
     assert float(row[2]) == pytest.approx(
         min(report.upper_bounds["merging_AtoB"], report.upper_bounds["merging_BtoA"]), abs=1e-12
     )
-    assert float(row[4]) == pytest.approx(report.lower_bound, abs=1e-12)
+    assert float(row[4]) == pytest.approx(report.interval[0], abs=1e-12)
     assert row[5] == report.verdict
 
 

@@ -241,6 +241,13 @@ def test_family_document_units_and_provenance():
     assert parsed["entanglement_per_state"]["unit"] == "bits"
     assert parsed["entanglement_per_state"]["provenance"] == "computed"
     assert parsed["external_gate_cost"]["provenance"] == "user-supplied"
+    assert {name: b["provenance"] for name, b in parsed["charge"]["upper_bounds"].items()} == {
+        "merging_AtoB": "computed",
+        "merging_BtoA": "computed",
+        "compress_teleport": "computed",
+        "family_refined": "computed",
+        "external_gate_cost": "user-supplied",
+    }
     assert parsed["charge"]["verdict"] == fam.charge.verdict
 
 
