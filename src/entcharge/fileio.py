@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _encode_string
 
 import numpy as np
 
@@ -30,23 +31,7 @@ def format_float(x: float) -> str:
     return format(float(x) + 0.0, ".17g")
 
 
-def _render(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [f"{inner}{json.dumps(k)}: {_render(v, indent + 1)}" for k, v in value.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        rendered = [_render(v, indent + 1) for v in value]
-        # Leaf lists (numbers only) stay on one line; anything nested wraps.
-        if all(not isinstance(v, (dict, list, tuple)) for v in value):
-            return "[" + ", ".join(rendered) + "]"
-        parts = [f"{inner}{r}" for r in rendered]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+def _scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -54,24 +39,50 @@ def _render(value, indent: int) -> str:
     if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
             raise ValueError(f"cannot render non-finite number {float(value)!r}")
-        return format_float(float(value))
+        return format_float(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return _encode_string(value)
     if value is None:
         return "null"
     raise TypeError(f"cannot render {type(value)!r}")
 
 
+def _render(value, indent: str) -> str:
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [f"{inner}{_encode_string(k)}: {_render(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + indent + "}"
+    if isinstance(value, np.ndarray):
+        # A 1-D complex array: one [re, im] line per entry, all formatted at
+        # once; "%.17g" is format_float's conversion and + 0.0 its -0.0 rule.
+        if not value.size:
+            return "[]"
+        flat = np.ascontiguousarray(value, dtype=complex).view(float) + 0.0
+        finite = np.isfinite(flat)
+        if not finite.all():
+            raise ValueError(f"cannot render non-finite number {float(flat[~finite][0])!r}")
+        lines = (",\n" + inner).join(["[%.17g, %.17g]"] * value.size) % tuple(flat.tolist())
+        return "[\n" + inner + lines + "\n" + indent + "]"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # Leaf lists (scalars only) stay on one line; anything nested wraps.
+        if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
+            return "[" + ", ".join(map(_scalar, value)) + "]"
+        parts = [inner + _render(v, inner) for v in value]
+        return "[\n" + ",\n".join(parts) + "\n" + indent + "]"
+    return _scalar(value)
+
+
 def dumps_canonical(doc: dict) -> str:
     """Deterministic JSON text (insertion-ordered keys, LF, trailing newline).
 
-    Raises ValueError on a NaN or infinite float, which strict JSON cannot hold.
+    A 1-D numpy array is written as a list of complex [re, im] pairs. Raises
+    ValueError on a NaN or infinite float, which strict JSON cannot hold.
     """
-    return _render(doc, 0) + "\n"
-
-
-def _complex_pairs(values: np.ndarray):
-    return [[float(v.real), float(v.imag)] for v in values]
+    return _render(doc, "") + "\n"
 
 
 def ensemble_to_document(e: Ensemble) -> dict:
@@ -82,9 +93,9 @@ def ensemble_to_document(e: Ensemble) -> dict:
     members = []
     for p, s in e.members:
         if s.is_pure:
-            state = {"kind": "pure", "data": _complex_pairs(s.vector)}
+            state = {"kind": "pure", "data": s.vector}
         else:
-            state = {"kind": "density", "data": [_complex_pairs(row) for row in s.matrix]}
+            state = {"kind": "density", "data": list(s.matrix)}
         members.append({"prob": float(p), "state": state})
     doc["members"] = members
     return doc

@@ -7,9 +7,14 @@ characteristic-polynomial root finding or straight from numpy.
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 
 from entcharge import DEFAULT_TOLERANCES, BipartiteDims, make_ensemble, validate_state
+from entcharge.ensembles import Ensemble
+from entcharge.fileio import SCHEMA_VERSION, format_float
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -103,3 +108,76 @@ def bell_vectors() -> list[np.ndarray]:
         np.array([0, s, s, 0], dtype=complex),
         np.array([0, s, -s, 0], dtype=complex),
     ]
+
+
+# -- reference renderer (test-only) -------------------------------------------
+# The recursive renderer of the canonical file format, one call per number and
+# every state converted to nested [re, im] lists first. It is the byte oracle
+# for fileio.dumps_canonical and fileio.ensemble_to_document; nothing outside
+# the tests calls it.
+
+
+def _render(value, indent: int) -> str:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [f"{inner}{json.dumps(k)}: {_render(v, indent + 1)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        rendered = [_render(v, indent + 1) for v in value]
+        # Leaf lists (numbers only) stay on one line; anything nested wraps.
+        if all(not isinstance(v, (dict, list, tuple)) for v in value):
+            return "[" + ", ".join(rendered) + "]"
+        parts = [f"{inner}{r}" for r in rendered]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot render non-finite number {float(value)!r}")
+        return format_float(float(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot render {type(value)!r}")
+
+
+def _complex_pairs(values: np.ndarray):
+    return [[float(v.real), float(v.imag)] for v in values]
+
+
+def ensemble_to_document(e: Ensemble) -> dict:
+    doc: dict = {"schema_version": SCHEMA_VERSION}
+    if e.label is not None:
+        doc["label"] = e.label
+    doc["dims"] = {"dA": e.dims.dA, "dB": e.dims.dB}
+    members = []
+    for p, s in e.members:
+        if s.is_pure:
+            state = {"kind": "pure", "data": _complex_pairs(s.vector)}
+        else:
+            state = {"kind": "density", "data": [_complex_pairs(row) for row in s.matrix]}
+        members.append({"prob": float(p), "state": state})
+    doc["members"] = members
+    return doc
+
+
+def reference_dumps(doc) -> str:
+    """The reference renderer's text of doc, in which every numpy array is
+    first turned into its list of [re, im] pairs."""
+
+    def pairs(value):
+        if isinstance(value, dict):
+            return {k: pairs(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [pairs(v) for v in value]
+        return _complex_pairs(value) if isinstance(value, np.ndarray) else value
+
+    return _render(pairs(doc), 0) + "\n"

@@ -3,20 +3,33 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entcharge import (
     BipartiteDims,
     ParseError,
     ValidationError,
+    analyze,
     bell_basis,
     equal_probs,
     generalized_bell_basis,
     make_ensemble,
     product_basis,
     rotated_basis,
+    rotated_family_report,
     validate_state,
 )
-from entcharge.fileio import format_float, parse_ensemble, write_ensemble
+from entcharge import fileio
+from entcharge.fileio import (
+    dumps_canonical,
+    family_to_document,
+    format_float,
+    parse_ensemble,
+    report_document,
+    write_ensemble,
+)
+from helpers import ensemble_to_document, random_density, random_pure_vector, reference_dumps
 
 
 def all_generator_outputs():
@@ -252,7 +265,10 @@ def test_family_document_units_and_provenance():
 
 
 @pytest.mark.parametrize(
-    "value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")], ids=["nan", "inf", "-inf", "np-nan"]
+    "value",
+    [float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+     np.array([1 + 0j, complex(float("nan"), 0.5)]), np.array([0.5j, complex(0, float("inf"))])],
+    ids=["nan", "inf", "-inf", "np-nan", "array-nan-real", "array-inf-imag"],
 )
 def test_dumps_canonical_rejects_non_finite_numbers(value):
     from entcharge.fileio import dumps_canonical
@@ -331,3 +347,82 @@ def test_huge_amplitude_is_a_norm_error_without_a_warning():
             parse_ensemble(text)
     assert str(got.value) == "members[0].state: pure state norm inf deviates from 1 by inf, beyond trace_tol=1e-09"
     assert caught == []
+
+
+# Labels that make_ensemble accepts: no character at which a line breaks.
+_LABELS = st.none() | st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8)
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.0, -3.0, 2.0**53])
+_FLOATS = _EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+_COMPLEX_ARRAYS = st.lists(st.tuples(_FLOATS, _FLOATS), max_size=5).map(
+    lambda pairs: np.array([complex(re, im) for re, im in pairs], dtype=complex)
+)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | _FLOATS | _FLOATS.map(np.float64) | st.text(max_size=6)
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS | _COMPLEX_ARRAYS,
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _ensembles(draw):
+    """A validated dA x dB ensemble, dA, dB in 1..4, of pure and density
+    members, with a label that may hold quotes, backslashes or non-ASCII."""
+    dA, dB = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dims = BipartiteDims(dA, dB)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["pure", "density"]), min_size=1, max_size=4))
+    states = [
+        validate_state(dims, random_pure_vector(rng, dims.joint) if kind == "pure" else random_density(rng, dims.joint))
+        for kind in kinds
+    ]
+    return make_ensemble(zip(rng.dirichlet(np.ones(len(kinds))), states), label=draw(_LABELS))
+
+
+@given(_ensembles())
+@example(make_ensemble([(1.0, validate_state(BipartiteDims(1, 3), [0, -0.0, 1]))], label='q"uo\\te é 日本'))
+@settings(max_examples=60, deadline=None)
+def test_ensemble_files_and_reports_match_the_reference_renderer(e):
+    assert write_ensemble(e) == reference_dumps(ensemble_to_document(e))
+    doc = report_document(e, analyze(e), source=e.label or "mem", version="0.1.0")
+    assert dumps_canonical(doc) == reference_dumps(doc)
+
+
+@given(_DOCUMENTS)
+@example({"a": np.array([complex(-0.0, 5e-324), complex(1e-300, 1e300), complex(3.0, -0.0)]), "b": [[]], "c": {}})
+@example([np.array([], dtype=complex), 1, None, True, 'q"\\é'])
+@settings(max_examples=200, deadline=None)
+def test_raw_documents_match_the_reference_renderer(doc):
+    assert dumps_canonical(doc) == reference_dumps(doc)
+
+
+@given(st.floats(0, np.pi / 2), st.integers(0, 2**32 - 1), st.none() | st.floats(0, 1))
+@settings(max_examples=25, deadline=None)
+def test_family_documents_match_the_reference_renderer(theta, seed, gate):
+    probs = np.random.default_rng(seed).dirichlet(np.ones(4))
+    if gate is not None:  # a gate cost at or above the lower edge, which may bind the upper one
+        lo, hi = rotated_family_report(theta, probs).charge.interval
+        gate = lo + gate * (hi - lo + 0.5)
+    doc = family_to_document(rotated_family_report(theta, probs, gate_cost=gate))
+    assert dumps_canonical(doc) == reference_dumps(doc)
+
+
+def test_writer_renders_each_member_in_a_few_calls(monkeypatch):
+    # Each state's amplitudes are formatted in one pass, not one _render call
+    # per number (a d=8 generalized Bell state has 64 amplitudes).
+    calls = 0
+    render = fileio._render
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return render(*args)
+
+    monkeypatch.setattr(fileio, "_render", counted)
+    e = generalized_bell_basis(8, None)
+    write_ensemble(e)
+    assert calls < 8 * len(e.members)
