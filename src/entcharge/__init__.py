@@ -19,9 +19,7 @@ from .bounds import (
     VERDICT_INFORMATION,
     VERDICT_NEITHER,
     analyze,
-    chi_rewrite_bounds,
     delta_epsilon,
-    exact_charge_max_entangled,
     lower_bound_general,
     lower_bound_pure,
     rotated_family_report,
@@ -29,7 +27,6 @@ from .bounds import (
 )
 from .ensembles import (
     Ensemble,
-    PROB_FLOOR,
     StructureFlags,
     average_state,
     make_ensemble,

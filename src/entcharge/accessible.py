@@ -1,12 +1,13 @@
 """Bracketing the globally accessible information of an ensemble.
 
-For mutually orthogonal ensembles the value is exactly H(X). Otherwise a
-seeded, monotone fixed-point search over POVMs (Rehacek, Englert and
-Kaszlikowski, PRA 71, 054303, 2005) supplies a certified achievable value (the
-interval's lower edge) while min(H(X), Holevo chi) caps it from above. Its
-restarts run in lockstep blocks, each with its own step size; the result is
-bit for bit that of running them one after another. The reported quantity is
-always an interval; only the orthogonal short-circuit is a point.
+min(H(X), Holevo chi) caps every edge. For mutually orthogonal ensembles
+the value is that cap, H(X) up to rounding. Otherwise a seeded, monotone
+fixed-point search over POVMs (Rehacek, Englert and Kaszlikowski, PRA 71,
+054303, 2005) supplies a certified achievable value (the interval's lower
+edge) under it. Its restarts run in lockstep blocks, each with its own step
+size; the result is bit for bit that of running them one after another. The
+reported quantity is always an interval; only the orthogonal short-circuit
+is a point.
 """
 
 from __future__ import annotations
@@ -268,18 +269,19 @@ def _lockstep_ascent(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, c
 def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig()) -> InfoInterval:
     """Bracket the accessible information of an ensemble.
 
-    Orthogonal ensembles short-circuit to the exact value H(X). Otherwise the
-    lower edge is the best mutual information found by the seeded POVM
-    search (re-evaluated through a validated POVM) and the upper edge is
-    min(H(X), Holevo chi); a lower edge above it beyond ROUNDING_SLACK raises.
+    Every edge is capped at min(H(X), Holevo chi). Orthogonal ensembles
+    short-circuit to that cap, which is H(X) up to rounding unless overlaps
+    within orthogonality_tol add up to a chi below it. Otherwise the lower
+    edge is the best mutual information found by the seeded POVM search
+    (re-evaluated through a validated POVM); one above the cap beyond
+    ROUNDING_SLACK raises.
     The search reads the ensemble's densities, average state and chi, so a
     later analysis of the same ensemble computes none of them again.
     """
-    hx = shannon_of(e)
+    cap = min(shannon_of(e), e.chi)
     if e.witness is None:
-        return InfoInterval(hx, hx, "orthogonal ensemble: exact value H(X)")
+        return InfoInterval(cap, cap, "orthogonal ensemble: exact value H(X)")
     rhos, probs = e.densities, e.probs
-    cap = min(hx, e.chi)
     outcomes = max(2, len(e.members))
     shape = (outcomes, e.dims.joint, e.dims.joint)
 

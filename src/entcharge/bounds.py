@@ -2,8 +2,8 @@
 
 The charge itself is an asymptotic quantity that cannot be evaluated
 directly; the public result is therefore always a certified interval plus a
-verdict, with a scalar exact value only when one of the exactness rules
-fires. Conventions:
+verdict, with a scalar exact value only when the interval's edges meet.
+Conventions:
 
   * merging_AtoB = S(rho_AB) - S(rho_B) and merging_BtoA = S(rho_AB) - S(rho_A)
     are the state-merging upper bounds of every ensemble (either may be
@@ -16,15 +16,19 @@ fires. Conventions:
   * for pure ensembles that are not orthogonal the same bound loses
     Delta = S(rho_AB) - I_Global, carried through the interval that
     brackets the accessible information I_Global;
-  * chi rewriting: the same lower bound equals S(A|B) - chi_A = S(B|A) - chi_B
-    where chi is the Holevo information of a reduced ensemble, so the bracket
-    collapses, and the charge is exact, whenever one party's reduced states
-    carry no information (chi = 0);
-  * orthogonal ensembles of d x d maximally entangled pure states have the
-    exact charge H(X) - log2 d;
   * the lower edge is the largest certified lower bound, never below the
     floor -log2 min(dA, dB), and the verdict is neither when both edges lie
     within ROUNDING_SLACK of zero.
+
+Exactness has one rule: the charge is exact when the least of the three
+upper candidates above lies within ROUNDING_SLACK of the best lower
+candidate, and the exact value is that upper candidate's. Its two classic
+instances: the pure lower bound equals S(A|B) - chi_A = S(B|A) - chi_B,
+where chi is the Holevo information of a reduced ensemble, so the edges
+meet whenever one party's reduced states carry no information (chi = 0);
+and orthogonal d x d maximally entangled pure ensembles, whose reduced
+states are all I/d, meet at the paper's H(X) - log2 d. Inside
+orthogonality_tol the pure lower bound still assumes I_Global = H(X).
 """
 
 from __future__ import annotations
@@ -155,23 +159,6 @@ def lower_bound_pure(e: Ensemble) -> float:
     return e.avg_member_entropy - e.mutual_information
 
 
-def chi_rewrite_bounds(e: Ensemble) -> tuple[float, float, tuple[float, float]]:
-    """Holevo informations (chi_A, chi_B) of the reduced ensembles plus the
-    tighter of the two brackets [S(A|B) - chi_A, S(A|B)] / [S(B|A) - chi_B, S(B|A)].
-
-    The bracket's lower edge always coincides with lower_bound_pure.
-    """
-    _require_pure(e, "the chi-rewritten bracket")
-    _require_orthogonal(e, "the chi-rewritten bracket")
-    chi_a, chi_b = e.chi_a, e.chi_b
-    a_to_b, b_to_a = upper_bound_merging(e)
-    if chi_a <= chi_b:
-        bracket = (a_to_b - chi_a, a_to_b)
-    else:
-        bracket = (b_to_a - chi_b, b_to_a)
-    return chi_a, chi_b, bracket
-
-
 def delta_epsilon(e: Ensemble, info: InfoInterval) -> InfoInterval:
     """Delta = S(rho_AB) - I_Global, propagated through the info interval."""
     return InfoInterval(e.s_ab - info.hi, e.s_ab - info.lo)
@@ -185,28 +172,6 @@ def lower_bound_general(e: Ensemble, info: InfoInterval) -> float:
     """
     _require_pure(e, "the generalized lower bound")
     return e.avg_member_entropy - e.mutual_information - delta_epsilon(e, info).hi
-
-
-def exact_charge_max_entangled(e: Ensemble) -> float:
-    """Exact charge H(X) - log2 d for orthogonal d x d maximally entangled
-    pure ensembles; cross-checked against the merging bound S(A|B)."""
-    if e.dims.dA != e.dims.dB:
-        raise PreconditionError(
-            f"the exact maximally-entangled formula requires dA = dB, got {e.dims.dA}x{e.dims.dB}"
-        )
-    _require_orthogonal(e, "the exact maximally-entangled formula")
-    for k, maximal in enumerate(e.maximally_entangled):
-        if not maximal:
-            raise PreconditionError(
-                f"the exact maximally-entangled formula requires maximally entangled members; "
-                f"member {k} is not"
-            )
-    value = shannon_of(e) - float(np.log2(e.dims.dA))
-    if abs(upper_bound_merging(e)[0] - value) > ROUNDING_SLACK:
-        raise ValidationError(
-            "internal inconsistency: H(X) - log2 d and S(rho_AB) - S(rho_B) disagree beyond 1e-9"
-        )
-    return value
 
 
 def _verdict(lo: float, hi: float) -> str:
@@ -226,11 +191,16 @@ def analyze(
 ) -> ChargeReport:
     """Full charge analysis of an ensemble: bounds, exactness, verdict.
 
-    extra_uppers are further upper candidates, such as a family's own bound
-    or a user-supplied cost. They cap the upper edge even where an exact
-    value fixes the interval, and a user-supplied one below the lower edge
-    is rejected. Degraded situations (non-orthogonal ensembles,
-    uninformative lower bounds) are reported through notes instead of errors.
+    The value is exact when the least built-in upper candidate lies within
+    ROUNDING_SLACK of the best lower candidate; it is that upper candidate's
+    value, and the note names both (see the module docstring). extra_uppers
+    are further upper candidates, such as a family's own bound or a
+    user-supplied cost. They never make a value exact, but they cap the
+    upper edge even where an exact value fixes the interval, and a
+    user-supplied one below the lower edge is rejected. Degraded situations
+    (non-orthogonal ensembles, uninformative lower bounds) are reported
+    through notes instead of errors: every ensemble a profile validates
+    analyzes under it.
     """
     flags = e.flags
     notes: list[str] = []
@@ -247,22 +217,11 @@ def analyze(
         )
 
     lowers: list[Candidate] = []
-    exact: float | None = None
     chi_a: float | None = None
     chi_b: float | None = None
     if flags.all_pure and flags.mutually_orthogonal:
         lowers.append(Candidate("pure", lower_bound_pure(e)))
-        chi_a, chi_b, bracket = chi_rewrite_bounds(e)
-        if flags.all_maximally_entangled and e.dims.dA == e.dims.dB:
-            exact = exact_charge_max_entangled(e)
-            notes.append("exact: orthogonal maximally entangled ensemble, charge = H(X) - log2 d")
-        elif chi_a <= ROUNDING_SLACK or chi_b <= ROUNDING_SLACK:
-            exact = bracket[1]
-            side = "A" if chi_a <= ROUNDING_SLACK else "B"
-            notes.append(
-                f"exact: chi_{side} = 0, one party's reduced states are identical "
-                "and the bracket collapses"
-            )
+        chi_a, chi_b = e.chi_a, e.chi_b
     if accessible_info is not None:
         if flags.all_pure:
             lowers.append(
@@ -283,16 +242,20 @@ def analyze(
         Candidate("floor", floor, note=f"lower bound is the uninformative floor -log2(min(dA,dB)) = {floor:g}")
     )
     best = max(lowers, key=lambda c: c.value)
+    least = min(uppers, key=lambda c: c.value)
 
-    # An exact value replaces both edges. The extra candidates still cap hi:
-    # a family's own bound can meet the exact value only up to rounding.
-    if exact is None:
-        lo, caps = best.value, [c.value for c in uppers]
+    # Meeting edges make the value exact and replace both edges. The extra
+    # candidates still cap hi: a family's own bound can meet the exact value
+    # only up to rounding.
+    exact: float | None = None
+    if abs(least.value - best.value) <= ROUNDING_SLACK:
+        exact = lo = least.value
+        notes.append(f"exact: lower bound {best.name} meets upper bound {least.name}")
+    else:
+        lo = best.value
         if best.note:
             notes.append(best.note)
-    else:
-        lo, caps = exact, [exact]
-    hi = min(caps + [c.value for c in extra_uppers])
+    hi = min([least.value] + [c.value for c in extra_uppers])
     for c in extra_uppers:
         if c.provenance == "user-supplied" and c.value < lo - ROUNDING_SLACK:
             raise ValidationError(
@@ -307,7 +270,7 @@ def analyze(
     return ChargeReport(
         uppers=uppers + tuple(extra_uppers),
         lowers=tuple(lowers),
-        lower_bound_informative=exact is not None or best.name != "floor",
+        lower_bound_informative=best.name != "floor",
         exact_value=exact,
         interval=(lo, hi),
         verdict=_verdict(lo, hi),

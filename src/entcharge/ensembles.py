@@ -48,9 +48,6 @@ from .states import (
     overlap_matrix,
 )
 
-# Probabilities at or below this floor count as numerically zero for support.
-PROB_FLOOR = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
@@ -179,7 +176,9 @@ class Ensemble:
     @cached_property
     def flags(self) -> StructureFlags:
         """Flags cover all members including zero-probability ones;
-        support_size counts only members with probability above PROB_FLOOR."""
+        support_size counts only members with probability above the
+        eigenvalue_clamp of tol, the level at which a spectrum's eigenvalues
+        count as zero."""
         states = self.states
         all_pure = all(s.is_pure for s in states)
         return StructureFlags(
@@ -189,7 +188,7 @@ class Ensemble:
             # One SVD per member, stopping at the first entangled one: a batched
             # SVD of every member costs more whenever an early member is entangled.
             all_product=all_pure and all(is_product(s, self.tol) for s in states),
-            support_size=int(sum(1 for p, _ in self.members if p > PROB_FLOOR)),
+            support_size=int(sum(1 for p, _ in self.members if p > self.tol.eigenvalue_clamp)),
         )
 
     @cached_property

@@ -12,7 +12,14 @@ import math
 
 import numpy as np
 
-from entcharge import DEFAULT_TOLERANCES, BipartiteDims, make_ensemble, validate_state
+from entcharge import (
+    DEFAULT_TOLERANCES,
+    BipartiteDims,
+    equal_probs,
+    generalized_bell_basis,
+    make_ensemble,
+    validate_state,
+)
 from entcharge.ensembles import Ensemble
 from entcharge.fileio import SCHEMA_VERSION, format_float
 
@@ -27,6 +34,13 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_pure_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-distributed unitary: QR of a Ginibre matrix with the phases of R's
+    diagonal moved into Q."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_orthogonal_pure_ensemble(rng: np.random.Generator, d: int, count: int | None = None):
@@ -49,6 +63,39 @@ def near_orthogonal_pair(tol=DEFAULT_TOLERANCES):
     s0 = validate_state(dims, [1, 0, 0, 0])
     s1 = validate_state(dims, [1e-5, np.sqrt(1 - 1e-10), 0, 0])
     return make_ensemble([(0.5, s0), (0.5, s1)], tol=tol)
+
+
+def near_orthogonal_gbell(d: int, seed: int, tol=DEFAULT_TOLERANCES) -> Ensemble:
+    """An equiprobable generalized Bell basis tilted to the edge of tol's
+    orthogonality test: a valid ensemble that the pairwise test just accepts.
+
+    Member (I x U_x)|Phi> becomes (I x U_x e^{i eps H_x})|Phi>, with H_x a
+    seeded random Hermitian matrix, so every member stays exactly maximally
+    entangled. eps is bisected to the largest value at which no pairwise
+    overlap exceeds orthogonality_tol (about 2e-5 under the default
+    profile). The m(m-1)/2 overlaps, each within the tolerance, add up to an
+    S(rho_AB) deficit below H(X) that grows with d.
+    """
+    m = d * d
+    dims = BipartiteDims(d, d)
+    base = np.stack([s.vector.reshape(d, d) for s in generalized_bell_basis(d, equal_probs(m)).states])
+    rng = np.random.default_rng([seed, d])
+    g = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+    w, v = np.linalg.eigh(g + g.conj().transpose(0, 2, 1))
+
+    def tilted(eps: float) -> Ensemble:
+        u = (v * np.exp(1j * eps * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        # (I x U) acts on the row-major amplitude matrix psi[i, j] as psi U^T.
+        vectors = (base @ u.transpose(0, 2, 1)).reshape(m, m)
+        states = [validate_state(dims, x, tol) for x in vectors]
+        return make_ensemble(zip(equal_probs(m), states), label=f"nearorth-gbell-d{d}", tol=tol)
+
+    lo, hi = 0.0, 1e-3
+    assert tilted(hi).witness is not None
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if tilted(mid).witness is None else (lo, mid)
+    return tilted(lo)
 
 
 def partial_trace_loop(m: np.ndarray, dA: int, dB: int, traced_party: str) -> np.ndarray:

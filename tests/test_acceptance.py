@@ -16,10 +16,8 @@ from entcharge import (
     average_state,
     bell_basis,
     binary_entropy,
-    chi_rewrite_bounds,
     equal_probs,
     estimate_accessible_info,
-    exact_charge_max_entangled,
     generalized_bell_basis,
     holevo_chi,
     lower_bound_pure,
@@ -82,8 +80,8 @@ def test_criterion_2_generalized_bell_scaling():
     with criterion(2, "generalized-Bell scaling", seconds=5.0):
         for d in (2, 3, 4):
             e = generalized_bell_basis(d, equal_probs(d * d))
-            exact = exact_charge_max_entangled(e)
-            assert exact == pytest.approx(np.log2(d * d) - np.log2(d), abs=1e-9)
+            exact = analyze(e).exact_value
+            assert exact == pytest.approx(shannon_of(e) - np.log2(d), abs=1e-9)
             assert exact == pytest.approx(np.log2(d), abs=1e-9)
             rho = average_state(e)
             s_ab = von_neumann_entropy(rho)
@@ -114,8 +112,7 @@ def test_criterion_4_sandwich_property_suite():
                 lower = lower_bound_pure(e)
                 uppers = upper_bound_merging(e)
                 assert lower <= min(uppers) + 1e-9
-                chi_a, chi_b, _ = chi_rewrite_bounds(e)
-                assert (uppers[0] - chi_a) == pytest.approx(uppers[1] - chi_b, abs=1e-9)
+                assert (uppers[0] - e.chi_a) == pytest.approx(uppers[1] - e.chi_b, abs=1e-9)
                 checked += 1
         assert checked >= 500
 

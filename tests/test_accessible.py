@@ -27,7 +27,13 @@ from entcharge import (
     validate_state,
     von_neumann_entropy,
 )
-from helpers import mutual_information_oracle, near_orthogonal_pair, random_orthogonal_pure_ensemble
+from entcharge.linalg import ROUNDING_SLACK
+from helpers import (
+    mutual_information_oracle,
+    near_orthogonal_gbell,
+    near_orthogonal_pair,
+    random_orthogonal_pure_ensemble,
+)
 
 D12 = BipartiteDims(1, 2)
 D22 = BipartiteDims(2, 2)
@@ -181,6 +187,14 @@ def test_estimate_orthogonal_short_circuit():
     info = estimate_accessible_info(bell_basis(equal_probs(4)))
     assert info.lo == info.hi == pytest.approx(2.0, abs=1e-12)
     assert info.note == "orthogonal ensemble: exact value H(X)"
+
+
+def test_estimate_orthogonal_short_circuit_obeys_the_holevo_cap():
+    # Overlaps just within orthogonality_tol add up: chi falls below H(X), and
+    # chi caps I_Global, so the point interval sits at chi.
+    e = near_orthogonal_gbell(4, seed=0)
+    info = estimate_accessible_info(e)
+    assert info.lo == info.hi == e.chi < shannon_entropy(e.probs) - ROUNDING_SLACK
 
 
 def test_estimate_follows_the_ensembles_tolerances():

@@ -8,12 +8,12 @@ import entcharge
 PUBLIC_NAMES = [
     "BipartiteDims", "BipartiteState", "ChargeReport", "DEFAULT_TOLERANCES", "Ensemble",
     "EntchargeError", "FamilyReport", "InfoInterval", "MAX_JOINT_DIM", "OptimizerConfig",
-    "PROB_FLOOR", "ParseError", "Povm", "PreconditionError", "STRICT_TOLERANCES", "ShapeError",
+    "ParseError", "Povm", "PreconditionError", "STRICT_TOLERANCES", "ShapeError",
     "StructureFlags", "Tolerances", "UnsupportedFormError", "VERDICT_ENTANGLEMENT",
     "VERDICT_INDETERMINATE", "VERDICT_INFORMATION", "VERDICT_NEITHER", "ValidationError",
-    "analyze", "average_state", "bell_basis", "binary_entropy", "chi_rewrite_bounds",
+    "analyze", "average_state", "bell_basis", "binary_entropy",
     "clamp_spectrum", "delta_epsilon", "density_of", "entanglement_entropy", "equal_probs",
-    "estimate_accessible_info", "exact_charge_max_entangled", "generalized_bell_basis",
+    "estimate_accessible_info", "generalized_bell_basis",
     "holevo_chi", "is_canonical_product_basis", "is_product",
     "lower_bound_general", "lower_bound_pure", "make_ensemble", "make_povm",
     "mutual_information_of_measurement", "pairwise_orthogonal", "parse_ensemble",

@@ -16,10 +16,8 @@ from entcharge import (
     analyze,
     bell_basis,
     binary_entropy,
-    chi_rewrite_bounds,
     equal_probs,
     estimate_accessible_info,
-    exact_charge_max_entangled,
     generalized_bell_basis,
     lower_bound_pure,
     make_ensemble,
@@ -38,6 +36,7 @@ from helpers import (
     random_density,
     random_orthogonal_pure_ensemble,
     random_pure_vector,
+    random_unitary,
 )
 
 H34 = binary_entropy(0.75)  # per-state entanglement of the family at pi/6
@@ -117,44 +116,74 @@ def test_lower_bound_pure_requires_pure_members():
 
 
 def test_chi_rewrite_bell_collapses():
+    # Every Bell member has the reduced states I/2, so chi_A = chi_B = 0 and
+    # the pure lower bound meets the merging bound.
     for probs in (equal_probs(4), [0.7, 0.1, 0.1, 0.1], [1, 0, 0, 0]):
-        chi_a, chi_b, bracket = chi_rewrite_bounds(bell_basis(probs))
-        assert chi_a == pytest.approx(0.0, abs=1e-9)
-        assert chi_b == pytest.approx(0.0, abs=1e-9)
-        assert bracket[1] - bracket[0] == pytest.approx(0.0, abs=1e-9)
+        e = bell_basis(probs)
+        assert e.chi_a == pytest.approx(0.0, abs=1e-9)
+        assert e.chi_b == pytest.approx(0.0, abs=1e-9)
+        r = analyze(e)
+        assert r.interval[1] - r.interval[0] == pytest.approx(0.0, abs=1e-9)
+        assert r.exact_value == r.upper_bounds["merging_AtoB"]
+        assert "exact: lower bound pure meets upper bound merging_AtoB" in r.notes
 
 
 def test_chi_rewrite_product_basis():
-    chi_a, chi_b, bracket = chi_rewrite_bounds(product_basis(2, 2, equal_probs(4)))
-    assert chi_a == pytest.approx(1.0, abs=1e-9)
-    assert chi_b == pytest.approx(1.0, abs=1e-9)
-    assert bracket == pytest.approx((0.0, 1.0), abs=1e-9)
+    e = product_basis(2, 2, equal_probs(4))
+    assert e.chi_a == pytest.approx(1.0, abs=1e-9)
+    assert e.chi_b == pytest.approx(1.0, abs=1e-9)
+    r = analyze(e)
+    assert (r.chi_a, r.chi_b) == (e.chi_a, e.chi_b)
+    assert r.interval == pytest.approx((0.0, 1.0), abs=1e-9)
+    assert r.exact_value is None
 
 
 def test_chi_rewrite_rotated_pi_over_6():
-    _, _, bracket = chi_rewrite_bounds(rotated_basis(np.pi / 6, equal_probs(4)))
-    assert bracket == pytest.approx((H34, 1.0), abs=1e-9)
+    assert analyze(rotated_basis(np.pi / 6, equal_probs(4))).interval == pytest.approx((H34, 1.0), abs=1e-9)
+
+
+def _max_entangled_closed_form(e) -> float:
+    """The paper's exact charge H(X) - log2 d of an orthogonal d x d maximally
+    entangled ensemble, from the probabilities alone."""
+    return shannon_entropy(e.probs) - np.log2(e.dims.dA)
 
 
 def test_exact_charge_examples():
-    assert exact_charge_max_entangled(bell_basis(equal_probs(4))) == pytest.approx(1.0, abs=1e-9)
-    assert exact_charge_max_entangled(bell_basis([1, 0, 0, 0])) == pytest.approx(-1.0, abs=1e-9)
-    got = exact_charge_max_entangled(generalized_bell_basis(3, equal_probs(9)))
-    assert got == pytest.approx(np.log2(9) - np.log2(3), abs=1e-9)
-    assert got == pytest.approx(np.log2(3), abs=1e-9)
+    for e, want in (
+        (bell_basis(equal_probs(4)), 1.0),
+        (bell_basis([1, 0, 0, 0]), -1.0),
+        (generalized_bell_basis(3, equal_probs(9)), np.log2(3)),
+    ):
+        assert _max_entangled_closed_form(e) == pytest.approx(want, abs=1e-12)
+        assert analyze(e).exact_value == pytest.approx(want, abs=1e-9)
 
 
 def test_exact_charge_gbell_partial_support():
     probs = np.zeros(9)
     probs[:3] = 1 / 3
-    assert exact_charge_max_entangled(generalized_bell_basis(3, probs)) == pytest.approx(0.0, abs=1e-9)
+    assert analyze(generalized_bell_basis(3, probs)).exact_value == pytest.approx(0.0, abs=1e-9)
 
 
-def test_exact_charge_precondition_messages():
-    with pytest.raises(PreconditionError, match="maximally entangled"):
-        exact_charge_max_entangled(product_basis(2, 2, equal_probs(4)))
-    with pytest.raises(PreconditionError, match="dA = dB"):
-        exact_charge_max_entangled(product_basis(3, 2, equal_probs(6)))
+def test_no_exact_value_where_the_edges_do_not_meet():
+    # Product bases have chi_A = chi_B = log2 of the other party's dimension, so
+    # the pure lower bound stays that far below the merging bounds.
+    for e in (product_basis(2, 2, equal_probs(4)), product_basis(3, 2, equal_probs(6))):
+        r = analyze(e)
+        assert r.exact_value is None
+        assert not any(n.startswith("exact:") for n in r.notes)
+        assert r.interval[1] - r.interval[0] == pytest.approx(min(e.chi_a, e.chi_b), abs=1e-9)
+
+
+def test_floor_meeting_an_upper_bound_is_exact():
+    # A 1 x n ensemble has S(A|B) = 0 = -log2(1): on a non-orthogonal pair,
+    # whose only lower candidate is the floor, the floor meets merging_AtoB.
+    dims = BipartiteDims(1, 2)
+    pair = [validate_state(dims, [1, 0]), validate_state(dims, [np.sqrt(0.5), np.sqrt(0.5)])]
+    r = analyze(make_ensemble([(0.5, pair[0]), (0.5, pair[1])]))
+    assert r.exact_value == 0.0
+    assert not r.lower_bound_informative
+    assert r.verdict == VERDICT_NEITHER
+    assert "exact: lower bound floor meets upper bound merging_AtoB" in r.notes
 
 
 def test_analyze_bell_verdicts():
@@ -298,10 +327,12 @@ def test_sandwich_and_chi_identity_random_ensembles(seed, d):
     lower = lower_bound_pure(e)
     uppers = upper_bound_merging(e)
     assert lower <= min(uppers) + 1e-9
-    chi_a, chi_b, bracket = chi_rewrite_bounds(e)
     s_ab_minus_sb, s_ab_minus_sa = uppers
-    assert s_ab_minus_sb - chi_a == pytest.approx(s_ab_minus_sa - chi_b, abs=1e-9)
-    assert bracket[0] == pytest.approx(lower, abs=1e-9)
+    assert s_ab_minus_sb - e.chi_a == pytest.approx(s_ab_minus_sa - e.chi_b, abs=1e-9)
+    assert s_ab_minus_sb - e.chi_a == pytest.approx(lower, abs=1e-9)
+    r = analyze(e)
+    assert r.interval[1] - r.interval[0] == pytest.approx(min(e.chi_a, e.chi_b), abs=1e-9)
+    assert (r.exact_value is not None) == (min(e.chi_a, e.chi_b) <= ROUNDING_SLACK)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -315,12 +346,50 @@ def test_bounds_permutation_invariant(seed):
     assert lower_bound_pure(e) == pytest.approx(lower_bound_pure(shuffled), abs=1e-12)
 
 
+def _swap_parties(e):
+    """The same ensemble with A and B exchanged: amplitudes psi[i, j] -> psi[j, i]."""
+    dA, dB = e.dims.dA, e.dims.dB
+
+    def swapped(s):
+        if s.is_pure:
+            return s.vector.reshape(dA, dB).T.reshape(-1)
+        return s.matrix.reshape(dA, dB, dA, dB).transpose(1, 0, 3, 2).reshape(dA * dB, dA * dB)
+
+    dims = BipartiteDims(dB, dA)
+    return make_ensemble([(p, validate_state(dims, swapped(s))) for p, s in e.members])
+
+
+def _rotate_locally(e, rng):
+    """The same ensemble under a random local unitary U_A x U_B."""
+    k = np.kron(random_unitary(rng, e.dims.dA), random_unitary(rng, e.dims.dB))
+    data = [k @ s.vector if s.is_pure else k @ s.matrix @ k.conj().T for s in e.states]
+    return make_ensemble(zip(e.probs, (validate_state(e.dims, x) for x in data)))
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "nonorthogonal"])
+def test_analyze_invariant_under_local_unitaries_and_party_swap(pure, orthogonal):
+    # The charge is a property of the ensemble up to local basis changes, and
+    # every candidate either is symmetric in A and B or trades places with its
+    # mirror; compress_teleport = S(rho_A), the one that does not, never sets hi.
+    rng = np.random.default_rng(1617 + 2 * pure + orthogonal)
+    for _ in range(25):
+        e = _random_ensemble(rng, pure, orthogonal)
+        r = analyze(e)
+        for image in (_rotate_locally(e, rng), _swap_parties(e)):
+            s = analyze(image)
+            assert s.interval == pytest.approx(r.interval, abs=1e-12)
+            assert s.verdict == r.verdict
+            assert (s.exact_value is None) == (r.exact_value is None)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_max_entangled_exactness_consistency(d):
     rng = np.random.default_rng(99)
     probs = rng.dirichlet(np.ones(d * d))
     e = generalized_bell_basis(d, probs)
-    exact = exact_charge_max_entangled(e)
+    exact = analyze(e).exact_value
+    assert exact == pytest.approx(_max_entangled_closed_form(e), abs=1e-9)
     uppers = upper_bound_merging(e)
     assert exact == pytest.approx(uppers[0], abs=1e-9)
     assert exact == pytest.approx(uppers[1], abs=1e-9)
@@ -522,8 +591,6 @@ def test_facts_are_computed_once_across_public_bounds(monkeypatch):
     analyze(e)
     lower_bound_pure(e)
     upper_bound_merging(e)
-    chi_rewrite_bounds(e)
-    exact_charge_max_entangled(e)
     assert (len(overlaps), len(averages)) == (1, 1)
 
 

@@ -8,7 +8,10 @@ import pytest
 
 from entcharge.cli import CSV_HEADER, main
 from entcharge.fileio import parse_ensemble, write_ensemble
+from entcharge.ensembles import shannon_of
 from entcharge.generators import bell_basis, equal_probs
+from entcharge.linalg import ROUNDING_SLACK
+from helpers import near_orthogonal_gbell
 
 
 def run_cli(args):
@@ -132,6 +135,26 @@ def test_validate_and_analyze_reject_average_trace_alike(tmp_path, capsys):
         errors.append(err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("error: members: average state trace 1.0000000018")
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_validated_near_orthogonal_gbell_analyzes(d, tmp_path, capsys):
+    # Every pairwise overlap sits just within orthogonality_tol, so validate
+    # accepts the file; at d = 4 and 8 the overlaps add up to an S(rho_AB)
+    # more than ROUNDING_SLACK below H(X). A file validate accepts analyzes.
+    e = near_orthogonal_gbell(d, seed=0)
+    if d > 2:
+        assert shannon_of(e) - e.s_ab > ROUNDING_SLACK
+    path = tmp_path / "nearorth.json"
+    path.write_text(write_ensemble(e))
+    assert main(["validate", str(path)]) == 0
+    assert "mutually_orthogonal=true all_maximally_entangled=true" in capsys.readouterr().out
+    for mode in ([], ["--accessible-info", "estimate"]):
+        assert main(["analyze", str(path), "--format", "structured", *mode]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        interval = json.loads(out)["charge"]["interval"]
+        assert interval["lo"]["value"] <= interval["hi"]["value"]
 
 
 def test_analyze_bell_text(tmp_path, capsys):

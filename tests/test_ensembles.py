@@ -72,8 +72,8 @@ def test_ensemble_level_functions_take_no_tolerance():
                 checked.add(name)
                 assert "tol" not in [p.name for p in params[1:]], name
     assert checked >= {
-        "analyze", "upper_bound_merging", "lower_bound_pure", "chi_rewrite_bounds", "delta_epsilon",
-        "lower_bound_general", "exact_charge_max_entangled", "shannon_of", "estimate_accessible_info",
+        "analyze", "upper_bound_merging", "lower_bound_pure", "delta_epsilon",
+        "lower_bound_general", "shannon_of", "estimate_accessible_info",
         "is_canonical_product_basis", "report_document",
     }
 
@@ -144,6 +144,13 @@ def test_classify_structure_degenerate_probs():
     flags = bell_basis([1, 0, 0, 0]).flags
     assert flags.support_size == 1
     assert flags.all_maximally_entangled  # zero-prob members still checked
+
+
+def test_support_size_follows_the_tolerance_profile():
+    # p = 1e-13 is below the default eigenvalue_clamp (1e-12), above the strict one (1e-14).
+    probs = [1 - 1e-13, 1e-13, 0, 0]
+    assert bell_basis(probs).flags.support_size == 1
+    assert bell_basis(probs, STRICT_TOLERANCES).flags.support_size == 2
 
 
 def test_shannon_of():

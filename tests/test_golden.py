@@ -3,8 +3,9 @@
 tests/golden/ holds small canonical ensemble files (a generalized Bell basis,
 a rotated-family point, a random orthogonal pure ensemble, an orthogonal
 mixed-state ensemble, a non-orthogonal pure ensemble, a non-orthogonal
-pure/density mix and a product basis) next to the exact `analyze` text and
-structured output and one `sweep rotated` CSV, plus the structured sweep of
+pure/density mix, a product basis, and a generalized Bell basis tilted until
+every overlap sits just within the orthogonality tolerance) next to the
+exact `analyze` text and structured output and one `sweep rotated` CSV, plus the structured sweep of
 the same points with a user-supplied gate cost. Any refactor of the
 computation must reproduce them byte for byte. Two more files pin the
 structured output of `--accessible-info estimate`, so a change to the POVM
@@ -38,7 +39,7 @@ def _run(argv, capsys, monkeypatch, cwd=GOLDEN) -> str:
 
 
 def test_golden_set_is_complete():
-    assert len(NAMES) == 7
+    assert len(NAMES) == 8
 
 
 @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("structured", "structured.json")])
