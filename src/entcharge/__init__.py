@@ -37,7 +37,6 @@ from .entropy import (
     binary_entropy,
     clamp_spectrum,
     entanglement_entropy,
-    holevo_chi,
     shannon_entropy,
     von_neumann_entropy,
 )

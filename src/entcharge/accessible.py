@@ -280,7 +280,7 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     """
     cap = min(shannon_of(e), e.chi)
     if e.witness is None:
-        return InfoInterval(cap, cap, "orthogonal ensemble: exact value H(X)")
+        return InfoInterval(cap, cap, "orthogonal ensemble: min(H(X), Holevo chi)")
     rhos, probs = e.densities, e.probs
     outcomes = max(2, len(e.members))
     shape = (outcomes, e.dims.joint, e.dims.joint)

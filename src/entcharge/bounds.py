@@ -24,8 +24,10 @@ Exactness has one rule: the charge is exact when the least of the three
 upper candidates above lies within ROUNDING_SLACK of the best lower
 candidate, and the exact value is that upper candidate's. Its two classic
 instances: the pure lower bound equals S(A|B) - chi_A = S(B|A) - chi_B,
-where chi is the Holevo information of a reduced ensemble, so the edges
-meet whenever one party's reduced states carry no information (chi = 0);
+where chi_A = S(rho_A) - sum_X p_X S(rho_X^A) is the Holevo information of
+a reduced ensemble, read from the same S(rho_A) as the merging bounds, so
+the edges meet whenever one party's reduced states carry no information
+(chi = 0);
 and orthogonal d x d maximally entangled pure ensembles, whose reduced
 states are all I/d, meet at the paper's H(X) - log2 d. Inside
 orthogonality_tol the pure lower bound still assumes I_Global = H(X).

@@ -21,7 +21,6 @@ import numpy as np
 
 from .entropy import (
     _holevo_chi,
-    chi_average,
     member_term,
     shannon_entropy,
     valid_probs,
@@ -64,19 +63,21 @@ class Ensemble:
     average state and its marginals. reduced_a / reduced_b stack each member
     traced down to A / B, entropies_a / entropies_b hold each member's
     S(rho_X^A) / S(rho_X^B), avg_member_entropy = sum_X p_X S(rho_X^A), and
-    chi_a / chi_b are the Holevo chi of the two reduced ensembles. probs and
-    states split the members once. densities stacks every member's joint
-    density matrix, which the overlaps of mixed members and the
-    accessible-information search read, and chi is the joint Holevo chi,
-    whose first term is s_ab. The reduced
-    states of each side are one batched computation over all members, and one
-    spectrum per party covers its marginal, its chi average and its members:
-    reading entropies_a or chi_a computes all three (B alike). s_a reads that
-    spectrum only when the members are all pure and mutually orthogonal, the
-    ensembles whose member entropies every analysis reads; otherwise it is
-    the marginal's own spectrum. These derived states are checked at the
-    bounds that valid members guarantee (see density_spectra), so no fact of
-    a validated ensemble fails its spectrum check.
+    chi_a / chi_b, S(rho_A) - sum_X p_X S(rho_X^A) and its B twin, are the
+    Holevo chi of the two reduced ensembles. probs and states split the
+    members once. densities stacks every member's joint density matrix,
+    which the overlaps of mixed members and the accessible-information
+    search read, and chi is the joint Holevo chi, whose first term is s_ab.
+    The reduced states of each side are one batched computation over all
+    members, and one spectrum per party covers its marginal and its members:
+    reading entropies_a or chi_a computes both (B alike), and chi_a's first
+    term is the marginal's row. s_a reads that row only when the members are
+    all pure and mutually orthogonal, the ensembles whose member entropies
+    and chi every analysis reads, so there chi_a and the merging bounds
+    share one S(rho_A); otherwise it is the marginal's own spectrum. These
+    derived states are checked at the bounds that valid members guarantee
+    (see density_spectra), so no fact of a validated ensemble fails its
+    spectrum check.
     """
 
     dims: BipartiteDims
@@ -110,20 +111,20 @@ class Ensemble:
 
     @cached_property
     def reduced_a(self) -> np.ndarray:
-        return _freeze(reduced_ensemble(self, "A")[1])
+        return _freeze(reduced_ensemble(self, "A"))
 
     @cached_property
     def reduced_b(self) -> np.ndarray:
-        return _freeze(reduced_ensemble(self, "B")[1])
+        return _freeze(reduced_ensemble(self, "B"))
 
     def _traced_dim(self, traced: str) -> int:
         return self.dims.dA if traced == "A" else self.dims.dB
 
     def _party_entropies(self, reduced: np.ndarray, traced: str) -> np.ndarray:
-        """Entropies of [Tr_traced rho, sum_X p_X rho_X, rho_X ...] for one
-        party's reduced states, from one batched spectrum."""
+        """Entropies of [Tr_traced rho, rho_X ...], the party's marginal and
+        its reduced members, from one batched spectrum."""
         marginal = partial_trace(self.average, self.dims.dA, self.dims.dB, traced)
-        stack = np.concatenate([marginal[None], chi_average(self.probs, reduced)[None], reduced])
+        stack = np.concatenate([marginal[None], reduced])
         return _freeze(von_neumann_entropies(stack, self.tol, self._traced_dim(traced)))
 
     @cached_property
@@ -136,11 +137,11 @@ class Ensemble:
 
     @cached_property
     def entropies_a(self) -> np.ndarray:
-        return self._entropies_of_a[2:]
+        return self._entropies_of_a[1:]
 
     @cached_property
     def entropies_b(self) -> np.ndarray:
-        return self._entropies_of_b[2:]
+        return self._entropies_of_b[1:]
 
     @cached_property
     def _orthogonal_pure(self) -> bool:
@@ -149,7 +150,7 @@ class Ensemble:
     def _marginal_entropy(self, traced: str, party_entropies) -> float:
         """S of the marginal left by tracing out `traced`: row 0 of the
         party's spectrum for an orthogonal pure ensemble, whose member
-        entropies are read too; else, as m + 2 spectra would cost more than
+        entropies are read too; else, as m + 1 spectra would cost more than
         one, the marginal's own."""
         if self._orthogonal_pure:
             return float(party_entropies()[0])
@@ -160,18 +161,12 @@ class Ensemble:
     def maximally_entangled(self) -> tuple[bool, ...]:
         """Whether each member is pure with both reduced states within
         orthogonality_tol of I/d. Only a pure member of a dA = dB ensemble can
-        be, so only those members are reduced."""
+        be, so no other ensemble is reduced."""
         pure = np.array([s.is_pure for s in self.states])
-        dA, dB = self.dims.dA, self.dims.dB
-        if dA != dB or not pure.any():
+        if self.dims.dA != self.dims.dB or not pure.any():
             return (False,) * len(pure)
-        if pure.all():
-            reduced = (self.reduced_a, self.reduced_b)
-        else:
-            vectors = np.stack([s.vector for s in self.states if s.is_pure])
-            reduced = tuple(vector_partial_traces(vectors, dA, dB, traced) for traced in "BA")
-        pure[pure] = _maximally_mixed(reduced[0], self.tol) & _maximally_mixed(reduced[1], self.tol)
-        return tuple(bool(x) for x in pure)
+        flat = _maximally_mixed(self.reduced_a, self.tol) & _maximally_mixed(self.reduced_b, self.tol)
+        return tuple(bool(x) for x in pure & flat)
 
     @cached_property
     def flags(self) -> StructureFlags:
@@ -218,13 +213,14 @@ class Ensemble:
 
     @cached_property
     def chi_a(self) -> float:
-        """Holevo chi of the A-side reduced ensemble; its member entropies are
-        entropies_a, the ones avg_member_entropy sums."""
-        return _holevo_chi(self.probs, self.reduced_a, self._entropies_of_a[1:])
+        """Holevo chi of the A-side reduced ensemble, S(rho_A) - sum_X p_X
+        S(rho_X^A): both terms are rows of the party's spectrum, the member
+        entropies the ones avg_member_entropy sums."""
+        return _holevo_chi(self.probs, self.reduced_a, self._entropies_of_a)
 
     @cached_property
     def chi_b(self) -> float:
-        return _holevo_chi(self.probs, self.reduced_b, self._entropies_of_b[1:])
+        return _holevo_chi(self.probs, self.reduced_b, self._entropies_of_b)
 
     @cached_property
     def chi(self) -> float:
@@ -291,10 +287,10 @@ def average_state(e: Ensemble) -> np.ndarray:
     return out
 
 
-def reduced_ensemble(e: Ensemble, party: str) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities plus the stack (m, d, d) of every member partial-traced
-    down to the given party: pure members from their vectors, density members
-    in one einsum, each with the bits of partial_trace(density_of(s), ...)."""
+def reduced_ensemble(e: Ensemble, party: str) -> np.ndarray:
+    """The stack (m, d, d) of every member partial-traced down to the given
+    party: pure members from their vectors, density members in one einsum,
+    each with the bits of partial_trace(density_of(s), ...)."""
     if party == "A":
         traced = "B"
     elif party == "B":
@@ -310,7 +306,7 @@ def reduced_ensemble(e: Ensemble, party: str) -> tuple[np.ndarray, np.ndarray]:
         out[pure] = vector_partial_traces(np.stack([s.vector for s in states if s.is_pure]), dA, dB, traced)
     if not pure.all():
         out[~pure] = partial_traces(np.stack([s.matrix for s in states if not s.is_pure]), dA, dB, traced)
-    return e.probs, out
+    return out
 
 
 def shannon_of(e: Ensemble) -> float:

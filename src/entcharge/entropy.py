@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_square_matrix, density_spectra
 from .states import BipartiteState, schmidt_coefficients
 
@@ -105,34 +105,10 @@ def member_term(p: np.ndarray, entropies) -> float:
     return float(sum(pi * s for pi, s in zip(p, entropies)))
 
 
-def holevo_chi(probs, states, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """chi = S(sum p_X rho_X) - sum p_X S(rho_X) of a density-matrix ensemble."""
-    p = valid_probs(probs, tol)
-    mats = [as_square_matrix(s) for s in states]
-    if len(mats) != p.size:
-        raise ValidationError(f"{p.size} probabilities but {len(mats)} states")
-    if not mats:
-        raise ValidationError("empty state list")
-    dim = mats[0].shape[0]
-    for k, m in enumerate(mats):
-        if m.shape[0] != dim:
-            raise ShapeError(f"state {k} has dim {m.shape[0]}, expected {dim}")
-    stack = np.stack(mats)
-    if (stack == stack[:1]).all():
-        # _holevo_chi's zero for identical members needs only member 0 valid.
-        density_spectra(stack[:1], tol)
-        return 0.0
-    return _holevo_chi(p, stack, von_neumann_entropies(np.concatenate([chi_average(p, stack)[None], stack]), tol))
-
-
-def chi_average(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_X p_X rho_X of a stack, the state whose entropy chi starts from."""
-    return np.einsum("x,xij->ij", p, stack)
-
-
 def _holevo_chi(p: np.ndarray, stack: np.ndarray, h: np.ndarray) -> float:
-    """holevo_chi of a checked stack from h, the entropies of
-    [chi_average(p, stack), *stack] in that order."""
+    """chi = S(rho) - sum_X p_X S(rho_X) of a checked stack from h, the
+    entropies of [rho, *stack] in that order. rho = sum_X p_X rho_X is the
+    ensemble's average state, or its marginal for a reduced ensemble."""
     # Identical members carry no information; short-circuit keeps chi exactly 0.
     if (stack == stack[:1]).all():
         return 0.0

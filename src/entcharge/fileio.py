@@ -266,8 +266,6 @@ def parse_ensemble(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Ensemble:
     members = list(zip(probs, states))
     try:
         return make_ensemble(members, label=label, tol=tol)
-    except ParseError:
-        raise
     except Exception as exc:
         raise ParseError(f"members: {exc}") from exc
 

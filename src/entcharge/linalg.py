@@ -152,12 +152,12 @@ def density_spectra(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, tra
     fails a check raises that check's error, the checks taken in that order.
 
     A matrix derived by tracing out a party of dimension traced_dim (a reduced
-    member, a marginal of the average state, a chi average of reduced members)
-    is checked at traced_dim x hermiticity_tol and traced_dim x
-    eigenvalue_clamp. Tr_B is a positive map, so lambda_min(Tr_B rho) >= -d c
-    when lambda_min(rho) >= -c, and each entry of Tr_B(rho - rho^dag) sums d
-    entries of rho - rho^dag: a state derived from valid members passes. The
-    trace check is not scaled, as a partial trace keeps the trace.
+    member or a marginal of the average state) is checked at traced_dim x
+    hermiticity_tol and traced_dim x eigenvalue_clamp. Tr_B is a positive
+    map, so lambda_min(Tr_B rho) >= -d c when lambda_min(rho) >= -c, and each
+    entry of Tr_B(rho - rho^dag) sums d entries of rho - rho^dag: a state
+    derived from valid members passes. The trace check is not scaled, as a
+    partial trace keeps the trace.
     """
     dev = _hermiticity_deviation(stack)
     evals = np.linalg.eigvalsh(hermitian_part(stack))

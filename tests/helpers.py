@@ -18,6 +18,7 @@ from entcharge import (
     equal_probs,
     generalized_bell_basis,
     make_ensemble,
+    rotated_basis,
     validate_state,
 )
 from entcharge.ensembles import Ensemble
@@ -98,6 +99,69 @@ def near_orthogonal_gbell(d: int, seed: int, tol=DEFAULT_TOLERANCES) -> Ensemble
     return tilted(lo)
 
 
+# -- tolerance-edge adversaries -----------------------------------------------
+# Each builds a valid ensemble (under the default profile) that sits at one
+# tolerance edge, set by its first argument; the seed draws the rest.
+
+
+def tilted_bell_basis(overlap: float, seed: int) -> Ensemble:
+    """The Bell basis with Psi- tilted toward Phi+ until Tr(rho_Phi+ rho_Psi-)
+    = overlap. The tilted member stays maximally entangled."""
+    a = math.asin(math.sqrt(overlap))
+    h = 2**-0.5
+    phi_plus, phi_minus, psi_plus = [h, 0, 0, h], [h, 0, 0, -h], [0, h, h, 0]
+    tilted = [math.sin(a) * h, math.cos(a) * h, -math.cos(a) * h, math.sin(a) * h]
+    dims = BipartiteDims(2, 2)
+    states = [validate_state(dims, v) for v in (phi_plus, phi_minus, psi_plus, tilted)]
+    return make_ensemble(zip(_seeded_probs(seed, 4), states), label="tilted-bell")
+
+
+def edge_probability_ensemble(p: float, seed: int) -> Ensemble:
+    """Three seeded, non-orthogonal pure members on 2 x 3, the first with
+    probability p."""
+    rng = np.random.default_rng([seed, 3])
+    dims = BipartiteDims(2, 3)
+    states = [validate_state(dims, random_pure_vector(rng, 6)) for _ in range(3)]
+    return make_ensemble(zip([p, *(1.0 - p) * _seeded_probs(seed, 2)], states), label="edge-probability")
+
+
+def near_product_basis(gap: float, seed: int) -> Ensemble:
+    """The rotated product basis whose members' largest Schmidt coefficient
+    is 1 - gap."""
+    return rotated_basis(math.acos(1.0 - gap), _seeded_probs(seed, 4))
+
+
+def near_maximally_mixed_gbell(d: int, distance: float, seed: int) -> Ensemble:
+    """The generalized Bell basis with every member's Schmidt vector moved
+    off uniform, so that both reduced states lie at Frobenius distance
+    `distance` from I/d. Members with equal shift a stay orthogonal only up
+    to overlaps of order distance^2."""
+    rng = np.random.default_rng([seed, d])
+    w = rng.standard_normal(d)
+    w -= w.mean()
+    schmidt = 1.0 / d + distance * w / np.linalg.norm(w)
+    # (D x I) scales the amplitude rows psi[k, :] of the A index k.
+    scale = np.sqrt(d * schmidt)[:, None]
+    base = [s.vector.reshape(d, d) for s in generalized_bell_basis(d, equal_probs(d * d)).states]
+    dims = BipartiteDims(d, d)
+    states = [validate_state(dims, (scale * m).ravel()) for m in base]
+    return make_ensemble(zip(_seeded_probs(seed, d * d), states), label="near-maximally-mixed")
+
+
+def zero_probability_duplicates(p: float, seed: int) -> Ensemble:
+    """The Bell basis plus a copy of two seeded members, each with
+    probability p (0 included)."""
+    rng = np.random.default_rng([seed, 5])
+    bell = generalized_bell_basis(2, equal_probs(4)).states
+    copies = [bell[k] for k in rng.choice(4, size=2, replace=False)]
+    probs = [*(1.0 - 2 * p) * _seeded_probs(seed, 4), p, p]
+    return make_ensemble(zip(probs, [*bell, *copies]), label="zero-probability-duplicates")
+
+
+def _seeded_probs(seed: int, m: int) -> np.ndarray:
+    return np.random.default_rng([seed, m]).dirichlet(np.ones(m))
+
+
 def partial_trace_loop(m: np.ndarray, dA: int, dB: int, traced_party: str) -> np.ndarray:
     """Direct double-loop index summation, independent of the library path."""
     if traced_party == "B":
@@ -115,18 +179,28 @@ def partial_trace_loop(m: np.ndarray, dA: int, dB: int, traced_party: str) -> np
     return out
 
 
+def entropy_oracle(m: np.ndarray) -> float:
+    """S(m) in bits from numpy's eigvalsh alone."""
+    w = np.linalg.eigvalsh(m)
+    w = w[w > 1e-12]
+    return float(-(w * np.log2(w)).sum())
+
+
 def mutual_information_oracle(rho: np.ndarray, dA: int, dB: int) -> float:
     """I(A;B) = S(rho_A) + S(rho_B) - S(rho_AB) in bits, from loop partial
     traces and numpy's eigvalsh."""
+    s_a = entropy_oracle(partial_trace_loop(rho, dA, dB, "B"))
+    s_b = entropy_oracle(partial_trace_loop(rho, dA, dB, "A"))
+    return s_a + s_b - entropy_oracle(rho)
 
-    def entropy(m):
-        w = np.linalg.eigvalsh(m)
-        w = w[w > 1e-12]
-        return float(-(w * np.log2(w)).sum())
 
-    s_a = entropy(partial_trace_loop(rho, dA, dB, "B"))
-    s_b = entropy(partial_trace_loop(rho, dA, dB, "A"))
-    return s_a + s_b - entropy(rho)
+def holevo_oracle(probs, mats) -> float:
+    """chi = S(sum_X p_X rho_X) - sum_X p_X S(rho_X) in bits, from numpy's
+    eigvalsh alone."""
+    probs = np.asarray(probs, dtype=float)
+    mats = np.asarray(mats)
+    average = np.einsum("x,xij->ij", probs, mats)
+    return entropy_oracle(average) - float(sum(p * entropy_oracle(m) for p, m in zip(probs, mats)))
 
 
 def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from entcharge import (
     equal_probs,
     estimate_accessible_info,
     generalized_bell_basis,
-    holevo_chi,
     lower_bound_pure,
     partial_trace,
     product_basis,
@@ -33,6 +32,7 @@ from entcharge.entropy import _entropy_bits, clamp_spectrum
 from entcharge.fileio import parse_ensemble, write_ensemble
 from helpers import (
     charpoly_eigenvalues,
+    holevo_oracle,
     partial_trace_loop,
     random_density,
     random_orthogonal_pure_ensemble,
@@ -144,7 +144,7 @@ def test_criterion_6_accessible_information_bracketing():
         assert info.lo <= info.hi + 1e-9
         from entcharge import density_of
 
-        cap = min(shannon_of(e), holevo_chi([0.5, 0.5], [density_of(s) for s in e.states]))
+        cap = min(shannon_of(e), holevo_oracle([0.5, 0.5], [density_of(s) for s in e.states]))
         assert info.hi == pytest.approx(cap, abs=1e-12)
         orthogonal_cases = [
             bell_basis(equal_probs(4)),

@@ -16,7 +16,6 @@ from entcharge import (
     density_of,
     equal_probs,
     estimate_accessible_info,
-    holevo_chi,
     lower_bound_general,
     lower_bound_pure,
     make_ensemble,
@@ -29,6 +28,7 @@ from entcharge import (
 )
 from entcharge.linalg import ROUNDING_SLACK
 from helpers import (
+    holevo_oracle,
     mutual_information_oracle,
     near_orthogonal_gbell,
     near_orthogonal_pair,
@@ -127,7 +127,7 @@ def test_mutual_information_caps(seed):
     povm = make_povm(D12, list(np.einsum("ab,ybc,cd->yad", inv_sqrt, mats, inv_sqrt)))
     value = mutual_information_of_measurement(e, povm)
     hx = shannon_entropy(probs)
-    chi = holevo_chi(probs, [density_of(s) for s in e.states])
+    chi = holevo_oracle(probs, [density_of(s) for s in e.states])
     assert value <= hx + 1e-9
     assert value <= chi + 1e-9
     assert value >= 0.0
@@ -186,7 +186,7 @@ def test_accessible_info_exact_orthogonal():
 def test_estimate_orthogonal_short_circuit():
     info = estimate_accessible_info(bell_basis(equal_probs(4)))
     assert info.lo == info.hi == pytest.approx(2.0, abs=1e-12)
-    assert info.note == "orthogonal ensemble: exact value H(X)"
+    assert info.note == "orthogonal ensemble: min(H(X), Holevo chi)"
 
 
 def test_estimate_orthogonal_short_circuit_obeys_the_holevo_cap():
@@ -202,7 +202,7 @@ def test_estimate_follows_the_ensembles_tolerances():
     # strict policy the ensemble was built with, so the search must run.
     from entcharge import STRICT_TOLERANCES
 
-    assert estimate_accessible_info(near_orthogonal_pair()).note == "orthogonal ensemble: exact value H(X)"
+    assert estimate_accessible_info(near_orthogonal_pair()).note == "orthogonal ensemble: min(H(X), Holevo chi)"
     info = estimate_accessible_info(near_orthogonal_pair(STRICT_TOLERANCES), OptimizerConfig(restarts=2))
     assert "orthogonal" not in info.note
     assert info.lo <= info.hi < 1.0
@@ -242,7 +242,7 @@ def test_estimate_two_state_matches_grid_oracle():
     best = grid_best_projective(gamma)
     assert abs(info.lo - best) <= 1e-3
     assert info.lo <= info.hi + 1e-9
-    chi = holevo_chi([0.5, 0.5], [density_of(s) for s in e.states])
+    chi = holevo_oracle([0.5, 0.5], [density_of(s) for s in e.states])
     assert info.hi == pytest.approx(min(1.0, chi), abs=1e-12)
 
 
@@ -420,7 +420,7 @@ def test_estimate_final_povm_is_psd_on_ill_conditioned_search():
     e = make_ensemble([(1 / 3, validate_state(D22, x)) for x in v])
     info = estimate_accessible_info(e, OptimizerConfig(restarts=2, max_iters=30))
     assert 0.0 < info.lo <= info.hi
-    assert info.hi == pytest.approx(min(shannon_entropy(e.probs), holevo_chi(e.probs, [density_of(s) for s in e.states])), abs=1e-12)
+    assert info.hi == pytest.approx(min(shannon_entropy(e.probs), holevo_oracle(e.probs, [density_of(s) for s in e.states])), abs=1e-12)
 
 
 # -- pinned search outputs -------------------------------------------------------

@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import entcharge
 
@@ -14,7 +16,7 @@ PUBLIC_NAMES = [
     "analyze", "average_state", "bell_basis", "binary_entropy",
     "clamp_spectrum", "delta_epsilon", "density_of", "entanglement_entropy", "equal_probs",
     "estimate_accessible_info", "generalized_bell_basis",
-    "holevo_chi", "is_canonical_product_basis", "is_product",
+    "is_canonical_product_basis", "is_product",
     "lower_bound_general", "lower_bound_pure", "make_ensemble", "make_povm",
     "mutual_information_of_measurement", "pairwise_orthogonal", "parse_ensemble",
     "partial_trace", "product_basis", "reduced_ensemble",
@@ -30,3 +32,37 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+# Public names that only code outside src/entcharge reads, each until a named
+# change lands: the benchmark hooks pairwise_orthogonal until ROADMAP item 1a.
+UNUSED_IN_SRC = {"pairwise_orthogonal"}
+
+
+def _names_read_in_src() -> set[str]:
+    """Every name that an ast.Name or ast.Attribute node reads in
+    src/entcharge, outside __init__.py and outside the module-level def or
+    class of that same name."""
+    seen = set()
+    for path in Path(entcharge.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    seen.add(name)
+    return seen
+
+
+def test_every_public_name_is_put_to_work_in_src():
+    # A public name that nothing in the package reads serves only the tests:
+    # put it to work or delete it.
+    unused = sorted(set(PUBLIC_NAMES) - _names_read_in_src())
+    assert unused == sorted(UNUSED_IN_SRC)

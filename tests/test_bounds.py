@@ -31,6 +31,7 @@ from entcharge import (
 from entcharge.bounds import _verdict
 from entcharge.linalg import ROUNDING_SLACK
 from helpers import (
+    holevo_oracle,
     mutual_information_oracle,
     near_orthogonal_pair,
     random_density,
@@ -490,23 +491,24 @@ def test_analyze_computes_overlaps_and_average_state_once(monkeypatch):
 
 def test_analyze_reuses_member_entropies_for_chi_a(monkeypatch):
     # 64 orthogonal pure members on 8x8 whose reduced states all differ.
-    # Each side's entropies are one batched call of 64 + 2 matrices, made
-    # once: the marginal, the chi average and the 64 members, which S(A),
-    # the average member entropy and chi_A (and S(B) and chi_B) all read.
-    # S(AB) is the only entropy of one matrix.
-    from entcharge import holevo_chi, reduced_ensemble
+    # Each side's entropies are one batched call of 64 + 1 matrices, made
+    # once: the marginal and the 64 members, which S(A), the average member
+    # entropy and chi_A (and S(B) and chi_B) all read. S(AB) is the only
+    # entropy of one matrix.
+    from entcharge.entropy import member_term
 
     e = random_orthogonal_pure_ensemble(np.random.default_rng(11), 8, count=64)
     stacks = _count_calls(monkeypatch, "entropy", "von_neumann_entropies")
     report = analyze(e)
-    assert sorted(len(args[0]) for args in stacks) == [1, 66, 66]
-    assert report.chi_a == holevo_chi(*reduced_ensemble(e, "A"))
+    assert sorted(len(args[0]) for args in stacks) == [1, 65, 65]
+    assert report.chi_a == e.s_a - member_term(e.probs, e.entropies_a)
+    assert report.chi_b == e.s_b - member_term(e.probs, e.entropies_b)
 
 
 @pytest.mark.parametrize("kind", ["density", "non-orthogonal"])
 def test_analyze_takes_no_member_spectrum_it_does_not_read(monkeypatch, kind):
     # Without orthogonal pure members no bound reads a member entropy, so
-    # S(A) and S(B) are one spectrum each: never the m + 2 of a party stack.
+    # S(A) and S(B) are one spectrum each: never the m + 1 of a party stack.
     rng = np.random.default_rng(3)
     draw = random_density if kind == "density" else random_pure_vector
     e = make_ensemble([(1 / 6, validate_state(BipartiteDims(2, 32), draw(rng, 64))) for _ in range(6)])
@@ -515,10 +517,10 @@ def test_analyze_takes_no_member_spectrum_it_does_not_read(monkeypatch, kind):
     assert [len(args[0]) for args in stacks] == [1, 1, 1]
 
 
-def test_maximally_entangled_reduces_only_pure_members_of_square_ensembles(monkeypatch):
+def test_maximally_entangled_reduces_only_square_ensembles_with_pure_members(monkeypatch):
     # Only a pure member of a dA = dB ensemble can be maximally entangled, so
-    # analyze of a density ensemble builds no reduced state, and a mixed
-    # ensemble reduces its pure members only, to the same entries.
+    # analyze of a density ensemble builds no reduced state, and neither does
+    # a non-square ensemble; a mixed ensemble reads the party stacks.
     from entcharge import density_of, partial_trace
 
     rng = np.random.default_rng(9)
@@ -533,7 +535,7 @@ def test_maximally_entangled_reduces_only_pure_members_of_square_ensembles(monke
     analyze(density)
     assert (len(reduced), len(vectors)) == (0, 0)
     assert mixed.maximally_entangled == (False, True, False, False)
-    assert len(reduced) == 0 and [len(args[0]) for args in vectors] == [2, 2]
+    counts = (len(reduced), len(vectors))
     for s, entry in zip(mixed.states, mixed.maximally_entangled):
         reference = s.is_pure and all(
             np.linalg.norm(partial_trace(density_of(s), 2, 2, traced) - np.eye(2) / 2) <= mixed.tol.orthogonality_tol
@@ -541,7 +543,7 @@ def test_maximally_entangled_reduces_only_pure_members_of_square_ensembles(monke
         )
         assert entry == reference
     assert oblong.maximally_entangled == (False, False)
-    assert (len(reduced), len(vectors)) == (0, 2)
+    assert (len(reduced), len(vectors)) == counts
 
 
 def test_classify_structure_computes_no_entropy(monkeypatch):
@@ -634,13 +636,14 @@ def test_estimate_then_analyze_builds_each_joint_fact_once(name, monkeypatch):
 
     e = parse_ensemble((Path(__file__).resolve().parent / "golden" / f"{name}.json").read_text())
     average = _count_calls(monkeypatch, "ensembles", "average_state")
-    chi = _count_calls(monkeypatch, "entropy", "holevo_chi")
+    chi = _count_calls(monkeypatch, "entropy", "_holevo_chi")
     densities = _count_calls(monkeypatch, "states", "density_of")
     info = estimate_accessible_info(e, OptimizerConfig(restarts=2, max_iters=5))
     analyze(e, info)
     # The search reads the ensemble's densities, average and chi: m density_of
     # calls stack the members once, and m sum the average state in order.
-    assert (len(average), len(chi), len(densities)) == (1, 0, 2 * len(e.members))
+    # analyze of a non-orthogonal ensemble reads no party chi.
+    assert (len(average), len(chi), len(densities)) == (1, 1, 2 * len(e.members))
     assert not hasattr(entcharge.accessible, "density_of")
 
 
@@ -673,10 +676,10 @@ def test_each_fact_is_computed_once(monkeypatch):
     counts = {name: len(c) for name, c in calls.items()}
     assert (counts["overlap_matrix"], counts["orthogonality_witness"], counts["average_state"]) == (1, 1, 1)
     assert counts["reduced_ensemble"] == 2
-    # One batched spectrum per side covers its marginal, its chi average and
-    # every member; S(AB) and the joint members, for chi, are the only others.
+    # One batched spectrum per side covers its marginal and every member;
+    # S(AB) and the joint members, for chi, are the only others.
     m = len(e.members)
-    assert sorted(len(args[0]) for args in calls["von_neumann_entropies"]) == [1, m, m + 2, m + 2]
+    assert sorted(len(args[0]) for args in calls["von_neumann_entropies"]) == [1, m, m + 1, m + 1]
     second = {name: getattr(e, name) for name in FACTS}
     assert {name: len(c) for name, c in calls.items()} == counts
     assert all(second[name] is first[name] for name in FACTS)
@@ -697,17 +700,18 @@ def test_shared_facts_are_read_only():
 def test_ensemble_facts_match_the_standalone_functions(seed):
     from entcharge import (
         average_state,
-        holevo_chi,
         reduced_ensemble,
         von_neumann_entropy,
     )
+    from entcharge.entropy import member_term
 
     e = random_orthogonal_pure_ensemble(np.random.default_rng(seed), 2)
     assert np.array_equal(e.average, average_state(e))
     assert e.mutual_information == pytest.approx(mutual_information_oracle(e.average, 2, 2), abs=1e-9)
     for party, reduced in (("A", e.reduced_a), ("B", e.reduced_b)):
-        assert all(np.array_equal(x, y) for x, y in zip(reduced, reduced_ensemble(e, party)[1]))
+        assert all(np.array_equal(x, y) for x, y in zip(reduced, reduced_ensemble(e, party)))
     assert e.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, e.reduced_a)))
-    assert e.chi == holevo_chi(e.probs, list(e.densities))
+    assert e.chi == e.s_ab - member_term(e.probs, [von_neumann_entropy(m) for m in e.densities])
+    assert e.chi == pytest.approx(holevo_oracle(e.probs, e.densities), abs=1e-12)
     assert upper_bound_merging(e) == (e.s_ab - e.s_b, e.s_ab - e.s_a)
     assert lower_bound_pure(e) == e.avg_member_entropy - e.mutual_information

@@ -1,17 +1,30 @@
+import contextlib
+import functools
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entcharge.cli import CSV_HEADER, main
 from entcharge.fileio import parse_ensemble, write_ensemble
 from entcharge.ensembles import shannon_of
 from entcharge.generators import bell_basis, equal_probs
-from entcharge.linalg import ROUNDING_SLACK
-from helpers import near_orthogonal_gbell
+from entcharge.linalg import DEFAULT_TOLERANCES, ROUNDING_SLACK, STRICT_TOLERANCES
+from helpers import (
+    edge_probability_ensemble,
+    near_maximally_mixed_gbell,
+    near_orthogonal_gbell,
+    near_product_basis,
+    tilted_bell_basis,
+    zero_probability_duplicates,
+)
 
 
 def run_cli(args):
@@ -155,6 +168,53 @@ def test_validated_near_orthogonal_gbell_analyzes(d, tmp_path, capsys):
         assert err == ""
         interval = json.loads(out)["charge"]["interval"]
         assert interval["lo"]["value"] <= interval["hi"]["value"]
+
+
+def _in_process(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _validated_file_analyzes(e, profile: str) -> None:
+    """If validate accepts e's file under profile, analyze exits 0 in default
+    and estimate mode, and its interval has lo <= hi."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "adversary.json")
+        Path(path).write_text(write_ensemble(e))
+        if _in_process(["--tolerance-profile", profile, "validate", path])[0] != 0:
+            return
+        for mode in ([], ["--accessible-info", "estimate", "--restarts", "2"]):
+            code, out = _in_process(["--tolerance-profile", profile, "analyze", path, "--format", "structured", *mode])
+            assert code == 0, mode
+            interval = json.loads(out)["charge"]["interval"]
+            assert interval["lo"]["value"] <= interval["hi"]["value"], mode
+
+
+PROFILES = {"default": DEFAULT_TOLERANCES, "strict": STRICT_TOLERANCES}
+# Each adversary with the tolerance whose edge it sits at.
+ADVERSARIES = {
+    "tilted-bell": (tilted_bell_basis, "orthogonality_tol"),
+    "edge-probability": (edge_probability_ensemble, "eigenvalue_clamp"),
+    "near-product": (near_product_basis, "orthogonality_tol"),
+    "near-maximally-mixed-d2": (functools.partial(near_maximally_mixed_gbell, 2), "orthogonality_tol"),
+    "near-maximally-mixed-d3": (functools.partial(near_maximally_mixed_gbell, 3), "orthogonality_tol"),
+    "zero-probability-duplicates": (zero_probability_duplicates, "eigenvalue_clamp"),
+}
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("adversary", ADVERSARIES)
+# The edge at 0, or at the tolerance times 10**x for x in [-1, 1]: one decade
+# on each side of it.
+@given(factor=st.just(0.0) | st.floats(min_value=-1.0, max_value=1.0).map(lambda x: 10**x),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_validated_tolerance_edge_adversaries_analyze(adversary, profile, factor, seed):
+    build, edge = ADVERSARIES[adversary]
+    tol = PROFILES[profile]
+    _validated_file_analyzes(build(getattr(tol, edge) * factor, seed), profile)
 
 
 def test_analyze_bell_text(tmp_path, capsys):

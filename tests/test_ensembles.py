@@ -17,7 +17,6 @@ from entcharge import (
     bell_basis,
     density_of,
     equal_probs,
-    holevo_chi,
     make_ensemble,
     parse_ensemble,
     partial_trace,
@@ -100,15 +99,15 @@ def test_average_state_product_basis_completeness():
 def test_reduced_ensemble_bell_members_maximally_mixed():
     e = bell_basis(equal_probs(4))
     for party in ("A", "B"):
-        probs, mats = reduced_ensemble(e, party)
-        assert np.array_equal(probs, equal_probs(4))
+        mats = reduced_ensemble(e, party)
+        assert np.array_equal(e.probs, equal_probs(4))
         for m in mats:
             assert np.allclose(m, np.eye(2) / 2, atol=1e-12)
 
 
 def test_reduced_ensemble_product_basis_party_a():
     e = product_basis(2, 2, equal_probs(4))
-    _, mats = reduced_ensemble(e, "A")
+    mats = reduced_ensemble(e, "A")
     zero = np.diag([1.0, 0.0])
     one = np.diag([0.0, 1.0])
     for got, expected in zip(mats, [zero, zero, one, one]):
@@ -118,7 +117,7 @@ def test_reduced_ensemble_product_basis_party_a():
 def test_reduced_ensemble_rotated_family_patterns():
     theta = 0.4
     e = rotated_basis(theta, equal_probs(4))
-    _, mats = reduced_ensemble(e, "A")
+    mats = reduced_ensemble(e, "A")
     c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
     expected = [np.diag([c2, s2]), np.diag([c2, s2]), np.diag([s2, c2]), np.diag([s2, c2])]
     for got, want in zip(mats, expected):
@@ -164,8 +163,8 @@ def test_shannon_of():
 def test_reduce_then_average_commutes(seed):
     rng = np.random.default_rng(seed)
     e = random_orthogonal_pure_ensemble(rng, 2)
-    probs, mats = reduced_ensemble(e, "A")
-    averaged_reduced = sum(p * m for p, m in zip(probs, mats))
+    mats = reduced_ensemble(e, "A")
+    averaged_reduced = sum(p * m for p, m in zip(e.probs, mats))
     reduced_average = partial_trace(average_state(e), 2, 2, "B")
     assert np.allclose(averaged_reduced, reduced_average, atol=1e-12)
 
@@ -236,10 +235,21 @@ def test_batched_member_facts_match_the_per_member_reference(seed, dA, dB, kinds
         assert all(np.array_equal(got, want) for got, want in zip(reduced, ref)), party
         assert all(got == von_neumann_entropy(want) for got, want in zip(entropies, ref)), party
     ref_a = [partial_trace(density_of(s), dA, dB, "B") for s in e.states]
-    ref_b = [partial_trace(density_of(s), dA, dB, "A") for s in e.states]
     assert e.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, ref_a)))
-    assert e.chi_a == holevo_chi(e.probs, ref_a)
-    assert e.chi_b == holevo_chi(e.probs, ref_b)
+    assert e.chi_a == _chi_reference(e, "B")
+    assert e.chi_b == _chi_reference(e, "A")
+
+
+def _chi_reference(e, traced: str) -> float:
+    """chi of the party left by tracing out `traced`, S(marginal) - sum_X p_X
+    S(rho_X^party), each entropy that of its own matrix alone; exactly 0 when
+    the reduced members are identical."""
+    dA, dB = e.dims.dA, e.dims.dB
+    reduced = [partial_trace(density_of(s), dA, dB, traced) for s in e.states]
+    if all(np.array_equal(m, reduced[0]) for m in reduced):
+        return 0.0
+    marginal = von_neumann_entropy(partial_trace(e.average, dA, dB, traced))
+    return marginal - float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, reduced)))
 
 
 def _member_at_the_edges(fault: str):
@@ -413,18 +423,34 @@ def _identical_reduced_states():
 def test_party_spectra_match_the_per_matrix_reference(build):
     # Each party's marginal entropy, member entropies and chi come from one
     # batched spectrum; every value must carry the bits of the entropy of its
-    # own matrix alone.
+    # own matrix alone, and chi those of S(marginal) - sum_X p_X S(member).
     e = build()
     dA, dB = e.dims.dA, e.dims.dB
     for party, traced, s, entropies, chi in (
         ("A", "B", e.s_a, e.entropies_a, e.chi_a), ("B", "A", e.s_b, e.entropies_b, e.chi_b)
     ):
-        probs, reduced = reduced_ensemble(e, party)
+        reduced = reduced_ensemble(e, party)
         assert s == von_neumann_entropy(partial_trace(e.average, dA, dB, traced)), party
         assert [x.hex() for x in entropies] == [von_neumann_entropy(m).hex() for m in reduced], party
-        assert chi == holevo_chi(probs, reduced), party
-        if (reduced == reduced[:1]).all():
-            assert chi == 0.0
-        else:
-            average = von_neumann_entropy(np.einsum("x,xij->ij", probs, reduced))
-            assert chi == average - float(sum(p * von_neumann_entropy(m) for p, m in zip(probs, reduced)))
+        assert chi == _chi_reference(e, traced), party
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+def test_party_chi_reads_the_marginal_entropy_of_the_merging_bounds(d):
+    # On orthogonal pure ensembles chi_A is S(rho_A) - sum_X p_X S(rho_X^A)
+    # bit for bit, with the S(rho_A) that the merging bounds read (B alike),
+    # so the pure lower bound equals S(A|B) - chi_A in the last bit too.
+    from entcharge.entropy import member_term
+
+    rng = np.random.default_rng([2026, d])
+    sides = 0
+    for _ in range(8):
+        e = random_orthogonal_pure_ensemble(rng, d)
+        for chi, s, entropies, reduced in (
+            (e.chi_a, e.s_a, e.entropies_a, e.reduced_a), (e.chi_b, e.s_b, e.entropies_b, e.reduced_b)
+        ):
+            if (reduced == reduced[:1]).all():
+                continue
+            assert chi == s - member_term(e.probs, entropies)
+            sides += 1
+    assert sides > 0

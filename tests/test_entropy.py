@@ -8,14 +8,14 @@ from entcharge import (
     ValidationError,
     binary_entropy,
     entanglement_entropy,
-    holevo_chi,
     make_ensemble,
+    rotated_basis,
     shannon_entropy,
     upper_bound_merging,
     validate_state,
     von_neumann_entropy,
 )
-from helpers import bell_vectors, random_density
+from helpers import bell_vectors, holevo_oracle, random_density
 
 D22 = BipartiteDims(2, 2)
 
@@ -113,24 +113,22 @@ def test_quantum_mutual_information_nonnegative_on_random_states():
             assert mutual_information(rho, dims) >= -1e-9
 
 
+def _density_ensemble(probs, mats):
+    """An ensemble of density members on 1 x d, so that the joint ensemble
+    and the B-side reduced ensemble are the given one."""
+    d = len(mats[0])
+    return make_ensemble(zip(probs, [validate_state(BipartiteDims(1, d), m) for m in mats]))
+
+
 def test_holevo_examples():
     rho = random_density(np.random.default_rng(3), 2)
-    assert holevo_chi([0.3, 0.7], [rho, rho]) == 0.0  # exactly, identical members
+    e = _density_ensemble([0.3, 0.7], [rho, rho])
+    assert e.chi == e.chi_b == 0.0  # exactly, identical members
     zero = np.diag([1.0, 0.0]).astype(complex)
     one = np.diag([0.0, 1.0]).astype(complex)
-    assert holevo_chi([0.5, 0.5], [zero, one]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_holevo_of_identical_members_checks_only_member_0():
-    # Probabilities and a member trace each 9.9e-10 off 1 pass trace_tol, but
-    # the chi average's trace is about 2e-9 off. Identical members give chi = 0
-    # without that average, so only member 0 has to be a valid state.
-    rho = np.diag([0.5, 0.5 + 9.9e-10])
-    with pytest.raises(ValidationError, match="^trace 1.00000000"):
-        von_neumann_entropy(np.einsum("x,xij->ij", np.array([0.5, 0.5 + 9.9e-10]), np.stack([rho, rho])))
-    assert holevo_chi([0.5, 0.5 + 9.9e-10], [rho, rho]) == 0.0
-    with pytest.raises(ValidationError, match="^negative eigenvalue"):
-        holevo_chi([0.5, 0.5], [np.diag([-1e-9, 1 + 1e-9]), np.diag([-1e-9, 1 + 1e-9])])
+    e = _density_ensemble([0.5, 0.5], [zero, one])
+    assert e.chi == pytest.approx(1.0, abs=1e-12)
+    assert e.chi_b == pytest.approx(1.0, abs=1e-12)
 
 
 def test_holevo_rotated_family_reduction_at_pi_over_6():
@@ -141,8 +139,9 @@ def test_holevo_rotated_family_reduction_at_pi_over_6():
     reduced = [np.diag([c2, s2]), np.diag([c2, s2]), np.diag([s2, c2]), np.diag([s2, c2])]
     avg = sum(0.25 * r for r in reduced)
     assert np.allclose(avg, np.eye(2) / 2, atol=1e-12)
-    chi = holevo_chi([0.25] * 4, reduced)
-    assert chi == pytest.approx(1.0 - binary_entropy(0.75), abs=1e-9)
+    e = rotated_basis(theta, [0.25] * 4)
+    assert np.allclose(e.reduced_a, reduced, atol=1e-12)
+    assert e.chi_a == pytest.approx(1.0 - binary_entropy(0.75), abs=1e-9)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -152,8 +151,11 @@ def test_holevo_capped_by_shannon(seed):
     k = int(rng.integers(2, 5))
     probs = rng.dirichlet(np.ones(k))
     states = [random_density(rng, 3) for _ in range(k)]
-    assert holevo_chi(probs, states) <= shannon_entropy(probs) + 1e-9
-    assert holevo_chi(probs, states) >= -1e-9
+    e = _density_ensemble(probs, states)
+    for chi in (e.chi, e.chi_b):
+        assert chi <= shannon_entropy(probs) + 1e-9
+        assert chi >= -1e-9
+        assert chi == pytest.approx(holevo_oracle(e.probs, states), abs=1e-9)
 
 
 @given(st.integers(0, 2**32 - 1))

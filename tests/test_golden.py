@@ -7,11 +7,12 @@ pure/density mix, a product basis, and a generalized Bell basis tilted until
 every overlap sits just within the orthogonality tolerance) next to the
 exact `analyze` text and structured output and one `sweep rotated` CSV, plus the structured sweep of
 the same points with a user-supplied gate cost. Any refactor of the
-computation must reproduce them byte for byte. Two more files pin the
+computation must reproduce them byte for byte. Three more files pin the
 structured output of `--accessible-info estimate`, so a change to the POVM
-search shows up as a diff: on the non-orthogonal pure ensemble, and on the
+search shows up as a diff: on the non-orthogonal pure ensemble, on the
 pure/density mix, the one estimate whose Holevo chi has nonzero member
-entropies. One pins the structured output under `--tolerance-profile strict`,
+entropies, and on the tilted generalized Bell basis, whose orthogonal
+short-circuit sits at the Holevo cap below H(X). One pins the structured output under `--tolerance-profile strict`,
 whose tolerance block and known-value annotation no other golden covers. The `validate` output of every
 input under both tolerance profiles, and the `generate` output and written
 file of each family, are pinned as well.
@@ -68,7 +69,7 @@ def test_sweep_with_gate_cost_is_byte_identical(fmt, golden, capsys, monkeypatch
     assert _run(argv, capsys, monkeypatch) == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize("name", ["nonorth2x2", "mixedpure2x3"])
+@pytest.mark.parametrize("name", ["nonorth2x2", "mixedpure2x3", "nearorth_gbell4"])
 def test_estimate_output_is_byte_identical(name, capsys, monkeypatch):
     argv = ["analyze", f"{name}.json", "--accessible-info", "estimate", "--restarts", "2",
             "--seed", "3", "--format", "structured"]
