@@ -4,8 +4,8 @@ min(H(X), Holevo chi) caps every edge. For mutually orthogonal ensembles
 the value is that cap, H(X) up to rounding. Otherwise a seeded, monotone
 fixed-point search over POVMs (Rehacek, Englert and Kaszlikowski, PRA 71,
 054303, 2005) supplies a certified achievable value (the interval's lower
-edge) under it. Its restarts run in lockstep blocks, each with its own step
-size; the result is bit for bit that of running them one after another. The
+edge) under it. Its restarts take unit steps and run in lockstep blocks; the
+result is bit for bit that of running them one after another. The
 reported quantity is always an interval; only the orthogonal short-circuit
 is a point.
 """
@@ -36,10 +36,9 @@ from .states import BipartiteDims, _freeze
 # the package checks only the search's own POVMs, complete to rounding (the
 # null projector closes any gap), far inside any profile's value.
 POVM_COMPLETENESS_TOL = 1e-8
-# Stop rules, not rounding slacks: they bound the search's effort, not what it
-# certifies. A restart stops once its step falls below STEP_TOL; a step counts
-# as a rise only if it gains more than RISE_TOL bits, far above I's rounding.
-STEP_TOL = 1e-9
+# A stop rule, not a rounding slack: it bounds the search's effort, not what it
+# certifies. A step counts as a rise only if it gains more than RISE_TOL bits,
+# far above I's rounding; a restart ends at its first step that does not rise.
 RISE_TOL = 1e-12
 
 
@@ -73,11 +72,12 @@ class OptimizerConfig:
     """Knobs of the seeded POVM search.
 
     The searched POVMs have max(2, m) outcomes for an m-member ensemble.
-    max_iters caps the fixed-point iterations of each restart: one trial step
-    and one renormalization each, kept or not. A restart also stops once its
-    step size falls below STEP_TOL. The restarts run in lockstep blocks (see
-    BLOCK_ENTRIES), each with its own step size, best value and iteration
-    count; the results equal those of running them one after another.
+    max_iters caps the fixed-point iterations of each restart: one unit trial
+    step and one renormalization each. A restart ends at its first trial that
+    does not rise by more than RISE_TOL, keeping its current point; one whose
+    max_iters-th trial still rose is capped. The restarts run in lockstep
+    blocks (see BLOCK_ENTRIES), each with its own current value; the results
+    equal those of running them one after another.
     """
 
     restarts: int = 8
@@ -156,17 +156,18 @@ def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
 # -- POVM search ---------------------------------------------------------------
 #
 # Each element is M_y = F_y^dag F_y with the factors renormalized to
-# completeness. A step F_y <- F_y (1 + eps R_y / |R|), R_y = sum_x p_x rho_x
-# ln p(y|x)/p(y) the gradient of I(X;Y) in M_y, is kept only if I rises by more
-# than RISE_TOL; eps then doubles (up to 1), else halves. Restart 0 starts from
-# the square-root measurement, the rest from seeded Gaussian factors. Restarts
+# completeness. A unit step F_y <- F_y (1 + R_y / |R|), R_y = sum_x p_x rho_x
+# ln p(y|x)/p(y) the gradient of I(X;Y) in M_y, is kept if I rises by more
+# than RISE_TOL; the first one that does not ends its restart at its current
+# point. (A smaller step never rose once a unit step had failed, so halving
+# it down to a floor only spent iterations.) Restart 0 starts from the
+# square-root measurement, the rest from seeded Gaussian factors. Restarts
 # run in lockstep blocks: one stacked call per kernel advances every running
-# restart of a block, each with its own eps and best value. The kernel relies
-# on three invariants:
+# restart of a block. The kernel relies on three invariants:
 # - restarts are independent: every kernel treats each restart of a stack
 #   apart, so every trajectory, and the result, equals the serial search's;
 # - the step count is shared: the live restarts of a block started together
-#   and have all taken the same number of steps, so one counter serves them;
+#   and have all taken the same number of steps, so the loop counts for all;
 # - a null projector exists only at rank deficiency: when every Sigma of a
 #   stack has full rank, _pinv_sqrt builds none and the elements need none.
 # A block holds at most BLOCK_ENTRIES stacked entries (restarts x outcomes x
@@ -179,7 +180,7 @@ def _pinv_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     projector onto its null space, or None when every matrix has full rank.
 
     Eigenvalues at or below 1e-14 of the largest count as null. No tolerance
-    profile changes that floor: like STEP_TOL it steers the search, not what
+    profile changes that floor: like RISE_TOL it steers the search, not what
     it certifies, since the winning POVM is validated and its information
     measured again whatever the floor."""
     w, v = np.linalg.eigh(hermitian_part(matrix))
@@ -229,41 +230,32 @@ def _ascent_direction(
 
 
 def _lockstep_ascent(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, cfg: OptimizerConfig):
-    """The best elements of each restart in a factor stack, their information
-    and iterations. A restart drops out at max_iters or once its step falls
-    below STEP_TOL; the others run on. The loop holds only the live restarts'
-    state and writes a restart's results when it drops out."""
+    """The final elements of each restart in a factor stack, their
+    information, and how many restarts were still rising at max_iters. A
+    restart ends at its first unit step that does not rise, keeping its
+    current point; the others run on. The loop holds only the live restarts'
+    state and writes a restart's results when it ends."""
     factors, elements = _povm_elements(factors)
     table = _joint_table(probs, rhos, elements)
     value, marginals = _information(table)
-    direction = _ascent_direction(table, marginals, probs, rhos)
-    live, step, steps = np.arange(len(value)), np.ones(len(value)), 0
-    best_elements, best, iters = np.empty_like(elements), np.empty_like(value), np.empty(len(value), dtype=int)
-    while live.size:
-        trial, trial_elements = _povm_elements(factors + step[:, None, None, None] * factors @ direction)
+    live = np.arange(len(value))
+    best_elements, best = np.empty_like(elements), np.empty_like(value)
+    for _ in range(cfg.max_iters):
+        direction = _ascent_direction(table, marginals, probs, rhos)
+        trial, trial_elements = _povm_elements(factors + factors @ direction)
         table = _joint_table(probs, rhos, trial_elements)
         trial_value, marginals = _information(table)
         rise = trial_value > value + RISE_TOL
-        if rise.all():
-            factors, elements, value = trial, trial_elements, trial_value
-            direction = _ascent_direction(table, marginals, probs, rhos)
-            step = np.minimum(1.0, 2.0 * step)
-        elif rise.any():
-            kept = rise[:, None, None, None]
-            factors = np.where(kept, trial, factors)
-            direction = np.where(kept, _ascent_direction(table, marginals, probs, rhos), direction)
-            elements, value = np.where(kept, trial_elements, elements), np.where(rise, trial_value, value)
-            step = np.where(rise, np.minimum(1.0, 2.0 * step), step * 0.5)
-        else:
-            step = step * 0.5
-        steps += 1
-        go = (step >= STEP_TOL) & (steps < cfg.max_iters)
-        if not go.all():
-            done = live[~go]
-            best_elements[done], best[done], iters[done] = elements[~go], value[~go], steps
-            live, factors, direction, step = live[go], factors[go], direction[go], step[go]
-            elements, value = elements[go], value[go]
-    return best_elements, best, iters
+        if not rise.all():
+            done = live[~rise]
+            best_elements[done], best[done] = elements[~rise], value[~rise]
+            live, trial, trial_elements, trial_value = live[rise], trial[rise], trial_elements[rise], trial_value[rise]
+            table, marginals = table[rise], (marginals[0][rise], marginals[1][rise])
+        factors, elements, value = trial, trial_elements, trial_value
+        if not live.size:
+            break
+    best_elements[live], best[live] = elements, value
+    return best_elements, best, live.size
 
 
 def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig()) -> InfoInterval:
@@ -295,8 +287,8 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     block = max(1, BLOCK_ENTRIES // (outcomes * e.dims.joint**2))
     for first in range(0, cfg.restarts, block):
         factors = np.stack([start(k) for k in range(first, min(first + block, cfg.restarts))])
-        elements, values, iters = _lockstep_ascent(factors, rhos, probs, cfg)
-        capped_restarts += int((iters >= cfg.max_iters).sum())
+        elements, values, capped = _lockstep_ascent(factors, rhos, probs, cfg)
+        capped_restarts += capped
         # The first restart whose value beats all earlier ones wins; NaN never does.
         for k, value in enumerate(values):
             if value > best_value:
@@ -308,5 +300,7 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     lo = min(lo, cap)
     note = ""
     if capped_restarts:
+        # "before step_tol" now means still rising at max_iters; the wording
+        # is kept as the estimate goldens print it.
         note = f"local search hit max_iters={cfg.max_iters} before step_tol on {capped_restarts}/{cfg.restarts} restarts"
     return InfoInterval(lo, cap, note)

@@ -112,7 +112,9 @@ def _holevo_chi(p: np.ndarray, stack: np.ndarray, h: np.ndarray) -> float:
     # Identical members carry no information; short-circuit keeps chi exactly 0.
     if (stack == stack[:1]).all():
         return 0.0
-    return float(h[0]) - member_term(p, h[1:])
+    # Members equal only to rounding (the reduced members of a maximally
+    # entangled basis) can round the difference just below 0.
+    return max(0.0, float(h[0]) - member_term(p, h[1:]))
 
 
 def entanglement_entropy(s: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

@@ -21,6 +21,7 @@ from entcharge import (
     rotated_basis,
     validate_state,
 )
+from entcharge.accessible import RISE_TOL, _ascent_direction, _information, _joint_table, _povm_elements
 from entcharge.ensembles import Ensemble
 from entcharge.fileio import SCHEMA_VERSION, format_float
 
@@ -302,3 +303,48 @@ def reference_dumps(doc) -> str:
         return _complex_pairs(value) if isinstance(value, np.ndarray) else value
 
     return _render(pairs(doc), 0) + "\n"
+
+
+# -- reference POVM search schedule (test-only) ---------------------------------
+# The lockstep ascent as it was before restarts ended at their first failed
+# unit step: each restart doubled its step (up to 1) after a rise and halved it
+# after a failure, until it fell below HALVING_STEP_TOL or max_iters trials
+# were spent. It is the oracle that the unit-step search must match: the same
+# final values bit for bit, and no more capped restarts.
+HALVING_STEP_TOL = 1e-9
+
+
+def halving_lockstep_ascent(factors, rhos, probs, cfg):
+    """accessible._lockstep_ascent's contract (elements, values, capped count)
+    by the step-halving schedule."""
+    factors, elements = _povm_elements(factors)
+    table = _joint_table(probs, rhos, elements)
+    value, marginals = _information(table)
+    direction = _ascent_direction(table, marginals, probs, rhos)
+    live, step, steps = np.arange(len(value)), np.ones(len(value)), 0
+    best_elements, best, iters = np.empty_like(elements), np.empty_like(value), np.empty(len(value), dtype=int)
+    while live.size:
+        trial, trial_elements = _povm_elements(factors + step[:, None, None, None] * factors @ direction)
+        table = _joint_table(probs, rhos, trial_elements)
+        trial_value, marginals = _information(table)
+        rise = trial_value > value + RISE_TOL
+        if rise.all():
+            factors, elements, value = trial, trial_elements, trial_value
+            direction = _ascent_direction(table, marginals, probs, rhos)
+            step = np.minimum(1.0, 2.0 * step)
+        elif rise.any():
+            kept = rise[:, None, None, None]
+            factors = np.where(kept, trial, factors)
+            direction = np.where(kept, _ascent_direction(table, marginals, probs, rhos), direction)
+            elements, value = np.where(kept, trial_elements, elements), np.where(rise, trial_value, value)
+            step = np.where(rise, np.minimum(1.0, 2.0 * step), step * 0.5)
+        else:
+            step = step * 0.5
+        steps += 1
+        go = (step >= HALVING_STEP_TOL) & (steps < cfg.max_iters)
+        if not go.all():
+            done = live[~go]
+            best_elements[done], best[done], iters[done] = elements[~go], value[~go], steps
+            live, factors, direction, step = live[go], factors[go], direction[go], step[go]
+            elements, value = elements[go], value[go]
+    return best_elements, best, int((iters >= cfg.max_iters).sum())

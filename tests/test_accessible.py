@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,11 +30,14 @@ from entcharge import (
 )
 from entcharge.linalg import ROUNDING_SLACK
 from helpers import (
+    halving_lockstep_ascent,
     holevo_oracle,
     mutual_information_oracle,
     near_orthogonal_gbell,
     near_orthogonal_pair,
+    random_density,
     random_orthogonal_pure_ensemble,
+    random_pure_vector,
 )
 
 D12 = BipartiteDims(1, 2)
@@ -490,6 +495,9 @@ PINNED_CASES = {
 
 # float.hex of lo and hi and the note of each case, captured on the serial
 # restart loop; the search must reproduce every restart's trajectory exactly.
+# zero_member_1x2's restarts end at iterations 61, 73 and 92 of 100: under the
+# step-halving schedule (helpers.halving_lockstep_ascent) the last two spent
+# their halving tail into max_iters and counted as capped.
 PINNED = {
     "zero_plus_1x2": ("0x1.62c8b7180d8c4p-1", "0x1.da6ce8d8455a4p-1", ""),
     "identical_bell": ("0x0.0p+0", "0x0.0p+0", ""),
@@ -503,7 +511,7 @@ PINNED = {
     "strict_near_orthogonal": ("0x1.fffffff8207c8p-1", "0x1.ffffffff615fcp-1", ""),
     "trine": ("0x1.2b803473f6680p-1", "0x1.fffffffffffffp-1", ""),
     "zero_table_1x3": ("0x1.4fafec548162cp+0", "0x1.8000000000000p+0", "local search hit max_iters=300 before step_tol on 1/3 restarts"),
-    "zero_member_1x2": ("0x1.8d7bc54ae1a20p-2", "0x1.2a628d0cf5c1dp-1", "local search hit max_iters=100 before step_tol on 2/3 restarts"),
+    "zero_member_1x2": ("0x1.8d7bc54ae1a20p-2", "0x1.2a628d0cf5c1dp-1", ""),
 }
 
 
@@ -536,10 +544,74 @@ def test_a_pinned_case_holds_zeros_in_segments_shorter_than_8(monkeypatch):
     assert zeros[0] > 0 and zeros[1] > 0
 
 
+def _capped(info) -> int:
+    found = re.search(r"on (\d+)/\d+ restarts", info.note)
+    return int(found.group(1)) if found else 0
+
+
+def _assert_matches_the_halving_schedule(e, cfg):
+    # Same interval bit for bit as the step-halving schedule, and no more
+    # capped restarts: it also counted converged restarts whose halving tail
+    # ran into max_iters.
+    import entcharge.accessible as accessible
+
+    unit = estimate_accessible_info(e, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accessible, "_lockstep_ascent", halving_lockstep_ascent)
+        halving = estimate_accessible_info(e, cfg)
+    assert (unit.lo.hex(), unit.hi.hex()) == (halving.lo.hex(), halving.hi.hex())
+    assert _capped(unit) <= _capped(halving)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_unit_steps_match_the_halving_schedule_on_the_pinned_cases(name):
+    build, cfg = PINNED_CASES[name]
+    _assert_matches_the_halving_schedule(build(), OptimizerConfig(**cfg))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3)]),
+    st.integers(2, 4),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([30, 100, 500]),
+)
+@settings(max_examples=25, deadline=None)
+def test_unit_steps_match_the_halving_schedule(seed, shape, members, mixed, zero_member, max_iters):
+    dims = BipartiteDims(*shape)
+    rng = np.random.default_rng(seed)
+    states = [
+        validate_state(dims, random_density(rng, dims.joint) if mixed and k % 2 else random_pure_vector(rng, dims.joint))
+        for k in range(members)
+    ]
+    probs = rng.dirichlet(np.ones(members))
+    if zero_member:
+        probs = np.r_[probs[:-1] / probs[:-1].sum(), 0.0]
+    e = make_ensemble(zip(probs, states))
+    _assert_matches_the_halving_schedule(e, OptimizerConfig(restarts=2, max_iters=max_iters, seed=seed % 97))
+
+
+def test_a_stationary_start_is_not_capped():
+    # The trine's square-root measurement (restart 0) is stationary: its first
+    # unit step does not rise, so the restart ends there instead of counting
+    # as capped, as it did when its step halved through all 5 iterations.
+    import entcharge.accessible as accessible
+
+    cfg = OptimizerConfig(restarts=1, max_iters=5)
+    assert estimate_accessible_info(_trine(), cfg).note == ""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accessible, "_lockstep_ascent", halving_lockstep_ascent)
+        assert _capped(estimate_accessible_info(_trine(), cfg)) == 1
+    # Restarts still rising at max_iters are capped.
+    build, cfg = PINNED_CASES["pure3_2x2_capped"]
+    assert estimate_accessible_info(build(), OptimizerConfig(**cfg)).note.endswith("on 2/2 restarts")
+
+
 def test_default_pair_search_runs_its_restarts_in_lockstep(monkeypatch):
     # One stacked eigh per iteration for all restarts: the count follows the
-    # longest restart (~230 iterations here), not the sum over the 8 restarts
-    # (~1450) that a serial restart loop takes, one eigh each.
+    # longest restart (~225 iterations here), not the sum over the 8 restarts
+    # (~1340) that a serial restart loop takes, one eigh each.
     calls = []
     original = np.linalg.eigh
 

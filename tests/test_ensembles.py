@@ -242,14 +242,14 @@ def test_batched_member_facts_match_the_per_member_reference(seed, dA, dB, kinds
 
 def _chi_reference(e, traced: str) -> float:
     """chi of the party left by tracing out `traced`, S(marginal) - sum_X p_X
-    S(rho_X^party), each entropy that of its own matrix alone; exactly 0 when
-    the reduced members are identical."""
+    S(rho_X^party), each entropy that of its own matrix alone, clamped at 0;
+    exactly 0 when the reduced members are identical."""
     dA, dB = e.dims.dA, e.dims.dB
     reduced = [partial_trace(density_of(s), dA, dB, traced) for s in e.states]
     if all(np.array_equal(m, reduced[0]) for m in reduced):
         return 0.0
     marginal = von_neumann_entropy(partial_trace(e.average, dA, dB, traced))
-    return marginal - float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, reduced)))
+    return max(0.0, marginal - float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, reduced))))
 
 
 def _member_at_the_edges(fault: str):

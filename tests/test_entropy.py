@@ -8,6 +8,7 @@ from entcharge import (
     ValidationError,
     binary_entropy,
     entanglement_entropy,
+    generalized_bell_basis,
     make_ensemble,
     rotated_basis,
     shannon_entropy,
@@ -156,6 +157,16 @@ def test_holevo_capped_by_shannon(seed):
         assert chi <= shannon_entropy(probs) + 1e-9
         assert chi >= -1e-9
         assert chi == pytest.approx(holevo_oracle(e.probs, states), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d", range(2, 9))
+def test_holevo_chi_is_never_negative_on_generalized_bell_bases(d, seed):
+    # The reduced members of a maximally entangled basis are all I/d to
+    # rounding but not bitwise equal, so S(rho_A) - sum p S(rho_x^A) can
+    # round below 0 unless it is clamped.
+    e = generalized_bell_basis(d, np.random.default_rng([seed, d]).dirichlet(np.ones(d * d)))
+    assert min(e.chi, e.chi_a, e.chi_b) >= 0.0
 
 
 @given(st.integers(0, 2**32 - 1))
