@@ -35,8 +35,6 @@ from .ensembles import (
 )
 from .entropy import (
     binary_entropy,
-    clamp_spectrum,
-    entanglement_entropy,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -45,7 +43,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     ShapeError,
-    UnsupportedFormError,
     ValidationError,
 )
 from .fileio import parse_ensemble, write_ensemble
@@ -68,8 +65,6 @@ from .states import (
     BipartiteDims,
     BipartiteState,
     density_of,
-    is_product,
     pairwise_orthogonal,
-    schmidt_coefficients,
     validate_state,
 )

@@ -300,7 +300,5 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     lo = min(lo, cap)
     note = ""
     if capped_restarts:
-        # "before step_tol" now means still rising at max_iters; the wording
-        # is kept as the estimate goldens print it.
-        note = f"local search hit max_iters={cfg.max_iters} before step_tol on {capped_restarts}/{cfg.restarts} restarts"
+        note = f"local search still rising at max_iters={cfg.max_iters} on {capped_restarts}/{cfg.restarts} restarts"
     return InfoInterval(lo, cap, note)

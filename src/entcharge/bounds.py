@@ -43,7 +43,7 @@ import numpy as np
 
 from .accessible import InfoInterval
 from .ensembles import Ensemble, StructureFlags, shannon_of
-from .entropy import binary_entropy, entanglement_entropy
+from .entropy import binary_entropy
 from .errors import PreconditionError, ValidationError
 from .generators import PRODUCT_BASIS_NOTE, is_canonical_product_basis, rotated_basis
 from .linalg import DEFAULT_TOLERANCES, ROUNDING_SLACK, Tolerances
@@ -303,7 +303,7 @@ def rotated_family_report(
         raise ValidationError(f"supplied gate cost {gate_cost!r} is not finite")
     e = rotated_basis(theta, probs, tol)
     h = binary_entropy(float(np.cos(theta)) ** 2)
-    per_state = entanglement_entropy(e.states[0], tol)
+    per_state = float(e.entropies_a[0])
     if abs(per_state - h) > ROUNDING_SLACK:
         raise ValidationError("per-state entanglement disagrees with H(cos^2 theta) beyond 1e-9")
     if e.s_a < e.avg_member_entropy - ROUNDING_SLACK:

@@ -40,9 +40,9 @@ from .states import (
     BipartiteState,
     _freeze,
     _maximally_mixed,
+    _nearly_pure,
     density_of,
     density_overlaps,
-    is_product,
     orthogonality_witness,
     overlap_matrix,
 )
@@ -170,19 +170,14 @@ class Ensemble:
 
     @cached_property
     def flags(self) -> StructureFlags:
-        """Flags cover all members including zero-probability ones;
-        support_size counts only members with probability above the
-        eigenvalue_clamp of tol, the level at which a spectrum's eigenvalues
-        count as zero."""
-        states = self.states
-        all_pure = all(s.is_pure for s in states)
+        """StructureFlags, zero-probability members included, from the
+        witness and the reduced stacks: no entropy and no SVD."""
+        all_pure = all(s.is_pure for s in self.states)
         return StructureFlags(
             all_pure=all_pure,
             mutually_orthogonal=self.witness is None,
             all_maximally_entangled=all(self.maximally_entangled),
-            # One SVD per member, stopping at the first entangled one: a batched
-            # SVD of every member costs more whenever an early member is entangled.
-            all_product=all_pure and all(is_product(s, self.tol) for s in states),
+            all_product=all_pure and bool(_nearly_pure(self.reduced_a, self.tol).all()),
             support_size=int(sum(1 for p, _ in self.members if p > self.tol.eigenvalue_clamp)),
         )
 
@@ -232,7 +227,13 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class StructureFlags:
-    """Structural predicates of an ensemble, as used by the bounds engine."""
+    """Structural predicates of an ensemble, as used by the bounds engine,
+    over every member under the ensemble's tolerances (t = orthogonality_tol):
+    all_pure, every member a vector; mutually_orthogonal, no Tr(rho_i rho_j)
+    above t; all_maximally_entangled, all pure with dA = dB and both reduced
+    states within t of I/d (Frobenius); all_product, all pure with every
+    ||rho_X^A||_F >= (1 - t)^2 (states._nearly_pure); support_size, the
+    members with p_X above eigenvalue_clamp, where eigenvalues count as 0."""
 
     all_pure: bool
     mutually_orthogonal: bool

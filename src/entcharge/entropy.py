@@ -6,7 +6,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_square_matrix, density_spectra
-from .states import BipartiteState, schmidt_coefficients
 
 
 def _entropy_bits(p) -> float:
@@ -49,17 +48,6 @@ def binary_entropy(x: float) -> float:
     return _entropy_bits([x, 1.0 - x])
 
 
-def clamp_spectrum(evals, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Zero out eigenvalues within eigenvalue_clamp of 0; reject anything below."""
-    arr = np.asarray(evals, dtype=float).copy()
-    if arr.size and float(arr.min()) < -tol.eigenvalue_clamp:
-        raise ValidationError(
-            f"eigenvalue {float(arr.min()):.6e} below -eigenvalue_clamp (-{tol.eigenvalue_clamp:.0e})"
-        )
-    arr[np.abs(arr) <= tol.eigenvalue_clamp] = 0.0
-    return arr
-
-
 def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """S(rho) in bits; eigenvalues are clamped before the x log x evaluation."""
     return float(von_neumann_entropies(as_square_matrix(rho)[None], tol)[0])
@@ -70,8 +58,8 @@ def von_neumann_entropies(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCE
     spectrum that density_spectra checks (traced_dim as there). Each entropy
     has the bits of von_neumann_entropy of that matrix alone."""
     evals = density_spectra(stack, tol, traced_dim)
-    # clamp_spectrum's zeroing. A derived state may keep an eigenvalue below
-    # -eigenvalue_clamp; like every negative one, the row sum drops it.
+    # Zero eigenvalues within eigenvalue_clamp of 0. The row sum drops one below
+    # -eigenvalue_clamp, which a derived state may keep, like every negative one.
     spectra = np.where(np.abs(evals) <= tol.eigenvalue_clamp, 0.0, evals)
     return _row_entropies(spectra, ((0, spectra.shape[1]),))[0]
 
@@ -115,9 +103,3 @@ def _holevo_chi(p: np.ndarray, stack: np.ndarray, h: np.ndarray) -> float:
     # Members equal only to rounding (the reduced members of a maximally
     # entangled basis) can round the difference just below 0.
     return max(0.0, float(h[0]) - member_term(p, h[1:]))
-
-
-def entanglement_entropy(s: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Entropy of entanglement of a pure state: H of the squared Schmidt vector."""
-    coeffs = schmidt_coefficients(s)
-    return _entropy_bits(clamp_spectrum(coeffs**2, tol))

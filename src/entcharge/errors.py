@@ -21,9 +21,5 @@ class PreconditionError(EntchargeError):
     """A bound or exact formula was requested outside its hypothesis."""
 
 
-class UnsupportedFormError(EntchargeError):
-    """A pure-state-only operation was applied to a density-matrix state."""
-
-
 class ParseError(ValidationError):
     """An ensemble file is syntactically or structurally invalid."""

@@ -1,10 +1,10 @@
 """Bipartite state model: validation plus the structural predicates that the
-charge bounds condition on (purity, orthogonality, maximal entanglement,
-product structure).
+charge bounds condition on (purity, orthogonality, and, from a stack of
+reduced states, maximal entanglement and product structure).
 
-Pure states are stored as vectors, not projectors, so Schmidt structure stays
-cheap. Global phase is never normalized away; every predicate here is
-phase-invariant by construction.
+Pure states are stored as vectors, not projectors, so their overlaps and
+reduced states stay cheap. Global phase is never normalized away; every
+predicate here is phase-invariant by construction.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UnsupportedFormError, ValidationError
+from .errors import ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -139,18 +139,21 @@ def density_of(s: BipartiteState) -> np.ndarray:
     return s.matrix
 
 
-def schmidt_coefficients(s: BipartiteState) -> np.ndarray:
-    """Descending Schmidt coefficients of a pure state (min(dA, dB) values)."""
-    if not s.is_pure:
-        raise UnsupportedFormError("Schmidt coefficients are defined for pure states only")
-    return np.linalg.svd(s.vector.reshape(s.dims.dA, s.dims.dB), compute_uv=False)
-
-
 def _maximally_mixed(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Whether each d x d matrix in a stack is within orthogonality_tol of I/d
     (Frobenius)."""
     d = stack.shape[-1]
     return np.linalg.norm(stack - np.eye(d) / d, axis=(-2, -1)) <= tol.orthogonality_tol
+
+
+def _nearly_pure(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Whether each matrix in a stack has Frobenius norm >= (1 - orthogonality_tol)^2.
+    For a pure member's reduced state that norm is sqrt(sum lambda_i^2) over
+    its squared Schmidt coefficients, so this is "largest Schmidt coefficient
+    >= 1 - orthogonality_tol" up to (1 - lambda_0)^2 ~ 4 orthogonality_tol^2:
+    4e-18 by default, below the spacing of doubles near 1. Only a user
+    Tolerances with a large orthogonality_tol can tell the two apart."""
+    return np.linalg.norm(stack, axis=(-2, -1)) >= (1.0 - tol.orthogonality_tol) ** 2
 
 
 def overlap_matrix(states: list[BipartiteState] | tuple[BipartiteState, ...]) -> np.ndarray:
@@ -200,9 +203,3 @@ def pairwise_orthogonal(
     """
     witness = orthogonality_witness(overlap_matrix(states), tol)
     return witness is None, witness
-
-
-def is_product(s: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """True iff the largest Schmidt coefficient is within orthogonality_tol of 1."""
-    coeffs = schmidt_coefficients(s)
-    return bool(coeffs[0] >= 1.0 - tol.orthogonality_tol)

@@ -100,6 +100,26 @@ def near_orthogonal_gbell(d: int, seed: int, tol=DEFAULT_TOLERANCES) -> Ensemble
     return tilted(lo)
 
 
+def swap_parties(e: Ensemble) -> Ensemble:
+    """The same ensemble with A and B exchanged: amplitudes psi[i, j] -> psi[j, i]."""
+    dA, dB = e.dims.dA, e.dims.dB
+
+    def swapped(s):
+        if s.is_pure:
+            return s.vector.reshape(dA, dB).T.reshape(-1)
+        return s.matrix.reshape(dA, dB, dA, dB).transpose(1, 0, 3, 2).reshape(dA * dB, dA * dB)
+
+    dims = BipartiteDims(dB, dA)
+    return make_ensemble([(p, validate_state(dims, swapped(s), e.tol)) for p, s in e.members], tol=e.tol)
+
+
+def rotate_locally(e: Ensemble, rng: np.random.Generator) -> Ensemble:
+    """The same ensemble under a random local unitary U_A x U_B."""
+    k = np.kron(random_unitary(rng, e.dims.dA), random_unitary(rng, e.dims.dB))
+    data = [k @ s.vector if s.is_pure else k @ s.matrix @ k.conj().T for s in e.states]
+    return make_ensemble(zip(e.probs, (validate_state(e.dims, x, e.tol) for x in data)), tol=e.tol)
+
+
 # -- tolerance-edge adversaries -----------------------------------------------
 # Each builds a valid ensemble (under the default profile) that sits at one
 # tolerance edge, set by its first argument; the seed draws the rest.
@@ -130,6 +150,19 @@ def near_product_basis(gap: float, seed: int) -> Ensemble:
     """The rotated product basis whose members' largest Schmidt coefficient
     is 1 - gap."""
     return rotated_basis(math.acos(1.0 - gap), _seeded_probs(seed, 4))
+
+
+def near_product_vector(rng: np.random.Generator, dA: int, dB: int, gap: float) -> np.ndarray:
+    """A pure state on dA x dB whose largest Schmidt coefficient is 1 - gap,
+    with the other coefficients and both local bases drawn at random."""
+    k = min(dA, dB)
+    coeffs = np.ones(1)
+    if k > 1:
+        tail = rng.random(k - 1) + 0.1
+        # 1 - (1 - gap)^2 without the cancellation.
+        coeffs = np.concatenate([[1.0 - gap], tail * np.sqrt(gap * (2.0 - gap)) / np.linalg.norm(tail)])
+    u, v = random_unitary(rng, dA)[:, :k], random_unitary(rng, dB)[:, :k]
+    return ((u * coeffs) @ v.T).ravel()
 
 
 def near_maximally_mixed_gbell(d: int, distance: float, seed: int) -> Ensemble:
@@ -202,6 +235,34 @@ def holevo_oracle(probs, mats) -> float:
     mats = np.asarray(mats)
     average = np.einsum("x,xij->ij", probs, mats)
     return entropy_oracle(average) - float(sum(p * entropy_oracle(m) for p, m in zip(probs, mats)))
+
+
+def schmidt_oracle(s) -> np.ndarray:
+    """Descending Schmidt coefficients of a pure state, min(dA, dB) values,
+    from numpy's SVD of its amplitude matrix alone."""
+    return np.linalg.svd(s.vector.reshape(s.dims.dA, s.dims.dB), compute_uv=False)
+
+
+def product_oracle(s, tol=DEFAULT_TOLERANCES) -> bool:
+    """Whether a pure state is product: its largest Schmidt coefficient is
+    within orthogonality_tol of 1."""
+    return bool(schmidt_oracle(s)[0] >= 1.0 - tol.orthogonality_tol)
+
+
+def entanglement_oracle(s) -> float:
+    """Entropy of entanglement of a pure state in bits: H of its squared
+    Schmidt coefficients, with 0 log 0 = 0."""
+    w = schmidt_oracle(s) ** 2
+    w = w[w > 1e-12]
+    return max(0.0, float(-(w * np.log2(w)).sum()))
+
+
+def clamp_oracle(evals, tol=DEFAULT_TOLERANCES) -> np.ndarray:
+    """Eigenvalues with those within eigenvalue_clamp of 0 set to 0; none may
+    lie below -eigenvalue_clamp."""
+    evals = np.asarray(evals, dtype=float)
+    assert evals.min(initial=0.0) >= -tol.eigenvalue_clamp
+    return np.where(np.abs(evals) <= tol.eigenvalue_clamp, 0.0, evals)
 
 
 def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:

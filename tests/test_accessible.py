@@ -502,15 +502,15 @@ PINNED = {
     "zero_plus_1x2": ("0x1.62c8b7180d8c4p-1", "0x1.da6ce8d8455a4p-1", ""),
     "identical_bell": ("0x0.0p+0", "0x0.0p+0", ""),
     "mixed_1x2": ("0x1.403f45b20ca54p-2", "0x1.60519913201efp-2", ""),
-    "mixed_2x2": ("0x1.850adad7f4200p-2", "0x1.049c372cc146dp-1", "local search hit max_iters=150 before step_tol on 3/4 restarts"),
+    "mixed_2x2": ("0x1.850adad7f4200p-2", "0x1.049c372cc146dp-1", "local search still rising at max_iters=150 on 3/4 restarts"),
     "pair_pi8": ("0x1.bbee220839a70p-4", "0x1.ddda59fabbce8p-3", ""),
     "pair_restarts1": ("0x1.05edbab77fcb0p-4", "0x1.3c167d81a32dep-3", ""),
-    "pure3_2x2_capped": ("0x1.53cc16f39d674p-1", "0x1.96b41bd99c44ap-1", "local search hit max_iters=30 before step_tol on 2/2 restarts"),
-    "pure3_2x3": ("0x1.f47bc31ab8b0cp-1", "0x1.0b76ccd5915c8p+0", "local search hit max_iters=200 before step_tol on 1/2 restarts"),
-    "pure4_1x3": ("0x1.0efe54f4e7f72p+0", "0x1.601f10e7a137dp+0", "local search hit max_iters=100 before step_tol on 2/3 restarts"),
+    "pure3_2x2_capped": ("0x1.53cc16f39d674p-1", "0x1.96b41bd99c44ap-1", "local search still rising at max_iters=30 on 2/2 restarts"),
+    "pure3_2x3": ("0x1.f47bc31ab8b0cp-1", "0x1.0b76ccd5915c8p+0", "local search still rising at max_iters=200 on 1/2 restarts"),
+    "pure4_1x3": ("0x1.0efe54f4e7f72p+0", "0x1.601f10e7a137dp+0", "local search still rising at max_iters=100 on 2/3 restarts"),
     "strict_near_orthogonal": ("0x1.fffffff8207c8p-1", "0x1.ffffffff615fcp-1", ""),
     "trine": ("0x1.2b803473f6680p-1", "0x1.fffffffffffffp-1", ""),
-    "zero_table_1x3": ("0x1.4fafec548162cp+0", "0x1.8000000000000p+0", "local search hit max_iters=300 before step_tol on 1/3 restarts"),
+    "zero_table_1x3": ("0x1.4fafec548162cp+0", "0x1.8000000000000p+0", "local search still rising at max_iters=300 on 1/3 restarts"),
     "zero_member_1x2": ("0x1.8d7bc54ae1a20p-2", "0x1.2a628d0cf5c1dp-1", ""),
 }
 

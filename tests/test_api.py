@@ -11,16 +11,16 @@ PUBLIC_NAMES = [
     "BipartiteDims", "BipartiteState", "ChargeReport", "DEFAULT_TOLERANCES", "Ensemble",
     "EntchargeError", "FamilyReport", "InfoInterval", "MAX_JOINT_DIM", "OptimizerConfig",
     "ParseError", "Povm", "PreconditionError", "STRICT_TOLERANCES", "ShapeError",
-    "StructureFlags", "Tolerances", "UnsupportedFormError", "VERDICT_ENTANGLEMENT",
+    "StructureFlags", "Tolerances", "VERDICT_ENTANGLEMENT",
     "VERDICT_INDETERMINATE", "VERDICT_INFORMATION", "VERDICT_NEITHER", "ValidationError",
     "analyze", "average_state", "bell_basis", "binary_entropy",
-    "clamp_spectrum", "delta_epsilon", "density_of", "entanglement_entropy", "equal_probs",
+    "delta_epsilon", "density_of", "equal_probs",
     "estimate_accessible_info", "generalized_bell_basis",
-    "is_canonical_product_basis", "is_product",
+    "is_canonical_product_basis",
     "lower_bound_general", "lower_bound_pure", "make_ensemble", "make_povm",
     "mutual_information_of_measurement", "pairwise_orthogonal", "parse_ensemble",
     "partial_trace", "product_basis", "reduced_ensemble",
-    "rotated_basis", "rotated_family_report", "schmidt_coefficients", "shannon_entropy",
+    "rotated_basis", "rotated_family_report", "shannon_entropy",
     "shannon_of", "upper_bound_merging", "validate_state", "von_neumann_entropy",
     "write_ensemble",
 ]

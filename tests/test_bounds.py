@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entcharge import (
+    DEFAULT_TOLERANCES,
+    STRICT_TOLERANCES,
     BipartiteDims,
     PreconditionError,
     VERDICT_ENTANGLEMENT,
@@ -37,7 +39,8 @@ from helpers import (
     random_density,
     random_orthogonal_pure_ensemble,
     random_pure_vector,
-    random_unitary,
+    rotate_locally,
+    swap_parties,
 )
 
 H34 = binary_entropy(0.75)  # per-state entanglement of the family at pi/6
@@ -347,26 +350,6 @@ def test_bounds_permutation_invariant(seed):
     assert lower_bound_pure(e) == pytest.approx(lower_bound_pure(shuffled), abs=1e-12)
 
 
-def _swap_parties(e):
-    """The same ensemble with A and B exchanged: amplitudes psi[i, j] -> psi[j, i]."""
-    dA, dB = e.dims.dA, e.dims.dB
-
-    def swapped(s):
-        if s.is_pure:
-            return s.vector.reshape(dA, dB).T.reshape(-1)
-        return s.matrix.reshape(dA, dB, dA, dB).transpose(1, 0, 3, 2).reshape(dA * dB, dA * dB)
-
-    dims = BipartiteDims(dB, dA)
-    return make_ensemble([(p, validate_state(dims, swapped(s))) for p, s in e.members])
-
-
-def _rotate_locally(e, rng):
-    """The same ensemble under a random local unitary U_A x U_B."""
-    k = np.kron(random_unitary(rng, e.dims.dA), random_unitary(rng, e.dims.dB))
-    data = [k @ s.vector if s.is_pure else k @ s.matrix @ k.conj().T for s in e.states]
-    return make_ensemble(zip(e.probs, (validate_state(e.dims, x) for x in data)))
-
-
 @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
 @pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "nonorthogonal"])
 def test_analyze_invariant_under_local_unitaries_and_party_swap(pure, orthogonal):
@@ -377,7 +360,7 @@ def test_analyze_invariant_under_local_unitaries_and_party_swap(pure, orthogonal
     for _ in range(25):
         e = _random_ensemble(rng, pure, orthogonal)
         r = analyze(e)
-        for image in (_rotate_locally(e, rng), _swap_parties(e)):
+        for image in (rotate_locally(e, rng), swap_parties(e)):
             s = analyze(image)
             assert s.interval == pytest.approx(r.interval, abs=1e-12)
             assert s.verdict == r.verdict
@@ -561,6 +544,40 @@ def test_rotated_family_report_computes_facts_once(monkeypatch):
     assert len(averages) == 1
 
 
+def test_flags_analyze_and_family_report_take_no_svd(monkeypatch):
+    # Member-local structure (product and maximal-entanglement flags, member
+    # entropies) comes from the reduced states alone.
+    original = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(24)
+    ensembles = [
+        product_basis(2, 3, equal_probs(6)),
+        generalized_bell_basis(3, equal_probs(9)),
+        rotated_basis(0.3, equal_probs(4)),
+        _random_ensemble(rng, pure=True, orthogonal=False),
+        _random_ensemble(rng, pure=False, orthogonal=True),
+    ]
+    for e in ensembles:
+        e.flags
+        analyze(make_ensemble(list(e.members)))
+    rotated_family_report(np.pi / 7, [0.1, 0.2, 0.3, 0.4])
+    assert calls == []
+
+
+@given(st.floats(0.0, np.pi / 2), st.integers(0, 2**32 - 1), st.sampled_from(["default", "strict"]))
+@settings(max_examples=60, deadline=None)
+def test_entanglement_per_state_is_the_binary_entropy_of_cos_squared(theta, seed, profile):
+    tol = STRICT_TOLERANCES if profile == "strict" else DEFAULT_TOLERANCES
+    fam = rotated_family_report(theta, np.random.default_rng(seed).dirichlet(np.ones(4)), tol=tol)
+    assert abs(fam.entanglement_per_state - binary_entropy(float(np.cos(theta)) ** 2)) <= 1e-12
+
+
 def _count_reports(monkeypatch) -> list:
     """Count ChargeReport builds, each of which validates itself once."""
     from entcharge.bounds import ChargeReport
@@ -598,8 +615,6 @@ def test_facts_are_computed_once_across_public_bounds(monkeypatch):
 
 def test_facts_are_keyed_by_tolerances():
     # The same states under two policies are two ensembles with their own facts.
-    from entcharge import STRICT_TOLERANCES
-
     assert analyze(near_orthogonal_pair()).flags.mutually_orthogonal
     assert not analyze(near_orthogonal_pair(STRICT_TOLERANCES)).flags.mutually_orthogonal
 
@@ -666,7 +681,7 @@ def test_each_fact_is_computed_once(monkeypatch):
     calls = {
         name: _count_calls(monkeypatch, module, name)
         for module, name in (
-            ("states", "overlap_matrix"), ("states", "orthogonality_witness"), ("states", "is_product"),
+            ("states", "overlap_matrix"), ("states", "orthogonality_witness"),
             ("ensembles", "reduced_ensemble"), ("ensembles", "average_state"),
             ("entropy", "von_neumann_entropy"), ("entropy", "von_neumann_entropies"),
             ("linalg", "partial_trace"),

@@ -19,6 +19,7 @@ from entcharge.generators import bell_basis, equal_probs
 from entcharge.linalg import DEFAULT_TOLERANCES, ROUNDING_SLACK, STRICT_TOLERANCES
 from helpers import (
     edge_probability_ensemble,
+    entanglement_oracle,
     near_maximally_mixed_gbell,
     near_orthogonal_gbell,
     near_product_basis,
@@ -265,10 +266,10 @@ def test_generate_rotated_entanglement(tmp_path, capsys):
     assert main(["generate", "rotated", "--theta", f"{theta:.17g}", "-o", str(out_path)]) == 0
     capsys.readouterr()
     e = parse_ensemble(out_path.read_text())
-    from entcharge import binary_entropy, entanglement_entropy
+    from entcharge import binary_entropy
 
     for s in e.states:
-        assert entanglement_entropy(s) == pytest.approx(binary_entropy(0.75), abs=1e-9)
+        assert entanglement_oracle(s) == pytest.approx(binary_entropy(0.75), abs=1e-9)
 
 
 def test_generate_gbell(tmp_path, capsys):

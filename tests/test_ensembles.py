@@ -17,6 +17,7 @@ from entcharge import (
     bell_basis,
     density_of,
     equal_probs,
+    generalized_bell_basis,
     make_ensemble,
     parse_ensemble,
     partial_trace,
@@ -29,7 +30,16 @@ from entcharge import (
 )
 from entcharge.entropy import von_neumann_entropies
 from entcharge.linalg import density_spectra
-from helpers import bell_vectors, random_density, random_orthogonal_pure_ensemble, random_pure_vector
+from helpers import (
+    bell_vectors,
+    near_product_vector,
+    product_oracle,
+    random_density,
+    random_orthogonal_pure_ensemble,
+    random_pure_vector,
+    rotate_locally,
+    swap_parties,
+)
 
 
 def test_make_ensemble_validation():
@@ -177,6 +187,82 @@ def test_classify_structure_permutation_invariant(seed):
     perm = rng.permutation(len(e.members))
     shuffled = make_ensemble([e.members[i] for i in perm])
     assert e.flags == shuffled.flags
+
+
+PROFILES = {"default": DEFAULT_TOLERANCES, "strict": STRICT_TOLERANCES}
+# Every shape up to 8 x 8 (joint dimension at most MAX_JOINT_DIM = 64), and
+# the two most unbalanced ones.
+PRODUCT_DIMS = [(a, b) for a in range(1, 9) for b in range(1, 9) if a * b >= 2] + [(2, 32), (32, 2)]
+# A member whose largest Schmidt coefficient is 1 - f * orthogonality_tol, f
+# within 10% of the edge f = 1. The flag's Frobenius rule and the Schmidt
+# rule differ only within about 4 orthogonality_tol^2 of the edge, where the
+# SVD and the norm also round differently; so f keeps 1% off the edge, which
+# is still 1e-13 under the strict profile, far above both.
+EDGE_FACTORS = st.one_of(st.floats(0.9, 0.99), st.floats(1.01, 1.1))
+
+
+@given(
+    st.sampled_from(PRODUCT_DIMS),
+    st.sampled_from(sorted(PROFILES)),
+    st.lists(EDGE_FACTORS, min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_all_product_is_the_largest_schmidt_coefficient_rule(shape, profile, factors, seed):
+    tol = PROFILES[profile]
+    rng = np.random.default_rng(seed)
+    dims = BipartiteDims(*shape)
+    gaps = [f * tol.orthogonality_tol for f in factors]
+    states = [validate_state(dims, near_product_vector(rng, *shape, gap), tol) for gap in gaps]
+    expected = [product_oracle(s, tol) for s in states]
+    # Each member lies on the side of the edge it was built for; a member
+    # with one Schmidt coefficient is always product.
+    assert expected == [f < 1 or min(shape) == 1 for f in factors]
+    for s, want in zip(states, expected, strict=True):
+        assert make_ensemble([(1.0, s)], tol=tol).flags.all_product == want
+    e = make_ensemble(zip(equal_probs(len(states)), states), tol=tol)
+    assert e.flags.all_product == all(expected)
+
+
+@st.composite
+def flagged_ensembles(draw):
+    """Ensembles with each flag set either way, none within rounding of its
+    edge, under either profile: product and rotated bases (near-product ones
+    included), generalized Bell bases, and random pure, orthogonal pure and
+    mixed ensembles, with a zero-probability member at times."""
+    tol = PROFILES[draw(st.sampled_from(sorted(PROFILES)))]
+    kind = draw(st.sampled_from(["product", "rotated", "near-product", "gbell", "pure", "orthogonal", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dA, dB = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    count = {"product": dA * dB, "rotated": 4, "near-product": 4, "gbell": 9}.get(kind, int(rng.integers(2, dA * dB + 1)))
+    probs = rng.dirichlet(np.ones(count))
+    if draw(st.booleans()):
+        probs[0] = 0.0
+        probs /= probs.sum()
+    if kind == "product":
+        return product_basis(dA, dB, probs, tol)
+    if kind == "rotated":
+        return rotated_basis(float(rng.choice([0.0, np.pi / 4, np.pi / 2, rng.uniform(0.1, 1.4)])), probs, tol)
+    if kind == "near-product":
+        return rotated_basis(float(np.arccos(1.0 - draw(EDGE_FACTORS) * tol.orthogonality_tol)), probs, tol)
+    if kind == "gbell":
+        return generalized_bell_basis(3, probs, tol)
+    dims = BipartiteDims(dA, dB)
+    if kind == "orthogonal":
+        q = np.linalg.qr(rng.standard_normal((dims.joint,) * 2) + 1j * rng.standard_normal((dims.joint,) * 2))[0]
+        data = [q[:, k] for k in range(count)]
+    else:
+        data = [random_pure_vector(rng, dims.joint) if kind == "pure" else random_density(rng, dims.joint)
+                for _ in range(count)]
+    return make_ensemble(zip(probs, (validate_state(dims, x, tol) for x in data)), tol=tol)
+
+
+@given(flagged_ensembles(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_flags_are_invariant_under_local_unitaries_and_party_swap(e, seed):
+    rng = np.random.default_rng(seed)
+    for image in (rotate_locally(e, rng), swap_parties(e), swap_parties(rotate_locally(e, rng))):
+        assert image.flags == e.flags
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -7,7 +7,6 @@ from entcharge import (
     BipartiteDims,
     ValidationError,
     binary_entropy,
-    entanglement_entropy,
     generalized_bell_basis,
     make_ensemble,
     rotated_basis,
@@ -16,7 +15,7 @@ from entcharge import (
     validate_state,
     von_neumann_entropy,
 )
-from helpers import bell_vectors, holevo_oracle, random_density
+from helpers import bell_vectors, entanglement_oracle, holevo_oracle, random_density
 
 D22 = BipartiteDims(2, 2)
 
@@ -180,14 +179,22 @@ def test_von_neumann_additivity(seed):
 
 
 def test_entanglement_entropy_examples():
+    # A pure member's entanglement is the entropy of its reduced state: the
+    # library's member entropy against the Schmidt oracle and closed forms.
+    def entanglement(s) -> float:
+        return float(make_ensemble([(1.0, s)]).entropies_a[0])
+
     theta = 0.37
     s = validate_state(D22, np.array([np.cos(theta), 0, 0, -1j * np.sin(theta)]))
-    assert entanglement_entropy(s) == pytest.approx(binary_entropy(np.cos(theta) ** 2), abs=1e-9)
-    assert entanglement_entropy(validate_state(D22, [0, 1, 0, 0])) == 0.0
+    assert entanglement(s) == pytest.approx(binary_entropy(np.cos(theta) ** 2), abs=1e-9)
+    assert entanglement(s) == pytest.approx(entanglement_oracle(s), abs=1e-12)
+    product = validate_state(D22, [0, 1, 0, 0])
+    assert entanglement(product) == entanglement_oracle(product) == 0.0
     d33 = BipartiteDims(3, 3)
     v = np.zeros(9, dtype=complex)
     v[[0, 4, 8]] = 1 / np.sqrt(3)
-    assert entanglement_entropy(validate_state(d33, v)) == pytest.approx(np.log2(3), abs=1e-9)
+    assert entanglement(validate_state(d33, v)) == pytest.approx(np.log2(3), abs=1e-9)
+    assert entanglement_oracle(validate_state(d33, v)) == pytest.approx(np.log2(3), abs=1e-9)
 
 
 def test_row_entropies_have_the_bits_of_entropy_bits():

@@ -7,7 +7,6 @@ from entcharge import (
     bell_basis,
     binary_entropy,
     density_of,
-    entanglement_entropy,
     equal_probs,
     generalized_bell_basis,
     is_canonical_product_basis,
@@ -17,7 +16,7 @@ from entcharge import (
     rotated_basis,
 )
 from entcharge.generators import PRODUCT_BASIS_NOTE
-from helpers import bell_vectors
+from helpers import bell_vectors, entanglement_oracle
 
 
 def test_bell_basis_fixed_order_and_flags():
@@ -95,8 +94,9 @@ def test_rotated_basis_theta_pi_over_4_maximally_entangled():
 def test_rotated_basis_entanglement_matches_binary_entropy():
     theta = np.pi / 6
     e = rotated_basis(theta, equal_probs(4))
-    for s in e.states:
-        assert entanglement_entropy(s) == pytest.approx(binary_entropy(0.75), abs=1e-9)
+    for s, h in zip(e.states, e.entropies_a, strict=True):
+        assert entanglement_oracle(s) == pytest.approx(binary_entropy(0.75), abs=1e-9)
+        assert h == pytest.approx(binary_entropy(0.75), abs=1e-9)
 
 
 @pytest.mark.parametrize("theta", np.linspace(0, np.pi / 2, 9))

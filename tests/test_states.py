@@ -8,20 +8,16 @@ from hypothesis import strategies as st
 from entcharge import (
     BipartiteDims,
     ShapeError,
-    UnsupportedFormError,
     ValidationError,
     density_of,
-    entanglement_entropy,
-    is_product,
     make_ensemble,
     pairwise_orthogonal,
     partial_trace,
-    schmidt_coefficients,
     validate_state,
     von_neumann_entropy,
 )
 from entcharge.linalg import density_spectra
-from helpers import random_pure_vector
+from helpers import entanglement_oracle, random_pure_vector, schmidt_oracle
 
 D22 = BipartiteDims(2, 2)
 
@@ -103,32 +99,35 @@ def test_density_of_bell_projector_corners():
 
 def test_schmidt_product_state():
     s = validate_state(D22, [1, 0, 0, 0])
-    assert np.allclose(schmidt_coefficients(s), [1.0, 0.0], atol=1e-12)
+    assert np.allclose(schmidt_oracle(s), [1.0, 0.0], atol=1e-12)
+    e = make_ensemble([(1.0, s)])
+    assert e.flags.all_product
+    assert e.entropies_a[0] == 0.0
 
 
 def test_schmidt_rotated_state_at_pi_over_6():
     theta = np.pi / 6
     s = validate_state(D22, rotated_pair_state(theta))
-    assert np.allclose(schmidt_coefficients(s), [np.cos(theta), np.sin(theta)], atol=1e-12)
+    assert np.allclose(schmidt_oracle(s), [np.cos(theta), np.sin(theta)], atol=1e-12)
+    e = make_ensemble([(1.0, s)])
+    assert np.allclose(np.sort(density_spectra(e.reduced_a)[0])[::-1], schmidt_oracle(s) ** 2, atol=1e-12)
+    assert not e.flags.all_product
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_schmidt_squares_match_reduced_eigenvalues(seed):
+    # The reduced states of a pure member carry its Schmidt spectrum on both
+    # sides: the library's party stacks against numpy's SVD.
     rng = np.random.default_rng(seed)
     dims = BipartiteDims(3, 3)
     s = validate_state(dims, random_pure_vector(rng, 9))
-    coeffs = schmidt_coefficients(s)
+    coeffs = schmidt_oracle(s)
     assert coeffs.sum() >= 0 and abs((coeffs**2).sum() - 1) < 1e-9
-    reduced = partial_trace(density_of(s), 3, 3, "B")
-    evals = np.sort(density_spectra(reduced[None])[0])[::-1]
-    assert np.allclose(coeffs**2, evals, atol=1e-9)
-
-
-def test_schmidt_rejects_density_form():
-    d = validate_state(D22, np.eye(4) / 4)
-    with pytest.raises(UnsupportedFormError):
-        schmidt_coefficients(d)
+    e = make_ensemble([(1.0, s)])
+    for reduced in (e.reduced_a, e.reduced_b):
+        evals = np.sort(density_spectra(reduced)[0])[::-1]
+        assert np.allclose(coeffs**2, evals, atol=1e-9)
 
 
 def is_maximally_entangled(s) -> bool:
@@ -180,12 +179,18 @@ def test_pairwise_orthogonal_mixed_dims_rejected():
         pairwise_orthogonal([a, b])
 
 
+def is_product(s) -> bool:
+    return make_ensemble([(1.0, s)]).flags.all_product
+
+
 def test_is_product_examples():
     assert is_product(validate_state(D22, [0, 1, 0, 0]))  # |01>
     bell = validate_state(D22, np.array([1, 0, 0, 1]) / np.sqrt(2))
     assert not is_product(bell)
     nearly = validate_state(D22, rotated_pair_state(0.01))
     assert not is_product(nearly)
+    # A product density member is not a product pure member.
+    assert not is_product(validate_state(D22, np.diag([1.0, 0, 0, 0])))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -193,9 +198,12 @@ def test_is_product_examples():
 def test_entanglement_entropy_cross_module_consistency(seed):
     rng = np.random.default_rng(seed)
     s = validate_state(D22, random_pure_vector(rng, 4))
-    via_schmidt = entanglement_entropy(s)
+    via_schmidt = entanglement_oracle(s)
     via_reduced = von_neumann_entropy(partial_trace(density_of(s), 2, 2, "B"))
+    e = make_ensemble([(1.0, s)])
     assert via_schmidt == pytest.approx(via_reduced, abs=1e-9)
+    assert via_schmidt == pytest.approx(e.entropies_a[0], abs=1e-9)
+    assert via_schmidt == pytest.approx(e.entropies_b[0], abs=1e-9)
 
 
 @given(st.integers(0, 2**32 - 1))
