@@ -31,7 +31,6 @@ from .ensembles import (
     average_state,
     make_ensemble,
     reduced_ensemble,
-    shannon_of,
 )
 from .entropy import (
     binary_entropy,

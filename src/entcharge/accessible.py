@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, shannon_of
-from .entropy import _row_entropies
+from .ensembles import Ensemble
+from .entropy import _row_entropies, shannon_entropy
 from .errors import ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -26,7 +26,6 @@ from .linalg import (
     _check_hermitian,
     _hermiticity_deviation,
     as_square_matrix,
-    frobenius,
     hermitian_part,
 )
 from .states import BipartiteDims, _freeze
@@ -115,7 +114,7 @@ def make_povm(dims: BipartiteDims, elements, tol: Tolerances = DEFAULT_TOLERANCE
     if shaped < len(mats):
         raise ShapeError(f"POVM element {shaped} has dim {mats[shaped].shape[0]}, dims {dims.dA}x{dims.dB} require {n}")
     total = np.sum(mats, axis=0)
-    dev = frobenius(total - np.eye(n))
+    dev = np.linalg.norm(total - np.eye(n))
     if dev > POVM_COMPLETENESS_TOL:
         raise ValidationError(
             f"POVM elements sum to identity only within {dev:.3e} (Frobenius), "
@@ -220,10 +219,12 @@ def _ascent_direction(
     table: np.ndarray, marginals: tuple[np.ndarray, np.ndarray], probs: np.ndarray, rhos: np.ndarray
 ) -> np.ndarray:
     """R_y / max_y |R_y|_F per restart (so |eps R_y / |R|| <= eps), from the
-    joint tables and their marginals (p(x), p(y)); p(x, y) = 0 adds 0."""
+    joint tables and their marginals (p(x), p(y)); p(x, y) = 0 adds 0, as
+    does a cell whose p(x) p(y) underflows to 0 beside a subnormal p(x, y)."""
     px, py = marginals
-    seen = table > 0.0
-    log_ratio = np.log(np.where(seen, table, 1.0) / np.where(seen, px[:, :, None] * py[:, None, :], 1.0))
+    product = px[:, :, None] * py[:, None, :]
+    seen = (table > 0.0) & (product > 0.0)
+    log_ratio = np.log(np.where(seen, table, 1.0) / np.where(seen, product, 1.0))
     r = np.einsum("x,rxy,xij->ryij", probs, log_ratio, rhos)
     norm = np.sqrt((r.conj() * r).real.sum(axis=(2, 3))).max(axis=1)  # Frobenius, as np.linalg.norm
     return r / np.where(norm == 0.0, 1.0, norm)[:, None, None, None]
@@ -270,7 +271,7 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     The search reads the ensemble's densities, average state and chi, so a
     later analysis of the same ensemble computes none of them again.
     """
-    cap = min(shannon_of(e), e.chi)
+    cap = min(shannon_entropy(e.probs, e.tol), e.chi)
     if e.witness is None:
         return InfoInterval(cap, cap, "orthogonal ensemble: min(H(X), Holevo chi)")
     rhos, probs = e.densities, e.probs

@@ -42,8 +42,8 @@ from functools import cached_property
 import numpy as np
 
 from .accessible import InfoInterval
-from .ensembles import Ensemble, StructureFlags, shannon_of
-from .entropy import binary_entropy
+from .ensembles import Ensemble, StructureFlags
+from .entropy import binary_entropy, shannon_entropy
 from .errors import PreconditionError, ValidationError
 from .generators import PRODUCT_BASIS_NOTE, is_canonical_product_basis, rotated_basis
 from .linalg import DEFAULT_TOLERANCES, ROUNDING_SLACK, Tolerances
@@ -310,7 +310,7 @@ def rotated_family_report(
         raise ValidationError(
             "internal inconsistency: S(rho_A) fell below the average member entropy"
         )
-    extras = [Candidate("family_refined", shannon_of(e) - h)]
+    extras = [Candidate("family_refined", shannon_entropy(e.probs, e.tol) - h)]
     if gate_cost is not None:
         extras.append(
             Candidate(

@@ -22,7 +22,6 @@ import numpy as np
 from .entropy import (
     _holevo_chi,
     member_term,
-    shannon_entropy,
     valid_probs,
     von_neumann_entropies,
     von_neumann_entropy,
@@ -61,13 +60,14 @@ class Ensemble:
     overlaps[i, j] = Tr(rho_i rho_j); witness is the first non-orthogonal
     pair (i, j, overlap) or None. s_ab, s_a, s_b are the entropies of the
     average state and its marginals. reduced_a / reduced_b stack each member
-    traced down to A / B, entropies_a / entropies_b hold each member's
-    S(rho_X^A) / S(rho_X^B), avg_member_entropy = sum_X p_X S(rho_X^A), and
-    chi_a / chi_b, S(rho_A) - sum_X p_X S(rho_X^A) and its B twin, are the
-    Holevo chi of the two reduced ensembles. probs and states split the
-    members once. densities stacks every member's joint density matrix,
-    which the overlaps of mixed members and the accessible-information
-    search read, and chi is the joint Holevo chi, whose first term is s_ab.
+    traced down to A / B, entropies_a holds each member's S(rho_X^A),
+    avg_member_entropy = sum_X p_X S(rho_X^A), and chi_a / chi_b,
+    S(rho_A) - sum_X p_X S(rho_X^A) and its B twin, are the Holevo chi of
+    the two reduced ensembles. The flags read reduced_a, never reduced_b,
+    which only s_b and chi_b read. probs and states split the members once.
+    densities stacks every member's joint density matrix, which the overlaps
+    of mixed members and the accessible-information search read, and chi is
+    the joint Holevo chi, whose first term is s_ab.
     The reduced states of each side are one batched computation over all
     members, and one spectrum per party covers its marginal and its members:
     reading entropies_a or chi_a computes both (B alike), and chi_a's first
@@ -140,10 +140,6 @@ class Ensemble:
         return self._entropies_of_a[1:]
 
     @cached_property
-    def entropies_b(self) -> np.ndarray:
-        return self._entropies_of_b[1:]
-
-    @cached_property
     def _orthogonal_pure(self) -> bool:
         return all(s.is_pure for s in self.states) and self.witness is None
 
@@ -158,25 +154,16 @@ class Ensemble:
         return float(von_neumann_entropies(marginal[None], self.tol, self._traced_dim(traced))[0])
 
     @cached_property
-    def maximally_entangled(self) -> tuple[bool, ...]:
-        """Whether each member is pure with both reduced states within
-        orthogonality_tol of I/d. Only a pure member of a dA = dB ensemble can
-        be, so no other ensemble is reduced."""
-        pure = np.array([s.is_pure for s in self.states])
-        if self.dims.dA != self.dims.dB or not pure.any():
-            return (False,) * len(pure)
-        flat = _maximally_mixed(self.reduced_a, self.tol) & _maximally_mixed(self.reduced_b, self.tol)
-        return tuple(bool(x) for x in pure & flat)
-
-    @cached_property
     def flags(self) -> StructureFlags:
         """StructureFlags, zero-probability members included, from the
-        witness and the reduced stacks: no entropy and no SVD."""
+        witness and reduced_a alone: no entropy, no SVD, never reduced_b, and
+        no reduced state at all unless every member is pure."""
         all_pure = all(s.is_pure for s in self.states)
+        flat = all_pure and self.dims.dA == self.dims.dB and bool(_maximally_mixed(self.reduced_a, self.tol).all())
         return StructureFlags(
             all_pure=all_pure,
             mutually_orthogonal=self.witness is None,
-            all_maximally_entangled=all(self.maximally_entangled),
+            all_maximally_entangled=flat,
             all_product=all_pure and bool(_nearly_pure(self.reduced_a, self.tol).all()),
             support_size=int(sum(1 for p, _ in self.members if p > self.tol.eigenvalue_clamp)),
         )
@@ -230,8 +217,9 @@ class StructureFlags:
     """Structural predicates of an ensemble, as used by the bounds engine,
     over every member under the ensemble's tolerances (t = orthogonality_tol):
     all_pure, every member a vector; mutually_orthogonal, no Tr(rho_i rho_j)
-    above t; all_maximally_entangled, all pure with dA = dB and both reduced
-    states within t of I/d (Frobenius); all_product, all pure with every
+    above t; all_maximally_entangled, all pure with dA = dB and every
+    rho_X^A within t of I/d (Frobenius; a pure member's rho_X^B has the same
+    nonzero spectrum, so is as close); all_product, all pure with every
     ||rho_X^A||_F >= (1 - t)^2 (states._nearly_pure); support_size, the
     members with p_X above eigenvalue_clamp, where eigenvalues count as 0."""
 
@@ -308,8 +296,3 @@ def reduced_ensemble(e: Ensemble, party: str) -> np.ndarray:
     if not pure.all():
         out[~pure] = partial_traces(np.stack([s.matrix for s in states if not s.is_pure]), dA, dB, traced)
     return out
-
-
-def shannon_of(e: Ensemble) -> float:
-    """H(X) of the probability vector; zero-probability members contribute 0."""
-    return shannon_entropy(e.probs, e.tol)

@@ -73,11 +73,6 @@ def as_square_matrix(m) -> np.ndarray:
     return a
 
 
-def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
-
-
 def partial_trace(m, dA: int, dB: int, traced_party: str) -> np.ndarray:
     """Trace out one party of an operator on a dA*dB joint space.
 

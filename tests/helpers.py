@@ -257,6 +257,28 @@ def entanglement_oracle(s) -> float:
     return max(0.0, float(-(w * np.log2(w)).sum()))
 
 
+def maximally_entangled_oracle(e) -> bool:
+    """Whether every member is pure, dA = dB, and both of each member's
+    reduced states lie within e.tol's orthogonality_tol of I/d (Frobenius),
+    from numpy products of its amplitude matrix alone."""
+    dA, dB = e.dims.dA, e.dims.dB
+    if dA != dB or not all(s.is_pure for s in e.states):
+        return False
+    flat = np.eye(dA) / dA
+    for s in e.states:
+        psi = s.vector.reshape(dA, dB)
+        for reduced in (psi @ psi.conj().T, psi.T @ psi.conj()):
+            if np.linalg.norm(reduced - flat) > e.tol.orthogonality_tol:
+                return False
+    return True
+
+
+def entropies_b(e) -> np.ndarray:
+    """S(rho_X^B) of each member: the member rows of the B party's spectrum,
+    the entropies chi_b subtracts."""
+    return e._entropies_of_b[1:]
+
+
 def clamp_oracle(evals, tol=DEFAULT_TOLERANCES) -> np.ndarray:
     """Eigenvalues with those within eigenvalue_clamp of 0 set to 0; none may
     lie below -eigenvalue_clamp."""

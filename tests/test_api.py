@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "mutual_information_of_measurement", "pairwise_orthogonal", "parse_ensemble",
     "partial_trace", "product_basis", "reduced_ensemble",
     "rotated_basis", "rotated_family_report", "shannon_entropy",
-    "shannon_of", "upper_bound_merging", "validate_state", "von_neumann_entropy",
+    "upper_bound_merging", "validate_state", "von_neumann_entropy",
     "write_ensemble",
 ]
 

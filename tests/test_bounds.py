@@ -33,7 +33,9 @@ from entcharge import (
 from entcharge.bounds import _verdict
 from entcharge.linalg import ROUNDING_SLACK
 from helpers import (
+    entropies_b,
     holevo_oracle,
+    maximally_entangled_oracle,
     mutual_information_oracle,
     near_orthogonal_pair,
     random_density,
@@ -92,7 +94,7 @@ def test_upper_bound_merging_holds_for_every_ensemble(pure, orthogonal):
         uppers = analyze(e).upper_bounds
         a_to_b, b_to_a = upper_bound_merging(e)
         assert (a_to_b, b_to_a) == (uppers["merging_AtoB"], uppers["merging_BtoA"])
-        floor = -float(np.dot(e.probs, np.minimum(e.entropies_a, e.entropies_b)))
+        floor = -float(np.dot(e.probs, np.minimum(e.entropies_a, entropies_b(e))))
         assert min(a_to_b, b_to_a) >= floor - ROUNDING_SLACK
 
 
@@ -485,7 +487,7 @@ def test_analyze_reuses_member_entropies_for_chi_a(monkeypatch):
     report = analyze(e)
     assert sorted(len(args[0]) for args in stacks) == [1, 65, 65]
     assert report.chi_a == e.s_a - member_term(e.probs, e.entropies_a)
-    assert report.chi_b == e.s_b - member_term(e.probs, e.entropies_b)
+    assert report.chi_b == e.s_b - member_term(e.probs, entropies_b(e))
 
 
 @pytest.mark.parametrize("kind", ["density", "non-orthogonal"])
@@ -501,11 +503,9 @@ def test_analyze_takes_no_member_spectrum_it_does_not_read(monkeypatch, kind):
 
 
 def test_maximally_entangled_reduces_only_square_ensembles_with_pure_members(monkeypatch):
-    # Only a pure member of a dA = dB ensemble can be maximally entangled, so
-    # analyze of a density ensemble builds no reduced state, and neither does
-    # a non-square ensemble; a mixed ensemble reads the party stacks.
-    from entcharge import density_of, partial_trace
-
+    # The flags reduce nothing unless every member is pure: analyze of a
+    # density ensemble builds no reduced state, and neither do the flags of a
+    # mixed one. An all-pure ensemble, square or not, reduces side A once.
     rng = np.random.default_rng(9)
     d22, d23 = BipartiteDims(2, 2), BipartiteDims(2, 3)
     bell = validate_state(d22, [2**-0.5, 0, 0, 2**-0.5])
@@ -513,20 +513,37 @@ def test_maximally_entangled_reduces_only_square_ensembles_with_pure_members(mon
     mixed = make_ensemble([(0.25, validate_state(d22, random_density(rng, 4))), (0.25, bell),
                            (0.25, validate_state(d22, random_pure_vector(rng, 4))), (0.25, validate_state(d22, np.eye(4) / 4))])
     oblong = make_ensemble([(0.5, validate_state(d23, v)) for v in np.eye(6)[:2]])
+    pure = bell_basis(equal_probs(4))
     reduced = _count_calls(monkeypatch, "ensembles", "reduced_ensemble")
     vectors = _count_calls(monkeypatch, "linalg", "vector_partial_traces")
     analyze(density)
     assert (len(reduced), len(vectors)) == (0, 0)
-    assert mixed.maximally_entangled == (False, True, False, False)
-    counts = (len(reduced), len(vectors))
-    for s, entry in zip(mixed.states, mixed.maximally_entangled):
-        reference = s.is_pure and all(
-            np.linalg.norm(partial_trace(density_of(s), 2, 2, traced) - np.eye(2) / 2) <= mixed.tol.orthogonality_tol
-            for traced in "AB"
-        )
-        assert entry == reference
-    assert oblong.maximally_entangled == (False, False)
-    assert (len(reduced), len(vectors)) == counts
+    assert mixed.flags.all_maximally_entangled is maximally_entangled_oracle(mixed) is False
+    assert (len(reduced), len(vectors)) == (0, 0)
+    assert oblong.flags.all_maximally_entangled is maximally_entangled_oracle(oblong) is False
+    assert pure.flags.all_maximally_entangled is maximally_entangled_oracle(pure) is True
+    assert [args[1] for args in reduced] == ["A", "A"]
+    assert len(vectors) == 2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_reading_the_flags_never_reduces_side_b(monkeypatch, d):
+    # Side A's reduced stack decides both structure flags, so no ensemble,
+    # square or not, pure, density or mixed, builds its side-B stack for them.
+    rng = np.random.default_rng([7, d])
+    square, oblong = BipartiteDims(d, d), BipartiteDims(d, d + 1)
+    ensembles = [
+        generalized_bell_basis(d, equal_probs(d * d)),
+        product_basis(d, d, equal_probs(d * d)),
+        make_ensemble([(0.5, validate_state(square, random_pure_vector(rng, d * d))) for _ in range(2)]),
+        make_ensemble([(0.5, validate_state(oblong, random_pure_vector(rng, d * d + d))) for _ in range(2)]),
+        make_ensemble([(0.5, validate_state(square, random_pure_vector(rng, d * d))),
+                       (0.5, validate_state(square, random_density(rng, d * d)))]),
+    ]
+    reduced = _count_calls(monkeypatch, "ensembles", "reduced_ensemble")
+    for e in ensembles:
+        assert e.flags.all_maximally_entangled == maximally_entangled_oracle(e)
+    assert [args[1] for args in reduced] == ["A"] * 4
 
 
 def test_classify_structure_computes_no_entropy(monkeypatch):
@@ -671,8 +688,8 @@ def test_witness_builds_no_reduced_ensemble_and_no_entropy(monkeypatch):
 
 
 FACTS = (
-    "overlaps", "witness", "reduced_a", "reduced_b", "entropies_a", "entropies_b", "maximally_entangled",
-    "flags", "average", "s_ab", "s_a", "s_b", "avg_member_entropy", "chi_a", "chi_b", "densities", "chi",
+    "overlaps", "witness", "reduced_a", "reduced_b", "entropies_a", "_entropies_of_b", "flags",
+    "average", "s_ab", "s_a", "s_b", "avg_member_entropy", "chi_a", "chi_b", "densities", "chi",
 )
 
 
@@ -698,6 +715,7 @@ def test_each_fact_is_computed_once(monkeypatch):
     second = {name: getattr(e, name) for name in FACTS}
     assert {name: len(c) for name, c in calls.items()} == counts
     assert all(second[name] is first[name] for name in FACTS)
+    assert first["flags"].all_maximally_entangled == maximally_entangled_oracle(e)
 
 
 def test_shared_facts_are_read_only():
@@ -705,7 +723,7 @@ def test_shared_facts_are_read_only():
     for a in (e.overlaps, e.average, *e.reduced_a, *e.reduced_b, *e.densities):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
-    for a in (e.probs, e.entropies_a, e.entropies_b):
+    for a in (e.probs, e.entropies_a, entropies_b(e)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 

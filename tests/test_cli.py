@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entcharge.cli import CSV_HEADER, main
+from entcharge.entropy import shannon_entropy
 from entcharge.fileio import parse_ensemble, write_ensemble
-from entcharge.ensembles import shannon_of
 from entcharge.generators import bell_basis, equal_probs
 from entcharge.linalg import DEFAULT_TOLERANCES, ROUNDING_SLACK, STRICT_TOLERANCES
 from helpers import (
@@ -158,7 +158,7 @@ def test_validated_near_orthogonal_gbell_analyzes(d, tmp_path, capsys):
     # more than ROUNDING_SLACK below H(X). A file validate accepts analyzes.
     e = near_orthogonal_gbell(d, seed=0)
     if d > 2:
-        assert shannon_of(e) - e.s_ab > ROUNDING_SLACK
+        assert shannon_entropy(e.probs, e.tol) - e.s_ab > ROUNDING_SLACK
     path = tmp_path / "nearorth.json"
     path.write_text(write_ensemble(e))
     assert main(["validate", str(path)]) == 0
@@ -216,6 +216,18 @@ def test_validated_tolerance_edge_adversaries_analyze(adversary, profile, factor
     build, edge = ADVERSARIES[adversary]
     tol = PROFILES[profile]
     _validated_file_analyzes(build(getattr(tol, edge) * factor, seed), profile)
+
+
+@pytest.mark.parametrize("p", [1e-200, 1e-300, 5e-324])
+def test_estimate_mode_analyzes_a_member_of_tiny_probability(p, tmp_path, capsys):
+    # p(x) p(y) of the tiny member can underflow to 0 beside a subnormal
+    # p(x, y) > 0; the search must count that cell as unseen, not divide by 0.
+    path = tmp_path / "edge.json"
+    path.write_text(write_ensemble(edge_probability_ensemble(p, 0)))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--accessible-info", "estimate", "--restarts", "2"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_analyze_bell_text(tmp_path, capsys):

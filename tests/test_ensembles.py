@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entcharge import (
@@ -24,7 +24,7 @@ from entcharge import (
     product_basis,
     reduced_ensemble,
     rotated_basis,
-    shannon_of,
+    shannon_entropy,
     validate_state,
     von_neumann_entropy,
 )
@@ -32,6 +32,9 @@ from entcharge.entropy import von_neumann_entropies
 from entcharge.linalg import density_spectra
 from helpers import (
     bell_vectors,
+    entropies_b,
+    maximally_entangled_oracle,
+    near_maximally_mixed_gbell,
     near_product_vector,
     product_oracle,
     random_density,
@@ -82,7 +85,7 @@ def test_ensemble_level_functions_take_no_tolerance():
                 assert "tol" not in [p.name for p in params[1:]], name
     assert checked >= {
         "analyze", "upper_bound_merging", "lower_bound_pure", "delta_epsilon",
-        "lower_bound_general", "shannon_of", "estimate_accessible_info",
+        "lower_bound_general", "estimate_accessible_info",
         "is_canonical_product_basis", "report_document",
     }
 
@@ -163,6 +166,10 @@ def test_support_size_follows_the_tolerance_profile():
 
 
 def test_shannon_of():
+    # H(X) of an ensemble is the entropy of its probability vector.
+    def shannon_of(e):
+        return shannon_entropy(e.probs, e.tol)
+
     assert shannon_of(bell_basis(equal_probs(4))) == pytest.approx(2.0, abs=1e-12)
     assert shannon_of(bell_basis([1, 0, 0, 0])) == 0.0
     assert shannon_of(bell_basis([0.5, 0.25, 0.125, 0.125])) == pytest.approx(1.75, abs=1e-12)
@@ -222,6 +229,39 @@ def test_all_product_is_the_largest_schmidt_coefficient_rule(shape, profile, fac
         assert make_ensemble([(1.0, s)], tol=tol).flags.all_product == want
     e = make_ensemble(zip(equal_probs(len(states)), states), tol=tol)
     assert e.flags.all_product == all(expected)
+
+
+@given(
+    st.integers(2, 8),
+    st.sampled_from(sorted(PROFILES)),
+    EDGE_FACTORS,
+    st.sampled_from(["square", "oblong", "mixed"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_all_maximally_entangled_is_the_both_sides_rule(d, profile, factor, kind, seed):
+    # Generalized Bell members whose reduced states lie f * orthogonality_tol
+    # from I/d. Side A's rule meets the oracle's both-sides rule: a pure
+    # member's two reduced states are equally far from I/d, and the computed
+    # distances differ by at most ~1e-5 orthogonality_tol, far inside
+    # EDGE_FACTORS' 1% gap.
+    tol = PROFILES[profile]
+    e = near_maximally_mixed_gbell(d, factor * tol.orthogonality_tol, seed)
+    probs, states = e.probs, list(e.states)
+    if kind == "oblong":
+        # The same amplitudes on d x (d + 1): rho_X^A is unchanged, but no
+        # member of an oblong ensemble is maximally entangled. 8 x 9 is
+        # beyond MAX_JOINT_DIM.
+        assume(d < 8)
+        dims = BipartiteDims(d, d + 1)
+        states = [validate_state(dims, np.pad(s.vector.reshape(d, d), ((0, 0), (0, 1))).ravel(), tol) for s in states]
+    elif kind == "mixed":
+        # I/d^2 has rho^A = I/d, but a density member is never maximally entangled.
+        states[-1] = validate_state(e.dims, np.eye(d * d) / (d * d), tol)
+    e = make_ensemble(zip(probs, states), tol=tol)
+    flag = e.flags.all_maximally_entangled
+    assert flag == maximally_entangled_oracle(e)
+    assert flag == (kind == "square" and factor < 1)
 
 
 @st.composite
@@ -314,7 +354,7 @@ def test_batched_member_facts_match_the_per_member_reference(seed, dA, dB, kinds
     # per side; every value must carry the bits of the single-member path.
     e = _seeded_ensemble(seed, dA, dB, kinds, zero_probs)
     for party, traced, reduced, entropies in (
-        ("A", "B", e.reduced_a, e.entropies_a), ("B", "A", e.reduced_b, e.entropies_b)
+        ("A", "B", e.reduced_a, e.entropies_a), ("B", "A", e.reduced_b, entropies_b(e))
     ):
         ref = [partial_trace(density_of(s), dA, dB, traced) for s in e.states]
         assert reduced.shape == (len(kinds), *ref[0].shape)
@@ -395,7 +435,7 @@ def test_a_reduced_member_nothing_reads_does_not_fail_analyze(fault):
     report = analyze(e)
     assert report.upper_bounds["compress_teleport"] == e.s_a == von_neumann_entropy(partial_trace(e.average, 2, 2, "B"))
     assert e.s_b == von_neumann_entropy(partial_trace(e.average, 2, 2, "A"))
-    for fact in ("entropies_a", "chi_a", "avg_member_entropy", "entropies_b", "chi_b"):
+    for fact in ("entropies_a", "chi_a", "avg_member_entropy", "_entropies_of_b", "chi_b"):
         assert np.all(np.isfinite(getattr(e, fact))), fact
     assert e.entropies_a[0] == von_neumann_entropy(np.eye(2) / 2)
 
@@ -473,7 +513,7 @@ def test_analyze_accepts_whatever_parse_accepts_at_the_tolerance_edges(case):
     text, tol = case
     e = parse_ensemble(text, tol)
     analyze(e)
-    for fact in ("s_ab", "s_a", "s_b", "entropies_a", "entropies_b", "avg_member_entropy", "chi_a", "chi_b"):
+    for fact in ("s_ab", "s_a", "s_b", "entropies_a", "_entropies_of_b", "avg_member_entropy", "chi_a", "chi_b"):
         assert np.all(np.isfinite(getattr(e, fact))), fact
 
 
@@ -513,7 +553,7 @@ def test_party_spectra_match_the_per_matrix_reference(build):
     e = build()
     dA, dB = e.dims.dA, e.dims.dB
     for party, traced, s, entropies, chi in (
-        ("A", "B", e.s_a, e.entropies_a, e.chi_a), ("B", "A", e.s_b, e.entropies_b, e.chi_b)
+        ("A", "B", e.s_a, e.entropies_a, e.chi_a), ("B", "A", e.s_b, entropies_b(e), e.chi_b)
     ):
         reduced = reduced_ensemble(e, party)
         assert s == von_neumann_entropy(partial_trace(e.average, dA, dB, traced)), party
@@ -533,7 +573,7 @@ def test_party_chi_reads_the_marginal_entropy_of_the_merging_bounds(d):
     for _ in range(8):
         e = random_orthogonal_pure_ensemble(rng, d)
         for chi, s, entropies, reduced in (
-            (e.chi_a, e.s_a, e.entropies_a, e.reduced_a), (e.chi_b, e.s_b, e.entropies_b, e.reduced_b)
+            (e.chi_a, e.s_a, e.entropies_a, e.reduced_a), (e.chi_b, e.s_b, entropies_b(e), e.reduced_b)
         ):
             if (reduced == reduced[:1]).all():
                 continue

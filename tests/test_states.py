@@ -17,7 +17,7 @@ from entcharge import (
     von_neumann_entropy,
 )
 from entcharge.linalg import density_spectra
-from helpers import entanglement_oracle, random_pure_vector, schmidt_oracle
+from helpers import entanglement_oracle, entropies_b, random_pure_vector, schmidt_oracle
 
 D22 = BipartiteDims(2, 2)
 
@@ -203,7 +203,7 @@ def test_entanglement_entropy_cross_module_consistency(seed):
     e = make_ensemble([(1.0, s)])
     assert via_schmidt == pytest.approx(via_reduced, abs=1e-9)
     assert via_schmidt == pytest.approx(e.entropies_a[0], abs=1e-9)
-    assert via_schmidt == pytest.approx(e.entropies_b[0], abs=1e-9)
+    assert via_schmidt == pytest.approx(entropies_b(e)[0], abs=1e-9)
 
 
 @given(st.integers(0, 2**32 - 1))
