@@ -21,7 +21,6 @@ from .bounds import (
     analyze,
     delta_epsilon,
     lower_bound_general,
-    lower_bound_pure,
     rotated_family_report,
     upper_bound_merging,
 )

@@ -1,13 +1,13 @@
 """Bracketing the globally accessible information of an ensemble.
 
-min(H(X), Holevo chi) caps every edge. For mutually orthogonal ensembles
-the value is that cap, H(X) up to rounding. Otherwise a seeded, monotone
-fixed-point search over POVMs (Rehacek, Englert and Kaszlikowski, PRA 71,
-054303, 2005) supplies a certified achievable value (the interval's lower
-edge) under it. Its restarts take unit steps and run in lockstep blocks; the
-result is bit for bit that of running them one after another. The
-reported quantity is always an interval; only the orthogonal short-circuit
-is a point.
+min(H(X), Holevo chi) caps every edge. The pretty-good measurement of an
+all-pure ensemble is a certified lower edge. Orthogonal ensembles skip the
+search: all-pure ones get [pgm, cap], mixed ones the point cap. Otherwise a
+seeded, monotone fixed-point search over POVMs (Rehacek, Englert and
+Kaszlikowski, PRA 71, 054303, 2005) supplies a certified achievable value
+(the lower edge) under the cap. Its restarts take unit steps and run in
+lockstep blocks; the result is bit for bit that of running them one after
+another. Only the orthogonal short-circuit of a mixed ensemble is a point.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import Ensemble
-from .entropy import _row_entropies, shannon_entropy
+from .entropy import _entropy_bits, _row_entropies, shannon_entropy
 from .errors import ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -30,11 +30,6 @@ from .linalg import (
 )
 from .states import BipartiteDims, _freeze
 
-# Completeness tolerance for sum of POVM elements vs identity (Frobenius). No
-# tolerance profile changes it: a profile bounds how far input may be off, and
-# the package checks only the search's own POVMs, complete to rounding (the
-# null projector closes any gap), far inside any profile's value.
-POVM_COMPLETENESS_TOL = 1e-8
 # A stop rule, not a rounding slack: it bounds the search's effort, not what it
 # certifies. A step counts as a rise only if it gains more than RISE_TOL bits,
 # far above I's rounding; a restart ends at its first step that does not rise.
@@ -93,7 +88,9 @@ class OptimizerConfig:
 
 
 def make_povm(dims: BipartiteDims, elements, tol: Tolerances = DEFAULT_TOLERANCES) -> Povm:
-    """Validate a list of operators as a POVM on the given joint space."""
+    """Validate a list of operators as a POVM on the given joint space: the
+    elements sum to the identity within 10 x trace_tol (Frobenius): 1e-8
+    under the default profile, 1e-10 under the strict one."""
     mats = [as_square_matrix(m) for m in elements]
     if not mats:
         raise ValidationError("a POVM needs at least one element")
@@ -114,11 +111,10 @@ def make_povm(dims: BipartiteDims, elements, tol: Tolerances = DEFAULT_TOLERANCE
     if shaped < len(mats):
         raise ShapeError(f"POVM element {shaped} has dim {mats[shaped].shape[0]}, dims {dims.dA}x{dims.dB} require {n}")
     total = np.sum(mats, axis=0)
-    dev = np.linalg.norm(total - np.eye(n))
-    if dev > POVM_COMPLETENESS_TOL:
+    dev, limit = np.linalg.norm(total - np.eye(n)), 10 * tol.trace_tol
+    if dev > limit:
         raise ValidationError(
-            f"POVM elements sum to identity only within {dev:.3e} (Frobenius), "
-            f"beyond {POVM_COMPLETENESS_TOL:.0e}"
+            f"POVM elements sum to identity only within {dev:.3e} (Frobenius), beyond {limit:.0e}"
         )
     return Povm(dims=dims, elements=tuple(_freeze(m) for m in mats))
 
@@ -127,7 +123,7 @@ def _joint_table(probs: np.ndarray, rhos: np.ndarray, elements: np.ndarray) -> n
     """p(x, y) = p_x Tr(rho_x M_y) per POVM of a stack (r, outcomes, n, n), clipped at 0 and summing to 1."""
     table = np.einsum("x,xij,ryji->rxy", probs, rhos, elements).real
     table[table < 0.0] = 0.0
-    # Completeness holds only within POVM_COMPLETENESS_TOL; renormalize so the
+    # Completeness holds only within make_povm's check; renormalize so the
     # entropy terms see an exact joint distribution.
     return table / table.sum(axis=(1, 2), keepdims=True)
 
@@ -150,6 +146,22 @@ def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
             f"POVM dims {m.dims.dA}x{m.dims.dB} do not match ensemble dims {e.dims.dA}x{e.dims.dB}"
         )
     return max(0.0, float(_information(_joint_table(e.probs, e.densities, np.stack(m.elements)[None]))[0][0]))
+
+
+def pgm_information(e: Ensemble) -> float:
+    """I(X;Y) of the pretty-good (square-root) measurement of an all-pure
+    ensemble (Hausladen and Wootters, J. Mod. Opt. 41, 2385, 1994), a
+    certified lower bound on I_Global. With W the columns sqrt(p_x) psi_x,
+    W^dag rho^(-1/2) W = G^(1/2) for G = W^dag W, so p(x, y) =
+    |(G^(1/2))_xy|^2: one m x m eigenproblem. Eigenvalues at or below 1e-14
+    of the largest count as 0, as in _pinv_sqrt: sqrt would lift a rounding
+    residue of 1e-17 on a null direction to 3e-9."""
+    root = np.sqrt(e.probs)
+    w, v = np.linalg.eigh(root[:, None] * e.gram * root)
+    w = np.where(w > max(w[-1], 1e-30) * 1e-14, w, 0.0)
+    table = np.abs((v * np.sqrt(w)) @ v.conj().T) ** 2
+    table /= table.sum()
+    return max(0.0, _entropy_bits(table.sum(axis=1)) + _entropy_bits(table.sum(axis=0)) - _entropy_bits(table))
 
 
 # -- POVM search ---------------------------------------------------------------
@@ -263,17 +275,19 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     """Bracket the accessible information of an ensemble.
 
     Every edge is capped at min(H(X), Holevo chi). Orthogonal ensembles
-    short-circuit to that cap, which is H(X) up to rounding unless overlaps
-    within orthogonality_tol add up to a chi below it. Otherwise the lower
-    edge is the best mutual information found by the seeded POVM search
-    (re-evaluated through a validated POVM); one above the cap beyond
-    ROUNDING_SLACK raises.
+    skip the search: an all-pure one gets [pgm_information, cap]; a mixed
+    one the point [cap, cap], which no charge bound reads (the bound that
+    reads I_Global needs pure members). Otherwise the lower edge is the best
+    mutual information found by the seeded POVM search (re-evaluated
+    through a validated POVM); one above the cap beyond ROUNDING_SLACK
+    raises.
     The search reads the ensemble's densities, average state and chi, so a
     later analysis of the same ensemble computes none of them again.
     """
     cap = min(shannon_entropy(e.probs, e.tol), e.chi)
     if e.witness is None:
-        return InfoInterval(cap, cap, "orthogonal ensemble: min(H(X), Holevo chi)")
+        lo = min(pgm_information(e), cap) if e._all_pure else cap
+        return InfoInterval(lo, cap, "orthogonal ensemble: min(H(X), Holevo chi)")
     rhos, probs = e.densities, e.probs
     outcomes = max(2, len(e.members))
     shape = (outcomes, e.dims.joint, e.dims.joint)

@@ -10,12 +10,13 @@ Conventions:
     negative; see upper_bound_merging);
   * compress_teleport = S(rho_A) is the compress-and-teleport upper bound,
     reported for comparison only (it never beats merging_AtoB);
-  * the lower bound for pure orthogonal ensembles is the average member
-    entanglement minus the total correlation,
-    sum_X p_X S(rho_X^A) - I(A;B);
-  * for pure ensembles that are not orthogonal the same bound loses
-    Delta = S(rho_AB) - I_Global, carried through the interval that
-    brackets the accessible information I_Global;
+  * the lower bound for pure ensembles is the average member entanglement
+    minus the total correlation, less Delta = S(rho_AB) - I_Global:
+    sum_X p_X S(rho_X^A) - I(A;B) - Delta, with Delta taken at its
+    conservative edge S(rho_AB) - I_lo. I_lo is the information of the
+    pretty-good measurement, or the lower edge of the accessible-information
+    interval the caller passes; for orthogonal pure ensembles both are H(X)
+    up to rounding, and Delta vanishes;
   * the lower edge is the largest certified lower bound, never below the
     floor -log2 min(dA, dB), and the verdict is neither when both edges lie
     within ROUNDING_SLACK of zero.
@@ -23,14 +24,15 @@ Conventions:
 Exactness has one rule: the charge is exact when the least of the three
 upper candidates above lies within ROUNDING_SLACK of the best lower
 candidate, and the exact value is that upper candidate's. Its two classic
-instances: the pure lower bound equals S(A|B) - chi_A = S(B|A) - chi_B,
-where chi_A = S(rho_A) - sum_X p_X S(rho_X^A) is the Holevo information of
-a reduced ensemble, read from the same S(rho_A) as the merging bounds, so
-the edges meet whenever one party's reduced states carry no information
-(chi = 0);
+instances: for orthogonal pure ensembles the pure lower bound equals
+S(A|B) - chi_A = S(B|A) - chi_B, where chi_A = S(rho_A) - sum_X p_X
+S(rho_X^A) is the Holevo information of a reduced ensemble, read from the
+same S(rho_A) as the merging bounds, so the edges meet whenever one party's
+reduced states carry no information (chi = 0);
 and orthogonal d x d maximally entangled pure ensembles, whose reduced
-states are all I/d, meet at the paper's H(X) - log2 d. Inside
-orthogonality_tol the pure lower bound still assumes I_Global = H(X).
+states are all I/d, meet at the paper's H(X) - log2 d. orthogonality_tol
+decides only the mutually_orthogonal flag, whether chi_A and chi_B are
+reported, and a note; no edge reads it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .accessible import InfoInterval
+from .accessible import InfoInterval, pgm_information
 from .ensembles import Ensemble, StructureFlags
 from .entropy import binary_entropy, shannon_entropy
 from .errors import PreconditionError, ValidationError
@@ -121,15 +123,6 @@ class FamilyReport:
     charge: ChargeReport
 
 
-def _require_orthogonal(e: Ensemble, what: str) -> None:
-    if e.witness is not None:
-        i, j, overlap = e.witness
-        raise PreconditionError(
-            f"{what} requires a mutually orthogonal ensemble; "
-            f"members {i} and {j} overlap by {overlap:.3e}"
-        )
-
-
 def _require_pure(e: Ensemble, what: str) -> None:
     for k, s in enumerate(e.states):
         if not s.is_pure:
@@ -153,25 +146,15 @@ def upper_bound_merging(e: Ensemble) -> tuple[float, float]:
     return e.s_ab - e.s_b, e.s_ab - e.s_a
 
 
-def lower_bound_pure(e: Ensemble) -> float:
-    """Average member entanglement minus total correlation, for pure
-    mutually orthogonal ensembles."""
-    _require_pure(e, "the pure-ensemble lower bound")
-    _require_orthogonal(e, "the pure-ensemble lower bound")
-    return e.avg_member_entropy - e.mutual_information
-
-
 def delta_epsilon(e: Ensemble, info: InfoInterval) -> InfoInterval:
     """Delta = S(rho_AB) - I_Global, propagated through the info interval."""
     return InfoInterval(e.s_ab - info.hi, e.s_ab - info.lo)
 
 
 def lower_bound_general(e: Ensemble, info: InfoInterval) -> float:
-    """Charge lower bound for general pure ensembles:
-    sum p_X S(rho_X^A) - I(A;B) - Delta, taken at Delta's conservative edge.
-
-    Reduces to the orthogonal-pure lower bound when Delta vanishes.
-    """
+    """Charge lower bound for pure ensembles:
+    sum p_X S(rho_X^A) - I(A;B) - Delta, taken at Delta's conservative edge
+    S(rho_AB) - info.lo."""
     _require_pure(e, "the generalized lower bound")
     return e.avg_member_entropy - e.mutual_information - delta_epsilon(e, info).hi
 
@@ -221,23 +204,20 @@ def analyze(
     lowers: list[Candidate] = []
     chi_a: float | None = None
     chi_b: float | None = None
-    if flags.all_pure and flags.mutually_orthogonal:
-        lowers.append(Candidate("pure", lower_bound_pure(e)))
-        chi_a, chi_b = e.chi_a, e.chi_b
-    if accessible_info is not None:
-        if flags.all_pure:
-            lowers.append(
-                Candidate(
-                    "general",
-                    lower_bound_general(e, accessible_info),
-                    note="lower bound uses the accessible-information interval",
-                )
-            )
+    if flags.all_pure:
+        if accessible_info is None:
+            # For pure members chi = S(rho_AB), which caps I_Global.
+            info, note = InfoInterval(pgm_information(e), e.s_ab), None
         else:
-            notes.append(
-                "accessible-information interval ignored: the generalized lower "
-                "bound needs pure members"
-            )
+            info, note = accessible_info, "lower bound uses the accessible-information interval"
+        lowers.append(Candidate("pure", lower_bound_general(e, info), note=note))
+        if flags.mutually_orthogonal:
+            chi_a, chi_b = e.chi_a, e.chi_b
+    elif accessible_info is not None:
+        notes.append(
+            "accessible-information interval ignored: the generalized lower "
+            "bound needs pure members"
+        )
     # The floor is always certified; listed last, it loses every tie.
     floor = -math.log2(min(e.dims.dA, e.dims.dB)) + 0.0
     lowers.append(

@@ -43,7 +43,6 @@ from .states import (
     density_of,
     density_overlaps,
     orthogonality_witness,
-    overlap_matrix,
 )
 
 
@@ -57,8 +56,9 @@ class Ensemble:
     read-only. Reading the flags computes no entropy, and reading the witness
     builds no reduced ensemble.
 
-    overlaps[i, j] = Tr(rho_i rho_j); witness is the first non-orthogonal
-    pair (i, j, overlap) or None. s_ab, s_a, s_b are the entropies of the
+    gram[i, j] = <psi_i|psi_j> of an all-pure ensemble; overlaps[i, j] =
+    Tr(rho_i rho_j), |gram|^2 when every member is pure; witness is the
+    first non-orthogonal pair (i, j, overlap) or None. s_ab, s_a, s_b are the entropies of the
     average state and its marginals. reduced_a / reduced_b stack each member
     traced down to A / B, entropies_a holds each member's S(rho_X^A),
     avg_member_entropy = sum_X p_X S(rho_X^A), and chi_a / chi_b,
@@ -71,10 +71,10 @@ class Ensemble:
     The reduced states of each side are one batched computation over all
     members, and one spectrum per party covers its marginal and its members:
     reading entropies_a or chi_a computes both (B alike), and chi_a's first
-    term is the marginal's row. s_a reads that row only when the members are
-    all pure and mutually orthogonal, the ensembles whose member entropies
-    and chi every analysis reads, so there chi_a and the merging bounds
-    share one S(rho_A); otherwise it is the marginal's own spectrum. These
+    term is the marginal's row. s_a reads that row when the members are all
+    pure, the ensembles whose member entropies every analysis reads, so
+    there chi_a, the pure lower bound and the merging bounds share one
+    S(rho_A) (B alike); otherwise it is the marginal's own spectrum. These
     derived states are checked at the bounds that valid members guarantee
     (see density_spectra), so no fact of a validated ensemble fails its
     spectrum check.
@@ -99,10 +99,19 @@ class Ensemble:
         return _freeze(np.stack([density_of(s) for s in self.states]))
 
     @cached_property
+    def _all_pure(self) -> bool:
+        return all(s.is_pure for s in self.states)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The m x m Gram matrix <psi_i|psi_j> of an all-pure ensemble."""
+        v = np.stack([s.vector for s in self.states])
+        return _freeze(v.conj() @ v.T)
+
+    @cached_property
     def overlaps(self) -> np.ndarray:
-        # Mixed members: overlap_matrix's stack is the shared densities.
-        if all(s.is_pure for s in self.states):
-            return _freeze(overlap_matrix(self.states))
+        if self._all_pure:
+            return _freeze(np.abs(self.gram) ** 2)
         return _freeze(density_overlaps(self.densities))
 
     @cached_property
@@ -139,16 +148,12 @@ class Ensemble:
     def entropies_a(self) -> np.ndarray:
         return self._entropies_of_a[1:]
 
-    @cached_property
-    def _orthogonal_pure(self) -> bool:
-        return all(s.is_pure for s in self.states) and self.witness is None
-
     def _marginal_entropy(self, traced: str, party_entropies) -> float:
         """S of the marginal left by tracing out `traced`: row 0 of the
-        party's spectrum for an orthogonal pure ensemble, whose member
-        entropies are read too; else, as m + 1 spectra would cost more than
-        one, the marginal's own."""
-        if self._orthogonal_pure:
+        party's spectrum for an all-pure ensemble, whose member entropies are
+        read too; else, as m + 1 spectra would cost more than one, the
+        marginal's own."""
+        if self._all_pure:
             return float(party_entropies()[0])
         marginal = partial_trace(self.average, self.dims.dA, self.dims.dB, traced)
         return float(von_neumann_entropies(marginal[None], self.tol, self._traced_dim(traced))[0])
@@ -158,7 +163,7 @@ class Ensemble:
         """StructureFlags, zero-probability members included, from the
         witness and reduced_a alone: no entropy, no SVD, never reduced_b, and
         no reduced state at all unless every member is pure."""
-        all_pure = all(s.is_pure for s in self.states)
+        all_pure = self._all_pure
         flat = all_pure and self.dims.dA == self.dims.dB and bool(_maximally_mixed(self.reduced_a, self.tol).all())
         return StructureFlags(
             all_pure=all_pure,

@@ -279,6 +279,14 @@ def entropies_b(e) -> np.ndarray:
     return e._entropies_of_b[1:]
 
 
+def lower_bound_pure(e) -> float:
+    """The charge lower bound of a pure, mutually orthogonal ensemble, whose
+    accessible information is H(X): the average member entanglement minus
+    the total correlation, sum_X p_X S(rho_X^A) - I(A;B)."""
+    assert e.flags.all_pure and e.flags.mutually_orthogonal
+    return e.avg_member_entropy - e.mutual_information
+
+
 def clamp_oracle(evals, tol=DEFAULT_TOLERANCES) -> np.ndarray:
     """Eigenvalues with those within eigenvalue_clamp of 0 set to 0; none may
     lie below -eigenvalue_clamp."""
@@ -431,3 +439,24 @@ def halving_lockstep_ascent(factors, rhos, probs, cfg):
             live, factors, direction, step = live[go], factors[go], direction[go], step[go]
             elements, value = elements[go], value[go]
     return best_elements, best, int((iters >= cfg.max_iters).sum())
+
+
+def pgm_oracle(e) -> float:
+    """I(X;Y) in bits of the pretty-good measurement M_y = p_y rho^(-1/2)
+    |psi_y><psi_y| rho^(-1/2) of an all-pure ensemble, from dense numpy
+    products: the average state, its pseudo-inverse square root (eigenvalues
+    at or below 1e-14 of the largest dropped) and p(x, y) = p_x <psi_x|M_y|psi_x>."""
+    probs = np.asarray(e.probs, dtype=float)
+    v = np.stack([s.vector for s in e.states])
+    rho = sum(p * np.outer(x, x.conj()) for p, x in zip(probs, v))
+    w, u = np.linalg.eigh(rho)
+    keep = w > w.max() * 1e-14
+    inv_sqrt = (u[:, keep] / np.sqrt(w[keep])) @ u[:, keep].conj().T
+    table = np.array([[px * py * abs(x.conj() @ inv_sqrt @ y) ** 2 for py, y in zip(probs, v)] for px, x in zip(probs, v)])
+    table /= table.sum()
+
+    def h(p):
+        p = p[p > 0.0]
+        return float(-(p * np.log2(p)).sum())
+
+    return h(table.sum(axis=1)) + h(table.sum(axis=0)) - h(table.ravel())

@@ -19,7 +19,6 @@ from entcharge import (
     equal_probs,
     estimate_accessible_info,
     generalized_bell_basis,
-    lower_bound_pure,
     partial_trace,
     product_basis,
     rotated_basis,
@@ -34,6 +33,7 @@ from helpers import (
     charpoly_eigenvalues,
     clamp_oracle,
     holevo_oracle,
+    lower_bound_pure,
     partial_trace_loop,
     random_density,
     random_orthogonal_pure_ensemble,
@@ -159,7 +159,8 @@ def test_criterion_6_accessible_information_bracketing():
         for oe in orthogonal_cases:
             oinfo = estimate_accessible_info(oe)
             hx = shannon_entropy(oe.probs, oe.tol)
-            assert oinfo.lo == oinfo.hi == pytest.approx(hx, abs=1e-12)
+            assert oinfo.lo == pytest.approx(hx, abs=1e-12)
+            assert oinfo.hi == pytest.approx(hx, abs=1e-12)
 
 
 def _run_cli(args):

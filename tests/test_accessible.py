@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entcharge import (
+    DEFAULT_TOLERANCES,
+    STRICT_TOLERANCES,
     BipartiteDims,
     InfoInterval,
     OptimizerConfig,
@@ -18,8 +20,8 @@ from entcharge import (
     density_of,
     equal_probs,
     estimate_accessible_info,
+    generalized_bell_basis,
     lower_bound_general,
-    lower_bound_pure,
     make_ensemble,
     make_povm,
     mutual_information_of_measurement,
@@ -28,10 +30,15 @@ from entcharge import (
     validate_state,
     von_neumann_entropy,
 )
+from entcharge.accessible import pgm_information
 from entcharge.linalg import ROUNDING_SLACK
 from helpers import (
     halving_lockstep_ascent,
+    pgm_oracle,
+    rotate_locally,
+    swap_parties,
     holevo_oracle,
+    lower_bound_pure,
     mutual_information_oracle,
     near_orthogonal_gbell,
     near_orthogonal_pair,
@@ -75,6 +82,18 @@ def test_make_povm_validation():
         make_povm(D12, [np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
     with pytest.raises(ShapeError):
         make_povm(D22, [np.eye(2)])
+
+
+@pytest.mark.parametrize("tol,accepted", [(DEFAULT_TOLERANCES, True), (STRICT_TOLERANCES, False)], ids=["default", "strict"])
+def test_make_povm_completeness_follows_the_profile(tol, accepted):
+    # Completeness is checked at 10 x trace_tol: 1e-8 by default, 1e-10 under
+    # the strict profile. These elements miss the identity by 1e-9.
+    elements = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + 1e-9])]
+    if accepted:
+        make_povm(D12, elements, tol)
+    else:
+        with pytest.raises(ValidationError, match="identity only within 1.000e-09"):
+            make_povm(D12, elements, tol)
 
 
 def test_optimizer_config_validation():
@@ -196,10 +215,12 @@ def test_estimate_orthogonal_short_circuit():
 
 def test_estimate_orthogonal_short_circuit_obeys_the_holevo_cap():
     # Overlaps just within orthogonality_tol add up: chi falls below H(X), and
-    # chi caps I_Global, so the point interval sits at chi.
+    # chi caps I_Global, so the upper edge sits at chi. The pretty-good
+    # measurement, the lower edge, falls further below it than rounding.
     e = near_orthogonal_gbell(4, seed=0)
     info = estimate_accessible_info(e)
-    assert info.lo == info.hi == e.chi < shannon_entropy(e.probs) - ROUNDING_SLACK
+    assert info.hi == e.chi < shannon_entropy(e.probs) - ROUNDING_SLACK
+    assert info.lo == pgm_information(e) < info.hi - ROUNDING_SLACK
 
 
 def test_estimate_follows_the_ensembles_tolerances():
@@ -268,18 +289,11 @@ def test_estimate_trine_reaches_closed_form():
     assert info.hi == pytest.approx(1.0, abs=1e-12)
 
 
-def sqrt_measurement_information(probs, vectors) -> float:
-    """I(X;Y) of the square-root measurement on a pure ensemble, from the Gram
-    matrix alone: p(x, y) = |(G^(1/2))_xy|^2 with G_xy = sqrt(p_x p_y) <psi_x|psi_y>."""
-    amps = np.sqrt(probs)[:, None] * np.asarray(vectors)
-    w, v = np.linalg.eigh(amps.conj() @ amps.T)
-    table = np.abs((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T) ** 2
-    return shannon_entropy(table.sum(axis=1)) + shannon_entropy(table.sum(axis=0)) - shannon_entropy(table.ravel())
-
-
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("dA,dB,members", [(1, 2, 3), (1, 3, 3), (2, 2, 3)])
 def test_estimate_never_below_the_square_root_measurement(dA, dB, members, seed):
+    # Restart 0 starts at the square-root measurement and keeps only rising
+    # steps, so the search's lower edge never falls below pgm_information.
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((members, dA * dB)) + 1j * rng.standard_normal((members, dA * dB))
     v = v / np.linalg.norm(v, axis=1)[:, None]
@@ -287,7 +301,57 @@ def test_estimate_never_below_the_square_root_measurement(dA, dB, members, seed)
     dims = BipartiteDims(dA, dB)
     e = make_ensemble([(p, validate_state(dims, x)) for p, x in zip(probs, v)])
     info = estimate_accessible_info(e, OptimizerConfig(restarts=2, max_iters=40, seed=seed))
-    assert info.lo >= sqrt_measurement_information(e.probs, v) - 1e-9
+    assert info.lo >= pgm_information(e) - ROUNDING_SLACK
+    assert pgm_information(e) == pytest.approx(pgm_oracle(e), abs=1e-10)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.2, np.pi / 8, 0.7, np.pi / 2 - 1e-3])
+@pytest.mark.parametrize("phase", [0.0, 1.1])
+def test_pgm_information_of_an_equiprobable_pair_is_the_closed_form(gamma, phase):
+    # For two equiprobable pure states the square-root measurement is the
+    # optimal (Helstrom) one: 1 - h((1 - sqrt(1 - |<psi_0|psi_1>|^2)) / 2).
+    s0 = validate_state(D22, [1, 0, 0, 0])
+    s1 = validate_state(D22, [np.cos(gamma), 0, 0, np.exp(1j * phase) * np.sin(gamma)])
+    e = make_ensemble([(0.5, s0), (0.5, s1)])
+    overlap = abs(np.vdot(s0.vector, s1.vector)) ** 2
+    closed_form = 1.0 - binary_entropy((1.0 - np.sqrt(1.0 - overlap)) / 2.0)
+    assert pgm_information(e) == pytest.approx(closed_form, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pgm_information_is_h_x_on_orthogonal_ensembles(seed):
+    rng = np.random.default_rng([seed, 26])
+    cases = [generalized_bell_basis(d, rng.dirichlet(np.ones(d * d))) for d in range(2, 9)]
+    cases += [random_orthogonal_pure_ensemble(rng, d) for d in (2, 3, 4)]
+    for e in cases:
+        assert pgm_information(e) == pytest.approx(shannon_entropy(e.probs, e.tol), abs=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 2), (2, 2), (2, 3)]), st.integers(2, 8), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_pgm_information_matches_the_dense_oracle(seed, dims, members, zero_member):
+    # Up to 8 members on at most 6 dimensions: linearly dependent sets, whose
+    # average state is singular only when members < n, are included.
+    rng = np.random.default_rng(seed)
+    d = BipartiteDims(*dims)
+    probs = rng.dirichlet(np.ones(members))
+    if zero_member:
+        probs[0] = 0.0
+        probs /= probs.sum()
+    e = make_ensemble(zip(probs, (validate_state(d, random_pure_vector(rng, d.joint)) for _ in range(members))))
+    assert pgm_information(e) == pytest.approx(pgm_oracle(e), abs=1e-10)
+    assert 0.0 <= pgm_information(e) <= min(shannon_entropy(e.probs), e.s_ab) + ROUNDING_SLACK
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2, 3), (2, 3, 4), (3, 2, 5)]))
+@settings(max_examples=20, deadline=None)
+def test_pgm_information_is_invariant_under_local_unitaries_and_party_swap(seed, shape):
+    rng = np.random.default_rng(seed)
+    dA, dB, members = shape
+    d = BipartiteDims(dA, dB)
+    e = make_ensemble(zip(rng.dirichlet(np.ones(members)), (validate_state(d, random_pure_vector(rng, dA * dB)) for _ in range(members))))
+    for image in (rotate_locally(e, rng), swap_parties(e)):
+        assert pgm_information(image) == pytest.approx(pgm_information(e), abs=1e-12)
 
 
 def test_default_pair_search_makes_few_eigendecompositions(monkeypatch):

@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "delta_epsilon", "density_of", "equal_probs",
     "estimate_accessible_info", "generalized_bell_basis",
     "is_canonical_product_basis",
-    "lower_bound_general", "lower_bound_pure", "make_ensemble", "make_povm",
+    "lower_bound_general", "make_ensemble", "make_povm",
     "mutual_information_of_measurement", "pairwise_orthogonal", "parse_ensemble",
     "partial_trace", "product_basis", "reduced_ensemble",
     "rotated_basis", "rotated_family_report", "shannon_entropy",

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from entcharge import (
     DEFAULT_TOLERANCES,
     STRICT_TOLERANCES,
     BipartiteDims,
+    InfoInterval,
     PreconditionError,
     VERDICT_ENTANGLEMENT,
     VERDICT_INDETERMINATE,
@@ -21,7 +23,7 @@ from entcharge import (
     equal_probs,
     estimate_accessible_info,
     generalized_bell_basis,
-    lower_bound_pure,
+    lower_bound_general,
     make_ensemble,
     product_basis,
     rotated_basis,
@@ -35,14 +37,18 @@ from entcharge.linalg import ROUNDING_SLACK
 from helpers import (
     entropies_b,
     holevo_oracle,
+    lower_bound_pure,
     maximally_entangled_oracle,
     mutual_information_oracle,
+    near_orthogonal_gbell,
     near_orthogonal_pair,
+    pgm_oracle,
     random_density,
     random_orthogonal_pure_ensemble,
     random_pure_vector,
     rotate_locally,
     swap_parties,
+    tilted_bell_basis,
 )
 
 H34 = binary_entropy(0.75)  # per-state entanglement of the family at pi/6
@@ -114,11 +120,14 @@ def test_lower_bound_pure_examples():
 
 
 def test_lower_bound_pure_requires_pure_members():
+    # The pure candidate is lower_bound_general at the pretty-good
+    # measurement's information; density members get no such candidate.
     d = validate_state(BipartiteDims(2, 2), np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
     o = validate_state(BipartiteDims(2, 2), np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex))
     e = make_ensemble([(0.5, d), (0.5, o)])
+    assert [c.name for c in analyze(e).lowers] == ["floor"]
     with pytest.raises(PreconditionError, match="pure"):
-        lower_bound_pure(e)
+        lower_bound_general(e, InfoInterval(1.0, 1.0))
 
 
 def test_chi_rewrite_bell_collapses():
@@ -399,8 +408,8 @@ def test_analyze_non_orthogonal_with_accessible_info_certifies_sign():
     assert r.verdict == VERDICT_ENTANGLEMENT
 
 
-def readme_pair():
-    """The README's 1x2 example: |0> and cos(pi/8)|0> + sin(pi/8)|1>, equal priors."""
+def one_by_two_pair():
+    """|0> and cos(pi/8)|0> + sin(pi/8)|1> on 1x2, equal priors."""
     dims = BipartiteDims(1, 2)
     return make_ensemble([
         (0.5, validate_state(dims, [1, 0])),
@@ -409,14 +418,40 @@ def readme_pair():
 
 
 @pytest.mark.parametrize("estimate", [False, True], ids=["default", "estimate"])
-def test_readme_pair_charge_sits_at_zero(estimate):
+def test_a_one_dimensional_party_pins_the_charge_at_zero(estimate):
     # dA = 1: the floor -log2 min(dA, dB) = 0 and S(rho_A) = 0 close the
     # interval at zero, whether or not the accessible information is bracketed.
-    e = readme_pair()
+    e = one_by_two_pair()
     report = analyze(e, estimate_accessible_info(e) if estimate else None)
     assert report.interval == pytest.approx((0.0, 0.0), abs=ROUNDING_SLACK)
     assert report.lower_bound_informative is False
     assert report.verdict == VERDICT_NEITHER
+
+
+def readme_pair():
+    """The README's library example: |00> and cos(pi/8)|00> + sin(pi/8)|11>
+    on 2x2, equal priors."""
+    dims = BipartiteDims(2, 2)
+    return make_ensemble([
+        (0.5, validate_state(dims, [1, 0, 0, 0])),
+        (0.5, validate_state(dims, [np.cos(np.pi / 8), 0, 0, np.sin(np.pi / 8)])),
+    ])
+
+
+def test_readme_pair_has_the_readme_intervals():
+    # The README's two commented intervals, analyze without and with the
+    # estimate, in that order, each edge given by its leading digits.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commented = re.findall(r"\.interval +# \((-?\d+\.\d+)\.\.\., (-?\d+\.\d+)\.\.\.\)", readme)
+    e = readme_pair()
+    reports = [analyze(e), analyze(e, estimate_accessible_info(e))]
+    assert len(commented) == len(reports)
+    for edges, report in zip(commented, reports):
+        assert [repr(x)[: len(digits)] for x, digits in zip(report.interval, edges)] == list(edges)
+        assert report.verdict == VERDICT_ENTANGLEMENT
+    # The pretty-good measurement is optimal for two equiprobable pure states,
+    # so the search finds nothing better: the two intervals are one.
+    assert reports[0].interval == reports[1].interval
 
 
 SLACK_ZONE = st.sampled_from([-2, -1, -0.5, 0, 0.5, 1, 2]).map(lambda k: k * ROUNDING_SLACK) | st.floats(
@@ -437,12 +472,73 @@ def test_verdict_follows_the_readme_definitions(a, b):
     assert (verdict == VERDICT_INDETERMINATE) == straddles
 
 
+PROFILES = {"default": DEFAULT_TOLERANCES, "strict": STRICT_TOLERANCES}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_edges_are_continuous_across_the_orthogonality_tolerance(seed):
+    # Squared overlaps of 0.99e-9 and 1.01e-9 fall on either side of the
+    # default orthogonality_tol, but the two ensembles differ by 2e-11 in it:
+    # no edge may jump, and the verdict is the same.
+    inside, outside = tilted_bell_basis(0.99e-9, seed), tilted_bell_basis(1.01e-9, seed)
+    assert inside.flags.mutually_orthogonal and not outside.flags.mutually_orthogonal
+    r, s = analyze(inside), analyze(outside)
+    assert r.interval == pytest.approx(s.interval, abs=1e-9)
+    assert r.verdict == s.verdict
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_a_near_orthogonal_pair_gets_one_result_under_both_profiles(profile):
+    # Tr(rho_0 rho_1) = 1e-10 is orthogonal under the default profile and
+    # not under the strict one; the charge interval is [0, 0] either way.
+    e = near_orthogonal_pair(PROFILES[profile])
+    assert e.flags.mutually_orthogonal == (profile == "default")
+    report = analyze(e)
+    assert report.interval == pytest.approx((0.0, 0.0), abs=ROUNDING_SLACK)
+    assert report.verdict == VERDICT_NEITHER
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_no_exact_value_above_the_pretty_good_edge(d, profile):
+    # Overlaps just within orthogonality_tol add up to an accessible
+    # information below H(X); no reported value may sit above the pure lower
+    # bound at the pretty-good measurement's information, from the dense oracle.
+    e = near_orthogonal_gbell(d, 0, PROFILES[profile])
+    assert e.flags.mutually_orthogonal
+    report = analyze(e)
+    edge = e.avg_member_entropy - e.mutual_information - (e.s_ab - pgm_oracle(e))
+    assert report.interval[0] <= edge + ROUNDING_SLACK
+    if report.exact_value is not None:
+        assert report.exact_value <= edge + ROUNDING_SLACK
+
+
 def test_probability_dependence_of_verdict():
     info = analyze(bell_basis(equal_probs(4))).verdict
     ent = analyze(bell_basis([1, 0, 0, 0])).verdict
     assert info == VERDICT_INFORMATION
     assert ent == VERDICT_ENTANGLEMENT
     assert info != ent
+
+
+def _count_fact(monkeypatch, name: str) -> list:
+    """Count the computations of the lazy Ensemble attribute `name`: each
+    first read on an ensemble runs its function once."""
+    from functools import cached_property
+
+    from entcharge import Ensemble
+
+    original = vars(Ensemble)[name].func
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    fact = cached_property(counted)
+    fact.__set_name__(Ensemble, name)
+    monkeypatch.setattr(Ensemble, name, fact)
+    return calls
 
 
 def _count_calls(monkeypatch, module_name: str, name: str) -> list:
@@ -465,7 +561,7 @@ def _count_calls(monkeypatch, module_name: str, name: str) -> list:
 
 def test_analyze_computes_overlaps_and_average_state_once(monkeypatch):
     e = generalized_bell_basis(3, equal_probs(9))
-    overlaps = _count_calls(monkeypatch, "states", "overlap_matrix")
+    overlaps = _count_fact(monkeypatch, "gram")
     averages = _count_calls(monkeypatch, "ensembles", "average_state")
     reduced = _count_calls(monkeypatch, "ensembles", "reduced_ensemble")
     report = analyze(e)
@@ -492,14 +588,17 @@ def test_analyze_reuses_member_entropies_for_chi_a(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["density", "non-orthogonal"])
 def test_analyze_takes_no_member_spectrum_it_does_not_read(monkeypatch, kind):
-    # Without orthogonal pure members no bound reads a member entropy, so
-    # S(A) and S(B) are one spectrum each: never the m + 1 of a party stack.
+    # Without pure members no bound reads a member entropy, so S(A) and S(B)
+    # are one spectrum each: never the m + 1 of a party stack. Every pure
+    # ensemble, orthogonal or not, reads its member entropies for the pure
+    # lower bound, and takes S(A) and S(B) from its party stacks, so neither
+    # depends on the orthogonality test.
     rng = np.random.default_rng(3)
     draw = random_density if kind == "density" else random_pure_vector
     e = make_ensemble([(1 / 6, validate_state(BipartiteDims(2, 32), draw(rng, 64))) for _ in range(6)])
     stacks = _count_calls(monkeypatch, "entropy", "von_neumann_entropies")
     analyze(e)
-    assert [len(args[0]) for args in stacks] == [1, 1, 1]
+    assert sorted(len(args[0]) for args in stacks) == ([1, 1, 1] if kind == "density" else [1, 7, 7])
 
 
 def test_maximally_entangled_reduces_only_square_ensembles_with_pure_members(monkeypatch):
@@ -554,7 +653,7 @@ def test_classify_structure_computes_no_entropy(monkeypatch):
 
 
 def test_rotated_family_report_computes_facts_once(monkeypatch):
-    overlaps = _count_calls(monkeypatch, "states", "overlap_matrix")
+    overlaps = _count_fact(monkeypatch, "gram")
     averages = _count_calls(monkeypatch, "ensembles", "average_state")
     rotated_family_report(np.pi / 7, equal_probs(4))
     assert len(overlaps) == 1
@@ -612,7 +711,7 @@ def _count_reports(monkeypatch) -> list:
 
 def test_each_report_is_decided_once(monkeypatch):
     verdicts = _count_calls(monkeypatch, "bounds", "_verdict")
-    pures = _count_calls(monkeypatch, "bounds", "lower_bound_pure")
+    pures = _count_calls(monkeypatch, "bounds", "lower_bound_general")
     reports = _count_reports(monkeypatch)
     rotated_family_report(np.pi / 7, equal_probs(4), gate_cost=0.95)
     assert (len(verdicts), len(reports), len(pures)) == (1, 1, 1)
@@ -621,11 +720,14 @@ def test_each_report_is_decided_once(monkeypatch):
 
 
 def test_facts_are_computed_once_across_public_bounds(monkeypatch):
+    from entcharge.accessible import pgm_information
+
     e = generalized_bell_basis(3, equal_probs(9))
-    overlaps = _count_calls(monkeypatch, "states", "overlap_matrix")
+    overlaps = _count_fact(monkeypatch, "gram")
     averages = _count_calls(monkeypatch, "ensembles", "average_state")
     analyze(e)
-    lower_bound_pure(e)
+    pgm_information(e)
+    lower_bound_general(e, estimate_accessible_info(e))
     upper_bound_merging(e)
     assert (len(overlaps), len(averages)) == (1, 1)
 
@@ -655,7 +757,7 @@ def test_estimate_then_analyze_builds_one_overlap_matrix(monkeypatch):
         (0.5, validate_state(BipartiteDims(2, 2), [1, 0, 0, 0])),
         (0.5, validate_state(BipartiteDims(2, 2), [np.cos(0.4), np.sin(0.4), 0, 0])),
     ])
-    overlaps = _count_calls(monkeypatch, "states", "overlap_matrix")
+    overlaps = _count_fact(monkeypatch, "gram")
     info = estimate_accessible_info(e, OptimizerConfig(restarts=1, max_iters=5))
     assert not analyze(e, info).flags.mutually_orthogonal
     assert len(overlaps) == 1
@@ -688,7 +790,7 @@ def test_witness_builds_no_reduced_ensemble_and_no_entropy(monkeypatch):
 
 
 FACTS = (
-    "overlaps", "witness", "reduced_a", "reduced_b", "entropies_a", "_entropies_of_b", "flags",
+    "gram", "overlaps", "witness", "reduced_a", "reduced_b", "entropies_a", "_entropies_of_b", "flags",
     "average", "s_ab", "s_a", "s_b", "avg_member_entropy", "chi_a", "chi_b", "densities", "chi",
 )
 
@@ -698,15 +800,16 @@ def test_each_fact_is_computed_once(monkeypatch):
     calls = {
         name: _count_calls(monkeypatch, module, name)
         for module, name in (
-            ("states", "overlap_matrix"), ("states", "orthogonality_witness"),
+            ("states", "orthogonality_witness"),
             ("ensembles", "reduced_ensemble"), ("ensembles", "average_state"),
             ("entropy", "von_neumann_entropy"), ("entropy", "von_neumann_entropies"),
             ("linalg", "partial_trace"),
         )
     }
+    calls["gram"] = _count_fact(monkeypatch, "gram")
     first = {name: getattr(e, name) for name in FACTS}
     counts = {name: len(c) for name, c in calls.items()}
-    assert (counts["overlap_matrix"], counts["orthogonality_witness"], counts["average_state"]) == (1, 1, 1)
+    assert (counts["gram"], counts["orthogonality_witness"], counts["average_state"]) == (1, 1, 1)
     assert counts["reduced_ensemble"] == 2
     # One batched spectrum per side covers its marginal and every member;
     # S(AB) and the joint members, for chi, are the only others.
@@ -720,7 +823,7 @@ def test_each_fact_is_computed_once(monkeypatch):
 
 def test_shared_facts_are_read_only():
     e = bell_basis(equal_probs(4))
-    for a in (e.overlaps, e.average, *e.reduced_a, *e.reduced_b, *e.densities):
+    for a in (e.gram, e.overlaps, e.average, *e.reduced_a, *e.reduced_b, *e.densities):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
     for a in (e.probs, e.entropies_a, entropies_b(e)):

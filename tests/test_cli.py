@@ -397,7 +397,8 @@ def test_sweep_degenerate_probs_lower_column(capsys):
         == 0
     )
     lines = capsys.readouterr().out.strip().split("\n")[1:]
-    from entcharge import binary_entropy, equal_probs, lower_bound_pure, rotated_basis
+    from entcharge import binary_entropy, equal_probs, rotated_basis
+    from helpers import lower_bound_pure
 
     for line in lines:
         cols = line.split(",")

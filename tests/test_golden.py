@@ -2,17 +2,19 @@
 
 tests/golden/ holds small canonical ensemble files (a generalized Bell basis,
 a rotated-family point, a random orthogonal pure ensemble, an orthogonal
-mixed-state ensemble, a non-orthogonal pure ensemble, a non-orthogonal
-pure/density mix, a product basis, and a generalized Bell basis tilted until
-every overlap sits just within the orthogonality tolerance) next to the
+mixed-state ensemble, two non-orthogonal pure ensembles, one of them the
+README's two-member pair, a non-orthogonal pure/density mix, a product
+basis, and a generalized Bell basis tilted until every overlap sits just
+within the orthogonality tolerance) next to the
 exact `analyze` text and structured output and one `sweep rotated` CSV, plus the structured sweep of
 the same points with a user-supplied gate cost. Any refactor of the
-computation must reproduce them byte for byte. Three more files pin the
+computation must reproduce them byte for byte. Four more files pin the
 structured output of `--accessible-info estimate`, so a change to the POVM
-search shows up as a diff: on the non-orthogonal pure ensemble, on the
+search shows up as a diff: on the two non-orthogonal pure ensembles, on the
 pure/density mix, the one estimate whose Holevo chi has nonzero member
 entropies, and on the tilted generalized Bell basis, whose orthogonal
-short-circuit sits at the Holevo cap below H(X). One pins the structured output under `--tolerance-profile strict`,
+short-circuit brackets the information between the pretty-good measurement
+and the Holevo cap below H(X). One pins the structured output under `--tolerance-profile strict`,
 whose tolerance block and known-value annotation no other golden covers. The `validate` output of every
 input under both tolerance profiles, and the `generate` output and written
 file of each family, are pinned as well.
@@ -40,7 +42,7 @@ def _run(argv, capsys, monkeypatch, cwd=GOLDEN) -> str:
 
 
 def test_golden_set_is_complete():
-    assert len(NAMES) == 8
+    assert len(NAMES) == 9
 
 
 @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("structured", "structured.json")])
@@ -69,7 +71,7 @@ def test_sweep_with_gate_cost_is_byte_identical(fmt, golden, capsys, monkeypatch
     assert _run(argv, capsys, monkeypatch) == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize("name", ["nonorth2x2", "mixedpure2x3", "nearorth_gbell4"])
+@pytest.mark.parametrize("name", sorted(p.name.split(".")[0] for p in GOLDEN.glob("*.estimate.structured.json")))
 def test_estimate_output_is_byte_identical(name, capsys, monkeypatch):
     argv = ["analyze", f"{name}.json", "--accessible-info", "estimate", "--restarts", "2",
             "--seed", "3", "--format", "structured"]
