@@ -19,7 +19,6 @@ from .bounds import (
     VERDICT_INFORMATION,
     VERDICT_NEITHER,
     analyze,
-    delta_epsilon,
     lower_bound_general,
     rotated_family_report,
     upper_bound_merging,

@@ -1,17 +1,18 @@
 """Bracketing the globally accessible information of an ensemble.
 
-min(H(X), Holevo chi) caps every edge. The pretty-good measurement of an
-all-pure ensemble is a certified lower edge. Orthogonal ensembles skip the
-search: all-pure ones get [pgm, cap], mixed ones the point cap. Otherwise a
-seeded, monotone fixed-point search over POVMs (Rehacek, Englert and
-Kaszlikowski, PRA 71, 054303, 2005) supplies a certified achievable value
-(the lower edge) under the cap. Its restarts take unit steps and run in
-lockstep blocks; the result is bit for bit that of running them one after
-another. Only the orthogonal short-circuit of a mixed ensemble is a point.
+min(H(X), Holevo chi) caps every edge, and every lower edge is the
+information of an explicit measurement. All-pure orthogonal ensembles skip
+the search and get [pgm, cap]: the pretty-good measurement is certified.
+Every other ensemble takes a seeded, monotone fixed-point search over POVMs
+(Rehacek, Englert and Kaszlikowski, PRA 71, 054303, 2005), whose best
+measurement, validated and measured again, gives the lower edge. Its
+restarts take unit steps and run in lockstep blocks; the result is bit for
+bit that of running them one after another.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ class InfoInterval:
     note: str = ""
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValidationError(f"interval edges must be finite, got [{self.lo!r}, {self.hi!r}]")
         if self.lo > self.hi + ROUNDING_SLACK:
             raise ValidationError(f"interval lower edge {self.lo!r} exceeds upper edge {self.hi!r}")
 
@@ -95,21 +98,16 @@ def make_povm(dims: BipartiteDims, elements, tol: Tolerances = DEFAULT_TOLERANCE
     if not mats:
         raise ValidationError("a POVM needs at least one element")
     n = dims.joint
-    # One stacked spectrum of the elements before the first of a wrong shape; the
-    # first bad one (else element 0, which passes) raises as a loop would.
-    shaped = next((k for k, m in enumerate(mats) if m.shape[0] != n), len(mats))
-    if shaped:
-        stack = np.stack(mats[:shaped])
-        dev, low = _hermiticity_deviation(stack), np.linalg.eigvalsh(hermitian_part(stack)).min(axis=-1)
-        k = int(np.argmax((dev > tol.hermiticity_tol) | (low < -tol.eigenvalue_clamp)))
-        _check_hermitian(float(dev[k]), tol)
-        if low[k] < -tol.eigenvalue_clamp:
+    for k, m in enumerate(mats):
+        if m.shape[0] != n:
+            raise ShapeError(f"POVM element {k} has dim {m.shape[0]}, dims {dims.dA}x{dims.dB} require {n}")
+        _check_hermitian(float(_hermiticity_deviation(m)), tol)
+        low = float(np.linalg.eigvalsh(hermitian_part(m))[0])
+        if low < -tol.eigenvalue_clamp:
             raise ValidationError(
-                f"POVM element {k} has negative eigenvalue {float(low[k]):.6e}, "
+                f"POVM element {k} has negative eigenvalue {low:.6e}, "
                 f"below -eigenvalue_clamp (-{tol.eigenvalue_clamp:.0e})"
             )
-    if shaped < len(mats):
-        raise ShapeError(f"POVM element {shaped} has dim {mats[shaped].shape[0]}, dims {dims.dA}x{dims.dB} require {n}")
     total = np.sum(mats, axis=0)
     dev, limit = np.linalg.norm(total - np.eye(n)), 10 * tol.trace_tol
     if dev > limit:
@@ -153,12 +151,12 @@ def pgm_information(e: Ensemble) -> float:
     ensemble (Hausladen and Wootters, J. Mod. Opt. 41, 2385, 1994), a
     certified lower bound on I_Global. With W the columns sqrt(p_x) psi_x,
     W^dag rho^(-1/2) W = G^(1/2) for G = W^dag W, so p(x, y) =
-    |(G^(1/2))_xy|^2: one m x m eigenproblem. Eigenvalues at or below 1e-14
-    of the largest count as 0, as in _pinv_sqrt: sqrt would lift a rounding
-    residue of 1e-17 on a null direction to 3e-9."""
+    |(G^(1/2))_xy|^2: one m x m eigenproblem. Null eigenvalues (see
+    _non_null) count as 0: sqrt would lift a rounding residue of 1e-17 on a
+    null direction to 3e-9."""
     root = np.sqrt(e.probs)
     w, v = np.linalg.eigh(root[:, None] * e.gram * root)
-    w = np.where(w > max(w[-1], 1e-30) * 1e-14, w, 0.0)
+    w = np.where(_non_null(w), w, 0.0)
     table = np.abs((v * np.sqrt(w)) @ v.conj().T) ** 2
     table /= table.sum()
     return max(0.0, _entropy_bits(table.sum(axis=1)) + _entropy_bits(table.sum(axis=0)) - _entropy_bits(table))
@@ -186,17 +184,21 @@ def pgm_information(e: Ensemble) -> float:
 BLOCK_ENTRIES = 1 << 16
 
 
+def _non_null(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues above 1e-14 of their spectrum's largest."""
+    return w > np.maximum(w.max(axis=-1, keepdims=True), 1e-30) * 1e-14
+
+
 def _pinv_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Pseudo-inverse square root of each matrix in a stack, plus the
     projector onto its null space, or None when every matrix has full rank.
 
-    Eigenvalues at or below 1e-14 of the largest count as null. No tolerance
-    profile changes that floor: like RISE_TOL it steers the search, not what
-    it certifies, since the winning POVM is validated and its information
-    measured again whatever the floor."""
+    Null eigenvalues are those of _non_null. No tolerance profile changes
+    that floor: like RISE_TOL it steers the search, not what it certifies,
+    since the winning POVM is validated and its information measured again
+    whatever the floor."""
     w, v = np.linalg.eigh(hermitian_part(matrix))
-    floor = np.maximum(w.max(axis=-1, keepdims=True), 1e-30) * 1e-14
-    keep = w > floor
+    keep = _non_null(w)
     vh = v.conj().swapaxes(-1, -2)
     if keep.all():
         return (v * (1.0 / np.sqrt(w))[..., None, :]) @ vh, None
@@ -274,20 +276,18 @@ def _lockstep_ascent(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, c
 def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig()) -> InfoInterval:
     """Bracket the accessible information of an ensemble.
 
-    Every edge is capped at min(H(X), Holevo chi). Orthogonal ensembles
-    skip the search: an all-pure one gets [pgm_information, cap]; a mixed
-    one the point [cap, cap], which no charge bound reads (the bound that
-    reads I_Global needs pure members). Otherwise the lower edge is the best
-    mutual information found by the seeded POVM search (re-evaluated
-    through a validated POVM); one above the cap beyond ROUNDING_SLACK
-    raises.
+    Every edge is capped at min(H(X), Holevo chi). An all-pure orthogonal
+    ensemble skips the search and gets [pgm_information, cap]. Every other
+    ensemble, mixed orthogonal ones included, takes the seeded POVM search,
+    whose restart 0 is the square-root measurement; the lower edge is the
+    best mutual information it found, re-evaluated through a validated POVM,
+    and one above the cap beyond ROUNDING_SLACK raises.
     The search reads the ensemble's densities, average state and chi, so a
     later analysis of the same ensemble computes none of them again.
     """
     cap = min(shannon_entropy(e.probs, e.tol), e.chi)
-    if e.witness is None:
-        lo = min(pgm_information(e), cap) if e._all_pure else cap
-        return InfoInterval(lo, cap, "orthogonal ensemble: min(H(X), Holevo chi)")
+    if e._all_pure and e.witness is None:
+        return InfoInterval(min(pgm_information(e), cap), cap, "orthogonal ensemble: min(H(X), Holevo chi)")
     rhos, probs = e.densities, e.probs
     outcomes = max(2, len(e.members))
     shape = (outcomes, e.dims.joint, e.dims.joint)

@@ -13,10 +13,10 @@ Conventions:
   * the lower bound for pure ensembles is the average member entanglement
     minus the total correlation, less Delta = S(rho_AB) - I_Global:
     sum_X p_X S(rho_X^A) - I(A;B) - Delta, with Delta taken at its
-    conservative edge S(rho_AB) - I_lo. I_lo is the information of the
-    pretty-good measurement, or the lower edge of the accessible-information
-    interval the caller passes; for orthogonal pure ensembles both are H(X)
-    up to rounding, and Delta vanishes;
+    conservative edge S(rho_AB) - I_lo. I_lo is the information of an
+    explicit measurement: the pretty-good measurement's, or the lower edge of
+    the accessible-information interval the caller passes; for orthogonal
+    pure ensembles both are H(X) up to rounding, and Delta vanishes;
   * the lower edge is the largest certified lower bound, never below the
     floor -log2 min(dA, dB), and the verdict is neither when both edges lie
     within ROUNDING_SLACK of zero.
@@ -96,6 +96,8 @@ class ChargeReport:
 
     def __post_init__(self) -> None:
         lo, hi = self.interval
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValidationError(f"charge interval edges must be finite, got [{lo!r}, {hi!r}]")
         if lo > hi + ROUNDING_SLACK:
             raise ValidationError(f"charge interval [{lo!r}, {hi!r}] is inverted")
         if self.exact_value is not None:
@@ -123,12 +125,6 @@ class FamilyReport:
     charge: ChargeReport
 
 
-def _require_pure(e: Ensemble, what: str) -> None:
-    for k, s in enumerate(e.states):
-        if not s.is_pure:
-            raise PreconditionError(f"{what} requires pure members; member {k} is a density matrix")
-
-
 def upper_bound_merging(e: Ensemble) -> tuple[float, float]:
     """State-merging upper bounds (S(A|B), S(B|A)) of the average state, for
     every ensemble: pure or mixed, orthogonal or not.
@@ -146,17 +142,16 @@ def upper_bound_merging(e: Ensemble) -> tuple[float, float]:
     return e.s_ab - e.s_b, e.s_ab - e.s_a
 
 
-def delta_epsilon(e: Ensemble, info: InfoInterval) -> InfoInterval:
-    """Delta = S(rho_AB) - I_Global, propagated through the info interval."""
-    return InfoInterval(e.s_ab - info.hi, e.s_ab - info.lo)
-
-
 def lower_bound_general(e: Ensemble, info: InfoInterval) -> float:
     """Charge lower bound for pure ensembles:
     sum p_X S(rho_X^A) - I(A;B) - Delta, taken at Delta's conservative edge
     S(rho_AB) - info.lo."""
-    _require_pure(e, "the generalized lower bound")
-    return e.avg_member_entropy - e.mutual_information - delta_epsilon(e, info).hi
+    for k, s in enumerate(e.states):
+        if not s.is_pure:
+            raise PreconditionError(
+                f"the generalized lower bound requires pure members; member {k} is a density matrix"
+            )
+    return e.avg_member_entropy - e.mutual_information - (e.s_ab - info.lo)
 
 
 def _verdict(lo: float, hi: float) -> str:

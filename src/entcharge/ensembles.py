@@ -38,6 +38,7 @@ from .states import (
     BipartiteDims,
     BipartiteState,
     _freeze,
+    _gram,
     _maximally_mixed,
     _nearly_pure,
     density_of,
@@ -105,8 +106,7 @@ class Ensemble:
     @cached_property
     def gram(self) -> np.ndarray:
         """The m x m Gram matrix <psi_i|psi_j> of an all-pure ensemble."""
-        v = np.stack([s.vector for s in self.states])
-        return _freeze(v.conj() @ v.T)
+        return _freeze(_gram(self.states))
 
     @cached_property
     def overlaps(self) -> np.ndarray:

@@ -16,7 +16,6 @@ from entcharge import (
     ValidationError,
     bell_basis,
     binary_entropy,
-    delta_epsilon,
     density_of,
     equal_probs,
     estimate_accessible_info,
@@ -397,11 +396,13 @@ def test_estimate_deterministic_for_fixed_seed():
 
 
 def test_delta_epsilon_orthogonal_pure_is_zero():
+    # Delta = S(rho_AB) - I_Global vanishes at either edge of the estimate:
+    # the general bound is the average member entropy less I(A;B).
     e = bell_basis(equal_probs(4))
     info = estimate_accessible_info(e)
-    delta = delta_epsilon(e, info)
-    assert delta.lo == pytest.approx(0.0, abs=1e-9)
-    assert delta.hi == pytest.approx(0.0, abs=1e-9)
+    for edge in (info.lo, info.hi):
+        bound = lower_bound_general(e, InfoInterval(edge, edge))
+        assert bound == pytest.approx(e.avg_member_entropy - e.mutual_information, abs=1e-9)
     # oracle: S(sum p |psi><psi|) = H(p) for orthogonal pure states
     from entcharge import average_state
 
@@ -411,19 +412,24 @@ def test_delta_epsilon_orthogonal_pure_is_zero():
 def test_delta_epsilon_identical_pure_states_zero():
     s = validate_state(D12, [1, 0])
     e = make_ensemble([(0.5, s), (0.5, s)])
-    delta = delta_epsilon(e, InfoInterval(0.0, 0.0))
-    assert delta.lo == pytest.approx(0.0, abs=1e-12)
-    assert delta.hi == pytest.approx(0.0, abs=1e-12)
+    assert lower_bound_general(e, InfoInterval(0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
+    assert e.s_ab == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_epsilon_orthogonal_mixed_degenerate_nonzero():
+    # No bound reads Delta of a mixed ensemble: the general bound needs pure
+    # members. Its accessible information is still an attained value, the
+    # search's, which reaches H(X) = chi = 1 on these orthogonal supports.
     d = validate_state(D22, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
     o = validate_state(D22, np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex))
     e = make_ensemble([(0.5, d), (0.5, o)])
-    hx = 1.0
-    delta = delta_epsilon(e, InfoInterval(hx, hx))
-    assert delta.hi - delta.lo == pytest.approx(0.0, abs=1e-12)
-    assert delta.lo == pytest.approx(1.0, abs=1e-9)  # S(rho_AB)=2, H(X)=1
+    with pytest.raises(PreconditionError, match="pure members"):
+        lower_bound_general(e, InfoInterval(1.0, 1.0))
+    info = estimate_accessible_info(e, OptimizerConfig(restarts=2))
+    assert e.s_ab == pytest.approx(2.0, abs=1e-12)
+    assert info.hi == pytest.approx(1.0, abs=1e-12)
+    assert info.lo == pytest.approx(1.0, abs=1e-9)
+    assert info.note == ""
 
 
 def test_lower_bound_general_reduces_to_pure_bound_when_orthogonal():
@@ -477,6 +483,39 @@ def test_lower_bound_general_requires_pure_members():
 def test_info_interval_rejects_inverted():
     with pytest.raises(ValidationError):
         InfoInterval(1.0, 0.0)
+
+
+@pytest.mark.parametrize("edge", ["lo", "hi"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_info_interval_rejects_non_finite_edges(edge, value):
+    # analyze with a NaN lower edge would report the interval (nan, hi),
+    # verdict indeterminate, which report_document cannot render.
+    edges = {"lo": 0.0, "hi": 1.0, edge: value}
+    with pytest.raises(ValidationError, match="must be finite"):
+        InfoInterval(edges["lo"], edges["hi"])
+
+
+def near_orthogonal_mixed_pair(eps: float, tol=DEFAULT_TOLERANCES):
+    """rho_0 = |0><0| x I/2 and rho_1 = |psi><psi| x I/2 with |<0|psi>|^2 = eps,
+    equiprobable: Tr(rho_0 rho_1) = eps / 2."""
+    psi = np.array([np.sqrt(eps), np.sqrt(1.0 - eps)])
+    members = [np.kron(np.outer(v, v.conj()), np.eye(2) / 2).astype(complex) for v in (np.array([1.0, 0.0]), psi)]
+    return make_ensemble([(0.5, validate_state(D22, m, tol)) for m in members], tol=tol)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOLERANCES, STRICT_TOLERANCES], ids=["default", "strict"])
+@pytest.mark.parametrize("eps", [0.1e-9, 0.5e-9, 1.0e-9, 1.5e-9, 1.9e-9])
+def test_near_orthogonal_mixed_pair_gets_an_attained_lower_edge(eps, tol):
+    # The I/2 factor carries no information, so I_Global is the qubit pair's
+    # Levitin optimum 1 - h((1 - sqrt(1 - eps)) / 2). The default profile
+    # calls the pair orthogonal (Tr(rho_0 rho_1) <= 9.5e-10), which must not
+    # put the lower edge at min(H(X), chi) above every measurement.
+    e = near_orthogonal_mixed_pair(eps, tol)
+    assert (e.witness is None) == (tol is DEFAULT_TOLERANCES)
+    optimum = 1.0 - binary_entropy((1.0 - np.sqrt(1.0 - eps)) / 2.0)
+    info = estimate_accessible_info(e, OptimizerConfig(restarts=2, seed=3))
+    assert abs(info.lo - optimum) <= ROUNDING_SLACK
+    assert info.lo <= info.hi
 
 
 def test_estimate_final_povm_is_psd_on_ill_conditioned_search():

@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "StructureFlags", "Tolerances", "VERDICT_ENTANGLEMENT",
     "VERDICT_INDETERMINATE", "VERDICT_INFORMATION", "VERDICT_NEITHER", "ValidationError",
     "analyze", "average_state", "bell_basis", "binary_entropy",
-    "delta_epsilon", "density_of", "equal_probs",
+    "density_of", "equal_probs",
     "estimate_accessible_info", "generalized_bell_basis",
     "is_canonical_product_basis",
     "lower_bound_general", "make_ensemble", "make_povm",

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -226,6 +227,16 @@ def test_analyze_product_basis_degenerate_probs_exact_via_chi():
     assert r.chi_a == pytest.approx(0.0, abs=1e-9)
     assert r.exact_value == pytest.approx(0.0, abs=1e-9)
     assert r.verdict == VERDICT_NEITHER
+
+
+@pytest.mark.parametrize("edge", [0, 1], ids=["lo", "hi"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_charge_report_rejects_non_finite_edges(edge, value):
+    report = analyze(rotated_basis(0.3, None))
+    interval = list(report.interval)
+    interval[edge] = value
+    with pytest.raises(ValidationError, match="must be finite"):
+        dataclasses.replace(report, interval=tuple(interval))
 
 
 def test_analyze_mixed_orthogonal_uses_floor():

@@ -84,7 +84,7 @@ def test_ensemble_level_functions_take_no_tolerance():
                 checked.add(name)
                 assert "tol" not in [p.name for p in params[1:]], name
     assert checked >= {
-        "analyze", "upper_bound_merging", "delta_epsilon", "pgm_information",
+        "analyze", "upper_bound_merging", "pgm_information",
         "lower_bound_general", "estimate_accessible_info",
         "is_canonical_product_basis", "report_document",
     }

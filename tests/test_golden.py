@@ -8,13 +8,15 @@ basis, and a generalized Bell basis tilted until every overlap sits just
 within the orthogonality tolerance) next to the
 exact `analyze` text and structured output and one `sweep rotated` CSV, plus the structured sweep of
 the same points with a user-supplied gate cost. Any refactor of the
-computation must reproduce them byte for byte. Four more files pin the
-structured output of `--accessible-info estimate`, so a change to the POVM
-search shows up as a diff: on the two non-orthogonal pure ensembles, on the
-pure/density mix, the one estimate whose Holevo chi has nonzero member
-entropies, and on the tilted generalized Bell basis, whose orthogonal
-short-circuit brackets the information between the pretty-good measurement
-and the Holevo cap below H(X). One pins the structured output under `--tolerance-profile strict`,
+computation must reproduce them byte for byte. An estimate file per input
+pins the structured output of `--accessible-info estimate`, so a change to
+the POVM search or to its orthogonal short-circuit shows up as a diff: the
+all-pure orthogonal inputs, the tilted generalized Bell basis among them,
+whose short-circuit brackets the information between the pretty-good
+measurement and the Holevo cap, the non-orthogonal pure ensembles, the
+pure/density mix, whose Holevo chi has nonzero member entropies, and the
+orthogonal mixed-state ensemble, which takes the search like every mixed
+one. One pins the structured output under `--tolerance-profile strict`,
 whose tolerance block and known-value annotation no other golden covers. The `validate` output of every
 input under both tolerance profiles, and the `generate` output and written
 file of each family, are pinned as well.
@@ -29,6 +31,7 @@ from entcharge.fileio import parse_ensemble, write_ensemble
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 NAMES = sorted(p.name.split(".")[0] for p in GOLDEN.glob("*.analyze.txt"))
+ESTIMATE_NAMES = sorted(p.name.split(".")[0] for p in GOLDEN.glob("*.estimate.structured.json"))
 
 
 def _run(argv, capsys, monkeypatch, cwd=GOLDEN) -> str:
@@ -43,6 +46,7 @@ def _run(argv, capsys, monkeypatch, cwd=GOLDEN) -> str:
 
 def test_golden_set_is_complete():
     assert len(NAMES) == 9
+    assert ESTIMATE_NAMES == NAMES
 
 
 @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("structured", "structured.json")])
@@ -71,7 +75,7 @@ def test_sweep_with_gate_cost_is_byte_identical(fmt, golden, capsys, monkeypatch
     assert _run(argv, capsys, monkeypatch) == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize("name", sorted(p.name.split(".")[0] for p in GOLDEN.glob("*.estimate.structured.json")))
+@pytest.mark.parametrize("name", ESTIMATE_NAMES)
 def test_estimate_output_is_byte_identical(name, capsys, monkeypatch):
     argv = ["analyze", f"{name}.json", "--accessible-info", "estimate", "--restarts", "2",
             "--seed", "3", "--format", "structured"]
