@@ -6,8 +6,11 @@ the search and get [pgm, cap]: the pretty-good measurement is certified.
 Every other ensemble takes a seeded, monotone fixed-point search over POVMs
 (Rehacek, Englert and Kaszlikowski, PRA 71, 054303, 2005), whose best
 measurement, validated and measured again, gives the lower edge. Its
-restarts take unit steps and run in lockstep blocks; the result is bit for
-bit that of running them one after another.
+restarts take unit steps and run in lockstep blocks; the search ends as
+soon as a restart comes within RISE_TOL of the cap, which no measurement
+beats. Until then the result is bit for bit that of running the restarts
+one after another; a stop at the cap ends the block at that common step
+and starts no later one.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ class OptimizerConfig:
     does not rise by more than RISE_TOL, keeping its current point; one whose
     max_iters-th trial still rose is capped. The restarts run in lockstep
     blocks (see BLOCK_ENTRIES), each with its own current value; the results
-    equal those of running them one after another.
+    equal those of running them one after another, unless a restart comes
+    within RISE_TOL of min(H(X), Holevo chi): the search ends there.
     """
 
     restarts: int = 8
@@ -151,11 +155,10 @@ def pgm_information(e: Ensemble) -> float:
     ensemble (Hausladen and Wootters, J. Mod. Opt. 41, 2385, 1994), a
     certified lower bound on I_Global. With W the columns sqrt(p_x) psi_x,
     W^dag rho^(-1/2) W = G^(1/2) for G = W^dag W, so p(x, y) =
-    |(G^(1/2))_xy|^2: one m x m eigenproblem. Null eigenvalues (see
-    _non_null) count as 0: sqrt would lift a rounding residue of 1e-17 on a
-    null direction to 3e-9."""
-    root = np.sqrt(e.probs)
-    w, v = np.linalg.eigh(root[:, None] * e.gram * root)
+    |(G^(1/2))_xy|^2, from the ensemble's gram_eigh, the eigenproblem its
+    s_ab reads too. Null eigenvalues (see _non_null) count as 0: sqrt would
+    lift a rounding residue of 1e-17 on a null direction to 3e-9."""
+    w, v = e.gram_eigh
     w = np.where(_non_null(w), w, 0.0)
     table = np.abs((v * np.sqrt(w)) @ v.conj().T) ** 2
     table /= table.sum()
@@ -174,7 +177,9 @@ def pgm_information(e: Ensemble) -> float:
 # run in lockstep blocks: one stacked call per kernel advances every running
 # restart of a block. The kernel relies on three invariants:
 # - restarts are independent: every kernel treats each restart of a stack
-#   apart, so every trajectory, and the result, equals the serial search's;
+#   apart, so every trajectory equals the serial search's, and so does the
+#   result unless a restart reaches the cap: the block then ends at that
+#   step for all its restarts, and no later block starts;
 # - the step count is shared: the live restarts of a block started together
 #   and have all taken the same number of steps, so the loop counts for all;
 # - a null projector exists only at rank deficiency: when every Sigma of a
@@ -244,18 +249,25 @@ def _ascent_direction(
     return r / np.where(norm == 0.0, 1.0, norm)[:, None, None, None]
 
 
-def _lockstep_ascent(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, cfg: OptimizerConfig):
+def _lockstep_ascent(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, cfg: OptimizerConfig, cap: float):
     """The final elements of each restart in a factor stack, their
-    information, and how many restarts were still rising at max_iters. A
-    restart ends at its first unit step that does not rise, keeping its
-    current point; the others run on. The loop holds only the live restarts'
-    state and writes a restart's results when it ends."""
+    information, how many restarts were still rising at max_iters, and
+    whether one reached the cap. A restart ends at its first unit step that
+    does not rise, keeping its current point; the others run on. The whole
+    block ends at the first point where a restart lies within RISE_TOL of
+    cap, which no measurement beats; its live restarts then keep their
+    current points and none counts as still rising. The loop holds only the
+    live restarts' state and writes a restart's results when it ends."""
     factors, elements = _povm_elements(factors)
     table = _joint_table(probs, rhos, elements)
     value, marginals = _information(table)
     live = np.arange(len(value))
     best_elements, best = np.empty_like(elements), np.empty_like(value)
+    # A Python max: a numpy reduction per step would cost ~3% of the search.
+    at_cap = max(value.tolist(), default=-math.inf) >= cap - RISE_TOL
     for _ in range(cfg.max_iters):
+        if at_cap or not live.size:
+            break
         direction = _ascent_direction(table, marginals, probs, rhos)
         trial, trial_elements = _povm_elements(factors + factors @ direction)
         table = _joint_table(probs, rhos, trial_elements)
@@ -267,10 +279,9 @@ def _lockstep_ascent(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, c
             live, trial, trial_elements, trial_value = live[rise], trial[rise], trial_elements[rise], trial_value[rise]
             table, marginals = table[rise], (marginals[0][rise], marginals[1][rise])
         factors, elements, value = trial, trial_elements, trial_value
-        if not live.size:
-            break
+        at_cap = max(value.tolist(), default=-math.inf) >= cap - RISE_TOL
     best_elements[live], best[live] = elements, value
-    return best_elements, best, live.size
+    return best_elements, best, 0 if at_cap else live.size, at_cap
 
 
 def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig()) -> InfoInterval:
@@ -279,11 +290,13 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     Every edge is capped at min(H(X), Holevo chi). An all-pure orthogonal
     ensemble skips the search and gets [pgm_information, cap]. Every other
     ensemble, mixed orthogonal ones included, takes the seeded POVM search,
-    whose restart 0 is the square-root measurement; the lower edge is the
-    best mutual information it found, re-evaluated through a validated POVM,
-    and one above the cap beyond ROUNDING_SLACK raises.
-    The search reads the ensemble's densities, average state and chi, so a
-    later analysis of the same ensemble computes none of them again.
+    whose restart 0 is the square-root measurement and which ends once a
+    restart comes within RISE_TOL of the cap; the lower edge is the best
+    mutual information it found, re-evaluated through a validated POVM, and
+    one above the cap beyond ROUNDING_SLACK raises. The search reads the
+    ensemble's densities, average state and chi, so a later analysis of the
+    same ensemble computes none of them again; the short-circuit reads only
+    the vectors' facts (chi of pure members is s_ab).
     """
     cap = min(shannon_entropy(e.probs, e.tol), e.chi)
     if e._all_pure and e.witness is None:
@@ -302,12 +315,14 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     block = max(1, BLOCK_ENTRIES // (outcomes * e.dims.joint**2))
     for first in range(0, cfg.restarts, block):
         factors = np.stack([start(k) for k in range(first, min(first + block, cfg.restarts))])
-        elements, values, capped = _lockstep_ascent(factors, rhos, probs, cfg)
+        elements, values, capped, at_cap = _lockstep_ascent(factors, rhos, probs, cfg, cap)
         capped_restarts += capped
         # The first restart whose value beats all earlier ones wins; NaN never does.
         for k, value in enumerate(values):
             if value > best_value:
                 best_value, best_elements = value, elements[k]
+        if at_cap:
+            break
     povm = make_povm(e.dims, list(best_elements), e.tol)
     lo = mutual_information_of_measurement(e, povm)
     if lo > cap + ROUNDING_SLACK:

@@ -28,7 +28,11 @@ instances: for orthogonal pure ensembles the pure lower bound equals
 S(A|B) - chi_A = S(B|A) - chi_B, where chi_A = S(rho_A) - sum_X p_X
 S(rho_X^A) is the Holevo information of a reduced ensemble, read from the
 same S(rho_A) as the merging bounds, so the edges meet whenever one party's
-reduced states carry no information (chi = 0);
+reduced states carry no information (chi = 0). A pure member's two reduced
+states share their nonzero spectrum, so chi_B subtracts the same member
+term from S(rho_B); and S(rho_AB) of a pure ensemble is the entropy of its
+weighted Gram matrix diag(sqrt p) G diag(sqrt p), which shares the average
+state's nonzero spectrum (see Ensemble);
 and orthogonal d x d maximally entangled pure ensembles, whose reduced
 states are all I/d, meet at the paper's H(X) - log2 d. orthogonality_tol
 decides only the mutually_orthogonal flag, whether chi_A and chi_B are

@@ -22,6 +22,7 @@ import numpy as np
 from .entropy import (
     _holevo_chi,
     member_term,
+    spectrum_entropies,
     valid_probs,
     von_neumann_entropies,
     von_neumann_entropy,
@@ -30,6 +31,7 @@ from .errors import ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    density_eigh,
     partial_trace,
     partial_traces,
     vector_partial_traces,
@@ -59,26 +61,31 @@ class Ensemble:
 
     gram[i, j] = <psi_i|psi_j> of an all-pure ensemble; overlaps[i, j] =
     Tr(rho_i rho_j), |gram|^2 when every member is pure; witness is the
-    first non-orthogonal pair (i, j, overlap) or None. s_ab, s_a, s_b are the entropies of the
-    average state and its marginals. reduced_a / reduced_b stack each member
-    traced down to A / B, entropies_a holds each member's S(rho_X^A),
-    avg_member_entropy = sum_X p_X S(rho_X^A), and chi_a / chi_b,
-    S(rho_A) - sum_X p_X S(rho_X^A) and its B twin, are the Holevo chi of
-    the two reduced ensembles. The flags read reduced_a, never reduced_b,
-    which only s_b and chi_b read. probs and states split the members once.
-    densities stacks every member's joint density matrix, which the overlaps
-    of mixed members and the accessible-information search read, and chi is
-    the joint Holevo chi, whose first term is s_ab.
-    The reduced states of each side are one batched computation over all
-    members, and one spectrum per party covers its marginal and its members:
-    reading entropies_a or chi_a computes both (B alike), and chi_a's first
-    term is the marginal's row. s_a reads that row when the members are all
-    pure, the ensembles whose member entropies every analysis reads, so
-    there chi_a, the pure lower bound and the merging bounds share one
-    S(rho_A) (B alike); otherwise it is the marginal's own spectrum. These
-    derived states are checked at the bounds that valid members guarantee
-    (see density_spectra), so no fact of a validated ensemble fails its
-    spectrum check.
+    first non-orthogonal pair (i, j, overlap) or None. s_ab, s_a, s_b are the
+    entropies of the average state and its marginals. reduced_a / reduced_b
+    stack each member traced down to A / B, entropies_a holds each member's
+    S(rho_X^A), avg_member_entropy = sum_X p_X S(rho_X^A), and chi_a / chi_b,
+    S(rho_A) - sum_X p_X S(rho_X^A) and its B twin, are the Holevo chi of the
+    two reduced ensembles. probs and states split the members once.
+    densities stacks every member's joint density matrix and average sums
+    them; the overlaps of mixed members and the accessible-information
+    search read them. chi is the joint Holevo chi, whose first term is s_ab.
+
+    An all-pure ensemble takes its facts from the member vectors, with no
+    joint matrix formed. With W the columns sqrt(p_X) psi_X, the average
+    state is W W^dag, which shares its nonzero spectrum with gram_eigh's
+    diag(sqrt p) G diag(sqrt p) = W^dag W: s_ab reads that one m x m
+    eigendecomposition, and so does the pretty-good measurement. Each
+    marginal is one matmul of W. One batched spectrum covers rho_A and the
+    reduced members of side A, so chi_a, the pure lower bound and the merging
+    bounds share one S(rho_A). A pure member's two reduced states share their
+    nonzero spectrum, so chi_b = S(rho_B) - sum_X p_X S(rho_X^A) and the
+    flags read reduced_a alone: no side-B member stack is built. chi is s_ab,
+    as pure members have zero entropy. A mixed ensemble takes each fact from
+    average and densities, and each marginal's entropy from its own spectrum.
+    These derived states are checked at the bounds that valid members
+    guarantee (see density_spectra), so no fact of a validated ensemble
+    fails its spectrum check.
     """
 
     dims: BipartiteDims
@@ -104,9 +111,22 @@ class Ensemble:
         return all(s.is_pure for s in self.states)
 
     @cached_property
+    def _vectors(self) -> np.ndarray:
+        """The member vectors (m, n) of an all-pure ensemble."""
+        return _freeze(np.stack([s.vector for s in self.states]))
+
+    @cached_property
     def gram(self) -> np.ndarray:
         """The m x m Gram matrix <psi_i|psi_j> of an all-pure ensemble."""
-        return _freeze(_gram(self.states))
+        return _freeze(_gram(self._vectors))
+
+    @cached_property
+    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of diag(sqrt p) G diag(sqrt p) of an
+        all-pure ensemble, checked as a density matrix (density_eigh)."""
+        root = np.sqrt(self.probs)
+        w, v = density_eigh(root[:, None] * self.gram * root, self.tol)
+        return _freeze(w), _freeze(v)
 
     @cached_property
     def overlaps(self) -> np.ndarray:
@@ -129,11 +149,21 @@ class Ensemble:
     def _traced_dim(self, traced: str) -> int:
         return self.dims.dA if traced == "A" else self.dims.dB
 
+    def _marginal(self, traced: str) -> np.ndarray:
+        """Tr_traced of the average state. An all-pure ensemble's is F F^dag,
+        F the sqrt(p)-weighted vectors reshaped to the kept party's dimension
+        by m times the traced one's."""
+        dA, dB = self.dims.dA, self.dims.dB
+        if not self._all_pure:
+            return partial_trace(self.average, dA, dB, traced)
+        w = (np.sqrt(self.probs)[:, None] * self._vectors).reshape(-1, dA, dB)
+        f = w.transpose(1, 0, 2).reshape(dA, -1) if traced == "B" else w.transpose(2, 0, 1).reshape(dB, -1)
+        return f @ f.conj().T
+
     def _party_entropies(self, reduced: np.ndarray, traced: str) -> np.ndarray:
         """Entropies of [Tr_traced rho, rho_X ...], the party's marginal and
         its reduced members, from one batched spectrum."""
-        marginal = partial_trace(self.average, self.dims.dA, self.dims.dB, traced)
-        stack = np.concatenate([marginal[None], reduced])
+        stack = np.concatenate([self._marginal(traced)[None], reduced])
         return _freeze(von_neumann_entropies(stack, self.tol, self._traced_dim(traced)))
 
     @cached_property
@@ -148,14 +178,9 @@ class Ensemble:
     def entropies_a(self) -> np.ndarray:
         return self._entropies_of_a[1:]
 
-    def _marginal_entropy(self, traced: str, party_entropies) -> float:
-        """S of the marginal left by tracing out `traced`: row 0 of the
-        party's spectrum for an all-pure ensemble, whose member entropies are
-        read too; else, as m + 1 spectra would cost more than one, the
-        marginal's own."""
-        if self._all_pure:
-            return float(party_entropies()[0])
-        marginal = partial_trace(self.average, self.dims.dA, self.dims.dB, traced)
+    def _marginal_entropy(self, traced: str) -> float:
+        """S of the marginal left by tracing out `traced`, from its own spectrum."""
+        marginal = self._marginal(traced)
         return float(von_neumann_entropies(marginal[None], self.tol, self._traced_dim(traced))[0])
 
     @cached_property
@@ -179,15 +204,28 @@ class Ensemble:
 
     @cached_property
     def s_ab(self) -> float:
-        return von_neumann_entropy(self.average, self.tol)
+        if not self._all_pure:
+            return von_neumann_entropy(self.average, self.tol)
+        # A party of dimension 1 leaves rho_AB the other party's marginal;
+        # reading that one spectrum keeps S(A|B) (or S(B|A)) exactly 0.
+        if self.dims.dA == 1:
+            return self.s_b
+        if self.dims.dB == 1:
+            return self.s_a
+        return float(spectrum_entropies(self.gram_eigh[0][None], self.tol)[0])
 
     @cached_property
     def s_a(self) -> float:
-        return self._marginal_entropy("B", lambda: self._entropies_of_a)
+        """S(rho_A): row 0 of side A's spectrum for an all-pure ensemble,
+        whose member entropies are read too; else, as m + 1 spectra would
+        cost more than one, the marginal's own."""
+        if self._all_pure:
+            return float(self._entropies_of_a[0])
+        return self._marginal_entropy("B")
 
     @cached_property
     def s_b(self) -> float:
-        return self._marginal_entropy("A", lambda: self._entropies_of_b)
+        return self._marginal_entropy("A")
 
     @cached_property
     def avg_member_entropy(self) -> float:
@@ -207,12 +245,18 @@ class Ensemble:
 
     @cached_property
     def chi_b(self) -> float:
+        """Holevo chi of the B-side reduced ensemble; for an all-pure
+        ensemble S(rho_B) less the member term chi_a subtracts, clamped at 0."""
+        if self._all_pure:
+            return max(0.0, self.s_b - self.avg_member_entropy)
         return _holevo_chi(self.probs, self.reduced_b, self._entropies_of_b)
 
     @cached_property
     def chi(self) -> float:
         """Holevo chi of the joint ensemble, S(rho_AB) - sum_X p_X S(rho_X):
-        its first term is s_ab, from the same average state."""
+        its first term is s_ab, and its second is 0 for pure members."""
+        if self._all_pure:
+            return self.s_ab
         members = von_neumann_entropies(self.densities, self.tol)
         return _holevo_chi(self.probs, self.densities, np.concatenate([[self.s_ab], members]))
 

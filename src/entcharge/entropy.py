@@ -57,7 +57,11 @@ def von_neumann_entropies(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCE
     """S(rho) of each density matrix in a stack (m, d, d), from one batched
     spectrum that density_spectra checks (traced_dim as there). Each entropy
     has the bits of von_neumann_entropy of that matrix alone."""
-    evals = density_spectra(stack, tol, traced_dim)
+    return spectrum_entropies(density_spectra(stack, tol, traced_dim), tol)
+
+
+def spectrum_entropies(evals: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """S of each row of a stack of checked spectra (rows, d), in bits."""
     # Zero eigenvalues within eigenvalue_clamp of 0. The row sum drops one below
     # -eigenvalue_clamp, which a derived state may keep, like every negative one.
     spectra = np.where(np.abs(evals) <= tol.eigenvalue_clamp, 0.0, evals)

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_string
 
 import numpy as np
@@ -168,16 +169,20 @@ def _expect_pair(value, path: str) -> complex:
 def _pair_array(data: list, path: str) -> np.ndarray:
     """The complex numbers of a list of [re, im] pairs; path names the list.
 
-    Well-formed input passes one type test per number (json.loads makes exact
-    ints and floats, and a bool's type is bool) and converts in one exact
-    np.array call. Anything else goes through _expect_pair element by
-    element, which raises the first bad element's path-qualified error.
+    Well-formed input is recognized and converted at C level: every entry a
+    list of two, every number of type int or float (json.loads makes no other
+    number, and a bool's type is bool), then one np.fromiter over the
+    flattened numbers, which has np.array's bits. Anything else goes through
+    _expect_pair element by element, which raises the first bad element's
+    path-qualified error.
     """
-    if all(type(v) is list and len(v) == 2 and type(v[0]) in (int, float) and type(v[1]) in (int, float) for v in data):
-        try:
-            return np.array(data, dtype=float).reshape(-1, 2).view(complex)[:, 0]
-        except OverflowError:  # an integer beyond float range, which _expect_pair names
-            pass
+    if set(map(type, data)) <= {list} and set(map(len, data)) <= {2}:
+        flat = list(chain.from_iterable(data))
+        if set(map(type, flat)) <= {int, float}:
+            try:
+                return np.fromiter(flat, dtype=float, count=len(flat)).view(complex)
+            except OverflowError:  # an integer beyond float range, which _expect_pair names
+                pass
     return np.array([_expect_pair(v, f"{path}[{k}]") for k, v in enumerate(data)])
 
 

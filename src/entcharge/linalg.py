@@ -154,13 +154,28 @@ def density_spectra(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, tra
     derived from valid members passes. The trace check is not scaled, as a
     partial trace keeps the trace.
     """
-    dev = _hermiticity_deviation(stack)
     evals = np.linalg.eigvalsh(hermitian_part(stack))
+    _check_spectra(stack, evals, tol, traced_dim)
+    return evals
+
+
+def density_eigh(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of one matrix, from one eigh
+    call, under density_spectra's checks and errors. eigh reads the lower
+    triangle, within hermiticity_tol of the upper one's conjugate."""
+    w, v = np.linalg.eigh(matrix)
+    _check_spectra(matrix[None], w[None], tol, 1)
+    return w, v
+
+
+def _check_spectra(stack: np.ndarray, evals: np.ndarray, tol: Tolerances, traced_dim: int) -> None:
+    """density_spectra's checks of a stack and its spectra, in its order."""
+    dev = _hermiticity_deviation(stack)
     low, tr = evals.min(axis=-1), evals.sum(axis=-1)
     clamp = traced_dim * tol.eigenvalue_clamp
     bad = (dev > traced_dim * tol.hermiticity_tol) | (low < -clamp) | (np.abs(tr - 1.0) > tol.trace_tol)
     if not bad.any():
-        return evals
+        return
     k = int(np.argmax(bad))
     _check_hermitian(float(dev[k]), tol, traced_dim)
     if low[k] < -clamp:

@@ -170,13 +170,12 @@ def overlap_matrix(states: list[BipartiteState] | tuple[BipartiteState, ...]) ->
         if s.dims != dims:
             raise ShapeError(f"state {k} has dims {s.dims.dA}x{s.dims.dB}, expected {dims.dA}x{dims.dB}")
     if all(s.is_pure for s in states):
-        return np.abs(_gram(states)) ** 2
+        return np.abs(_gram(np.stack([s.vector for s in states]))) ** 2
     return density_overlaps(np.stack([density_of(s) for s in states]))
 
 
-def _gram(states) -> np.ndarray:
-    """The m x m Gram matrix <psi_i|psi_j> of m pure states."""
-    v = np.stack([s.vector for s in states])
+def _gram(v: np.ndarray) -> np.ndarray:
+    """The m x m Gram matrix <psi_i|psi_j> of a stack (m, n) of vectors."""
     return v.conj() @ v.T
 
 

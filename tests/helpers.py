@@ -275,7 +275,7 @@ def maximally_entangled_oracle(e) -> bool:
 
 def entropies_b(e) -> np.ndarray:
     """S(rho_X^B) of each member: the member rows of the B party's spectrum,
-    the entropies chi_b subtracts."""
+    the entropies the chi_b of a mixed ensemble subtracts."""
     return e._entropies_of_b[1:]
 
 
@@ -405,15 +405,18 @@ def reference_dumps(doc) -> str:
 HALVING_STEP_TOL = 1e-9
 
 
-def halving_lockstep_ascent(factors, rhos, probs, cfg):
-    """accessible._lockstep_ascent's contract (elements, values, capped count)
-    by the step-halving schedule."""
+def halving_lockstep_ascent(factors, rhos, probs, cfg, cap):
+    """accessible._lockstep_ascent's contract (elements, values, capped count,
+    whether a restart reached the cap) by the step-halving schedule, with
+    the same stop at the cap."""
     factors, elements = _povm_elements(factors)
     table = _joint_table(probs, rhos, elements)
     value, marginals = _information(table)
     direction = _ascent_direction(table, marginals, probs, rhos)
     live, step, steps = np.arange(len(value)), np.ones(len(value)), 0
     best_elements, best, iters = np.empty_like(elements), np.empty_like(value), np.empty(len(value), dtype=int)
+    if (value >= cap - RISE_TOL).any():
+        return elements, value, 0, True
     while live.size:
         trial, trial_elements = _povm_elements(factors + step[:, None, None, None] * factors @ direction)
         table = _joint_table(probs, rhos, trial_elements)
@@ -432,13 +435,16 @@ def halving_lockstep_ascent(factors, rhos, probs, cfg):
         else:
             step = step * 0.5
         steps += 1
+        if (value >= cap - RISE_TOL).any():
+            best_elements[live], best[live] = elements, value
+            return best_elements, best, 0, True
         go = (step >= HALVING_STEP_TOL) & (steps < cfg.max_iters)
         if not go.all():
             done = live[~go]
             best_elements[done], best[done], iters[done] = elements[~go], value[~go], steps
             live, factors, direction, step = live[go], factors[go], direction[go], step[go]
             elements, value = elements[go], value[go]
-    return best_elements, best, int((iters >= cfg.max_iters).sum())
+    return best_elements, best, int((iters >= cfg.max_iters).sum()), False
 
 
 def pgm_oracle(e) -> float:

@@ -598,23 +598,25 @@ PINNED_CASES = {
 
 # float.hex of lo and hi and the note of each case, captured on the serial
 # restart loop; the search must reproduce every restart's trajectory exactly.
+# hi is min(H(X), chi); the pure cases' chi is s_ab from the weighted Gram
+# spectrum (or, on 1 x n, from rho_B), which moved their hi by a few ulps.
 # zero_member_1x2's restarts end at iterations 61, 73 and 92 of 100: under the
 # step-halving schedule (helpers.halving_lockstep_ascent) the last two spent
 # their halving tail into max_iters and counted as capped.
 PINNED = {
-    "zero_plus_1x2": ("0x1.62c8b7180d8c4p-1", "0x1.da6ce8d8455a4p-1", ""),
+    "zero_plus_1x2": ("0x1.62c8b7180d8c4p-1", "0x1.da6ce8d8455a5p-1", ""),
     "identical_bell": ("0x0.0p+0", "0x0.0p+0", ""),
     "mixed_1x2": ("0x1.403f45b20ca54p-2", "0x1.60519913201efp-2", ""),
     "mixed_2x2": ("0x1.850adad7f4200p-2", "0x1.049c372cc146dp-1", "local search still rising at max_iters=150 on 3/4 restarts"),
-    "pair_pi8": ("0x1.bbee220839a70p-4", "0x1.ddda59fabbce8p-3", ""),
-    "pair_restarts1": ("0x1.05edbab77fcb0p-4", "0x1.3c167d81a32dep-3", ""),
-    "pure3_2x2_capped": ("0x1.53cc16f39d674p-1", "0x1.96b41bd99c44ap-1", "local search still rising at max_iters=30 on 2/2 restarts"),
+    "pair_pi8": ("0x1.bbee220839a70p-4", "0x1.ddda59fabbce5p-3", ""),
+    "pair_restarts1": ("0x1.05edbab77fcb0p-4", "0x1.3c167d81a32d8p-3", ""),
+    "pure3_2x2_capped": ("0x1.53cc16f39d674p-1", "0x1.96b41bd99c44ep-1", "local search still rising at max_iters=30 on 2/2 restarts"),
     "pure3_2x3": ("0x1.f47bc31ab8b0cp-1", "0x1.0b76ccd5915c8p+0", "local search still rising at max_iters=200 on 1/2 restarts"),
-    "pure4_1x3": ("0x1.0efe54f4e7f72p+0", "0x1.601f10e7a137dp+0", "local search still rising at max_iters=100 on 2/3 restarts"),
+    "pure4_1x3": ("0x1.0efe54f4e7f72p+0", "0x1.601f10e7a137ep+0", "local search still rising at max_iters=100 on 2/3 restarts"),
     "strict_near_orthogonal": ("0x1.fffffff8207c8p-1", "0x1.ffffffff615fcp-1", ""),
-    "trine": ("0x1.2b803473f6680p-1", "0x1.fffffffffffffp-1", ""),
+    "trine": ("0x1.2b803473f6680p-1", "0x1.0000000000000p+0", ""),
     "zero_table_1x3": ("0x1.4fafec548162cp+0", "0x1.8000000000000p+0", "local search still rising at max_iters=300 on 1/3 restarts"),
-    "zero_member_1x2": ("0x1.8d7bc54ae1a20p-2", "0x1.2a628d0cf5c1dp-1", ""),
+    "zero_member_1x2": ("0x1.8d7bc54ae1a20p-2", "0x1.2a628d0cf5c1cp-1", ""),
 }
 
 
@@ -752,7 +754,9 @@ def test_block_boundaries_never_change_the_estimate(name, monkeypatch):
     monkeypatch.setattr(accessible, "BLOCK_ENTRIES", 1)
     single = estimate_accessible_info(e, cfg)
     if e.witness is not None:
-        assert blocks == [cfg.restarts] + [1] * cfg.restarts
+        # identical_bell's cap is 0, where restart 0 starts: no later block runs.
+        singles = 1 if name == "identical_bell" else cfg.restarts
+        assert blocks == [cfg.restarts] + [1] * singles
     assert (single.lo.hex(), single.hi.hex(), single.note) == (whole.lo.hex(), whole.hi.hex(), whole.note)
 
 
@@ -798,3 +802,36 @@ def test_stacked_information_has_the_bits_of_the_serial_sums(shape):
     tables = (tables / tables.sum(axis=1, keepdims=True)).reshape(-1, *shape)
     serial = [_entropy_bits(t.sum(axis=1)) + _entropy_bits(t.sum(axis=0)) - _entropy_bits(t) for t in tables]
     assert [v.hex() for v in _information(tables)[0]] == [v.hex() for v in serial]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_stops_at_the_cap_on_orthogonal_mixed_members(seed, monkeypatch):
+    # Three exactly orthogonal mixed members on 3x3, each of rank 3: restart 0,
+    # the square-root measurement, already lies within RISE_TOL of min(H(X),
+    # chi), so the search ends there. Before, it ran its restarts on, up to
+    # max_iters, and noted one as still rising.
+    from entcharge.accessible import RISE_TOL
+
+    rng = np.random.default_rng([37, seed])
+    u, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    dims = BipartiteDims(3, 3)
+    members = []
+    for k, p in enumerate(rng.dirichlet(np.ones(3))):
+        block = u[:, 3 * k:3 * k + 3]
+        rho = (block * rng.dirichlet(np.ones(3))) @ block.conj().T
+        members.append((p, validate_state(dims, (rho + rho.conj().T) / 2)))
+    e = make_ensemble(members)
+    assert e.witness is None
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    info = estimate_accessible_info(e, OptimizerConfig(restarts=2, seed=3))
+    assert info.note == ""
+    assert info.hi - info.lo <= RISE_TOL
+    # The square-root measurement's two eigh calls and its renormalization's.
+    assert len(calls) == 3

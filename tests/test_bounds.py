@@ -570,46 +570,48 @@ def _count_calls(monkeypatch, module_name: str, name: str) -> list:
     return calls
 
 
-def test_analyze_computes_overlaps_and_average_state_once(monkeypatch):
+def test_analyze_computes_overlaps_once_and_no_average_state(monkeypatch):
+    # A pure ensemble's facts come from its vectors: no joint average state,
+    # and side A's reduced stack alone.
     e = generalized_bell_basis(3, equal_probs(9))
     overlaps = _count_fact(monkeypatch, "gram")
     averages = _count_calls(monkeypatch, "ensembles", "average_state")
     reduced = _count_calls(monkeypatch, "ensembles", "reduced_ensemble")
     report = analyze(e)
     assert report.exact_value == pytest.approx(np.log2(9) - np.log2(3), abs=1e-12)
-    assert (len(overlaps), len(averages)) == (1, 1)
-    assert sorted(args[1] for args in reduced) == ["A", "B"]
+    assert (len(overlaps), len(averages)) == (1, 0)
+    assert [args[1] for args in reduced] == ["A"]
 
 
 def test_analyze_reuses_member_entropies_for_chi_a(monkeypatch):
     # 64 orthogonal pure members on 8x8 whose reduced states all differ.
-    # Each side's entropies are one batched call of 64 + 1 matrices, made
-    # once: the marginal and the 64 members, which S(A), the average member
-    # entropy and chi_A (and S(B) and chi_B) all read. S(AB) is the only
-    # entropy of one matrix.
+    # Side A's entropies are one batched call of 64 + 1 matrices, made once:
+    # the marginal and the 64 members, which S(A), the average member
+    # entropy, chi_A and chi_B all read. S(B) is the only entropy of one
+    # matrix; S(AB) comes from the weighted Gram spectrum.
     from entcharge.entropy import member_term
 
     e = random_orthogonal_pure_ensemble(np.random.default_rng(11), 8, count=64)
     stacks = _count_calls(monkeypatch, "entropy", "von_neumann_entropies")
     report = analyze(e)
-    assert sorted(len(args[0]) for args in stacks) == [1, 65, 65]
+    assert sorted(len(args[0]) for args in stacks) == [1, 65]
     assert report.chi_a == e.s_a - member_term(e.probs, e.entropies_a)
-    assert report.chi_b == e.s_b - member_term(e.probs, entropies_b(e))
+    assert report.chi_b == e.s_b - member_term(e.probs, e.entropies_a)
 
 
 @pytest.mark.parametrize("kind", ["density", "non-orthogonal"])
 def test_analyze_takes_no_member_spectrum_it_does_not_read(monkeypatch, kind):
     # Without pure members no bound reads a member entropy, so S(A) and S(B)
     # are one spectrum each: never the m + 1 of a party stack. Every pure
-    # ensemble, orthogonal or not, reads its member entropies for the pure
-    # lower bound, and takes S(A) and S(B) from its party stacks, so neither
-    # depends on the orthogonality test.
+    # ensemble, orthogonal or not, reads side A's member entropies for the
+    # pure lower bound and takes S(A) from that stack, so neither depends on
+    # the orthogonality test; S(B) is one spectrum and side B has no stack.
     rng = np.random.default_rng(3)
     draw = random_density if kind == "density" else random_pure_vector
     e = make_ensemble([(1 / 6, validate_state(BipartiteDims(2, 32), draw(rng, 64))) for _ in range(6)])
     stacks = _count_calls(monkeypatch, "entropy", "von_neumann_entropies")
     analyze(e)
-    assert sorted(len(args[0]) for args in stacks) == ([1, 1, 1] if kind == "density" else [1, 7, 7])
+    assert sorted(len(args[0]) for args in stacks) == ([1, 1, 1] if kind == "density" else [1, 7])
 
 
 def test_maximally_entangled_reduces_only_square_ensembles_with_pure_members(monkeypatch):
@@ -668,7 +670,7 @@ def test_rotated_family_report_computes_facts_once(monkeypatch):
     averages = _count_calls(monkeypatch, "ensembles", "average_state")
     rotated_family_report(np.pi / 7, equal_probs(4))
     assert len(overlaps) == 1
-    assert len(averages) == 1
+    assert len(averages) == 0
 
 
 def test_flags_analyze_and_family_report_take_no_svd(monkeypatch):
@@ -740,7 +742,7 @@ def test_facts_are_computed_once_across_public_bounds(monkeypatch):
     pgm_information(e)
     lower_bound_general(e, estimate_accessible_info(e))
     upper_bound_merging(e)
-    assert (len(overlaps), len(averages)) == (1, 1)
+    assert (len(overlaps), len(averages)) == (1, 0)
 
 
 def test_facts_are_keyed_by_tolerances():
@@ -787,8 +789,10 @@ def test_estimate_then_analyze_builds_each_joint_fact_once(name, monkeypatch):
     analyze(e, info)
     # The search reads the ensemble's densities, average and chi: m density_of
     # calls stack the members once, and m sum the average state in order.
-    # analyze of a non-orthogonal ensemble reads no party chi.
-    assert (len(average), len(chi), len(densities)) == (1, 1, 2 * len(e.members))
+    # The chi of pure members is s_ab; analyze of a non-orthogonal ensemble
+    # reads no party chi.
+    joint_chi = 0 if e._all_pure else 1
+    assert (len(average), len(chi), len(densities)) == (1, joint_chi, 2 * len(e.members))
     assert not hasattr(entcharge.accessible, "density_of")
 
 
@@ -801,9 +805,54 @@ def test_witness_builds_no_reduced_ensemble_and_no_entropy(monkeypatch):
 
 
 FACTS = (
-    "gram", "overlaps", "witness", "reduced_a", "reduced_b", "entropies_a", "_entropies_of_b", "flags",
+    "gram", "gram_eigh", "overlaps", "witness", "reduced_a", "reduced_b", "entropies_a", "_entropies_of_b", "flags",
     "average", "s_ab", "s_a", "s_b", "avg_member_entropy", "chi_a", "chi_b", "densities", "chi",
 )
+
+
+def _count_eigh(monkeypatch) -> list:
+    """The matrices of every np.linalg.eigh call."""
+    original = np.linalg.eigh
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("orthogonal", [True, False])
+def test_default_analyze_of_a_pure_ensemble_reads_its_vectors(monkeypatch, orthogonal):
+    # No joint average state and no side-B stack: side A's reduced stack, one
+    # batched spectrum of it and its marginal, one spectrum of rho_B, and one
+    # m x m eigh of the weighted Gram matrix, which s_ab and the pretty-good
+    # measurement share.
+    rng = np.random.default_rng(5)
+    e = random_orthogonal_pure_ensemble(rng, 3) if orthogonal else _random_ensemble(rng, pure=True, orthogonal=False)
+    m = len(e.members)
+    averages = _count_calls(monkeypatch, "ensembles", "average_state")
+    reduced = _count_calls(monkeypatch, "ensembles", "reduced_ensemble")
+    stacks = _count_calls(monkeypatch, "entropy", "von_neumann_entropies")
+    eighs = _count_eigh(monkeypatch)
+    assert analyze(e).flags.mutually_orthogonal is orthogonal
+    assert len(averages) == 0
+    assert [args[1] for args in reduced] == ["A"]
+    assert [a.shape for a in eighs] == [(m, m)]
+    assert sorted(len(args[0]) for args in stacks) == [1, m + 1]
+
+
+def test_estimate_short_circuit_stacks_no_densities(monkeypatch):
+    # analyze --accessible-info estimate on 64 orthogonal pure members on
+    # 8x8: the cap reads chi = s_ab, so no joint matrix is built.
+    e = random_orthogonal_pure_ensemble(np.random.default_rng(11), 8, count=64)
+    densities = _count_fact(monkeypatch, "densities")
+    averages = _count_calls(monkeypatch, "ensembles", "average_state")
+    info = estimate_accessible_info(e)
+    analyze(e, info)
+    assert info.note == "orthogonal ensemble: min(H(X), Holevo chi)"
+    assert (len(densities), len(averages)) == (0, 0)
 
 
 def test_each_fact_is_computed_once(monkeypatch):
@@ -818,14 +867,15 @@ def test_each_fact_is_computed_once(monkeypatch):
         )
     }
     calls["gram"] = _count_fact(monkeypatch, "gram")
+    calls["eigh"] = _count_eigh(monkeypatch)
     first = {name: getattr(e, name) for name in FACTS}
     counts = {name: len(c) for name, c in calls.items()}
-    assert (counts["gram"], counts["orthogonality_witness"], counts["average_state"]) == (1, 1, 1)
+    assert (counts["gram"], counts["orthogonality_witness"], counts["average_state"], counts["eigh"]) == (1, 1, 1, 1)
     assert counts["reduced_ensemble"] == 2
-    # One batched spectrum per side covers its marginal and every member;
-    # S(AB) and the joint members, for chi, are the only others.
+    # One batched spectrum per side covers its marginal and every member, and
+    # S(B) is one more; S(AB) and chi read the weighted Gram eigh.
     m = len(e.members)
-    assert sorted(len(args[0]) for args in calls["von_neumann_entropies"]) == [1, m, m + 1, m + 1]
+    assert sorted(len(args[0]) for args in calls["von_neumann_entropies"]) == [1, m + 1, m + 1]
     second = {name: getattr(e, name) for name in FACTS}
     assert {name: len(c) for name, c in calls.items()} == counts
     assert all(second[name] is first[name] for name in FACTS)
@@ -850,7 +900,6 @@ def test_ensemble_facts_match_the_standalone_functions(seed):
         reduced_ensemble,
         von_neumann_entropy,
     )
-    from entcharge.entropy import member_term
 
     e = random_orthogonal_pure_ensemble(np.random.default_rng(seed), 2)
     assert np.array_equal(e.average, average_state(e))
@@ -858,7 +907,7 @@ def test_ensemble_facts_match_the_standalone_functions(seed):
     for party, reduced in (("A", e.reduced_a), ("B", e.reduced_b)):
         assert all(np.array_equal(x, y) for x, y in zip(reduced, reduced_ensemble(e, party)))
     assert e.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, e.reduced_a)))
-    assert e.chi == e.s_ab - member_term(e.probs, [von_neumann_entropy(m) for m in e.densities])
+    assert e.chi == e.s_ab  # pure members have zero entropy
     assert e.chi == pytest.approx(holevo_oracle(e.probs, e.densities), abs=1e-12)
     assert upper_bound_merging(e) == (e.s_ab - e.s_b, e.s_ab - e.s_a)
     assert lower_bound_pure(e) == e.avg_member_entropy - e.mutual_information

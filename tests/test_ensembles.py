@@ -32,14 +32,20 @@ from entcharge.entropy import von_neumann_entropies
 from entcharge.linalg import density_spectra
 from helpers import (
     bell_vectors,
+    entanglement_oracle,
     entropies_b,
+    entropy_oracle,
+    holevo_oracle,
     maximally_entangled_oracle,
     near_maximally_mixed_gbell,
     near_product_vector,
+    partial_trace_loop,
+    pgm_oracle,
     product_oracle,
     random_density,
     random_orthogonal_pure_ensemble,
     random_pure_vector,
+    random_unitary,
     rotate_locally,
     swap_parties,
 )
@@ -366,15 +372,33 @@ def test_batched_member_facts_match_the_per_member_reference(seed, dA, dB, kinds
     assert e.chi_b == _chi_reference(e, "A")
 
 
+def _marginal_reference(e, traced: str) -> np.ndarray:
+    """The marginal left by tracing out `traced`, as the ensemble builds it:
+    for all-pure members sum_X W_X W_X^dag (W_X^T W_X-bar for B), W_X the
+    sqrt(p_X)-weighted member reshaped to dA x dB, as one product of the
+    W_X laid side by side; otherwise the partial trace of the average state."""
+    dA, dB = e.dims.dA, e.dims.dB
+    if not all(s.is_pure for s in e.states):
+        return partial_trace(e.average, dA, dB, traced)
+    w = [np.sqrt(p) * s.vector.reshape(dA, dB) for p, s in e.members]
+    f = np.concatenate(w if traced == "B" else [x.T for x in w], axis=1)
+    return f @ f.conj().T
+
+
 def _chi_reference(e, traced: str) -> float:
     """chi of the party left by tracing out `traced`, S(marginal) - sum_X p_X
     S(rho_X^party), each entropy that of its own matrix alone, clamped at 0;
-    exactly 0 when the reduced members are identical."""
+    exactly 0 when the reduced members are identical. For all-pure members
+    chi_B subtracts side A's member entropies, which a pure member's two
+    reduced states share."""
     dA, dB = e.dims.dA, e.dims.dB
-    reduced = [partial_trace(density_of(s), dA, dB, traced) for s in e.states]
-    if all(np.array_equal(m, reduced[0]) for m in reduced):
-        return 0.0
-    marginal = von_neumann_entropy(partial_trace(e.average, dA, dB, traced))
+    marginal = von_neumann_entropy(_marginal_reference(e, traced))
+    if traced == "A" and all(s.is_pure for s in e.states):
+        reduced = [partial_trace(density_of(s), dA, dB, "B") for s in e.states]
+    else:
+        reduced = [partial_trace(density_of(s), dA, dB, traced) for s in e.states]
+        if all(np.array_equal(m, reduced[0]) for m in reduced):
+            return 0.0
     return max(0.0, marginal - float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, reduced))))
 
 
@@ -556,7 +580,8 @@ def test_party_spectra_match_the_per_matrix_reference(build):
         ("A", "B", e.s_a, e.entropies_a, e.chi_a), ("B", "A", e.s_b, entropies_b(e), e.chi_b)
     ):
         reduced = reduced_ensemble(e, party)
-        assert s == von_neumann_entropy(partial_trace(e.average, dA, dB, traced)), party
+        assert s == von_neumann_entropy(_marginal_reference(e, traced)), party
+        assert np.allclose(_marginal_reference(e, traced), partial_trace(e.average, dA, dB, traced), rtol=0, atol=1e-15)
         assert [x.hex() for x in entropies] == [von_neumann_entropy(m).hex() for m in reduced], party
         assert chi == _chi_reference(e, traced), party
 
@@ -564,19 +589,91 @@ def test_party_spectra_match_the_per_matrix_reference(build):
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
 def test_party_chi_reads_the_marginal_entropy_of_the_merging_bounds(d):
     # On orthogonal pure ensembles chi_A is S(rho_A) - sum_X p_X S(rho_X^A)
-    # bit for bit, with the S(rho_A) that the merging bounds read (B alike),
-    # so the pure lower bound equals S(A|B) - chi_A in the last bit too.
+    # bit for bit, with the S(rho_A) that the merging bounds read, so the
+    # pure lower bound equals S(A|B) - chi_A in the last bit too. chi_B
+    # subtracts the same member term from the S(rho_B) they read, as a pure
+    # member's two reduced states share their nonzero spectrum.
     from entcharge.entropy import member_term
 
     rng = np.random.default_rng([2026, d])
     sides = 0
     for _ in range(8):
         e = random_orthogonal_pure_ensemble(rng, d)
-        for chi, s, entropies, reduced in (
-            (e.chi_a, e.s_a, e.entropies_a, e.reduced_a), (e.chi_b, e.s_b, entropies_b(e), e.reduced_b)
-        ):
-            if (reduced == reduced[:1]).all():
-                continue
-            assert chi == s - member_term(e.probs, entropies)
-            sides += 1
+        term = member_term(e.probs, e.entropies_a)
+        assert e.chi_b == max(0.0, e.s_b - term)
+        if (e.reduced_a == e.reduced_a[:1]).all():
+            continue
+        assert e.chi_a == e.s_a - term
+        sides += 1
     assert sides > 0
+
+
+def _pure_vectors(rng, dA: int, dB: int, kind: str, m: int) -> np.ndarray:
+    """m seeded unit vectors on dA x dB: orthogonal (Haar columns, m <= n),
+    product, maximally entangled (dA = dB) or unstructured."""
+    n = dA * dB
+    if kind == "orthogonal":
+        return random_unitary(rng, n)[:, :m].T
+    if kind == "product":
+        return np.array([np.kron(random_pure_vector(rng, dA), random_pure_vector(rng, dB)) for _ in range(m)])
+    if kind == "maxent" and dA == dB:
+        return np.array([random_unitary(rng, dA).ravel() / np.sqrt(dA) for _ in range(m)])
+    return np.array([random_pure_vector(rng, n) for _ in range(m)])
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1, 2), (1, 5), (2, 1), (4, 1), (2, 2), (3, 3), (4, 4)]),
+    st.sampled_from(["random", "orthogonal", "product", "maxent"]),
+    st.integers(1, 20),
+    st.integers(0, 3),
+    st.sampled_from(["default", "strict"]),
+)
+@example(seed=0, shape=(2, 2), kind="random", members=7, zeros=2, profile="strict")
+@example(seed=1, shape=(1, 5), kind="random", members=9, zeros=1, profile="default")
+@example(seed=2, shape=(4, 1), kind="orthogonal", members=4, zeros=1, profile="default")
+@example(seed=3, shape=(3, 3), kind="maxent", members=12, zeros=3, profile="strict")
+@settings(max_examples=80, deadline=None)
+def test_vector_facts_match_the_dense_oracles(seed, shape, kind, members, zeros, profile):
+    # An all-pure ensemble's facts come from its vectors (weighted Gram
+    # spectrum, marginals by matmul, side A's reduced stack); each must match
+    # the dense oracle built from the joint matrices, on 1 x n, n x 1 and
+    # square shapes, with more members than the joint dimension and with
+    # zero-probability members, under both profiles.
+    from entcharge.accessible import pgm_information
+
+    tol = STRICT_TOLERANCES if profile == "strict" else DEFAULT_TOLERANCES
+    dA, dB = shape
+    n = dA * dB
+    m = min(members, n) if kind == "orthogonal" else members
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(m))
+    probs[: min(zeros, m - 1)] = 0.0
+    dims = BipartiteDims(dA, dB)
+    e = make_ensemble(
+        [(p, validate_state(dims, v, tol)) for p, v in zip(probs / probs.sum(), _pure_vectors(rng, dA, dB, kind, m))],
+        tol=tol,
+    )
+    vectors = [s.vector for s in e.states]
+    rhos = [np.outer(v, v.conj()) for v in vectors]
+    average = sum(p * r for p, r in zip(e.probs, rhos))
+    reduced_a = [partial_trace_loop(r, dA, dB, "B") for r in rhos]
+    reduced_b = [partial_trace_loop(r, dA, dB, "A") for r in rhos]
+    oracle = {
+        "s_ab": entropy_oracle(average),
+        "s_a": entropy_oracle(partial_trace_loop(average, dA, dB, "B")),
+        "s_b": entropy_oracle(partial_trace_loop(average, dA, dB, "A")),
+        "chi_a": max(0.0, holevo_oracle(e.probs, reduced_a)),
+        "chi_b": max(0.0, holevo_oracle(e.probs, reduced_b)),
+        "chi": holevo_oracle(e.probs, rhos),
+    }
+    for name, value in oracle.items():
+        assert abs(getattr(e, name) - value) <= 1e-12, name
+    assert np.abs(e.entropies_a - [entanglement_oracle(s) for s in e.states]).max() <= 1e-12
+    assert abs(pgm_information(e) - pgm_oracle(e)) <= 1e-12
+    overlaps = [abs(np.vdot(vectors[i], vectors[j])) ** 2 for i in range(m) for j in range(i + 1, m)]
+    assert e.flags.all_pure
+    assert e.flags.mutually_orthogonal == all(x <= tol.orthogonality_tol for x in overlaps)
+    assert e.flags.all_product == all(product_oracle(s, tol) for s in e.states)
+    assert e.flags.all_maximally_entangled == maximally_entangled_oracle(e)
+    assert e.flags.support_size == int((e.probs > tol.eigenvalue_clamp).sum())

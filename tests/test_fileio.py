@@ -207,6 +207,14 @@ def test_parse_rejects_dims_mismatch():
         parse_ensemble(text)
 
 
+def _late_pairs(bad: dict[int, str]) -> str:
+    """A 64-pair data list, [0, 0] everywhere but at the indices of bad."""
+    return "[" + ", ".join(bad.get(k, "[0, 0]") for k in range(64)) + "]"
+
+
+HUGE = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
     "kind,data,diagnostic",
     [
@@ -222,9 +230,21 @@ def test_parse_rejects_dims_mismatch():
         ("density", "[[[1, 0], [0, 0]], 3]", "members[0].state.data[1]: expected a row of [re, im] pairs"),
         ("density", "[[[1, 0], [0, 0]], [[0, 0], [0, false]]]", "members[0].state.data[1][1][1]: expected a number"),
         ("density", "[[[1, 0], [0, 0]], [[0, 0], [0]]]", "members[0].state.data[1][1]: expected a [re, im] pair"),
+        # The same faults late in a 64-pair member, and the first of two.
+        ("pure", _late_pairs({63: "[1, 0, 0]"}), "members[0].state.data[63]: expected a [re, im] pair"),
+        ("pure", _late_pairs({40: "[true, 0]"}), "members[0].state.data[40][0]: expected a number"),
+        ("pure", _late_pairs({47: '[0, "0"]'}), "members[0].state.data[47][1]: expected a number"),
+        ("pure", _late_pairs({52: "[0, null]"}), "members[0].state.data[52][1]: expected a number"),
+        ("pure", _late_pairs({58: "[[0], 0]"}), "members[0].state.data[58][0]: expected a number"),
+        ("pure", _late_pairs({41: f"[{HUGE}, 0]"}), "members[0].state.data[41][0]: integer too large to convert to a float"),
+        ("pure", _late_pairs({44: f"[0, {HUGE}]", 60: "[false, 0]"}),
+         "members[0].state.data[44][1]: integer too large to convert to a float"),
+        ("pure", _late_pairs({44: "[0, false]", 60: f"[{HUGE}, 0]"}), "members[0].state.data[44][1]: expected a number"),
     ],
     ids=["length", "non-list", "bool", "string", "null", "nested", "huge-int",
-         "ragged-row", "row-non-list", "row-bool", "row-length"],
+         "ragged-row", "row-non-list", "row-bool", "row-length",
+         "late-length", "late-bool", "late-string", "late-null", "late-nested", "late-huge-int",
+         "huge-int-before-bool", "bool-before-huge-int"],
 )
 def test_parse_rejects_bad_pair(kind, data, diagnostic):
     text = f"""
