@@ -50,7 +50,7 @@ import numpy as np
 from .accessible import InfoInterval, pgm_information
 from .ensembles import Ensemble, StructureFlags
 from .entropy import binary_entropy, shannon_entropy
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .generators import PRODUCT_BASIS_NOTE, is_canonical_product_basis, rotated_basis
 from .linalg import DEFAULT_TOLERANCES, ROUNDING_SLACK, Tolerances
 
@@ -149,12 +149,8 @@ def upper_bound_merging(e: Ensemble) -> tuple[float, float]:
 def lower_bound_general(e: Ensemble, info: InfoInterval) -> float:
     """Charge lower bound for pure ensembles:
     sum p_X S(rho_X^A) - I(A;B) - Delta, taken at Delta's conservative edge
-    S(rho_AB) - info.lo."""
-    for k, s in enumerate(e.states):
-        if not s.is_pure:
-            raise PreconditionError(
-                f"the generalized lower bound requires pure members; member {k} is a density matrix"
-            )
+    S(rho_AB) - info.lo. Of an ensemble with a density member, its member
+    term raises PreconditionError naming the first one."""
     return e.avg_member_entropy - e.mutual_information - (e.s_ab - info.lo)
 
 

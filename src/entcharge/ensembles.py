@@ -1,6 +1,7 @@
 """The ensemble data model {p_X, rho_X} and its derived facts: the joint
-member stack, overlaps, average state and its entropies, per-party reduced
-ensembles, structure flags and the Holevo chi, joint and of each side.
+member stack, overlaps, average state and its entropies, structure flags and
+the joint Holevo chi of every ensemble, and the member facts of an all-pure
+one: its reduced members, their entropies and the Holevo chi of each side.
 
 An ensemble carries the Tolerances policy it was validated under, and every
 analysis of it reads that policy; none takes a tolerance of its own. Each
@@ -27,13 +28,12 @@ from .entropy import (
     von_neumann_entropies,
     von_neumann_entropy,
 )
-from .errors import ShapeError, ValidationError
+from .errors import PreconditionError, ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     density_eigh,
     partial_trace,
-    partial_traces,
     vector_partial_traces,
 )
 from .states import (
@@ -62,14 +62,18 @@ class Ensemble:
     gram[i, j] = <psi_i|psi_j> of an all-pure ensemble; overlaps[i, j] =
     Tr(rho_i rho_j), |gram|^2 when every member is pure; witness is the
     first non-orthogonal pair (i, j, overlap) or None. s_ab, s_a, s_b are the
-    entropies of the average state and its marginals. reduced_a / reduced_b
-    stack each member traced down to A / B, entropies_a holds each member's
-    S(rho_X^A), avg_member_entropy = sum_X p_X S(rho_X^A), and chi_a / chi_b,
-    S(rho_A) - sum_X p_X S(rho_X^A) and its B twin, are the Holevo chi of the
-    two reduced ensembles. probs and states split the members once.
-    densities stacks every member's joint density matrix and average sums
-    them; the overlaps of mixed members and the accessible-information
-    search read them. chi is the joint Holevo chi, whose first term is s_ab.
+    entropies of the average state and its marginals. probs and states split
+    the members once. densities stacks every member's joint density matrix
+    and average sums them; the overlaps of mixed members and the
+    accessible-information search read them. chi is the joint Holevo chi,
+    whose first term is s_ab.
+
+    The member facts exist for all-pure ensembles only: reduced_a stacks each
+    member traced down to A, entropies_a holds each member's S(rho_X^A),
+    avg_member_entropy = sum_X p_X S(rho_X^A), and chi_a / chi_b, S(rho_A)
+    - sum_X p_X S(rho_X^A) and its B twin, are the Holevo chi of the two
+    reduced ensembles. Of an ensemble with a density member, each raises
+    PreconditionError naming the first one; no bound reads them there.
 
     An all-pure ensemble takes its facts from the member vectors, with no
     joint matrix formed. With W the columns sqrt(p_X) psi_X, the average
@@ -80,9 +84,10 @@ class Ensemble:
     reduced members of side A, so chi_a, the pure lower bound and the merging
     bounds share one S(rho_A). A pure member's two reduced states share their
     nonzero spectrum, so chi_b = S(rho_B) - sum_X p_X S(rho_X^A) and the
-    flags read reduced_a alone: no side-B member stack is built. chi is s_ab,
-    as pure members have zero entropy. A mixed ensemble takes each fact from
-    average and densities, and each marginal's entropy from its own spectrum.
+    flags read reduced_a alone: there is no side-B member stack. chi is s_ab,
+    as pure members have zero entropy. A mixed ensemble takes each joint fact
+    from average and densities, and each marginal's entropy from its own
+    spectrum.
     These derived states are checked at the bounds that valid members
     guarantee (see density_spectra), so no fact of a validated ensemble
     fails its spectrum check.
@@ -112,7 +117,11 @@ class Ensemble:
 
     @cached_property
     def _vectors(self) -> np.ndarray:
-        """The member vectors (m, n) of an all-pure ensemble."""
+        """The member vectors (m, n) of an all-pure ensemble; of any other,
+        PreconditionError names the first density member."""
+        if not self._all_pure:
+            k = next(k for k, s in enumerate(self.states) if not s.is_pure)
+            raise PreconditionError(f"member facts require pure members; member {k} is a density matrix")
         return _freeze(np.stack([s.vector for s in self.states]))
 
     @cached_property
@@ -142,13 +151,6 @@ class Ensemble:
     def reduced_a(self) -> np.ndarray:
         return _freeze(reduced_ensemble(self, "A"))
 
-    @cached_property
-    def reduced_b(self) -> np.ndarray:
-        return _freeze(reduced_ensemble(self, "B"))
-
-    def _traced_dim(self, traced: str) -> int:
-        return self.dims.dA if traced == "A" else self.dims.dB
-
     def _marginal(self, traced: str) -> np.ndarray:
         """Tr_traced of the average state. An all-pure ensemble's is F F^dag,
         F the sqrt(p)-weighted vectors reshaped to the kept party's dimension
@@ -160,19 +162,12 @@ class Ensemble:
         f = w.transpose(1, 0, 2).reshape(dA, -1) if traced == "B" else w.transpose(2, 0, 1).reshape(dB, -1)
         return f @ f.conj().T
 
-    def _party_entropies(self, reduced: np.ndarray, traced: str) -> np.ndarray:
-        """Entropies of [Tr_traced rho, rho_X ...], the party's marginal and
-        its reduced members, from one batched spectrum."""
-        stack = np.concatenate([self._marginal(traced)[None], reduced])
-        return _freeze(von_neumann_entropies(stack, self.tol, self._traced_dim(traced)))
-
     @cached_property
     def _entropies_of_a(self) -> np.ndarray:
-        return self._party_entropies(self.reduced_a, "B")
-
-    @cached_property
-    def _entropies_of_b(self) -> np.ndarray:
-        return self._party_entropies(self.reduced_b, "A")
+        """Entropies of [rho_A, rho_X^A ...], side A's marginal and reduced
+        members, from one batched spectrum."""
+        stack = np.concatenate([self._marginal("B")[None], self.reduced_a])
+        return _freeze(von_neumann_entropies(stack, self.tol, self.dims.dB))
 
     @cached_property
     def entropies_a(self) -> np.ndarray:
@@ -181,13 +176,14 @@ class Ensemble:
     def _marginal_entropy(self, traced: str) -> float:
         """S of the marginal left by tracing out `traced`, from its own spectrum."""
         marginal = self._marginal(traced)
-        return float(von_neumann_entropies(marginal[None], self.tol, self._traced_dim(traced))[0])
+        traced_dim = self.dims.dA if traced == "A" else self.dims.dB
+        return float(von_neumann_entropies(marginal[None], self.tol, traced_dim)[0])
 
     @cached_property
     def flags(self) -> StructureFlags:
         """StructureFlags, zero-probability members included, from the
-        witness and reduced_a alone: no entropy, no SVD, never reduced_b, and
-        no reduced state at all unless every member is pure."""
+        witness and reduced_a alone: no entropy, no SVD, and no reduced state
+        at all unless every member is pure."""
         all_pure = self._all_pure
         flat = all_pure and self.dims.dA == self.dims.dB and bool(_maximally_mixed(self.reduced_a, self.tol).all())
         return StructureFlags(
@@ -245,11 +241,11 @@ class Ensemble:
 
     @cached_property
     def chi_b(self) -> float:
-        """Holevo chi of the B-side reduced ensemble; for an all-pure
-        ensemble S(rho_B) less the member term chi_a subtracts, clamped at 0."""
-        if self._all_pure:
-            return max(0.0, self.s_b - self.avg_member_entropy)
-        return _holevo_chi(self.probs, self.reduced_b, self._entropies_of_b)
+        """Holevo chi of the B-side reduced ensemble, S(rho_B) less the member
+        term chi_a subtracts (a pure member's two reduced states share their
+        nonzero spectrum), clamped at 0; exactly 0 when the member vectors
+        are identical."""
+        return _holevo_chi(self.probs, self._vectors, np.concatenate([[self.s_b], self.entropies_a]))
 
     @cached_property
     def chi(self) -> float:
@@ -270,7 +266,9 @@ class StructureFlags:
     rho_X^A within t of I/d (Frobenius; a pure member's rho_X^B has the same
     nonzero spectrum, so is as close); all_product, all pure with every
     ||rho_X^A||_F >= (1 - t)^2 (states._nearly_pure); support_size, the
-    members with p_X above eigenvalue_clamp, where eigenvalues count as 0."""
+    members with p_X above eigenvalue_clamp, where eigenvalues count as 0.
+    The two member-local flags are False for an ensemble with a density
+    member, whose reduced states are never formed."""
 
     all_pure: bool
     mutually_orthogonal: bool
@@ -316,32 +314,20 @@ def make_ensemble(members, label: str | None = None, tol: Tolerances = DEFAULT_T
 
 
 def average_state(e: Ensemble) -> np.ndarray:
-    """rho = sum_X p_X rho_X."""
+    """rho = sum_X p_X rho_X, summed over the rows of e.densities in member order."""
     n = e.dims.joint
     out = np.zeros((n, n), dtype=complex)
-    for p, s in e.members:
+    for p, rho in zip(e.probs, e.densities):
         if p != 0.0:
-            out += p * density_of(s)
+            out += p * rho
     return out
 
 
 def reduced_ensemble(e: Ensemble, party: str) -> np.ndarray:
-    """The stack (m, d, d) of every member partial-traced down to the given
-    party: pure members from their vectors, density members in one einsum,
-    each with the bits of partial_trace(density_of(s), ...)."""
-    if party == "A":
-        traced = "B"
-    elif party == "B":
-        traced = "A"
-    else:
+    """The stack (m, d, d) of every member of an all-pure ensemble
+    partial-traced down to the given party, from the member vectors, each
+    with the bits of partial_trace(density_of(s), ...). Of an ensemble with a
+    density member, PreconditionError names the first one."""
+    if party not in ("A", "B"):
         raise ValidationError(f"party must be 'A' or 'B', got {party!r}")
-    dA, dB = e.dims.dA, e.dims.dB
-    states = e.states
-    pure = np.array([s.is_pure for s in states])
-    d = dA if party == "A" else dB
-    out = np.empty((len(states), d, d), dtype=complex)
-    if pure.any():
-        out[pure] = vector_partial_traces(np.stack([s.vector for s in states if s.is_pure]), dA, dB, traced)
-    if not pure.all():
-        out[~pure] = partial_traces(np.stack([s.matrix for s in states if not s.is_pure]), dA, dB, traced)
-    return out
+    return vector_partial_traces(e._vectors, e.dims.dA, e.dims.dB, "B" if party == "A" else "A")

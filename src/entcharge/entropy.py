@@ -100,7 +100,9 @@ def member_term(p: np.ndarray, entropies) -> float:
 def _holevo_chi(p: np.ndarray, stack: np.ndarray, h: np.ndarray) -> float:
     """chi = S(rho) - sum_X p_X S(rho_X) of a checked stack from h, the
     entropies of [rho, *stack] in that order. rho = sum_X p_X rho_X is the
-    ensemble's average state, or its marginal for a reduced ensemble."""
+    ensemble's average state, or its marginal for a reduced ensemble. The
+    stack is read only to find identical members, so pure members may stand
+    for their reduced states by their vectors."""
     # Identical members carry no information; short-circuit keeps chi exactly 0.
     if (stack == stack[:1]).all():
         return 0.0

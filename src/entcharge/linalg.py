@@ -86,16 +86,11 @@ def partial_trace(m, dA: int, dB: int, traced_party: str) -> np.ndarray:
         raise ShapeError(
             f"matrix dim {a.shape[0]} does not match dims {dA}x{dB} (joint {dA * dB})"
         )
-    return partial_traces(a[None], dA, dB, traced_party)[0]
-
-
-def partial_traces(stack: np.ndarray, dA: int, dB: int, traced_party: str) -> np.ndarray:
-    """partial_trace of each operator in a stack (m, dA*dB, dA*dB), in one einsum."""
-    t = stack.reshape(-1, dA, dB, dA, dB)
+    t = a.reshape(dA, dB, dA, dB)
     if traced_party == "A":
-        return np.einsum("xikil->xkl", t)
+        return np.einsum("ikil->kl", t)
     if traced_party == "B":
-        return np.einsum("xikjk->xij", t)
+        return np.einsum("ikjk->ij", t)
     raise ValidationError(f"traced_party must be 'A' or 'B', got {traced_party!r}")
 
 

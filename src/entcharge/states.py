@@ -133,7 +133,7 @@ def validate_pure_states(dims: BipartiteDims, vectors, tol: Tolerances = DEFAULT
 
 
 def density_of(s: BipartiteState) -> np.ndarray:
-    """Density matrix of a state; |psi><psi| for pure input, identity otherwise."""
+    """Density matrix of a state: |psi><psi| of a pure one, else its stored matrix."""
     if s.is_pure:
         return np.outer(s.vector, s.vector.conj())
     return s.matrix

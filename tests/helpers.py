@@ -11,13 +11,16 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from entcharge import (
     DEFAULT_TOLERANCES,
     BipartiteDims,
+    PreconditionError,
     equal_probs,
     generalized_bell_basis,
     make_ensemble,
+    reduced_ensemble,
     rotated_basis,
     validate_state,
 )
@@ -273,10 +276,16 @@ def maximally_entangled_oracle(e) -> bool:
     return True
 
 
-def entropies_b(e) -> np.ndarray:
-    """S(rho_X^B) of each member: the member rows of the B party's spectrum,
-    the entropies the chi_b of a mixed ensemble subtracts."""
-    return e._entropies_of_b[1:]
+def assert_member_facts_refused(e, first: int) -> None:
+    """Every member fact of e, and each side's reduced_ensemble, raises
+    PreconditionError naming member `first`, its first density member."""
+    message = f"member {first} is a density matrix"
+    for fact in ("reduced_a", "entropies_a", "avg_member_entropy", "chi_a", "chi_b"):
+        with pytest.raises(PreconditionError, match=message):
+            getattr(e, fact)
+    for party in ("A", "B"):
+        with pytest.raises(PreconditionError, match=message):
+            reduced_ensemble(e, party)
 
 
 def lower_bound_pure(e) -> float:

@@ -36,13 +36,14 @@ from entcharge import (
 from entcharge.bounds import _verdict
 from entcharge.linalg import ROUNDING_SLACK
 from helpers import (
-    entropies_b,
+    entropy_oracle,
     holevo_oracle,
     lower_bound_pure,
     maximally_entangled_oracle,
     mutual_information_oracle,
     near_orthogonal_gbell,
     near_orthogonal_pair,
+    partial_trace_loop,
     pgm_oracle,
     random_density,
     random_orthogonal_pure_ensemble,
@@ -101,7 +102,9 @@ def test_upper_bound_merging_holds_for_every_ensemble(pure, orthogonal):
         uppers = analyze(e).upper_bounds
         a_to_b, b_to_a = upper_bound_merging(e)
         assert (a_to_b, b_to_a) == (uppers["merging_AtoB"], uppers["merging_BtoA"])
-        floor = -float(np.dot(e.probs, np.minimum(e.entropies_a, entropies_b(e))))
+        dA, dB = e.dims.dA, e.dims.dB
+        sides = [[entropy_oracle(partial_trace_loop(r, dA, dB, t)) for t in ("B", "A")] for r in e.densities]
+        floor = -float(np.dot(e.probs, np.min(sides, axis=1)))
         assert min(a_to_b, b_to_a) >= floor - ROUNDING_SLACK
 
 
@@ -127,7 +130,7 @@ def test_lower_bound_pure_requires_pure_members():
     o = validate_state(BipartiteDims(2, 2), np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex))
     e = make_ensemble([(0.5, d), (0.5, o)])
     assert [c.name for c in analyze(e).lowers] == ["floor"]
-    with pytest.raises(PreconditionError, match="pure"):
+    with pytest.raises(PreconditionError, match="require pure members; member 0 is a density matrix"):
         lower_bound_general(e, InfoInterval(1.0, 1.0))
 
 
@@ -788,11 +791,11 @@ def test_estimate_then_analyze_builds_each_joint_fact_once(name, monkeypatch):
     info = estimate_accessible_info(e, OptimizerConfig(restarts=2, max_iters=5))
     analyze(e, info)
     # The search reads the ensemble's densities, average and chi: m density_of
-    # calls stack the members once, and m sum the average state in order.
-    # The chi of pure members is s_ab; analyze of a non-orthogonal ensemble
-    # reads no party chi.
+    # calls stack the members once, and the average state sums those rows in
+    # order. The chi of pure members is s_ab; analyze of a non-orthogonal
+    # ensemble reads no party chi.
     joint_chi = 0 if e._all_pure else 1
-    assert (len(average), len(chi), len(densities)) == (1, joint_chi, 2 * len(e.members))
+    assert (len(average), len(chi), len(densities)) == (1, joint_chi, len(e.members))
     assert not hasattr(entcharge.accessible, "density_of")
 
 
@@ -805,7 +808,7 @@ def test_witness_builds_no_reduced_ensemble_and_no_entropy(monkeypatch):
 
 
 FACTS = (
-    "gram", "gram_eigh", "overlaps", "witness", "reduced_a", "reduced_b", "entropies_a", "_entropies_of_b", "flags",
+    "gram", "gram_eigh", "overlaps", "witness", "reduced_a", "entropies_a", "flags",
     "average", "s_ab", "s_a", "s_b", "avg_member_entropy", "chi_a", "chi_b", "densities", "chi",
 )
 
@@ -871,11 +874,11 @@ def test_each_fact_is_computed_once(monkeypatch):
     first = {name: getattr(e, name) for name in FACTS}
     counts = {name: len(c) for name, c in calls.items()}
     assert (counts["gram"], counts["orthogonality_witness"], counts["average_state"], counts["eigh"]) == (1, 1, 1, 1)
-    assert counts["reduced_ensemble"] == 2
-    # One batched spectrum per side covers its marginal and every member, and
-    # S(B) is one more; S(AB) and chi read the weighted Gram eigh.
+    assert counts["reduced_ensemble"] == 1
+    # One batched spectrum covers rho_A and every member of side A, and S(B)
+    # is one more; S(AB) and chi read the weighted Gram eigh.
     m = len(e.members)
-    assert sorted(len(args[0]) for args in calls["von_neumann_entropies"]) == [1, m + 1, m + 1]
+    assert sorted(len(args[0]) for args in calls["von_neumann_entropies"]) == [1, m + 1]
     second = {name: getattr(e, name) for name in FACTS}
     assert {name: len(c) for name, c in calls.items()} == counts
     assert all(second[name] is first[name] for name in FACTS)
@@ -884,10 +887,10 @@ def test_each_fact_is_computed_once(monkeypatch):
 
 def test_shared_facts_are_read_only():
     e = bell_basis(equal_probs(4))
-    for a in (e.gram, e.overlaps, e.average, *e.reduced_a, *e.reduced_b, *e.densities):
+    for a in (e.gram, e.overlaps, e.average, *e.reduced_a, *e.densities):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
-    for a in (e.probs, e.entropies_a, entropies_b(e)):
+    for a in (e.probs, e.entropies_a):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 
@@ -904,8 +907,7 @@ def test_ensemble_facts_match_the_standalone_functions(seed):
     e = random_orthogonal_pure_ensemble(np.random.default_rng(seed), 2)
     assert np.array_equal(e.average, average_state(e))
     assert e.mutual_information == pytest.approx(mutual_information_oracle(e.average, 2, 2), abs=1e-9)
-    for party, reduced in (("A", e.reduced_a), ("B", e.reduced_b)):
-        assert all(np.array_equal(x, y) for x, y in zip(reduced, reduced_ensemble(e, party)))
+    assert all(np.array_equal(x, y) for x, y in zip(e.reduced_a, reduced_ensemble(e, "A")))
     assert e.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, e.reduced_a)))
     assert e.chi == e.s_ab  # pure members have zero entropy
     assert e.chi == pytest.approx(holevo_oracle(e.probs, e.densities), abs=1e-12)

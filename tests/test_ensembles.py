@@ -31,9 +31,9 @@ from entcharge import (
 from entcharge.entropy import von_neumann_entropies
 from entcharge.linalg import density_spectra
 from helpers import (
+    assert_member_facts_refused,
     bell_vectors,
     entanglement_oracle,
-    entropies_b,
     entropy_oracle,
     holevo_oracle,
     maximally_entangled_oracle,
@@ -356,20 +356,31 @@ def _seeded_ensemble(seed: int, dA: int, dB: int, kinds: str, zero_probs: int = 
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_member_facts_match_the_per_member_reference(seed, dA, dB, kinds, zero_probs):
-    # Each member's reduced states and entropies are one batched computation
-    # per side; every value must carry the bits of the single-member path.
+    # Each side's reduced members are one batched computation from the
+    # vectors, and side A's entropies one batched spectrum; every value must
+    # carry the bits of the single-member path. With a density member there
+    # are no member facts.
     e = _seeded_ensemble(seed, dA, dB, kinds, zero_probs)
-    for party, traced, reduced, entropies in (
-        ("A", "B", e.reduced_a, e.entropies_a), ("B", "A", e.reduced_b, entropies_b(e))
-    ):
+    if "d" in kinds:
+        assert_member_facts_refused(e, kinds.index("d"))
+        return
+    for party, traced in (("A", "B"), ("B", "A")):
+        reduced = reduced_ensemble(e, party)
         ref = [partial_trace(density_of(s), dA, dB, traced) for s in e.states]
         assert reduced.shape == (len(kinds), *ref[0].shape)
         assert all(np.array_equal(got, want) for got, want in zip(reduced, ref)), party
-        assert all(got == von_neumann_entropy(want) for got, want in zip(entropies, ref)), party
     ref_a = [partial_trace(density_of(s), dA, dB, "B") for s in e.states]
+    assert all(np.array_equal(got, want) for got, want in zip(e.reduced_a, ref_a))
+    assert all(got == von_neumann_entropy(want) for got, want in zip(e.entropies_a, ref_a))
     assert e.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, ref_a)))
     assert e.chi_a == _chi_reference(e, "B")
     assert e.chi_b == _chi_reference(e, "A")
+
+
+def test_reduced_ensemble_checks_the_party_first():
+    e = _seeded_ensemble(0, 2, 2, "dp")
+    with pytest.raises(ValidationError, match="party must be 'A' or 'B'"):
+        reduced_ensemble(e, "C")
 
 
 def _marginal_reference(e, traced: str) -> np.ndarray:
@@ -386,20 +397,32 @@ def _marginal_reference(e, traced: str) -> np.ndarray:
 
 
 def _chi_reference(e, traced: str) -> float:
-    """chi of the party left by tracing out `traced`, S(marginal) - sum_X p_X
-    S(rho_X^party), each entropy that of its own matrix alone, clamped at 0;
-    exactly 0 when the reduced members are identical. For all-pure members
-    chi_B subtracts side A's member entropies, which a pure member's two
-    reduced states share."""
+    """chi of the party left by tracing out `traced` of an all-pure ensemble,
+    S(marginal) - sum_X p_X S(rho_X^A), each entropy that of its own matrix
+    alone, clamped at 0: both sides subtract side A's member entropies, which
+    a pure member's two reduced states share. It is exactly 0 when the
+    reduced members of side A (for chi_B, the member vectors) are identical."""
     dA, dB = e.dims.dA, e.dims.dB
+    reduced = [partial_trace(density_of(s), dA, dB, "B") for s in e.states]
+    same = reduced if traced == "B" else [s.vector for s in e.states]
+    if all(np.array_equal(x, same[0]) for x in same):
+        return 0.0
     marginal = von_neumann_entropy(_marginal_reference(e, traced))
-    if traced == "A" and all(s.is_pure for s in e.states):
-        reduced = [partial_trace(density_of(s), dA, dB, "B") for s in e.states]
-    else:
-        reduced = [partial_trace(density_of(s), dA, dB, traced) for s in e.states]
-        if all(np.array_equal(m, reduced[0]) for m in reduced):
-            return 0.0
     return max(0.0, marginal - float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, reduced))))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_party_chi_of_identical_members_is_exactly_zero(seed):
+    # Identical members carry no information: chi_A and chi_B are exactly 0,
+    # not S(rho_B) - S(rho^A) rounded, for one member and for repeated ones.
+    rng = np.random.default_rng([seed, 29])
+    for dA in range(1, 5):
+        for dB in range(1, 5):
+            s = validate_state(BipartiteDims(dA, dB), random_pure_vector(rng, dA * dB))
+            one, twice = make_ensemble([(1.0, s)]), make_ensemble([(0.3, s), (0.7, s)])
+            report = analyze(one)
+            assert (report.chi_a, report.chi_b) == (one.chi_a, one.chi_b) == (0.0, 0.0), (dA, dB)
+            assert (twice.chi_a, twice.chi_b) == (0.0, 0.0), (dA, dB)
 
 
 def _member_at_the_edges(fault: str):
@@ -450,7 +473,8 @@ def test_invalid_reduced_member_raises_the_first_bad_members_message(faults):
 def test_a_reduced_member_nothing_reads_does_not_fail_analyze(fault):
     # The member's A-side reduced state fails the checks of an input state,
     # but not those of a state with a qubit traced out, which are the bounds a
-    # valid member guarantees: analyze and every member fact succeed.
+    # valid member guarantees: analyze and the marginal facts succeed, and
+    # the member facts, never formed for a density member, refuse.
     good = validate_state(BipartiteDims(2, 2), np.eye(4) / 4)
     edge = _member_at_the_edges(fault)
     e = make_ensemble([(0.5, good), (0.5, edge)])
@@ -459,9 +483,8 @@ def test_a_reduced_member_nothing_reads_does_not_fail_analyze(fault):
     report = analyze(e)
     assert report.upper_bounds["compress_teleport"] == e.s_a == von_neumann_entropy(partial_trace(e.average, 2, 2, "B"))
     assert e.s_b == von_neumann_entropy(partial_trace(e.average, 2, 2, "A"))
-    for fact in ("entropies_a", "chi_a", "avg_member_entropy", "_entropies_of_b", "chi_b"):
-        assert np.all(np.isfinite(getattr(e, fact))), fact
-    assert e.entropies_a[0] == von_neumann_entropy(np.eye(2) / 2)
+    assert np.isfinite(e.s_ab)
+    assert_member_facts_refused(e, 0)
 
 
 def _ensemble_text(dA: int, dB: int, members) -> str:
@@ -537,15 +560,17 @@ def test_analyze_accepts_whatever_parse_accepts_at_the_tolerance_edges(case):
     text, tol = case
     e = parse_ensemble(text, tol)
     analyze(e)
-    for fact in ("s_ab", "s_a", "s_b", "entropies_a", "_entropies_of_b", "avg_member_entropy", "chi_a", "chi_b"):
-        assert np.all(np.isfinite(getattr(e, fact))), fact
+    for fact in ("s_ab", "s_a", "s_b"):
+        assert np.isfinite(getattr(e, fact)), fact
+    assert_member_facts_refused(e, next(k for k, s in enumerate(e.states) if not s.is_pure))
 
 
 def _identical_reduced_states():
     from entcharge import generalized_bell_basis
 
     e = generalized_bell_basis(4, np.random.default_rng(4).dirichlet(np.ones(16)))
-    assert (e.reduced_a == e.reduced_a[:1]).all() and (e.reduced_b == e.reduced_b[:1]).all()
+    reduced_b = reduced_ensemble(e, "B")
+    assert (e.reduced_a == e.reduced_a[:1]).all() and (reduced_b == reduced_b[:1]).all()
     return e
 
 
@@ -571,19 +596,21 @@ def _identical_reduced_states():
          "m1-density", "density", "mixed", "4x8", "rank-deficient"],
 )
 def test_party_spectra_match_the_per_matrix_reference(build):
-    # Each party's marginal entropy, member entropies and chi come from one
-    # batched spectrum; every value must carry the bits of the entropy of its
-    # own matrix alone, and chi those of S(marginal) - sum_X p_X S(member).
+    # Each party's marginal entropy, side A's member entropies and each
+    # side's chi come from batched spectra; every value must carry the bits
+    # of the entropy of its own matrix alone, and chi those of S(marginal) -
+    # sum_X p_X S(member). With a density member only the marginals remain.
     e = build()
     dA, dB = e.dims.dA, e.dims.dB
-    for party, traced, s, entropies, chi in (
-        ("A", "B", e.s_a, e.entropies_a, e.chi_a), ("B", "A", e.s_b, entropies_b(e), e.chi_b)
-    ):
-        reduced = reduced_ensemble(e, party)
+    for party, traced, s in (("A", "B", e.s_a), ("B", "A", e.s_b)):
         assert s == von_neumann_entropy(_marginal_reference(e, traced)), party
         assert np.allclose(_marginal_reference(e, traced), partial_trace(e.average, dA, dB, traced), rtol=0, atol=1e-15)
-        assert [x.hex() for x in entropies] == [von_neumann_entropy(m).hex() for m in reduced], party
-        assert chi == _chi_reference(e, traced), party
+    if not e.flags.all_pure:
+        assert_member_facts_refused(e, next(k for k, s in enumerate(e.states) if not s.is_pure))
+        return
+    assert [x.hex() for x in e.entropies_a] == [von_neumann_entropy(m).hex() for m in reduced_ensemble(e, "A")]
+    assert e.chi_a == _chi_reference(e, "B")
+    assert e.chi_b == _chi_reference(e, "A")
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])

@@ -114,8 +114,8 @@ def test_quantum_mutual_information_nonnegative_on_random_states():
 
 
 def _density_ensemble(probs, mats):
-    """An ensemble of density members on 1 x d, so that the joint ensemble
-    and the B-side reduced ensemble are the given one."""
+    """An ensemble of density members on 1 x d, whose joint ensemble is the
+    given one (and so is its B-side reduced ensemble)."""
     d = len(mats[0])
     return make_ensemble(zip(probs, [validate_state(BipartiteDims(1, d), m) for m in mats]))
 
@@ -123,12 +123,11 @@ def _density_ensemble(probs, mats):
 def test_holevo_examples():
     rho = random_density(np.random.default_rng(3), 2)
     e = _density_ensemble([0.3, 0.7], [rho, rho])
-    assert e.chi == e.chi_b == 0.0  # exactly, identical members
+    assert e.chi == 0.0  # exactly, identical members
     zero = np.diag([1.0, 0.0]).astype(complex)
     one = np.diag([0.0, 1.0]).astype(complex)
     e = _density_ensemble([0.5, 0.5], [zero, one])
     assert e.chi == pytest.approx(1.0, abs=1e-12)
-    assert e.chi_b == pytest.approx(1.0, abs=1e-12)
 
 
 def test_holevo_rotated_family_reduction_at_pi_over_6():
@@ -152,10 +151,8 @@ def test_holevo_capped_by_shannon(seed):
     probs = rng.dirichlet(np.ones(k))
     states = [random_density(rng, 3) for _ in range(k)]
     e = _density_ensemble(probs, states)
-    for chi in (e.chi, e.chi_b):
-        assert chi <= shannon_entropy(probs) + 1e-9
-        assert chi >= -1e-9
-        assert chi == pytest.approx(holevo_oracle(e.probs, states), abs=1e-9)
+    assert -1e-9 <= e.chi <= shannon_entropy(probs) + 1e-9
+    assert e.chi == pytest.approx(holevo_oracle(e.probs, states), abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -26,8 +26,10 @@ from pathlib import Path
 
 import pytest
 
+import entcharge.cli
 from entcharge.cli import main
 from entcharge.fileio import parse_ensemble, write_ensemble
+from helpers import assert_member_facts_refused
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 NAMES = sorted(p.name.split(".")[0] for p in GOLDEN.glob("*.analyze.txt"))
@@ -80,6 +82,27 @@ def test_estimate_output_is_byte_identical(name, capsys, monkeypatch):
     argv = ["analyze", f"{name}.json", "--accessible-info", "estimate", "--restarts", "2",
             "--seed", "3", "--format", "structured"]
     assert _run(argv, capsys, monkeypatch) == (GOLDEN / f"{name}.estimate.structured.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["mixedorth2x2", "mixedpure2x3"])
+def test_member_facts_of_a_mixed_golden_refuse_and_its_output_holds(name, capsys, monkeypatch):
+    # No bound reads a member fact of an ensemble with a density member:
+    # each refuses, naming member 0, the file's first density member, and
+    # the analyze and estimate output of that same ensemble stays the golden's.
+    def parse_and_probe(text, tol):
+        e = parse_ensemble(text, tol)
+        assert_member_facts_refused(e, 0)
+        probed.append(e)
+        return e
+
+    probed = []
+    monkeypatch.setattr(entcharge.cli, "parse_ensemble", parse_and_probe)
+    out = _run(["analyze", f"{name}.json", "--format", "structured"], capsys, monkeypatch)
+    assert out == (GOLDEN / f"{name}.analyze.structured.json").read_text()
+    argv = ["analyze", f"{name}.json", "--accessible-info", "estimate", "--restarts", "2",
+            "--seed", "3", "--format", "structured"]
+    assert _run(argv, capsys, monkeypatch) == (GOLDEN / f"{name}.estimate.structured.json").read_text()
+    assert len(probed) == 2
 
 
 def test_strict_profile_output_is_byte_identical(capsys, monkeypatch):

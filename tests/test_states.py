@@ -13,11 +13,12 @@ from entcharge import (
     make_ensemble,
     pairwise_orthogonal,
     partial_trace,
+    reduced_ensemble,
     validate_state,
     von_neumann_entropy,
 )
 from entcharge.linalg import density_spectra
-from helpers import entanglement_oracle, entropies_b, random_pure_vector, schmidt_oracle
+from helpers import entanglement_oracle, random_pure_vector, schmidt_oracle
 
 D22 = BipartiteDims(2, 2)
 
@@ -118,14 +119,14 @@ def test_schmidt_rotated_state_at_pi_over_6():
 @settings(max_examples=40, deadline=None)
 def test_schmidt_squares_match_reduced_eigenvalues(seed):
     # The reduced states of a pure member carry its Schmidt spectrum on both
-    # sides: the library's party stacks against numpy's SVD.
+    # sides: the library's reduced stacks against numpy's SVD.
     rng = np.random.default_rng(seed)
     dims = BipartiteDims(3, 3)
     s = validate_state(dims, random_pure_vector(rng, 9))
     coeffs = schmidt_oracle(s)
     assert coeffs.sum() >= 0 and abs((coeffs**2).sum() - 1) < 1e-9
     e = make_ensemble([(1.0, s)])
-    for reduced in (e.reduced_a, e.reduced_b):
+    for reduced in (e.reduced_a, reduced_ensemble(e, "B")):
         evals = np.sort(density_spectra(reduced)[0])[::-1]
         assert np.allclose(coeffs**2, evals, atol=1e-9)
 
@@ -203,7 +204,7 @@ def test_entanglement_entropy_cross_module_consistency(seed):
     e = make_ensemble([(1.0, s)])
     assert via_schmidt == pytest.approx(via_reduced, abs=1e-9)
     assert via_schmidt == pytest.approx(e.entropies_a[0], abs=1e-9)
-    assert via_schmidt == pytest.approx(entropies_b(e)[0], abs=1e-9)
+    assert via_schmidt == pytest.approx(von_neumann_entropy(reduced_ensemble(e, "B")[0]), abs=1e-9)
 
 
 @given(st.integers(0, 2**32 - 1))
