@@ -3,14 +3,18 @@
 min(H(X), Holevo chi) caps every edge, and every lower edge is the
 information of an explicit measurement. All-pure orthogonal ensembles skip
 the search and get [pgm, cap]: the pretty-good measurement is certified.
-Every other ensemble takes a seeded, monotone fixed-point search over POVMs
-(Rehacek, Englert and Kaszlikowski, PRA 71, 054303, 2005), whose best
-measurement, validated and measured again, gives the lower edge. Its
-restarts take unit steps and run in lockstep blocks; the search ends as
-soon as a restart comes within RISE_TOL of the cap, which no measurement
-beats. Until then the result is bit for bit that of running the restarts
-one after another; a stop at the cap ends the block at that common step
-and starts no later one.
+A non-orthogonal pair of pure members skips it too: a von Neumann
+measurement in the span of two pure states is optimal (Levitin, in Quantum
+Communications and Measurement, Plenum, 1995), so the lower edge is that of
+the best such measurement, found over one angle; the optimizer's knobs do
+not apply to it. Every other ensemble takes a seeded, monotone fixed-point
+search over POVMs (Rehacek, Englert and Kaszlikowski, PRA 71, 054303,
+2005). Its restarts take unit steps and run in lockstep blocks; the search
+ends as soon as a restart comes within RISE_TOL of the cap, which no
+measurement beats. Until then the result is bit for bit that of running the
+restarts one after another; a stop at the cap ends the block at that common
+step and starts no later one. The pair's measurement and the search's best
+one are both validated and measured again, which gives the lower edge.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ class OptimizerConfig:
     blocks (see BLOCK_ENTRIES), each with its own current value; the results
     equal those of running them one after another, unless a restart comes
     within RISE_TOL of min(H(X), Holevo chi): the search ends there.
+    A non-orthogonal pair of pure members takes no search, so it ignores
+    all three knobs: restarts, seed and max_iters.
     """
 
     restarts: int = 8
@@ -163,6 +169,92 @@ def pgm_information(e: Ensemble) -> float:
     table = np.abs((v * np.sqrt(w)) @ v.conj().T) ** 2
     table /= table.sum()
     return max(0.0, _entropy_bits(table.sum(axis=1)) + _entropy_bits(table.sum(axis=0)) - _entropy_bits(table))
+
+
+# -- two pure members ------------------------------------------------------------
+#
+# Rephased so that <psi_0|psi_1> = cos(gamma) >= 0, the pair spans a real plane
+# with orthonormal basis e_0 = psi_0, e_1, where psi_1 = cos(gamma) e_0 +
+# sin(gamma) e_1. The measurement {|w><w|, I - |w><w|}, w = cos(phi) e_0 +
+# sin(phi) e_1, gives I(phi) = h(p_0 cos^2 phi + p_1 cos^2(phi - gamma)) -
+# p_0 h(cos^2 phi) - p_1 h(cos^2(phi - gamma)), which has period pi/2 (the
+# angle phi + pi/2 swaps the two outcomes). A coarse grid over one period finds
+# the peak's cell, and golden-section search refines it. Each cos^2 comes with
+# its own sin^2, so h keeps its digits next to 0 and 1.
+PAIR_GRID = 64
+PAIR_ANGLE_TOL = 1e-9
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _pair_information(p0: float, p1: float, gamma: float, phi: np.ndarray) -> np.ndarray:
+    """I(phi) in bits at each angle of an array, with _row_entropies' bits."""
+    c0, s0, c1, s1 = np.cos(phi) ** 2, np.sin(phi) ** 2, np.cos(phi - gamma) ** 2, np.sin(phi - gamma) ** 2
+    p = np.stack([p0 * c0 + p1 * c1, p0 * s0 + p1 * s1, c0, s0, c1, s1], axis=1)
+    h = _row_entropies(p, ((0, 2), (2, 4), (4, 6)))
+    return h[0] - p0 * h[1] - p1 * h[2]
+
+
+def _h2(a: float, b: float) -> float:
+    """-a log2 a - b log2 b, with 0 log 0 = 0."""
+    return -(a * math.log2(a) if a > 0.0 else 0.0) - (b * math.log2(b) if b > 0.0 else 0.0)
+
+
+def _pair_information_at(p0: float, p1: float, gamma: float, phi: float) -> float:
+    """I(phi) in bits at one angle, in floats: numpy's per-call cost would
+    dominate the refinement."""
+    c0, s0, c1, s1 = math.cos(phi) ** 2, math.sin(phi) ** 2, math.cos(phi - gamma) ** 2, math.sin(phi - gamma) ** 2
+    return _h2(p0 * c0 + p1 * c1, p0 * s0 + p1 * s1) - p0 * _h2(c0, s0) - p1 * _h2(c1, s1)
+
+
+def _pair_angle(p0: float, p1: float, gamma: float) -> float:
+    """The angle phi at which I(phi) peaks, to PAIR_ANGLE_TOL: the best
+    point of the grid, refined by golden-section search over the cells on
+    either side of it; the best angle evaluated wins."""
+    step = 0.5 * math.pi / PAIR_GRID
+    grid = step * np.arange(PAIR_GRID)
+    start = float(grid[int(np.argmax(_pair_information(p0, p1, gamma, grid)))])
+
+    def f(phi: float) -> float:
+        return _pair_information_at(p0, p1, gamma, phi)
+
+    a, b = start - step, start + step
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > PAIR_ANGLE_TOL:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return max((f(start), start), (fc, c), (fd, d))[1]
+
+
+def _pair_elements(e: Ensemble) -> list[np.ndarray]:
+    """[I - |w><w|, |w><w|] at the optimal angle for a non-orthogonal
+    two-member all-pure ensemble (its witness makes <psi_0|psi_1> nonzero).
+    e_1 is the rephased psi_1's residual after projecting out e_0 twice, so
+    it is orthogonal to e_0 to rounding even when the residual is mostly
+    rounding. A residual of norm at most 1e-14 is rounding: the members are
+    one state up to phase, which no measurement tells apart (two states that
+    close carry under 1e-26 bits), and w = psi_0."""
+    v = e._vectors
+    e0 = v[0] / np.linalg.norm(v[0])
+    psi1 = v[1] / np.linalg.norm(v[1])
+    overlap = np.vdot(e0, psi1)
+    cos_gamma = abs(overlap)
+    residual = psi1 * (overlap.conjugate() / cos_gamma) - cos_gamma * e0
+    residual -= np.vdot(e0, residual) * e0
+    sin_gamma = float(np.linalg.norm(residual))
+    w = e0
+    if sin_gamma > 1e-14:
+        p0, p1 = (float(p) for p in e.probs)
+        phi = _pair_angle(p0, p1, math.atan2(sin_gamma, cos_gamma))
+        w = math.cos(phi) * e0 + math.sin(phi) * (residual / sin_gamma)
+    projector = np.outer(w, w.conj())
+    return [np.eye(len(w)) - projector, projector]
 
 
 # -- POVM search ---------------------------------------------------------------
@@ -284,23 +376,10 @@ def _lockstep_ascent(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, c
     return best_elements, best, 0 if at_cap else live.size, at_cap
 
 
-def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig()) -> InfoInterval:
-    """Bracket the accessible information of an ensemble.
-
-    Every edge is capped at min(H(X), Holevo chi). An all-pure orthogonal
-    ensemble skips the search and gets [pgm_information, cap]. Every other
-    ensemble, mixed orthogonal ones included, takes the seeded POVM search,
-    whose restart 0 is the square-root measurement and which ends once a
-    restart comes within RISE_TOL of the cap; the lower edge is the best
-    mutual information it found, re-evaluated through a validated POVM, and
-    one above the cap beyond ROUNDING_SLACK raises. The search reads the
-    ensemble's densities, average state and chi, so a later analysis of the
-    same ensemble computes none of them again; the short-circuit reads only
-    the vectors' facts (chi of pure members is s_ab).
-    """
-    cap = min(shannon_entropy(e.probs, e.tol), e.chi)
-    if e._all_pure and e.witness is None:
-        return InfoInterval(min(pgm_information(e), cap), cap, "orthogonal ensemble: min(H(X), Holevo chi)")
+def _search(e: Ensemble, cfg: OptimizerConfig, cap: float) -> tuple[np.ndarray, int]:
+    """The elements of the best measurement the seeded restarts found, and
+    how many restarts were still rising at max_iters. The first restart
+    whose value beats all earlier ones wins; NaN never does."""
     rhos, probs = e.densities, e.probs
     outcomes = max(2, len(e.members))
     shape = (outcomes, e.dims.joint, e.dims.joint)
@@ -317,13 +396,40 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
         factors = np.stack([start(k) for k in range(first, min(first + block, cfg.restarts))])
         elements, values, capped, at_cap = _lockstep_ascent(factors, rhos, probs, cfg, cap)
         capped_restarts += capped
-        # The first restart whose value beats all earlier ones wins; NaN never does.
         for k, value in enumerate(values):
             if value > best_value:
                 best_value, best_elements = value, elements[k]
         if at_cap:
             break
-    povm = make_povm(e.dims, list(best_elements), e.tol)
+    return best_elements, capped_restarts
+
+
+def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig()) -> InfoInterval:
+    """Bracket the accessible information of an ensemble.
+
+    Every edge is capped at min(H(X), Holevo chi). An all-pure orthogonal
+    ensemble skips the search and gets [pgm_information, cap]. A
+    non-orthogonal pair of pure members skips it too and takes the von
+    Neumann measurement at Levitin's optimal angle; cfg does not change its
+    result. Every other ensemble, mixed orthogonal ones included, takes the
+    seeded POVM search, whose restart 0 is the square-root measurement and
+    which ends once a restart comes within RISE_TOL of the cap. The lower
+    edge is the mutual information of the pair's measurement or of the best
+    one the search found, re-evaluated through a validated POVM, and one
+    above the cap beyond ROUNDING_SLACK raises. The search reads the
+    ensemble's densities, average state and chi, so a later analysis of the
+    same ensemble computes none of them again; the short-circuit reads only
+    the vectors' facts (chi of pure members is s_ab), and the pair adds the
+    densities that measuring its POVM reads.
+    """
+    cap = min(shannon_entropy(e.probs, e.tol), e.chi)
+    if e._all_pure and e.witness is None:
+        return InfoInterval(min(pgm_information(e), cap), cap, "orthogonal ensemble: min(H(X), Holevo chi)")
+    if e._all_pure and len(e.members) == 2:
+        elements, capped_restarts = _pair_elements(e), 0
+    else:
+        elements, capped_restarts = _search(e, cfg, cap)
+    povm = make_povm(e.dims, list(elements), e.tol)
     lo = mutual_information_of_measurement(e, povm)
     if lo > cap + ROUNDING_SLACK:
         raise ValidationError(f"measured information {lo!r} exceeds min(H(X), Holevo chi) = {cap!r}")

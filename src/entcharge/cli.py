@@ -56,8 +56,14 @@ def _parser() -> argparse.ArgumentParser:
         "--accessible-info", choices=("off", "estimate"), default="off",
         help="bracket the accessible information and use it for the lower bound",
     )
-    p_analyze.add_argument("--restarts", type=int, default=8, help="optimizer restarts")
-    p_analyze.add_argument("--seed", type=int, default=0, help="optimizer seed")
+    p_analyze.add_argument(
+        "--restarts", type=int, default=8,
+        help="optimizer restarts (a two-member pure ensemble takes no search and ignores them)",
+    )
+    p_analyze.add_argument(
+        "--seed", type=int, default=0,
+        help="optimizer seed (a two-member pure ensemble takes no search and ignores it)",
+    )
     p_analyze.add_argument("--format", choices=("text", "structured"), default="text")
     p_analyze.set_defaults(func=_cmd_analyze)
 
@@ -217,6 +223,8 @@ def _cmd_sweep(args) -> int:
     tol = _tolerances(args)
     if args.steps < 1:
         raise ValidationError(f"sweep needs at least one step, got {args.steps}")
+    if args.theta_min > args.theta_max:
+        raise ValidationError(f"sweep range [{args.theta_min!r}, {args.theta_max!r}]: theta-min exceeds theta-max")
     if not 0.0 <= args.theta_min <= args.theta_max <= np.pi / 2:
         raise ValidationError(
             f"sweep range [{args.theta_min!r}, {args.theta_max!r}] must lie inside [0, pi/2]"

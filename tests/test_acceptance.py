@@ -140,7 +140,7 @@ def test_criterion_6_accessible_information_bracketing():
         gamma = np.pi / 8
         e = two_state_ensemble(gamma)
         info = estimate_accessible_info(e)
-        best = grid_best_projective(gamma, points=10_000)
+        best = grid_best_projective(e, points=10_000)
         assert abs(info.lo - best) <= 1e-3
         assert info.lo <= info.hi + 1e-9
         from entcharge import density_of

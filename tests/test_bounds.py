@@ -464,7 +464,7 @@ def test_readme_pair_has_the_readme_intervals():
         assert [repr(x)[: len(digits)] for x, digits in zip(report.interval, edges)] == list(edges)
         assert report.verdict == VERDICT_ENTANGLEMENT
     # The pretty-good measurement is optimal for two equiprobable pure states,
-    # so the search finds nothing better: the two intervals are one.
+    # so the estimate's optimum is that measurement: the two intervals are one.
     assert reports[0].interval == reports[1].interval
 
 

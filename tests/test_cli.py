@@ -510,8 +510,10 @@ def test_sweep_reports_bad_probs_as_one_error_line(capsys, flags, diagnostic):
     [
         (["--steps", "0"], "error: sweep needs at least one step, got 0\n"),
         (["--theta-max", "3"], "error: sweep range [0.0, 3.0] must lie inside [0, pi/2]\n"),
+        # Both ends lie inside [0, pi/2]: the fault is their order.
+        (["--theta-min", "1", "--theta-max", "0"], "error: sweep range [1.0, 0.0]: theta-min exceeds theta-max\n"),
     ],
-    ids=["steps-0", "theta-3"],
+    ids=["steps-0", "theta-3", "reversed"],
 )
 def test_sweep_reports_bad_range_as_one_error_line(capsys, flags, diagnostic):
     assert main([*SWEEP, *flags]) == 2
