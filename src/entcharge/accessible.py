@@ -9,12 +9,15 @@ Communications and Measurement, Plenum, 1995), so the lower edge is that of
 the best such measurement, found over one angle; the optimizer's knobs do
 not apply to it. Every other ensemble takes a seeded, monotone fixed-point
 search over POVMs (Rehacek, Englert and Kaszlikowski, PRA 71, 054303,
-2005). Its restarts take unit steps and run in lockstep blocks; the search
-ends as soon as a restart comes within RISE_TOL of the cap, which no
+2005). Each restart doubles its step while it rises and falls back to a
+unit step when it does not; its restarts run in lockstep blocks, and the
+search ends as soon as a restart comes within RISE_TOL of the cap, which no
 measurement beats. Until then the result is bit for bit that of running the
 restarts one after another; a stop at the cap ends the block at that common
 step and starts no later one. The pair's measurement and the search's best
-one are both validated and measured again, which gives the lower edge.
+one are both validated and measured again, which gives the lower edge; on
+an all-pure ensemble, so does the pretty-good measurement, and the larger
+wins.
 """
 
 from __future__ import annotations
@@ -76,13 +79,16 @@ class OptimizerConfig:
     """Knobs of the seeded POVM search.
 
     The searched POVMs have max(2, m) outcomes for an m-member ensemble.
-    max_iters caps the fixed-point iterations of each restart: one unit trial
-    step and one renormalization each. A restart ends at its first trial that
-    does not rise by more than RISE_TOL, keeping its current point; one whose
-    max_iters-th trial still rose is capped. The restarts run in lockstep
-    blocks (see BLOCK_ENTRIES), each with its own current value; the results
-    equal those of running them one after another, unless a restart comes
-    within RISE_TOL of min(H(X), Holevo chi): the search ends there.
+    max_iters caps the trials of each restart: one trial step and one
+    renormalization each, a trial that is dropped and a restart's step
+    reset included. A trial that rises by more than RISE_TOL is kept and
+    doubles the step (up to MAX_STEP); one above step 1 that does not rise
+    is dropped and resets the step to 1; one at step 1 that does not rise
+    ends the restart at its current point. A restart that has not ended
+    after max_iters trials is capped. The restarts run in lockstep blocks
+    (see BLOCK_ENTRIES), each with its own point, value and step; the
+    results equal those of running them one after another, unless a restart
+    comes within RISE_TOL of min(H(X), Holevo chi): the search ends there.
     A non-orthogonal pair of pure members takes no search, so it ignores
     all three knobs: restarts, seed and max_iters.
     """
@@ -136,15 +142,14 @@ def _joint_table(probs: np.ndarray, rhos: np.ndarray, elements: np.ndarray) -> n
     return table / table.sum(axis=(1, 2), keepdims=True)
 
 
-def _information(table: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def _information(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H(X) + H(Y) - H(XY) of each joint table in a stack (may round below 0),
-    and the marginals p(x), p(y) it summed, which _ascent_direction reuses.
-    Each entropy has _entropy_bits' bits."""
+    and the rows [p(x), p(y), p(x, y)] it summed, which _ascent_direction
+    reuses. Each entropy has _entropy_bits' bits."""
     r, x, y = table.shape
-    marginals = table.sum(axis=2), table.sum(axis=1)
-    p = np.concatenate([*marginals, table.reshape(r, -1)], axis=1)
+    p = np.concatenate([table.sum(axis=2), table.sum(axis=1), table.reshape(r, -1)], axis=1)
     h = _row_entropies(p, ((0, x), (x, x + y), (x + y, p.shape[1])))
-    return h[0] + h[1] - h[2], marginals
+    return h[0] + h[1] - h[2], p
 
 
 def mutual_information_of_measurement(e: Ensemble, m: Povm) -> float:
@@ -260,25 +265,32 @@ def _pair_elements(e: Ensemble) -> list[np.ndarray]:
 # -- POVM search ---------------------------------------------------------------
 #
 # Each element is M_y = F_y^dag F_y with the factors renormalized to
-# completeness. A unit step F_y <- F_y (1 + R_y / |R|), R_y = sum_x p_x rho_x
-# ln p(y|x)/p(y) the gradient of I(X;Y) in M_y, is kept if I rises by more
-# than RISE_TOL; the first one that does not ends its restart at its current
-# point. (A smaller step never rose once a unit step had failed, so halving
-# it down to a floor only spent iterations.) Restart 0 starts from the
-# square-root measurement, the rest from seeded Gaussian factors. Restarts
-# run in lockstep blocks: one stacked call per kernel advances every running
-# restart of a block. The kernel relies on three invariants:
+# completeness. A trial step F_y <- F_y (1 + s R_y / |R|), R_y = sum_x p_x
+# rho_x ln p(y|x)/p(y) the gradient of I(X;Y) in M_y, is kept if I rises by
+# more than RISE_TOL, and the restart's step s, 1 at its start, then doubles
+# up to MAX_STEP. A trial at s > 1 that does not rise leaves the point as it
+# was and resets s to 1; one at s = 1 that does not rise ends the restart at
+# its current point. (A step below 1 never rose once a unit step had failed,
+# so halving it down to a floor only spent trials; a unit step converges
+# linearly, and doubling it while it rises halves the trine's trials.)
+# Restart 0 starts from the square-root measurement, the rest from seeded
+# Gaussian factors. Restarts run in lockstep blocks: one stacked call per
+# kernel advances every running restart of a block. The kernel relies on
+# three invariants:
 # - restarts are independent: every kernel treats each restart of a stack
-#   apart, so every trajectory equals the serial search's, and so does the
-#   result unless a restart reaches the cap: the block then ends at that
-#   step for all its restarts, and no later block starts;
-# - the step count is shared: the live restarts of a block started together
-#   and have all taken the same number of steps, so the loop counts for all;
+#   apart, and each restart holds its own step, so every trajectory equals
+#   the serial search's, and so does the result unless a restart reaches
+#   the cap: the block then ends at that trial for all its restarts, and no
+#   later block starts;
+# - the trial count is shared: the live restarts of a block started
+#   together and have all taken the same number of trials, kept or not, so
+#   the loop counts for all;
 # - a null projector exists only at rank deficiency: when every Sigma of a
 #   stack has full rank, _pinv_sqrt builds none and the elements need none.
 # A block holds at most BLOCK_ENTRIES stacked entries (restarts x outcomes x
 # n^2), and at least one restart.
 BLOCK_ENTRIES = 1 << 16
+MAX_STEP = 64.0
 
 
 def _non_null(w: np.ndarray) -> np.ndarray:
@@ -326,51 +338,67 @@ def _sqrt_measurement_factors(average: np.ndarray, probs: np.ndarray, rhos: np.n
     return factors
 
 
-def _ascent_direction(
-    table: np.ndarray, marginals: tuple[np.ndarray, np.ndarray], probs: np.ndarray, rhos: np.ndarray
-) -> np.ndarray:
-    """R_y / max_y |R_y|_F per restart (so |eps R_y / |R|| <= eps), from the
-    joint tables and their marginals (p(x), p(y)); p(x, y) = 0 adds 0, as
-    does a cell whose p(x) p(y) underflows to 0 beside a subnormal p(x, y)."""
-    px, py = marginals
-    product = px[:, :, None] * py[:, None, :]
+def _ascent_direction(p: np.ndarray, probs: np.ndarray, rhos: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """step R_y / max_y |R_y|_F per restart, from _information's rows
+    [p(x), p(y), p(x, y)] and the restarts' steps; p(x, y) = 0 adds 0, as
+    does a cell whose p(x) p(y) underflows to 0 beside a subnormal p(x, y).
+    A step is a power of 2, so dividing the norm by it scales exactly."""
+    x = len(probs)
+    y = (p.shape[1] - x) // (x + 1)  # a row holds x + y + x y entries
+    table = p[:, x + y :].reshape(-1, x, y)
+    product = p[:, :x, None] * p[:, None, x : x + y]
     seen = (table > 0.0) & (product > 0.0)
     log_ratio = np.log(np.where(seen, table, 1.0) / np.where(seen, product, 1.0))
     r = np.einsum("x,rxy,xij->ryij", probs, log_ratio, rhos)
     norm = np.sqrt((r.conj() * r).real.sum(axis=(2, 3))).max(axis=1)  # Frobenius, as np.linalg.norm
-    return r / np.where(norm == 0.0, 1.0, norm)[:, None, None, None]
+    return r / (np.where(norm == 0.0, 1.0, norm) / step)[:, None, None, None]
 
 
 def _lockstep_ascent(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, cfg: OptimizerConfig, cap: float):
     """The final elements of each restart in a factor stack, their
-    information, how many restarts were still rising at max_iters, and
-    whether one reached the cap. A restart ends at its first unit step that
-    does not rise, keeping its current point; the others run on. The whole
-    block ends at the first point where a restart lies within RISE_TOL of
-    cap, which no measurement beats; its live restarts then keep their
-    current points and none counts as still rising. The loop holds only the
+    information, how many restarts had not ended after max_iters trials,
+    and whether one reached the cap. A restart keeps a trial that rises and
+    doubles its step, up to MAX_STEP; a trial above step 1 that does not
+    rise leaves its point as it was and resets its step to 1, and a unit
+    trial that does not rise ends the restart at its current point. The
+    whole block ends at the first point where a restart lies within
+    RISE_TOL of cap, which no measurement beats; its live restarts then keep
+    their current points and none counts as capped. The loop holds only the
     live restarts' state and writes a restart's results when it ends."""
     factors, elements = _povm_elements(factors)
-    table = _joint_table(probs, rhos, elements)
-    value, marginals = _information(table)
-    live = np.arange(len(value))
+    value, p = _information(_joint_table(probs, rhos, elements))
+    live, step = np.arange(len(value)), np.ones(len(value))
     best_elements, best = np.empty_like(elements), np.empty_like(value)
-    # A Python max: a numpy reduction per step would cost ~3% of the search.
+    # Python reductions of tolist(): numpy's cost ~1 us per call on these
+    # few entries, ~3% of the search.
     at_cap = max(value.tolist(), default=-math.inf) >= cap - RISE_TOL
     for _ in range(cfg.max_iters):
         if at_cap or not live.size:
             break
-        direction = _ascent_direction(table, marginals, probs, rhos)
-        trial, trial_elements = _povm_elements(factors + factors @ direction)
-        table = _joint_table(probs, rhos, trial_elements)
-        trial_value, marginals = _information(table)
+        trial, trial_elements = _povm_elements(factors + factors @ _ascent_direction(p, probs, rhos, step))
+        trial_value, trial_p = _information(_joint_table(probs, rhos, trial_elements))
         rise = trial_value > value + RISE_TOL
-        if not rise.all():
-            done = live[~rise]
-            best_elements[done], best[done] = elements[~rise], value[~rise]
-            live, trial, trial_elements, trial_value = live[rise], trial[rise], trial_elements[rise], trial_value[rise]
-            table, marginals = table[rise], (marginals[0][rise], marginals[1][rise])
-        factors, elements, value = trial, trial_elements, trial_value
+        grown = np.minimum(step + step, MAX_STEP)
+        if all(rise.tolist()):
+            step = grown
+        else:
+            # Undo the failed trials in place. A failed step above 1 becomes
+            # 1; a failed unit step becomes 0, which ends its restart.
+            fail = ~rise
+            back = fail[:, None, None, None]
+            np.copyto(trial, factors, where=back)
+            np.copyto(trial_elements, elements, where=back)
+            np.copyto(trial_p, p, where=fail[:, None])
+            np.copyto(trial_value, value, where=fail)
+            step = np.where(rise, grown, step > 1.0)
+            if 0.0 in step.tolist():
+                go = step > 0.0
+                done = live[~go]
+                best_elements[done], best[done] = elements[~go], value[~go]
+                live, step, trial, trial_elements, trial_value, trial_p = (
+                    a[go] for a in (live, step, trial, trial_elements, trial_value, trial_p)
+                )
+        factors, elements, value, p = trial, trial_elements, trial_value, trial_p
         at_cap = max(value.tolist(), default=-math.inf) >= cap - RISE_TOL
     best_elements[live], best[live] = elements, value
     return best_elements, best, 0 if at_cap else live.size, at_cap
@@ -378,7 +406,7 @@ def _lockstep_ascent(factors: np.ndarray, rhos: np.ndarray, probs: np.ndarray, c
 
 def _search(e: Ensemble, cfg: OptimizerConfig, cap: float) -> tuple[np.ndarray, int]:
     """The elements of the best measurement the seeded restarts found, and
-    how many restarts were still rising at max_iters. The first restart
+    how many restarts had not ended after max_iters trials. The first restart
     whose value beats all earlier ones wins; NaN never does."""
     rhos, probs = e.densities, e.probs
     outcomes = max(2, len(e.members))
@@ -415,8 +443,9 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     seeded POVM search, whose restart 0 is the square-root measurement and
     which ends once a restart comes within RISE_TOL of the cap. The lower
     edge is the mutual information of the pair's measurement or of the best
-    one the search found, re-evaluated through a validated POVM, and one
-    above the cap beyond ROUNDING_SLACK raises. The search reads the
+    one the search found, re-evaluated through a validated POVM, or, for
+    all-pure members, pgm_information if that is larger; one above the cap
+    beyond ROUNDING_SLACK raises. The search reads the
     ensemble's densities, average state and chi, so a later analysis of the
     same ensemble computes none of them again; the short-circuit reads only
     the vectors' facts (chi of pure members is s_ab), and the pair adds the
@@ -431,6 +460,11 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
         elements, capped_restarts = _search(e, cfg, cap)
     povm = make_povm(e.dims, list(elements), e.tol)
     lo = mutual_information_of_measurement(e, povm)
+    if e._all_pure:
+        # The pretty-good measurement is explicit too. Read from the Gram
+        # matrix, as default mode reads it, its information can round above
+        # the measured one (by ~1e-15 bits where it is the pair's optimum).
+        lo = max(lo, pgm_information(e))
     if lo > cap + ROUNDING_SLACK:
         raise ValidationError(f"measured information {lo!r} exceeds min(H(X), Holevo chi) = {cap!r}")
     lo = min(lo, cap)

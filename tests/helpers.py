@@ -24,7 +24,7 @@ from entcharge import (
     rotated_basis,
     validate_state,
 )
-from entcharge.accessible import RISE_TOL, _ascent_direction, _information, _joint_table, _povm_elements
+from entcharge.accessible import MAX_STEP, RISE_TOL, _ascent_direction, _information, _joint_table, _povm_elements
 from entcharge.ensembles import Ensemble
 from entcharge.fileio import SCHEMA_VERSION, format_float
 
@@ -405,55 +405,53 @@ def reference_dumps(doc) -> str:
     return _render(pairs(doc), 0) + "\n"
 
 
-# -- reference POVM search schedule (test-only) ---------------------------------
-# The lockstep ascent as it was before restarts ended at their first failed
-# unit step: each restart doubled its step (up to 1) after a rise and halved it
-# after a failure, until it fell below HALVING_STEP_TOL or max_iters trials
-# were spent. It is the oracle that the unit-step search must match: the same
-# final values bit for bit, and no more capped restarts.
-HALVING_STEP_TOL = 1e-9
+# -- serial reference of the POVM search (test-only) ---------------------------
+# The step-growth rule run one restart at a time, in a plain loop: a trial that
+# rises by more than RISE_TOL is kept and doubles the step (up to MAX_STEP), a
+# trial above step 1 that does not rise is dropped and resets the step to 1,
+# and a unit trial that does not rise ends the restart. It is the oracle that
+# the lockstep search must match bit for bit, capped count included.
 
 
-def halving_lockstep_ascent(factors, rhos, probs, cfg, cap):
-    """accessible._lockstep_ascent's contract (elements, values, capped count,
-    whether a restart reached the cap) by the step-halving schedule, with
-    the same stop at the cap."""
-    factors, elements = _povm_elements(factors)
-    table = _joint_table(probs, rhos, elements)
-    value, marginals = _information(table)
-    direction = _ascent_direction(table, marginals, probs, rhos)
-    live, step, steps = np.arange(len(value)), np.ones(len(value)), 0
-    best_elements, best, iters = np.empty_like(elements), np.empty_like(value), np.empty(len(value), dtype=int)
-    if (value >= cap - RISE_TOL).any():
-        return elements, value, 0, True
-    while live.size:
-        trial, trial_elements = _povm_elements(factors + step[:, None, None, None] * factors @ direction)
-        table = _joint_table(probs, rhos, trial_elements)
-        trial_value, marginals = _information(table)
-        rise = trial_value > value + RISE_TOL
-        if rise.all():
-            factors, elements, value = trial, trial_elements, trial_value
-            direction = _ascent_direction(table, marginals, probs, rhos)
-            step = np.minimum(1.0, 2.0 * step)
-        elif rise.any():
-            kept = rise[:, None, None, None]
-            factors = np.where(kept, trial, factors)
-            direction = np.where(kept, _ascent_direction(table, marginals, probs, rhos), direction)
-            elements, value = np.where(kept, trial_elements, elements), np.where(rise, trial_value, value)
-            step = np.where(rise, np.minimum(1.0, 2.0 * step), step * 0.5)
+def serial_restart(factors, rhos, probs, max_iters, cap):
+    """One restart from its factor stack (outcomes, n, n), for at most
+    max_iters trials: its final elements and value, the trials it took, and
+    how it stopped: "cap" (within RISE_TOL of cap), "ended" (a unit trial did
+    not rise) or "capped" (out of trials)."""
+    factors, elements = _povm_elements(factors[None])
+    value, p = _information(_joint_table(probs, rhos, elements))
+    step, trials = 1.0, 0
+    while True:
+        if value[0] >= cap - RISE_TOL:
+            return elements[0], value[0], trials, "cap"
+        if trials == max_iters:
+            return elements[0], value[0], trials, "capped"
+        direction = _ascent_direction(p, probs, rhos, np.array([step]))
+        trial, trial_elements = _povm_elements(factors + factors @ direction)
+        trial_value, trial_p = _information(_joint_table(probs, rhos, trial_elements))
+        trials += 1
+        if trial_value[0] > value[0] + RISE_TOL:
+            factors, elements, value, p = trial, trial_elements, trial_value, trial_p
+            step = min(2.0 * step, MAX_STEP)
+        elif step > 1.0:
+            step = 1.0
         else:
-            step = step * 0.5
-        steps += 1
-        if (value >= cap - RISE_TOL).any():
-            best_elements[live], best[live] = elements, value
-            return best_elements, best, 0, True
-        go = (step >= HALVING_STEP_TOL) & (steps < cfg.max_iters)
-        if not go.all():
-            done = live[~go]
-            best_elements[done], best[done], iters[done] = elements[~go], value[~go], steps
-            live, factors, direction, step = live[go], factors[go], direction[go], step[go]
-            elements, value = elements[go], value[go]
-    return best_elements, best, int((iters >= cfg.max_iters).sum()), False
+            return elements[0], value[0], trials, "ended"
+
+
+def serial_lockstep_ascent(factors, rhos, probs, cfg, cap):
+    """accessible._lockstep_ascent's contract (elements, values, capped count,
+    whether a restart reached the cap) from serial_restart on each restart of
+    the block in turn. A restart that reaches the cap ends the block at that
+    trial, so then every restart runs again for that many trials."""
+    runs = [serial_restart(f, rhos, probs, cfg.max_iters, cap) for f in factors]
+    reached = [trials for _, _, trials, how in runs if how == "cap"]
+    if reached:
+        runs = [serial_restart(f, rhos, probs, min(reached), cap) for f in factors]
+    elements = np.stack([run[0] for run in runs])
+    values = np.array([run[1] for run in runs])
+    capped = 0 if reached else sum(how == "capped" for *_, how in runs)
+    return elements, values, capped, bool(reached)
 
 
 def pgm_oracle(e) -> float:

@@ -32,7 +32,6 @@ from entcharge import (
 from entcharge.accessible import pgm_information
 from entcharge.linalg import ROUNDING_SLACK
 from helpers import (
-    halving_lockstep_ascent,
     pgm_oracle,
     rotate_locally,
     swap_parties,
@@ -44,6 +43,7 @@ from helpers import (
     random_density,
     random_orthogonal_pure_ensemble,
     random_pure_vector,
+    serial_lockstep_ascent,
 )
 
 D12 = BipartiteDims(1, 2)
@@ -398,6 +398,22 @@ def test_estimate_never_below_the_square_root_measurement(dA, dB, members, seed)
     assert pgm_information(e) == pytest.approx(pgm_oracle(e), abs=1e-10)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 2), (2, 2), (2, 3)]), st.integers(2, 5))
+@settings(max_examples=40, deadline=None)
+def test_estimate_never_below_the_pretty_good_edge_bit_for_bit(seed, dims, members):
+    # Default mode's lower edge of a pure ensemble is pgm_information; estimate
+    # mode's is never below it, not even by rounding, unless the cap clips
+    # both. Pairs are equiprobable, where the pretty-good measurement is
+    # Levitin's optimum and measuring it again rounded up to 1.8e-15 bits
+    # lower.
+    rng = np.random.default_rng(seed)
+    d = BipartiteDims(*dims)
+    probs = [0.5, 0.5] if members == 2 else rng.dirichlet(np.ones(members))
+    e = make_ensemble(zip(probs, (validate_state(d, random_pure_vector(rng, d.joint)) for _ in range(members))))
+    info = estimate_accessible_info(e, OptimizerConfig(restarts=2, max_iters=30, seed=seed % 97))
+    assert info.lo >= min(pgm_information(e), info.hi)
+
+
 @pytest.mark.parametrize("gamma", [1e-3, 0.2, np.pi / 8, 0.7, np.pi / 2 - 1e-3])
 @pytest.mark.parametrize("phase", [0.0, 1.1])
 def test_pgm_information_of_an_equiprobable_pair_is_the_closed_form(gamma, phase):
@@ -711,23 +727,36 @@ SEARCH_CASES = sorted(set(PINNED_CASES) - set(TWO_STATE_CASES))
 # by 8 ulps (from 0x1.fffffff8207c8p-1).
 # hi is min(H(X), chi); the pure cases' chi is s_ab from the weighted Gram
 # spectrum (or, on 1 x n, from rho_B), which moved their hi by a few ulps.
-# zero_member_1x2's restarts end at iterations 61, 73 and 92 of 100: under the
-# step-halving schedule (helpers.halving_lockstep_ascent) the last two spent
-# their halving tail into max_iters and counted as capped.
+# The search cases' lo moved when restarts began to double their step while
+# they rise; PINNED_UNIT_STEPS holds their values under unit steps.
 PINNED = {
-    "zero_plus_1x2": ("0x1.62c8b7180d8c4p-1", "0x1.da6ce8d8455a5p-1", ""),
+    "zero_plus_1x2": ("0x1.62c8b7180da44p-1", "0x1.da6ce8d8455a5p-1", ""),
     "identical_bell": ("0x0.0p+0", "0x0.0p+0", ""),
-    "mixed_1x2": ("0x1.403f45b20ca54p-2", "0x1.60519913201efp-2", ""),
-    "mixed_2x2": ("0x1.850adad7f4200p-2", "0x1.049c372cc146dp-1", "local search still rising at max_iters=150 on 3/4 restarts"),
+    "mixed_1x2": ("0x1.403f45b2114ecp-2", "0x1.60519913201efp-2", ""),
+    "mixed_2x2": ("0x1.850adad7fb0e0p-2", "0x1.049c372cc146dp-1", "local search still rising at max_iters=150 on 1/4 restarts"),
     "pair_pi8": ("0x1.bbee220839a70p-4", "0x1.ddda59fabbce5p-3", ""),
     "pair_restarts1": ("0x1.05edbab77fcb0p-4", "0x1.3c167d81a32d8p-3", ""),
-    "pure3_2x2_capped": ("0x1.53cc16f39d674p-1", "0x1.96b41bd99c44ep-1", "local search still rising at max_iters=30 on 2/2 restarts"),
-    "pure3_2x3": ("0x1.f47bc31ab8b0cp-1", "0x1.0b76ccd5915c8p+0", "local search still rising at max_iters=200 on 1/2 restarts"),
-    "pure4_1x3": ("0x1.0efe54f4e7f72p+0", "0x1.601f10e7a137ep+0", "local search still rising at max_iters=100 on 2/3 restarts"),
+    "pure3_2x2_capped": ("0x1.53cc17d833aacp-1", "0x1.96b41bd99c44ep-1", "local search still rising at max_iters=30 on 2/2 restarts"),
+    "pure3_2x3": ("0x1.f47bc31ac08e8p-1", "0x1.0b76ccd5915c8p+0", ""),
+    "pure4_1x3": ("0x1.0efe54f4ea7f0p+0", "0x1.601f10e7a137ep+0", "local search still rising at max_iters=100 on 2/3 restarts"),
     "strict_near_orthogonal": ("0x1.fffffff8207d0p-1", "0x1.ffffffff615fcp-1", ""),
-    "trine": ("0x1.2b803473f6680p-1", "0x1.0000000000000p+0", ""),
-    "zero_table_1x3": ("0x1.4fafec548162cp+0", "0x1.8000000000000p+0", "local search still rising at max_iters=300 on 1/3 restarts"),
-    "zero_member_1x2": ("0x1.8d7bc54ae1a20p-2", "0x1.2a628d0cf5c1cp-1", ""),
+    "trine": ("0x1.2b803473f78fcp-1", "0x1.0000000000000p+0", ""),
+    "zero_table_1x3": ("0x1.4fafec5482dfap+0", "0x1.8000000000000p+0", ""),
+    "zero_member_1x2": ("0x1.8d7bc54aec238p-2", "0x1.2a628d0cf5c1cp-1", ""),
+}
+
+# lo and the capped count of each search case when every restart took unit
+# steps and ended at its first one that did not rise: floors for the search.
+PINNED_UNIT_STEPS = {
+    "mixed_1x2": ("0x1.403f45b20ca54p-2", 0),
+    "mixed_2x2": ("0x1.850adad7f4200p-2", 3),
+    "pure3_2x2_capped": ("0x1.53cc16f39d674p-1", 2),
+    "pure3_2x3": ("0x1.f47bc31ab8b0cp-1", 1),
+    "pure4_1x3": ("0x1.0efe54f4e7f72p+0", 2),
+    "trine": ("0x1.2b803473f6680p-1", 0),
+    "zero_member_1x2": ("0x1.8d7bc54ae1a20p-2", 0),
+    "zero_plus_1x2": ("0x1.62c8b7180d8c4p-1", 0),
+    "zero_table_1x3": ("0x1.4fafec548162cp+0", 1),
 }
 
 
@@ -765,24 +794,33 @@ def _capped(info) -> int:
     return int(found.group(1)) if found else 0
 
 
-def _assert_matches_the_halving_schedule(e, cfg):
-    # Same interval bit for bit as the step-halving schedule, and no more
-    # capped restarts: it also counted converged restarts whose halving tail
-    # ran into max_iters.
+def _assert_matches_the_serial_reference(e, cfg):
+    # Every lockstep block gives the serial reference's elements, values,
+    # capped count and cap stop, bit for bit.
     import entcharge.accessible as accessible
 
-    unit = estimate_accessible_info(e, cfg)
+    blocks = []
+    lockstep = accessible._lockstep_ascent
+
+    def checked(factors, rhos, probs, cfg, cap):
+        got = lockstep(factors, rhos, probs, cfg, cap)
+        want = serial_lockstep_ascent(factors, rhos, probs, cfg, cap)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert [v.hex() for v in got[1]] == [v.hex() for v in want[1]]
+        assert got[2:] == want[2:]
+        blocks.append(len(factors))
+        return got
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(accessible, "_lockstep_ascent", halving_lockstep_ascent)
-        halving = estimate_accessible_info(e, cfg)
-    assert (unit.lo.hex(), unit.hi.hex()) == (halving.lo.hex(), halving.hi.hex())
-    assert _capped(unit) <= _capped(halving)
+        mp.setattr(accessible, "_lockstep_ascent", checked)
+        estimate_accessible_info(e, cfg)
+    assert blocks
 
 
 @pytest.mark.parametrize("name", SEARCH_CASES)
-def test_unit_steps_match_the_halving_schedule_on_the_pinned_cases(name):
+def test_lockstep_equals_the_serial_reference_on_pinned_cases(name):
     build, cfg = PINNED_CASES[name]
-    _assert_matches_the_halving_schedule(build(), OptimizerConfig(**cfg))
+    _assert_matches_the_serial_reference(build(), OptimizerConfig(**cfg))
 
 
 @given(
@@ -794,7 +832,7 @@ def test_unit_steps_match_the_halving_schedule_on_the_pinned_cases(name):
     st.sampled_from([30, 100, 500]),
 )
 @settings(max_examples=25, deadline=None)
-def test_unit_steps_match_the_halving_schedule(seed, shape, members, mixed, zero_member, max_iters):
+def test_lockstep_equals_the_serial_reference(seed, shape, members, mixed, zero_member, max_iters):
     dims = BipartiteDims(*shape)
     rng = np.random.default_rng(seed)
     states = [
@@ -805,32 +843,62 @@ def test_unit_steps_match_the_halving_schedule(seed, shape, members, mixed, zero
     if zero_member:
         probs = np.r_[probs[:-1] / probs[:-1].sum(), 0.0]
     e = make_ensemble(zip(probs, states))
-    _assert_matches_the_halving_schedule(e, OptimizerConfig(restarts=2, max_iters=max_iters, seed=seed % 97))
+    if e._all_pure and members == 2:
+        return  # a pure pair takes Levitin's optimum, not the search
+    _assert_matches_the_serial_reference(e, OptimizerConfig(restarts=2, max_iters=max_iters, seed=seed % 97))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_UNIT_STEPS))
+def test_step_growth_never_loses_to_unit_steps(name):
+    build, cfg = PINNED_CASES[name]
+    info = estimate_accessible_info(build(), OptimizerConfig(**cfg))
+    lo, capped = PINNED_UNIT_STEPS[name]
+    assert info.lo >= float.fromhex(lo)
+    assert _capped(info) <= capped
+
+
+def test_a_failed_grown_step_retries_at_step_1_and_rises_again(monkeypatch):
+    # Restart 0 of pure3_2x2_capped rises at steps 1 to 8 and fails at 16:
+    # its point stays, and the unit trial from it rises, so the step doubles
+    # again instead of the restart ending. Every trial counts toward
+    # max_iters, the failed one included.
+    import entcharge.accessible as accessible
+
+    calls = []
+    original = accessible._ascent_direction
+
+    def logged(p, probs, rhos, step):
+        calls.append((p.copy(), step.tolist()))
+        return original(p, probs, rhos, step)
+
+    monkeypatch.setattr(accessible, "_ascent_direction", logged)
+    build, _ = PINNED_CASES["pure3_2x2_capped"]
+    info = estimate_accessible_info(build(), OptimizerConfig(restarts=1, max_iters=30))
+    steps = [step for _, [step] in calls]
+    assert steps[:7] == [1.0, 2.0, 4.0, 8.0, 16.0, 1.0, 2.0]
+    np.testing.assert_array_equal(calls[5][0], calls[4][0])
+    assert not np.array_equal(calls[6][0], calls[5][0])
+    assert len(steps) == 30 and info.note.endswith("on 1/1 restarts")
 
 
 def test_a_stationary_start_is_not_capped():
     # The trine's square-root measurement (restart 0) is stationary: its first
     # unit step does not rise, so the restart ends there instead of counting
-    # as capped, as it did when its step halved through all 5 iterations.
-    import entcharge.accessible as accessible
-
+    # as capped.
     cfg = OptimizerConfig(restarts=1, max_iters=5)
     assert estimate_accessible_info(_trine(), cfg).note == ""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(accessible, "_lockstep_ascent", halving_lockstep_ascent)
-        assert _capped(estimate_accessible_info(_trine(), cfg)) == 1
-    # Restarts still rising at max_iters are capped.
+    # Restarts that have not ended after max_iters trials are capped.
     build, cfg = PINNED_CASES["pure3_2x2_capped"]
     assert estimate_accessible_info(build(), OptimizerConfig(**cfg)).note.endswith("on 2/2 restarts")
 
 
 def test_default_trine_search_runs_its_restarts_in_lockstep(monkeypatch):
     # One stacked eigh per iteration for all restarts: the count follows the
-    # longest restart (71 calls here), not the sum over the 8 restarts (338)
+    # longest restart (36 calls here), not the sum over the 8 restarts (206)
     # that a serial restart loop takes, one eigh each.
     calls = _count_eigh(monkeypatch)
     estimate_accessible_info(_trine())
-    assert 0 < len(calls) < 120
+    assert 0 < len(calls) < 40
 
 
 def _count_blocks(monkeypatch):
