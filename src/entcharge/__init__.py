@@ -33,7 +33,6 @@ from .ensembles import (
 from .entropy import (
     binary_entropy,
     shannon_entropy,
-    von_neumann_entropy,
 )
 from .errors import (
     EntchargeError,
@@ -56,7 +55,6 @@ from .linalg import (
     MAX_JOINT_DIM,
     STRICT_TOLERANCES,
     Tolerances,
-    partial_trace,
 )
 from .states import (
     BipartiteDims,

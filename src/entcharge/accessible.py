@@ -89,8 +89,9 @@ class OptimizerConfig:
     (see BLOCK_ENTRIES), each with its own point, value and step; the
     results equal those of running them one after another, unless a restart
     comes within RISE_TOL of min(H(X), Holevo chi): the search ends there.
-    A non-orthogonal pair of pure members takes no search, so it ignores
-    all three knobs: restarts, seed and max_iters.
+    An all-pure ensemble that is mutually orthogonal, or a non-orthogonal
+    pair, takes no search, so it ignores all three knobs: restarts, seed and
+    max_iters.
     """
 
     restarts: int = 8
@@ -191,14 +192,6 @@ PAIR_ANGLE_TOL = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _pair_information(p0: float, p1: float, gamma: float, phi: np.ndarray) -> np.ndarray:
-    """I(phi) in bits at each angle of an array, with _row_entropies' bits."""
-    c0, s0, c1, s1 = np.cos(phi) ** 2, np.sin(phi) ** 2, np.cos(phi - gamma) ** 2, np.sin(phi - gamma) ** 2
-    p = np.stack([p0 * c0 + p1 * c1, p0 * s0 + p1 * s1, c0, s0, c1, s1], axis=1)
-    h = _row_entropies(p, ((0, 2), (2, 4), (4, 6)))
-    return h[0] - p0 * h[1] - p1 * h[2]
-
-
 def _h2(a: float, b: float) -> float:
     """-a log2 a - b log2 b, with 0 log 0 = 0."""
     return -(a * math.log2(a) if a > 0.0 else 0.0) - (b * math.log2(b) if b > 0.0 else 0.0)
@@ -206,21 +199,21 @@ def _h2(a: float, b: float) -> float:
 
 def _pair_information_at(p0: float, p1: float, gamma: float, phi: float) -> float:
     """I(phi) in bits at one angle, in floats: numpy's per-call cost would
-    dominate the refinement."""
+    dominate the grid and the refinement."""
     c0, s0, c1, s1 = math.cos(phi) ** 2, math.sin(phi) ** 2, math.cos(phi - gamma) ** 2, math.sin(phi - gamma) ** 2
     return _h2(p0 * c0 + p1 * c1, p0 * s0 + p1 * s1) - p0 * _h2(c0, s0) - p1 * _h2(c1, s1)
 
 
 def _pair_angle(p0: float, p1: float, gamma: float) -> float:
-    """The angle phi at which I(phi) peaks, to PAIR_ANGLE_TOL: the best
-    point of the grid, refined by golden-section search over the cells on
-    either side of it; the best angle evaluated wins."""
-    step = 0.5 * math.pi / PAIR_GRID
-    grid = step * np.arange(PAIR_GRID)
-    start = float(grid[int(np.argmax(_pair_information(p0, p1, gamma, grid)))])
+    """The angle phi at which I(phi) peaks, to PAIR_ANGLE_TOL: the first
+    best point of the grid, refined by golden-section search over the cells
+    on either side of it; the best angle evaluated wins."""
 
     def f(phi: float) -> float:
         return _pair_information_at(p0, p1, gamma, phi)
+
+    step = 0.5 * math.pi / PAIR_GRID
+    start = max((step * k for k in range(PAIR_GRID)), key=f)
 
     a, b = start - step, start + step
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
@@ -448,8 +441,8 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     beyond ROUNDING_SLACK raises. The search reads the
     ensemble's densities, average state and chi, so a later analysis of the
     same ensemble computes none of them again; the short-circuit reads only
-    the vectors' facts (chi of pure members is s_ab), and the pair adds the
-    densities that measuring its POVM reads.
+    the row facts (chi of distinct pure members is s_ab), and the pair adds
+    the densities that measuring its POVM reads.
     """
     cap = min(shannon_entropy(e.probs, e.tol), e.chi)
     if e._all_pure and e.witness is None:

@@ -30,13 +30,15 @@ S(rho_X^A) is the Holevo information of a reduced ensemble, read from the
 same S(rho_A) as the merging bounds, so the edges meet whenever one party's
 reduced states carry no information (chi = 0). A pure member's two reduced
 states share their nonzero spectrum, so chi_B subtracts the same member
-term from S(rho_B); and S(rho_AB) of a pure ensemble is the entropy of its
-weighted Gram matrix diag(sqrt p) G diag(sqrt p), which shares the average
-state's nonzero spectrum (see Ensemble);
-and orthogonal d x d maximally entangled pure ensembles, whose reduced
-states are all I/d, meet at the paper's H(X) - log2 d. orthogonality_tol
-decides only the mutually_orthogonal flag, whether chi_A and chi_B are
-reported, and a note; no edge reads it.
+term from S(rho_B); and orthogonal d x d maximally entangled pure
+ensembles, whose reduced states are all I/d, meet at the paper's H(X) -
+log2 d. orthogonality_tol decides only the mutually_orthogonal flag,
+whether chi_A and chi_B are reported, and a note; no edge reads it.
+
+Every entropy above is read from one representation of any ensemble, its
+members' rows (a pure member's vector, a density member's eigenvectors times
+sqrt(lambda)): S(rho_AB) from the smaller of their weighted Gram matrix and
+the average state, which share their nonzero spectrum (see Ensemble).
 """
 
 from __future__ import annotations

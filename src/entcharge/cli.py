@@ -58,11 +58,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument(
         "--restarts", type=int, default=8,
-        help="optimizer restarts (a two-member pure ensemble takes no search and ignores them)",
+        help="optimizer restarts (an orthogonal or two-member pure ensemble takes no search and ignores them)",
     )
     p_analyze.add_argument(
         "--seed", type=int, default=0,
-        help="optimizer seed (a two-member pure ensemble takes no search and ignores it)",
+        help="optimizer seed (an orthogonal or two-member pure ensemble takes no search and ignores it)",
     )
     p_analyze.add_argument("--format", choices=("text", "structured"), default="text")
     p_analyze.set_defaults(func=_cmd_analyze)

@@ -1,6 +1,6 @@
-"""The ensemble data model {p_X, rho_X} and its derived facts: the joint
-member stack, overlaps, average state and its entropies, structure flags and
-the joint Holevo chi of every ensemble, and the member facts of an all-pure
+"""The ensemble data model {p_X, rho_X} and its derived facts: the members'
+rows, overlaps, average state and its entropies, structure flags and the
+joint Holevo chi of every ensemble, and the member facts of an all-pure
 one: its reduced members, their entropies and the Holevo chi of each side.
 
 An ensemble carries the Tolerances policy it was validated under, and every
@@ -26,14 +26,12 @@ from .entropy import (
     spectrum_entropies,
     valid_probs,
     von_neumann_entropies,
-    von_neumann_entropy,
 )
 from .errors import PreconditionError, ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     density_eigh,
-    partial_trace,
     vector_partial_traces,
 )
 from .states import (
@@ -44,8 +42,9 @@ from .states import (
     _maximally_mixed,
     _nearly_pure,
     density_of,
-    density_overlaps,
     orthogonality_witness,
+    row_overlaps,
+    state_rows,
 )
 
 
@@ -59,14 +58,23 @@ class Ensemble:
     read-only. Reading the flags computes no entropy, and reading the witness
     builds no reduced ensemble.
 
-    gram[i, j] = <psi_i|psi_j> of an all-pure ensemble; overlaps[i, j] =
-    Tr(rho_i rho_j), |gram|^2 when every member is pure; witness is the
-    first non-orthogonal pair (i, j, overlap) or None. s_ab, s_a, s_b are the
-    entropies of the average state and its marginals. probs and states split
-    the members once. densities stacks every member's joint density matrix
-    and average sums them; the overlaps of mixed members and the
-    accessible-information search read them. chi is the joint Holevo chi,
-    whose first term is s_ab.
+    Every member is represented by its rows (states.state_rows): a pure
+    member by its vector, a density member by sqrt(lambda) v for each
+    eigenpair of its validation eigh with lambda above eigenvalue_clamp, so
+    the rows rebuild rho_X within eigenvalue_clamp per eigenvalue. Every
+    joint fact reads the N rows of all members (N = m when all are pure).
+    gram[i, j] = <r_i|r_j>; overlaps[i, j] = Tr(rho_i rho_j) sums |gram|^2
+    over the rows of members i and j; witness is the first non-orthogonal
+    pair (i, j, overlap) or None. With W the rows weighted by sqrt(p_X), each
+    marginal is one matmul of W, and the average state sum_w |w><w| shares
+    its nonzero spectrum with gram_eigh's diag(sqrt p) G diag(sqrt p), which
+    the pretty-good measurement reads: s_ab is the entropy of the smaller
+    of the two (the N x N one on a tie), or the other party's marginal
+    entropy when a party has dimension 1. chi = s_ab - sum_X p_X S(rho_X),
+    S(rho_X) from the validation spectrum (0 for a pure member), clamped at
+    0 and exactly 0 when the members' rows are identical. densities stacks
+    the members' joint matrices and average sums them; only the POVM search
+    and mutual_information_of_measurement read them.
 
     The member facts exist for all-pure ensembles only: reduced_a stacks each
     member traced down to A, entropies_a holds each member's S(rho_X^A),
@@ -74,20 +82,10 @@ class Ensemble:
     - sum_X p_X S(rho_X^A) and its B twin, are the Holevo chi of the two
     reduced ensembles. Of an ensemble with a density member, each raises
     PreconditionError naming the first one; no bound reads them there.
-
-    An all-pure ensemble takes its facts from the member vectors, with no
-    joint matrix formed. With W the columns sqrt(p_X) psi_X, the average
-    state is W W^dag, which shares its nonzero spectrum with gram_eigh's
-    diag(sqrt p) G diag(sqrt p) = W^dag W: s_ab reads that one m x m
-    eigendecomposition, and so does the pretty-good measurement. Each
-    marginal is one matmul of W. One batched spectrum covers rho_A and the
-    reduced members of side A, so chi_a, the pure lower bound and the merging
-    bounds share one S(rho_A). A pure member's two reduced states share their
-    nonzero spectrum, so chi_b = S(rho_B) - sum_X p_X S(rho_X^A) and the
-    flags read reduced_a alone: there is no side-B member stack. chi is s_ab,
-    as pure members have zero entropy. A mixed ensemble takes each joint fact
-    from average and densities, and each marginal's entropy from its own
-    spectrum.
+    One batched spectrum covers rho_A and side A's reduced members, so chi_a,
+    the pure lower bound and the merging bounds share one S(rho_A). A pure
+    member's two reduced states share their nonzero spectrum, so chi_b =
+    S(rho_B) - sum_X p_X S(rho_X^A) and the flags read reduced_a alone.
     These derived states are checked at the bounds that valid members
     guarantee (see density_spectra), so no fact of a validated ensemble
     fails its spectrum check.
@@ -116,32 +114,42 @@ class Ensemble:
         return all(s.is_pure for s in self.states)
 
     @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every member's rows (N, n) in member order, and each member's row count."""
+        blocks = [state_rows(s, self.tol) for s in self.states]
+        return _freeze(np.concatenate(blocks)), np.array([len(b) for b in blocks])
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """sqrt(p_X) of each row's member."""
+        return np.sqrt(np.repeat(self.probs, self._rows[1]))
+
+    @cached_property
     def _vectors(self) -> np.ndarray:
         """The member vectors (m, n) of an all-pure ensemble; of any other,
         PreconditionError names the first density member."""
         if not self._all_pure:
             k = next(k for k, s in enumerate(self.states) if not s.is_pure)
             raise PreconditionError(f"member facts require pure members; member {k} is a density matrix")
-        return _freeze(np.stack([s.vector for s in self.states]))
+        return self._rows[0]
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """The m x m Gram matrix <psi_i|psi_j> of an all-pure ensemble."""
-        return _freeze(_gram(self._vectors))
+        """The N x N Gram matrix <r_i|r_j> of the members' rows."""
+        return _freeze(_gram(self._rows[0]))
 
     @cached_property
     def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors of diag(sqrt p) G diag(sqrt p) of an
-        all-pure ensemble, checked as a density matrix (density_eigh)."""
-        root = np.sqrt(self.probs)
+        """Eigenvalues and eigenvectors of diag(sqrt p) G diag(sqrt p), p the
+        probability of each row's member, checked as a density matrix
+        (density_eigh)."""
+        root = self._roots
         w, v = density_eigh(root[:, None] * self.gram * root, self.tol)
         return _freeze(w), _freeze(v)
 
     @cached_property
     def overlaps(self) -> np.ndarray:
-        if self._all_pure:
-            return _freeze(np.abs(self.gram) ** 2)
-        return _freeze(density_overlaps(self.densities))
+        return _freeze(row_overlaps(self.gram, self._rows[1]))
 
     @cached_property
     def witness(self) -> tuple[int, int, float] | None:
@@ -152,13 +160,10 @@ class Ensemble:
         return _freeze(reduced_ensemble(self, "A"))
 
     def _marginal(self, traced: str) -> np.ndarray:
-        """Tr_traced of the average state. An all-pure ensemble's is F F^dag,
-        F the sqrt(p)-weighted vectors reshaped to the kept party's dimension
-        by m times the traced one's."""
+        """Tr_traced of the average state, F F^dag, F the weighted rows
+        reshaped to the kept party's dimension by N times the traced one's."""
         dA, dB = self.dims.dA, self.dims.dB
-        if not self._all_pure:
-            return partial_trace(self.average, dA, dB, traced)
-        w = (np.sqrt(self.probs)[:, None] * self._vectors).reshape(-1, dA, dB)
+        w = (self._roots[:, None] * self._rows[0]).reshape(-1, dA, dB)
         f = w.transpose(1, 0, 2).reshape(dA, -1) if traced == "B" else w.transpose(2, 0, 1).reshape(dB, -1)
         return f @ f.conj().T
 
@@ -200,21 +205,22 @@ class Ensemble:
 
     @cached_property
     def s_ab(self) -> float:
-        if not self._all_pure:
-            return von_neumann_entropy(self.average, self.tol)
         # A party of dimension 1 leaves rho_AB the other party's marginal;
         # reading that one spectrum keeps S(A|B) (or S(B|A)) exactly 0.
         if self.dims.dA == 1:
             return self.s_b
         if self.dims.dB == 1:
             return self.s_a
-        return float(spectrum_entropies(self.gram_eigh[0][None], self.tol)[0])
+        if len(self._rows[0]) <= self.dims.joint:
+            return float(spectrum_entropies(self.gram_eigh[0][None], self.tol)[0])
+        w = self._roots[:, None] * self._rows[0]
+        return float(von_neumann_entropies((w.T @ w.conj())[None], self.tol)[0])
 
     @cached_property
     def s_a(self) -> float:
         """S(rho_A): row 0 of side A's spectrum for an all-pure ensemble,
-        whose member entropies are read too; else, as m + 1 spectra would
-        cost more than one, the marginal's own."""
+        whose member entropies are read too; else, as there are no reduced
+        members, the marginal's own."""
         if self._all_pure:
             return float(self._entropies_of_a[0])
         return self._marginal_entropy("B")
@@ -249,12 +255,13 @@ class Ensemble:
 
     @cached_property
     def chi(self) -> float:
-        """Holevo chi of the joint ensemble, S(rho_AB) - sum_X p_X S(rho_X):
-        its first term is s_ab, and its second is 0 for pure members."""
-        if self._all_pure:
-            return self.s_ab
-        members = von_neumann_entropies(self.densities, self.tol)
-        return _holevo_chi(self.probs, self.densities, np.concatenate([[self.s_ab], members]))
+        """Holevo chi of the joint ensemble, S(rho_AB) - sum_X p_X S(rho_X),
+        clamped at 0; exactly 0 when the members' rows are identical."""
+        rows, counts = self._rows
+        members = [0.0 if s.is_pure else float(spectrum_entropies(s.eigh[0][None], self.tol)[0]) for s in self.states]
+        # Members with unequal row counts differ; equal ones stack as (m, k n).
+        stack = rows.reshape(len(counts), -1) if (counts == counts[0]).all() else None
+        return _holevo_chi(self.probs, stack, np.array([self.s_ab, *members]))
 
 
 @dataclass(frozen=True)
@@ -325,9 +332,9 @@ def average_state(e: Ensemble) -> np.ndarray:
 
 def reduced_ensemble(e: Ensemble, party: str) -> np.ndarray:
     """The stack (m, d, d) of every member of an all-pure ensemble
-    partial-traced down to the given party, from the member vectors, each
-    with the bits of partial_trace(density_of(s), ...). Of an ensemble with a
-    density member, PreconditionError names the first one."""
+    partial-traced down to the given party, from the member vectors (see
+    vector_partial_traces). Of an ensemble with a density member,
+    PreconditionError names the first one."""
     if party not in ("A", "B"):
         raise ValidationError(f"party must be 'A' or 'B', got {party!r}")
     return vector_partial_traces(e._vectors, e.dims.dA, e.dims.dB, "B" if party == "A" else "A")

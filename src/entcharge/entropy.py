@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DEFAULT_TOLERANCES, Tolerances, as_square_matrix, density_spectra
+from .linalg import DEFAULT_TOLERANCES, Tolerances, density_spectra
 
 
 def _entropy_bits(p) -> float:
@@ -48,15 +48,11 @@ def binary_entropy(x: float) -> float:
     return _entropy_bits([x, 1.0 - x])
 
 
-def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """S(rho) in bits; eigenvalues are clamped before the x log x evaluation."""
-    return float(von_neumann_entropies(as_square_matrix(rho)[None], tol)[0])
-
-
 def von_neumann_entropies(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, traced_dim: int = 1) -> np.ndarray:
     """S(rho) of each density matrix in a stack (m, d, d), from one batched
     spectrum that density_spectra checks (traced_dim as there). Each entropy
-    has the bits of von_neumann_entropy of that matrix alone."""
+    has the bits of that matrix's own one-matrix stack; eigenvalues are
+    clamped (spectrum_entropies) before the x log x evaluation."""
     return spectrum_entropies(density_spectra(stack, tol, traced_dim), tol)
 
 
@@ -97,14 +93,15 @@ def member_term(p: np.ndarray, entropies) -> float:
     return float(sum(pi * s for pi, s in zip(p, entropies)))
 
 
-def _holevo_chi(p: np.ndarray, stack: np.ndarray, h: np.ndarray) -> float:
+def _holevo_chi(p: np.ndarray, stack: np.ndarray | None, h: np.ndarray) -> float:
     """chi = S(rho) - sum_X p_X S(rho_X) of a checked stack from h, the
-    entropies of [rho, *stack] in that order. rho = sum_X p_X rho_X is the
+    entropies of [rho, *members] in that order. rho = sum_X p_X rho_X is the
     ensemble's average state, or its marginal for a reduced ensemble. The
-    stack is read only to find identical members, so pure members may stand
-    for their reduced states by their vectors."""
+    stack is read only to find identical members, so members may stand for
+    their states by their rows (pure ones by their vectors); None says they
+    are known to differ."""
     # Identical members carry no information; short-circuit keeps chi exactly 0.
-    if (stack == stack[:1]).all():
+    if stack is not None and (stack == stack[:1]).all():
         return 0.0
     # Members equal only to rounding (the reduced members of a maximally
     # entangled basis) can round the difference just below 0.

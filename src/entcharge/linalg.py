@@ -73,32 +73,13 @@ def as_square_matrix(m) -> np.ndarray:
     return a
 
 
-def partial_trace(m, dA: int, dB: int, traced_party: str) -> np.ndarray:
-    """Trace out one party of an operator on a dA*dB joint space.
-
-    traced_party 'A' leaves the dB x dB operator on B, 'B' leaves the one on A.
-    Basis convention: joint index i*dB + k for |i>_A |k>_B.
-    """
-    a = as_square_matrix(m)
-    if dA < 1 or dB < 1:
-        raise ValidationError("local dims must be positive")
-    if a.shape[0] != dA * dB:
-        raise ShapeError(
-            f"matrix dim {a.shape[0]} does not match dims {dA}x{dB} (joint {dA * dB})"
-        )
-    t = a.reshape(dA, dB, dA, dB)
-    if traced_party == "A":
-        return np.einsum("ikil->kl", t)
-    if traced_party == "B":
-        return np.einsum("ikjk->ij", t)
-    raise ValidationError(f"traced_party must be 'A' or 'B', got {traced_party!r}")
-
-
 def vector_partial_traces(vectors: np.ndarray, dA: int, dB: int, traced_party: str) -> np.ndarray:
-    """partial_trace of |v><v| for each vector in a stack (m, dA*dB), with no
+    """The partial trace of |v><v| for each vector in a stack (m, dA*dB),
+    traced_party 'A' leaving the operator on B and 'B' the one on A, with no
     joint matrix formed: rho^A[i, j] = sum_k v[i k] conj(v[j k]), and rho^B
-    alike. The sum runs in order over k from zero, as partial_trace's einsum
-    does, so the result has its bits; a regrouping sum (.sum, matmul) does not.
+    alike (joint index i*dB + k for |i>_A |k>_B). The sum runs in order over
+    k from zero, as numpy's einsum of the joint matrix does, so the result
+    has its bits; a regrouping sum (.sum, matmul) does not.
     """
     v = vectors.reshape(-1, dA, dB)
     if traced_party == "A":

@@ -17,9 +17,10 @@ from .errors import ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _check_spectra,
     as_square_matrix,
     check_joint_dim,
-    density_spectra,
+    hermitian_part,
 )
 
 # Below this deviation a pure vector is already unit to machine precision and
@@ -51,13 +52,16 @@ class BipartiteDims:
 class BipartiteState:
     """A validated bipartite state, either a pure vector or a density matrix.
 
-    Construct through validate_state (or the generators); the arrays are
-    marked read-only and must be treated as immutable.
+    A density state keeps eigh, the ascending eigenvalues and eigenvectors
+    of its Hermitian part that validation computed, so it is decomposed
+    once. Construct through validate_state (or the generators); the arrays
+    are marked read-only and must be treated as immutable.
     """
 
     dims: BipartiteDims
     vector: np.ndarray | None
     matrix: np.ndarray | None
+    eigh: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def is_pure(self) -> bool:
@@ -76,7 +80,8 @@ def validate_state(dims: BipartiteDims, data, tol: Tolerances = DEFAULT_TOLERANC
     Pure inputs whose norm deviates from 1 by at most trace_tol are
     renormalized; larger deviations are rejected. Density inputs must be
     Hermitian within hermiticity_tol, PSD within eigenvalue_clamp and have
-    unit trace within trace_tol.
+    unit trace within trace_tol: density_spectra's checks, in its order, of
+    the one eigh of the Hermitian part that the state keeps.
     """
     a = np.asarray(data, dtype=complex)
     n = dims.joint
@@ -88,8 +93,9 @@ def validate_state(dims: BipartiteDims, data, tol: Tolerances = DEFAULT_TOLERANC
             raise ShapeError(
                 f"density matrix dim {m.shape[0]} does not match dims {dims.dA}x{dims.dB} (joint {n})"
             )
-        density_spectra(m[None], tol)
-        return BipartiteState(dims, vector=None, matrix=_freeze(m))
+        w, v = np.linalg.eigh(hermitian_part(m))
+        _check_spectra(m[None], w[None], tol, 1)
+        return BipartiteState(dims, vector=None, matrix=_freeze(m), eigh=(_freeze(w), _freeze(v)))
     raise ShapeError("state data must be a vector (pure) or a square matrix (density)")
 
 
@@ -156,33 +162,48 @@ def _nearly_pure(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
     return np.linalg.norm(stack, axis=(-2, -1)) >= (1.0 - tol.orthogonality_tol) ** 2
 
 
-def overlap_matrix(states: list[BipartiteState] | tuple[BipartiteState, ...]) -> np.ndarray:
-    """The m x m matrix Tr(rho_i rho_j) of m states of equal dims.
+def state_rows(s: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """The rows r (k, n) of a state, rho = sum_r |r><r|: a pure state's
+    vector, or sqrt(lambda) v for each eigenpair of a density state's eigh
+    with lambda above eigenvalue_clamp. The dropped eigenvalues count as 0,
+    so the rows rebuild rho within eigenvalue_clamp per eigenvalue."""
+    if s.is_pure:
+        return s.vector[None]
+    w, v = s.eigh
+    keep = w > tol.eigenvalue_clamp
+    return (v[:, keep] * np.sqrt(w[keep])).T
 
-    All-pure input uses the Gram matrix of the vectors, |<psi_i|psi_j>|^2;
-    otherwise each rho_i is flattened into a row of M and Tr(rho_i rho_j) =
-    Re(M M^dag)[i, j] (the members are Hermitian).
-    """
+
+def row_overlaps(gram: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Tr(rho_i rho_j) of members with counts[i] rows each, in order, from
+    the Gram matrix of all their rows: the sum of |gram|^2 over each block
+    of rows, which is |gram|^2 itself when every member has one row."""
+    g = np.abs(gram) ** 2
+    if len(g) == len(counts):
+        return g
+    starts = np.cumsum(counts) - counts
+    return np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1)
+
+
+def overlap_matrix(
+    states: list[BipartiteState] | tuple[BipartiteState, ...],
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> np.ndarray:
+    """The m x m matrix Tr(rho_i rho_j) of m states of equal dims, from the
+    Gram matrix of their rows (state_rows): |<psi_i|psi_j>|^2 of pure states."""
     if not states:
         return np.zeros((0, 0))
     dims = states[0].dims
     for k, s in enumerate(states):
         if s.dims != dims:
             raise ShapeError(f"state {k} has dims {s.dims.dA}x{s.dims.dB}, expected {dims.dA}x{dims.dB}")
-    if all(s.is_pure for s in states):
-        return np.abs(_gram(np.stack([s.vector for s in states]))) ** 2
-    return density_overlaps(np.stack([density_of(s) for s in states]))
+    rows = [state_rows(s, tol) for s in states]
+    return row_overlaps(_gram(np.concatenate(rows)), np.array([len(r) for r in rows]))
 
 
 def _gram(v: np.ndarray) -> np.ndarray:
     """The m x m Gram matrix <psi_i|psi_j> of a stack (m, n) of vectors."""
     return v.conj() @ v.T
-
-
-def density_overlaps(stack: np.ndarray) -> np.ndarray:
-    """overlap_matrix of a stack (m, n, n) of density matrices."""
-    m = stack.reshape(len(stack), -1)
-    return np.real(m @ m.conj().T)
 
 
 def orthogonality_witness(overlaps: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[int, int, float] | None:
@@ -205,5 +226,5 @@ def pairwise_orthogonal(
     perfectly-distinguishable criterion. Returns (True, None) on success,
     else (False, (i, j, overlap)) for the first violating pair.
     """
-    witness = orthogonality_witness(overlap_matrix(states), tol)
+    witness = orthogonality_witness(overlap_matrix(states, tol), tol)
     return witness is None, witness

@@ -26,6 +26,7 @@ from entcharge import (
 )
 from entcharge.accessible import MAX_STEP, RISE_TOL, _ascent_direction, _information, _joint_table, _povm_elements
 from entcharge.ensembles import Ensemble
+from entcharge.entropy import von_neumann_entropies
 from entcharge.fileio import SCHEMA_VERSION, format_float
 
 
@@ -214,6 +215,19 @@ def partial_trace_loop(m: np.ndarray, dA: int, dB: int, traced_party: str) -> np
             for i in range(dA):
                 out[k, L] += m[i * dB + k, i * dB + L]
     return out
+
+
+def partial_trace_einsum(m: np.ndarray, dA: int, dB: int, traced_party: str) -> np.ndarray:
+    """numpy's einsum of a joint matrix over the traced party's index: the
+    in-order sum whose bits vector_partial_traces claims."""
+    t = np.asarray(m).reshape(dA, dB, dA, dB)
+    return np.einsum("ikil->kl", t) if traced_party == "A" else np.einsum("ikjk->ij", t)
+
+
+def entropy_alone(m: np.ndarray, tol=DEFAULT_TOLERANCES, traced_dim: int = 1) -> float:
+    """S(m) in bits from the library's spectrum of m alone: the bits every
+    batched entropy of m must carry."""
+    return float(von_neumann_entropies(np.asarray(m, dtype=complex)[None], tol, traced_dim)[0])
 
 
 def entropy_oracle(m: np.ndarray) -> float:

@@ -27,11 +27,12 @@ from entcharge import (
     rotated_basis,
     shannon_entropy,
     validate_state,
-    von_neumann_entropy,
 )
 from entcharge.accessible import pgm_information
 from entcharge.linalg import ROUNDING_SLACK
 from helpers import (
+    entropy_oracle,
+    partial_trace_loop,
     pgm_oracle,
     rotate_locally,
     swap_parties,
@@ -526,7 +527,7 @@ def test_delta_epsilon_orthogonal_pure_is_zero():
     # oracle: S(sum p |psi><psi|) = H(p) for orthogonal pure states
     from entcharge import average_state
 
-    assert von_neumann_entropy(average_state(e)) == pytest.approx(shannon_entropy(equal_probs(4)), abs=1e-9)
+    assert entropy_oracle(average_state(e)) == pytest.approx(shannon_entropy(equal_probs(4)), abs=1e-9)
 
 
 def test_delta_epsilon_identical_pure_states_zero():
@@ -578,14 +579,14 @@ def test_lower_bound_general_two_state_composed_oracles():
     gamma = np.pi / 8
     e = two_state_ensemble(gamma)
     info = estimate_accessible_info(e)
-    from entcharge import average_state, partial_trace
+    from entcharge import average_state
 
     avg = average_state(e)
     avg_member = sum(
-        0.5 * von_neumann_entropy(partial_trace(density_of(s), 1, 2, "B")) for s in e.states
+        0.5 * entropy_oracle(partial_trace_loop(density_of(s), 1, 2, "B")) for s in e.states
     )
     mutual = mutual_information_oracle(avg, 1, 2)
-    delta_hi = von_neumann_entropy(avg) - info.lo
+    delta_hi = entropy_oracle(avg) - info.lo
     expected = avg_member - mutual - delta_hi
     assert lower_bound_general(e, info) == pytest.approx(expected, abs=1e-12)
     # dims 1x2 means no correlations at all: bound reduces to -Delta.hi
@@ -733,7 +734,7 @@ PINNED = {
     "zero_plus_1x2": ("0x1.62c8b7180da44p-1", "0x1.da6ce8d8455a5p-1", ""),
     "identical_bell": ("0x0.0p+0", "0x0.0p+0", ""),
     "mixed_1x2": ("0x1.403f45b2114ecp-2", "0x1.60519913201efp-2", ""),
-    "mixed_2x2": ("0x1.850adad7fb0e0p-2", "0x1.049c372cc146dp-1", "local search still rising at max_iters=150 on 1/4 restarts"),
+    "mixed_2x2": ("0x1.850adad7fb0e0p-2", "0x1.049c372cc1463p-1", "local search still rising at max_iters=150 on 1/4 restarts"),
     "pair_pi8": ("0x1.bbee220839a70p-4", "0x1.ddda59fabbce5p-3", ""),
     "pair_restarts1": ("0x1.05edbab77fcb0p-4", "0x1.3c167d81a32d8p-3", ""),
     "pure3_2x2_capped": ("0x1.53cc17d833aacp-1", "0x1.96b41bd99c44ep-1", "local search still rising at max_iters=30 on 2/2 restarts"),
@@ -995,5 +996,7 @@ def test_search_stops_at_the_cap_on_orthogonal_mixed_members(seed, monkeypatch):
     info = estimate_accessible_info(e, OptimizerConfig(restarts=2, seed=3))
     assert info.note == ""
     assert info.hi - info.lo <= RISE_TOL
-    # The square-root measurement's two eigh calls and its renormalization's.
-    assert len(calls) == 3
+    # The square-root measurement's two eigh calls and its renormalization's,
+    # and the weighted Gram matrix's of the members' 9 rows, which S(rho_AB)
+    # in the cap reads.
+    assert len(calls) == 4

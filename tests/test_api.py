@@ -19,9 +19,9 @@ PUBLIC_NAMES = [
     "is_canonical_product_basis",
     "lower_bound_general", "make_ensemble", "make_povm",
     "mutual_information_of_measurement", "pairwise_orthogonal", "parse_ensemble",
-    "partial_trace", "product_basis", "reduced_ensemble",
+    "product_basis", "reduced_ensemble",
     "rotated_basis", "rotated_family_report", "shannon_entropy",
-    "upper_bound_merging", "validate_state", "von_neumann_entropy",
+    "upper_bound_merging", "validate_state",
     "write_ensemble",
 ]
 

@@ -36,6 +36,7 @@ from entcharge import (
 from entcharge.bounds import _verdict
 from entcharge.linalg import ROUNDING_SLACK
 from helpers import (
+    entropy_alone,
     entropy_oracle,
     holevo_oracle,
     lower_bound_pure,
@@ -663,7 +664,7 @@ def test_reading_the_flags_never_reduces_side_b(monkeypatch, d):
 
 def test_classify_structure_computes_no_entropy(monkeypatch):
     e = generalized_bell_basis(3, equal_probs(9))
-    entropies = _count_calls(monkeypatch, "entropy", "von_neumann_entropy")
+    entropies = _count_calls(monkeypatch, "entropy", "von_neumann_entropies")
     e.flags
     assert len(entropies) == 0
 
@@ -792,17 +793,16 @@ def test_estimate_then_analyze_builds_each_joint_fact_once(name, monkeypatch):
     analyze(e, info)
     # The search reads the ensemble's densities, average and chi: m density_of
     # calls stack the members once, and the average state sums those rows in
-    # order. The chi of pure members is s_ab; analyze of a non-orthogonal
-    # ensemble reads no party chi.
-    joint_chi = 0 if e._all_pure else 1
-    assert (len(average), len(chi), len(densities)) == (1, joint_chi, len(e.members))
+    # order. The joint chi takes one _holevo_chi call, for pure members too;
+    # analyze of a non-orthogonal ensemble reads no party chi.
+    assert (len(average), len(chi), len(densities)) == (1, 1, len(e.members))
     assert not hasattr(entcharge.accessible, "density_of")
 
 
 def test_witness_builds_no_reduced_ensemble_and_no_entropy(monkeypatch):
     e = generalized_bell_basis(3, equal_probs(9))
     reduced = _count_calls(monkeypatch, "ensembles", "reduced_ensemble")
-    entropies = _count_calls(monkeypatch, "entropy", "von_neumann_entropy")
+    entropies = _count_calls(monkeypatch, "entropy", "von_neumann_entropies")
     assert e.witness is None
     assert (len(reduced), len(entropies)) == (0, 0)
 
@@ -865,8 +865,7 @@ def test_each_fact_is_computed_once(monkeypatch):
         for module, name in (
             ("states", "orthogonality_witness"),
             ("ensembles", "reduced_ensemble"), ("ensembles", "average_state"),
-            ("entropy", "von_neumann_entropy"), ("entropy", "von_neumann_entropies"),
-            ("linalg", "partial_trace"),
+            ("entropy", "von_neumann_entropies"),
         )
     }
     calls["gram"] = _count_fact(monkeypatch, "gram")
@@ -898,17 +897,13 @@ def test_shared_facts_are_read_only():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_ensemble_facts_match_the_standalone_functions(seed):
-    from entcharge import (
-        average_state,
-        reduced_ensemble,
-        von_neumann_entropy,
-    )
+    from entcharge import average_state, reduced_ensemble
 
     e = random_orthogonal_pure_ensemble(np.random.default_rng(seed), 2)
     assert np.array_equal(e.average, average_state(e))
     assert e.mutual_information == pytest.approx(mutual_information_oracle(e.average, 2, 2), abs=1e-9)
     assert all(np.array_equal(x, y) for x, y in zip(e.reduced_a, reduced_ensemble(e, "A")))
-    assert e.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, e.reduced_a)))
+    assert e.avg_member_entropy == float(sum(p * entropy_alone(m) for p, m in zip(e.probs, e.reduced_a)))
     assert e.chi == e.s_ab  # pure members have zero entropy
     assert e.chi == pytest.approx(holevo_oracle(e.probs, e.densities), abs=1e-12)
     assert upper_bound_merging(e) == (e.s_ab - e.s_b, e.s_ab - e.s_a)

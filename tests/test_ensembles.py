@@ -20,25 +20,26 @@ from entcharge import (
     generalized_bell_basis,
     make_ensemble,
     parse_ensemble,
-    partial_trace,
     product_basis,
     reduced_ensemble,
     rotated_basis,
     shannon_entropy,
     validate_state,
-    von_neumann_entropy,
 )
 from entcharge.entropy import von_neumann_entropies
 from entcharge.linalg import density_spectra
+from entcharge.states import state_rows
 from helpers import (
     assert_member_facts_refused,
     bell_vectors,
     entanglement_oracle,
+    entropy_alone,
     entropy_oracle,
     holevo_oracle,
     maximally_entangled_oracle,
     near_maximally_mixed_gbell,
     near_product_vector,
+    partial_trace_einsum,
     partial_trace_loop,
     pgm_oracle,
     product_oracle,
@@ -188,7 +189,7 @@ def test_reduce_then_average_commutes(seed):
     e = random_orthogonal_pure_ensemble(rng, 2)
     mats = reduced_ensemble(e, "A")
     averaged_reduced = sum(p * m for p, m in zip(e.probs, mats))
-    reduced_average = partial_trace(average_state(e), 2, 2, "B")
+    reduced_average = partial_trace_loop(average_state(e), 2, 2, "B")
     assert np.allclose(averaged_reduced, reduced_average, atol=1e-12)
 
 
@@ -366,13 +367,13 @@ def test_batched_member_facts_match_the_per_member_reference(seed, dA, dB, kinds
         return
     for party, traced in (("A", "B"), ("B", "A")):
         reduced = reduced_ensemble(e, party)
-        ref = [partial_trace(density_of(s), dA, dB, traced) for s in e.states]
+        ref = [partial_trace_einsum(density_of(s), dA, dB, traced) for s in e.states]
         assert reduced.shape == (len(kinds), *ref[0].shape)
         assert all(np.array_equal(got, want) for got, want in zip(reduced, ref)), party
-    ref_a = [partial_trace(density_of(s), dA, dB, "B") for s in e.states]
+    ref_a = [partial_trace_einsum(density_of(s), dA, dB, "B") for s in e.states]
     assert all(np.array_equal(got, want) for got, want in zip(e.reduced_a, ref_a))
-    assert all(got == von_neumann_entropy(want) for got, want in zip(e.entropies_a, ref_a))
-    assert e.avg_member_entropy == float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, ref_a)))
+    assert all(got == entropy_alone(want) for got, want in zip(e.entropies_a, ref_a))
+    assert e.avg_member_entropy == float(sum(p * entropy_alone(m) for p, m in zip(e.probs, ref_a)))
     assert e.chi_a == _chi_reference(e, "B")
     assert e.chi_b == _chi_reference(e, "A")
 
@@ -385,13 +386,11 @@ def test_reduced_ensemble_checks_the_party_first():
 
 def _marginal_reference(e, traced: str) -> np.ndarray:
     """The marginal left by tracing out `traced`, as the ensemble builds it:
-    for all-pure members sum_X W_X W_X^dag (W_X^T W_X-bar for B), W_X the
-    sqrt(p_X)-weighted member reshaped to dA x dB, as one product of the
-    W_X laid side by side; otherwise the partial trace of the average state."""
+    sum_r W_r W_r^dag (W_r^T W_r-bar for B), W_r each row of each member
+    (state_rows: a pure member's vector) weighted by sqrt(p_X) and reshaped
+    to dA x dB, as one product of the W_r laid side by side."""
     dA, dB = e.dims.dA, e.dims.dB
-    if not all(s.is_pure for s in e.states):
-        return partial_trace(e.average, dA, dB, traced)
-    w = [np.sqrt(p) * s.vector.reshape(dA, dB) for p, s in e.members]
+    w = [np.sqrt(p) * r.reshape(dA, dB) for p, s in e.members for r in state_rows(s, e.tol)]
     f = np.concatenate(w if traced == "B" else [x.T for x in w], axis=1)
     return f @ f.conj().T
 
@@ -403,12 +402,12 @@ def _chi_reference(e, traced: str) -> float:
     a pure member's two reduced states share. It is exactly 0 when the
     reduced members of side A (for chi_B, the member vectors) are identical."""
     dA, dB = e.dims.dA, e.dims.dB
-    reduced = [partial_trace(density_of(s), dA, dB, "B") for s in e.states]
+    reduced = [partial_trace_einsum(density_of(s), dA, dB, "B") for s in e.states]
     same = reduced if traced == "B" else [s.vector for s in e.states]
     if all(np.array_equal(x, same[0]) for x in same):
         return 0.0
-    marginal = von_neumann_entropy(_marginal_reference(e, traced))
-    return max(0.0, marginal - float(sum(p * von_neumann_entropy(m) for p, m in zip(e.probs, reduced))))
+    marginal = entropy_alone(_marginal_reference(e, traced))
+    return max(0.0, marginal - float(sum(p * entropy_alone(m) for p, m in zip(e.probs, reduced))))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -479,10 +478,10 @@ def test_a_reduced_member_nothing_reads_does_not_fail_analyze(fault):
     edge = _member_at_the_edges(fault)
     e = make_ensemble([(0.5, good), (0.5, edge)])
     with pytest.raises(ValidationError):
-        von_neumann_entropy(partial_trace(density_of(edge), 2, 2, "B"))
+        entropy_alone(partial_trace_einsum(density_of(edge), 2, 2, "B"))
     report = analyze(e)
-    assert report.upper_bounds["compress_teleport"] == e.s_a == von_neumann_entropy(partial_trace(e.average, 2, 2, "B"))
-    assert e.s_b == von_neumann_entropy(partial_trace(e.average, 2, 2, "A"))
+    assert report.upper_bounds["compress_teleport"] == e.s_a == entropy_alone(_marginal_reference(e, "B"), traced_dim=2)
+    assert e.s_b == entropy_alone(_marginal_reference(e, "A"), traced_dim=2)
     assert np.isfinite(e.s_ab)
     assert_member_facts_refused(e, 0)
 
@@ -603,12 +602,12 @@ def test_party_spectra_match_the_per_matrix_reference(build):
     e = build()
     dA, dB = e.dims.dA, e.dims.dB
     for party, traced, s in (("A", "B", e.s_a), ("B", "A", e.s_b)):
-        assert s == von_neumann_entropy(_marginal_reference(e, traced)), party
-        assert np.allclose(_marginal_reference(e, traced), partial_trace(e.average, dA, dB, traced), rtol=0, atol=1e-15)
+        assert s == entropy_alone(_marginal_reference(e, traced)), party
+        assert np.allclose(_marginal_reference(e, traced), partial_trace_loop(e.average, dA, dB, traced), rtol=0, atol=1e-15)
     if not e.flags.all_pure:
         assert_member_facts_refused(e, next(k for k, s in enumerate(e.states) if not s.is_pure))
         return
-    assert [x.hex() for x in e.entropies_a] == [von_neumann_entropy(m).hex() for m in reduced_ensemble(e, "A")]
+    assert [x.hex() for x in e.entropies_a] == [entropy_alone(m).hex() for m in reduced_ensemble(e, "A")]
     assert e.chi_a == _chi_reference(e, "B")
     assert e.chi_b == _chi_reference(e, "A")
 
@@ -704,3 +703,107 @@ def test_vector_facts_match_the_dense_oracles(seed, shape, kind, members, zeros,
     assert e.flags.all_product == all(product_oracle(s, tol) for s in e.states)
     assert e.flags.all_maximally_entangled == maximally_entangled_oracle(e)
     assert e.flags.support_size == int((e.probs > tol.eigenvalue_clamp).sum())
+
+
+def _dense_entropy(m: np.ndarray, tol) -> float:
+    """S(m) in bits from numpy's eigvalsh alone, eigenvalues at or below
+    eigenvalue_clamp dropped."""
+    w = np.linalg.eigvalsh(m)
+    w = w[w > tol.eigenvalue_clamp]
+    return max(0.0, float(-(w * np.log2(w)).sum()))
+
+
+def _density_of_rank(rng, n: int, rank: int, tiny: int, tol) -> tuple[np.ndarray, np.ndarray]:
+    """A Hermitian density matrix of the given rank in a Haar basis, with
+    `tiny` of its null eigenvalues set to +-eigenvalue_clamp / 2, and the
+    same matrix with those zeroed: the state its rows stand for."""
+    u = random_unitary(rng, n)
+    w = np.zeros(n)
+    w[:rank] = rng.dirichlet(np.ones(rank))
+    kept = (u * w) @ u.conj().T
+    w[rank:rank + tiny] = 0.5 * tol.eigenvalue_clamp * rng.choice([-1.0, 1.0], size=min(tiny, n - rank))
+    m = (u * w) @ u.conj().T
+    return (m + m.conj().T) / 2, (kept + kept.conj().T) / 2
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]),
+    st.lists(st.sampled_from(["pure", "density"]), min_size=1, max_size=5).filter(lambda k: "density" in k),
+    st.integers(0, 2),
+    st.sampled_from(["default", "strict"]),
+)
+@example(seed=0, shape=(2, 2), kinds=["density", "pure", "density"], zeros=1, profile="strict")
+@example(seed=1, shape=(4, 4), kinds=["density"] * 5, zeros=0, profile="default")
+@example(seed=2, shape=(1, 3), kinds=["pure", "density"], zeros=1, profile="default")
+@settings(max_examples=80, deadline=None)
+def test_mixed_facts_match_the_dense_oracles(seed, shape, kinds, zeros, profile):
+    # An ensemble with density members takes its joint facts from the rows
+    # of all members, a density member's being its eigenvectors weighted by
+    # sqrt(lambda) for lambda above eigenvalue_clamp: each fact must match
+    # the dense oracle built from the joint matrices, on 1 x n, n x 1 and
+    # square shapes, with ranks 1..n, rows fewer and more than n, pure and
+    # density members together and zero-probability members, under both
+    # profiles. Each density member's rows rebuild its matrix within
+    # eigenvalue_clamp per eigenvalue; the oracle reads the matrix with the
+    # eigenvalues within the clamp zeroed, as a shift of d in an eigenvalue
+    # lambda moves an entropy by up to d |log2 lambda|, beyond 1e-12.
+    tol = STRICT_TOLERANCES if profile == "strict" else DEFAULT_TOLERANCES
+    dA, dB = shape
+    n = dA * dB
+    rng = np.random.default_rng(seed)
+    dims = BipartiteDims(dA, dB)
+    data, rhos = [], []
+    for kind in kinds:
+        if kind == "pure":
+            v = random_pure_vector(rng, n)
+            data.append(v)
+            rhos.append(np.outer(v, v.conj()))
+        else:
+            m, kept = _density_of_rank(rng, n, int(rng.integers(1, n + 1)), int(rng.integers(0, 3)), tol)
+            data.append(m)
+            rhos.append(kept)
+    probs = rng.dirichlet(np.ones(len(kinds)))
+    probs[: min(zeros, len(kinds) - 1)] = 0.0
+    e = make_ensemble([(p, validate_state(dims, x, tol)) for p, x in zip(probs / probs.sum(), data)], tol=tol)
+    average = sum(p * r for p, r in zip(e.probs, rhos))
+    oracle = {
+        "s_ab": _dense_entropy(average, tol),
+        "s_a": _dense_entropy(partial_trace_loop(average, dA, dB, "B"), tol),
+        "s_b": _dense_entropy(partial_trace_loop(average, dA, dB, "A"), tol),
+        "chi": max(0.0, _dense_entropy(average, tol) - sum(p * _dense_entropy(r, tol) for p, r in zip(e.probs, rhos))),
+    }
+    for name, value in oracle.items():
+        assert abs(getattr(e, name) - value) <= 1e-12, name
+    direct = np.array([[np.trace(a @ b).real for b in rhos] for a in rhos])
+    assert np.abs(e.overlaps - direct).max() <= 1e-12
+    pairs = [(i, j) for i in range(len(rhos)) for j in range(i + 1, len(rhos)) if direct[i, j] > tol.orthogonality_tol]
+    if not pairs:
+        assert e.witness is None
+    else:
+        i, j, overlap = e.witness
+        assert (i, j) == pairs[0] and abs(overlap - direct[i, j]) <= 1e-12
+    assert e.gram.shape == (sum(len(state_rows(s, tol)) for s in e.states),) * 2
+    for s, x in zip(e.states, data):
+        if not s.is_pure:
+            rows = state_rows(s, tol)
+            error = np.linalg.eigvalsh(rows.T @ rows.conj() - x)
+            assert np.abs(error).max() <= tol.eigenvalue_clamp + 1e-14
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_joint_chi_of_identical_pure_members_is_exactly_zero(seed):
+    # Identical members carry no information: the joint chi is exactly 0, as
+    # chi_A and chi_B are, not S(rho_AB) of their Gram matrix rounded, and the
+    # estimate brackets the accessible information at [0, 0].
+    from entcharge import OptimizerConfig, estimate_accessible_info
+
+    rng = np.random.default_rng([seed, 32])
+    for dA in range(2, 5):
+        for dB in range(2, 5):
+            s = validate_state(BipartiteDims(dA, dB), random_pure_vector(rng, dA * dB))
+            for m in (2, 3, 4):
+                e = make_ensemble([(p, s) for p in rng.dirichlet(np.ones(m))])
+                assert e.chi == 0.0, (dA, dB, m)
+                info = estimate_accessible_info(e, OptimizerConfig(restarts=2))
+                assert (info.lo, info.hi) == (0.0, 0.0), (dA, dB, m)

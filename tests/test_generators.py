@@ -11,12 +11,11 @@ from entcharge import (
     generalized_bell_basis,
     is_canonical_product_basis,
     pairwise_orthogonal,
-    partial_trace,
     product_basis,
     rotated_basis,
 )
 from entcharge.generators import PRODUCT_BASIS_NOTE
-from helpers import bell_vectors, entanglement_oracle
+from helpers import bell_vectors, entanglement_oracle, partial_trace_loop
 
 
 def test_bell_basis_fixed_order_and_flags():
@@ -58,7 +57,7 @@ def test_generalized_bell_flags_and_reductions(d):
     target = np.eye(d) / d
     for s in e.states:
         for party in ("A", "B"):
-            red = partial_trace(density_of(s), d, d, party)
+            red = partial_trace_loop(density_of(s), d, d, party)
             assert np.allclose(red, target, atol=1e-12)
 
 

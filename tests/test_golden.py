@@ -87,11 +87,14 @@ def test_estimate_output_is_byte_identical(name, capsys, monkeypatch):
 @pytest.mark.parametrize("name", ["mixedorth2x2", "mixedpure2x3"])
 def test_member_facts_of_a_mixed_golden_refuse_and_its_output_holds(name, capsys, monkeypatch):
     # No bound reads a member fact of an ensemble with a density member:
-    # each refuses, naming member 0, the file's first density member, and
-    # the analyze and estimate output of that same ensemble stays the golden's.
+    # each refuses, naming member 0, the file's first density member, while
+    # the row facts exist for every ensemble (gram is N x N over all members'
+    # rows); and the analyze and estimate output of that same ensemble stays
+    # the golden's.
     def parse_and_probe(text, tol):
         e = parse_ensemble(text, tol)
         assert_member_facts_refused(e, 0)
+        assert e.gram.shape == e.gram_eigh[1].shape and len(e.gram) > len(e.members)
         probed.append(e)
         return e
 

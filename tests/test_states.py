@@ -12,13 +12,11 @@ from entcharge import (
     density_of,
     make_ensemble,
     pairwise_orthogonal,
-    partial_trace,
     reduced_ensemble,
     validate_state,
-    von_neumann_entropy,
 )
 from entcharge.linalg import density_spectra
-from helpers import entanglement_oracle, random_pure_vector, schmidt_oracle
+from helpers import entanglement_oracle, entropy_oracle, partial_trace_loop, random_pure_vector, schmidt_oracle
 
 D22 = BipartiteDims(2, 2)
 
@@ -141,7 +139,7 @@ def test_is_maximally_entangled_examples():
     assert not is_maximally_entangled(validate_state(D22, [1, 0, 0, 0]))
     # rotated state at theta=pi/4: reduced state equals I/2 by the trace oracle
     s = validate_state(D22, rotated_pair_state(np.pi / 4))
-    red = partial_trace(density_of(s), 2, 2, "B")
+    red = partial_trace_loop(density_of(s), 2, 2, "B")
     assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
     assert is_maximally_entangled(s)
 
@@ -200,11 +198,11 @@ def test_entanglement_entropy_cross_module_consistency(seed):
     rng = np.random.default_rng(seed)
     s = validate_state(D22, random_pure_vector(rng, 4))
     via_schmidt = entanglement_oracle(s)
-    via_reduced = von_neumann_entropy(partial_trace(density_of(s), 2, 2, "B"))
+    via_reduced = entropy_oracle(partial_trace_loop(density_of(s), 2, 2, "B"))
     e = make_ensemble([(1.0, s)])
     assert via_schmidt == pytest.approx(via_reduced, abs=1e-9)
     assert via_schmidt == pytest.approx(e.entropies_a[0], abs=1e-9)
-    assert via_schmidt == pytest.approx(von_neumann_entropy(reduced_ensemble(e, "B")[0]), abs=1e-9)
+    assert via_schmidt == pytest.approx(entropy_oracle(reduced_ensemble(e, "B")[0]), abs=1e-9)
 
 
 @given(st.integers(0, 2**32 - 1))
