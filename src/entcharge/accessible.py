@@ -438,11 +438,10 @@ def estimate_accessible_info(e: Ensemble, cfg: OptimizerConfig = OptimizerConfig
     edge is the mutual information of the pair's measurement or of the best
     one the search found, re-evaluated through a validated POVM, or, for
     all-pure members, pgm_information if that is larger; one above the cap
-    beyond ROUNDING_SLACK raises. The search reads the
-    ensemble's densities, average state and chi, so a later analysis of the
-    same ensemble computes none of them again; the short-circuit reads only
-    the row facts (chi of distinct pure members is s_ab), and the pair adds
-    the densities that measuring its POVM reads.
+    beyond ROUNDING_SLACK raises. A later analysis of the same ensemble
+    reuses the witness and gram_eigh, with the s_ab that chi reads; it
+    reads neither the densities nor the average state that the search and
+    the measured information read.
     """
     cap = min(shannon_entropy(e.probs, e.tol), e.chi)
     if e._all_pure and e.witness is None:

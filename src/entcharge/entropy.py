@@ -8,10 +8,10 @@ from .errors import ValidationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, density_spectra
 
 
-def _entropy_bits(p) -> float:
-    """-sum p log2 p over positive entries, with 0 log 0 = 0. No validation."""
+def _entropy_bits(p, floor: float = 0.0) -> float:
+    """-sum p log2 p over entries above floor, with 0 log 0 = 0. No validation."""
     arr = np.asarray(p, dtype=float).ravel()
-    pos = arr[arr > 0.0]
+    pos = arr[arr > floor]
     if pos.size == 0:
         return 0.0
     return max(0.0, float(-(pos * np.log2(pos)).sum()))
@@ -58,20 +58,20 @@ def von_neumann_entropies(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCE
 
 def spectrum_entropies(evals: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """S of each row of a stack of checked spectra (rows, d), in bits."""
-    # Zero eigenvalues within eigenvalue_clamp of 0. The row sum drops one below
-    # -eigenvalue_clamp, which a derived state may keep, like every negative one.
-    spectra = np.where(np.abs(evals) <= tol.eigenvalue_clamp, 0.0, evals)
-    return _row_entropies(spectra, ((0, spectra.shape[1]),))[0]
+    # An eigenvalue at or below eigenvalue_clamp adds no term: one within the
+    # clamp of 0 counts as 0, and one below -eigenvalue_clamp, which a derived
+    # state may keep, is dropped like every negative one.
+    return _row_entropies(evals, ((0, evals.shape[1]),), tol.eigenvalue_clamp)[0]
 
 
-def _row_entropies(p: np.ndarray, cuts: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """_entropy_bits of each row's segment p[k, i:j], for each cut (i, j), as
-    an array (cuts, rows), with its bits. All rows are summed in one pass. A
-    zero or negative entry adds a zero term. numpy sums fewer than 8 entries
+def _row_entropies(p: np.ndarray, cuts: tuple[tuple[int, int], ...], floor: float = 0.0) -> np.ndarray:
+    """_entropy_bits(p[k, i:j], floor) of each row k, for each cut (i, j), as
+    an array (cuts, rows), with its bits. All rows are summed in one pass. An
+    entry at or below floor adds a zero term. numpy sums fewer than 8 entries
     strictly in order, where that term changes no bit, but groups 8 or more
     by position (pairwise), where it can; so only a segment of 8 or more
     entries holding such an entry goes through _entropy_bits itself."""
-    seen = p > 0.0
+    seen = p > floor
     q = np.where(seen, p, 1.0)
     terms = q * np.log2(q)
     h = np.empty((len(cuts), len(p)))
@@ -84,7 +84,7 @@ def _row_entropies(p: np.ndarray, cuts: tuple[tuple[int, int], ...]) -> np.ndarr
             if j - i < 8:
                 continue
             for k in np.flatnonzero(~seen[:, i:j].all(axis=1)):
-                h[c, k] = _entropy_bits(p[k, i:j])
+                h[c, k] = _entropy_bits(p[k, i:j], floor)
     return h
 
 

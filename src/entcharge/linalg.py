@@ -130,8 +130,10 @@ def density_spectra(stack: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, tra
     derived from valid members passes. The trace check is not scaled, as a
     partial trace keeps the trace.
     """
-    evals = np.linalg.eigvalsh(hermitian_part(stack))
-    _check_spectra(stack, evals, tol, traced_dim)
+    # One conjugate transpose serves the Hermitian part and its deviation.
+    adjoint = stack.swapaxes(-1, -2).conj()
+    evals = np.linalg.eigvalsh((stack + adjoint) / 2)
+    _check_spectra(np.abs(stack - adjoint).max(axis=(-2, -1)), evals, tol, traced_dim)
     return evals
 
 
@@ -140,13 +142,13 @@ def density_eigh(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> tu
     call, under density_spectra's checks and errors. eigh reads the lower
     triangle, within hermiticity_tol of the upper one's conjugate."""
     w, v = np.linalg.eigh(matrix)
-    _check_spectra(matrix[None], w[None], tol, 1)
+    _check_spectra(_hermiticity_deviation(matrix[None]), w[None], tol, 1)
     return w, v
 
 
-def _check_spectra(stack: np.ndarray, evals: np.ndarray, tol: Tolerances, traced_dim: int) -> None:
-    """density_spectra's checks of a stack and its spectra, in its order."""
-    dev = _hermiticity_deviation(stack)
+def _check_spectra(dev: np.ndarray, evals: np.ndarray, tol: Tolerances, traced_dim: int) -> None:
+    """density_spectra's checks of a stack, from its spectra and the
+    hermiticity deviation of each matrix, in its order."""
     low, tr = evals.min(axis=-1), evals.sum(axis=-1)
     clamp = traced_dim * tol.eigenvalue_clamp
     bad = (dev > traced_dim * tol.hermiticity_tol) | (low < -clamp) | (np.abs(tr - 1.0) > tol.trace_tol)

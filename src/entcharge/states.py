@@ -18,6 +18,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     _check_spectra,
+    _hermiticity_deviation,
     as_square_matrix,
     check_joint_dim,
     hermitian_part,
@@ -94,7 +95,7 @@ def validate_state(dims: BipartiteDims, data, tol: Tolerances = DEFAULT_TOLERANC
                 f"density matrix dim {m.shape[0]} does not match dims {dims.dA}x{dims.dB} (joint {n})"
             )
         w, v = np.linalg.eigh(hermitian_part(m))
-        _check_spectra(m[None], w[None], tol, 1)
+        _check_spectra(_hermiticity_deviation(m[None]), w[None], tol, 1)
         return BipartiteState(dims, vector=None, matrix=_freeze(m), eigh=(_freeze(w), _freeze(v)))
     raise ShapeError("state data must be a vector (pure) or a square matrix (density)")
 
@@ -147,9 +148,11 @@ def density_of(s: BipartiteState) -> np.ndarray:
 
 def _maximally_mixed(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Whether each d x d matrix in a stack is within orthogonality_tol of I/d
-    (Frobenius)."""
+    (Frobenius). Both flags take the Frobenius norm as np.linalg.norm(x,
+    axis=(-2, -1)) evaluates it, with its bits, but without its wrapper."""
     d = stack.shape[-1]
-    return np.linalg.norm(stack - np.eye(d) / d, axis=(-2, -1)) <= tol.orthogonality_tol
+    x = stack - np.eye(d) / d
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1))) <= tol.orthogonality_tol
 
 
 def _nearly_pure(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -159,7 +162,7 @@ def _nearly_pure(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
     >= 1 - orthogonality_tol" up to (1 - lambda_0)^2 ~ 4 orthogonality_tol^2:
     4e-18 by default, below the spacing of doubles near 1. Only a user
     Tolerances with a large orthogonality_tol can tell the two apart."""
-    return np.linalg.norm(stack, axis=(-2, -1)) >= (1.0 - tol.orthogonality_tol) ** 2
+    return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=(-2, -1))) >= (1.0 - tol.orthogonality_tol) ** 2
 
 
 def state_rows(s: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -209,10 +212,11 @@ def _gram(v: np.ndarray) -> np.ndarray:
 def orthogonality_witness(overlaps: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[int, int, float] | None:
     """The first pair (i, j, overlap), i < j in row-major order, whose overlap
     exceeds orthogonality_tol; None when every pair is orthogonal."""
-    hits = np.argwhere(np.triu(overlaps > tol.orthogonality_tol, k=1))
-    if not hits.size:
+    rows, cols = np.nonzero(overlaps > tol.orthogonality_tol)
+    upper = np.flatnonzero(cols > rows)
+    if not upper.size:
         return None
-    i, j = (int(x) for x in hits[0])
+    i, j = int(rows[upper[0]]), int(cols[upper[0]])
     return i, j, float(overlaps[i, j])
 
 

@@ -26,7 +26,8 @@ from entcharge import (
 )
 from entcharge.accessible import MAX_STEP, RISE_TOL, _ascent_direction, _information, _joint_table, _povm_elements
 from entcharge.ensembles import Ensemble
-from entcharge.entropy import von_neumann_entropies
+from entcharge.entropy import _entropy_bits, von_neumann_entropies
+from entcharge.linalg import _check_spectra, _hermiticity_deviation, hermitian_part
 from entcharge.fileio import SCHEMA_VERSION, format_float
 
 
@@ -487,3 +488,62 @@ def pgm_oracle(e) -> float:
         return float(-(p * np.log2(p)).sum())
 
     return h(table.sum(axis=1)) + h(table.sum(axis=0)) - h(table.ravel())
+
+
+# The kernels of the ensemble fact path as they were before they were
+# rewritten to make fewer numpy calls, kept as bit oracles for them.
+
+
+def witness_triu(overlaps: np.ndarray, tol=DEFAULT_TOLERANCES):
+    """orthogonality_witness from the mask of hits above the diagonal."""
+    hits = np.argwhere(np.triu(overlaps > tol.orthogonality_tol, k=1))
+    if not hits.size:
+        return None
+    i, j = (int(x) for x in hits[0])
+    return i, j, float(overlaps[i, j])
+
+
+def maximally_mixed_norm(stack: np.ndarray, tol=DEFAULT_TOLERANCES) -> np.ndarray:
+    """states._maximally_mixed through np.linalg.norm."""
+    d = stack.shape[-1]
+    return np.linalg.norm(stack - np.eye(d) / d, axis=(-2, -1)) <= tol.orthogonality_tol
+
+
+def nearly_pure_norm(stack: np.ndarray, tol=DEFAULT_TOLERANCES) -> np.ndarray:
+    """states._nearly_pure through np.linalg.norm."""
+    return np.linalg.norm(stack, axis=(-2, -1)) >= (1.0 - tol.orthogonality_tol) ** 2
+
+
+def row_entropies_unfloored(p: np.ndarray, cuts) -> np.ndarray:
+    """entropy._row_entropies with no floor: entries at or below 0 add no
+    term, and a segment of 8 or more holding one goes through _entropy_bits
+    whole."""
+    seen = p > 0.0
+    q = np.where(seen, p, 1.0)
+    terms = q * np.log2(q)
+    h = np.empty((len(cuts), len(p)))
+    for c, (i, j) in enumerate(cuts):
+        terms[:, i:j].sum(axis=1, out=h[c])
+    h = np.maximum(0.0 - h, 0.0)
+    if not seen.all():
+        for c, (i, j) in enumerate(cuts):
+            if j - i < 8:
+                continue
+            for k in np.flatnonzero(~seen[:, i:j].all(axis=1)):
+                h[c, k] = _entropy_bits(p[k, i:j])
+    return h
+
+
+def spectrum_entropies_clamped(evals: np.ndarray, tol=DEFAULT_TOLERANCES) -> np.ndarray:
+    """entropy.spectrum_entropies that zeroes the eigenvalues within
+    eigenvalue_clamp of 0 before the entropy drops those at or below 0."""
+    spectra = np.where(np.abs(evals) <= tol.eigenvalue_clamp, 0.0, evals)
+    return row_entropies_unfloored(spectra, ((0, spectra.shape[1]),))[0]
+
+
+def density_spectra_two_adjoints(stack: np.ndarray, tol=DEFAULT_TOLERANCES, traced_dim: int = 1) -> np.ndarray:
+    """linalg.density_spectra with the conjugate transpose formed twice, by
+    hermitian_part and by _hermiticity_deviation."""
+    evals = np.linalg.eigvalsh(hermitian_part(stack))
+    _check_spectra(_hermiticity_deviation(stack), evals, tol, traced_dim)
+    return evals

@@ -1000,3 +1000,22 @@ def test_search_stops_at_the_cap_on_orthogonal_mixed_members(seed, monkeypatch):
     # and the weighted Gram matrix's of the members' 9 rows, which S(rho_AB)
     # in the cap reads.
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("entry", [6, 16])
+def test_three_member_ensembles_whose_povm_once_failed_validation_estimate(entry):
+    # Entries 6 and 16 of the benchmark's table of equal-prior 2x2 ensembles
+    # of three Gaussian pure states, rebuilt from their seed. perfbench's
+    # README lists them as a known defect: the search built a POVM element
+    # with an eigenvalue of -7.2e-12, below -eigenvalue_clamp, and make_povm
+    # raised. Both estimate, at a short search and at the default config,
+    # with lo above the pretty-good measurement's information (by 3.7e-4 and
+    # 1.6e-5 bits).
+    rng = np.random.default_rng(entry)
+    v = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    e = make_ensemble([(1 / 3, validate_state(D22, x)) for x in v])
+    for cfg in (OptimizerConfig(restarts=2, max_iters=30), OptimizerConfig()):
+        info = estimate_accessible_info(e, cfg)
+        assert info.lo >= max(pgm_information(e), pgm_oracle(e)), cfg
+        assert info.lo <= info.hi

@@ -32,6 +32,7 @@ from entcharge.states import state_rows
 from helpers import (
     assert_member_facts_refused,
     bell_vectors,
+    density_spectra_two_adjoints,
     entanglement_oracle,
     entropy_alone,
     entropy_oracle,
@@ -441,10 +442,13 @@ def _member_at_the_edges(fault: str):
 
 def _beyond_the_traced_bound(fault: str) -> np.ndarray:
     """A 2x2 reduced state beyond what a member with a qubit traced out can
-    give: an eigenvalue of -3e-12 below -2 x eigenvalue_clamp, or a
-    Hermiticity deviation of 2.5e-10 above 2 x hermiticity_tol."""
+    give: an eigenvalue of -3e-12 below -2 x eigenvalue_clamp, a
+    Hermiticity deviation of 2.5e-10 above 2 x hermiticity_tol, or a trace
+    1 + 2^-28 off by more than trace_tol, which is not scaled."""
     if fault == "negative":
         return np.diag([-3e-12, 1.0 + 3e-12]).astype(complex)
+    if fault == "trace":
+        return np.diag([0.5, 0.5 + 2.0**-28]).astype(complex)
     m = np.eye(2, dtype=complex) / 2
     m[0, 1] = 0.1 + 2.5e-10
     m[1, 0] = 0.1
@@ -454,15 +458,19 @@ def _beyond_the_traced_bound(fault: str) -> np.ndarray:
 BEYOND_THE_TRACED_BOUND = {
     "negative": "negative eigenvalue -3.000000e-12 below -2 x eigenvalue_clamp (-2e-12); not a valid density matrix",
     "hermitian": "matrix is not Hermitian: max |m - m^dag| = 2.500e-10 exceeds 2 x hermiticity_tol=1e-10",
+    "trace": "trace 1.0000000037252903 deviates from 1 by 3.725e-09, beyond trace_tol=1e-09; not a valid density matrix",
 }
 
 
-@pytest.mark.parametrize("faults", [("negative", "hermitian"), ("hermitian", "negative")])
+@pytest.mark.parametrize(
+    "faults", [("negative", "hermitian"), ("hermitian", "negative"), ("trace", "negative"), ("hermitian", "trace")]
+)
 def test_invalid_reduced_member_raises_the_first_bad_members_message(faults):
     # A raw stack of reduced states, checked at the bounds of a traced-out
-    # qubit, with two rows beyond them: the first bad row's message is raised.
+    # qubit, with two rows beyond them: the first bad row's message is raised,
+    # by density_spectra, by the entropies that read it, and by its oracle.
     stack = np.stack([np.eye(2, dtype=complex) / 2, *(_beyond_the_traced_bound(f) for f in faults)])
-    for check in (density_spectra, von_neumann_entropies):
+    for check in (density_spectra, von_neumann_entropies, density_spectra_two_adjoints):
         with pytest.raises(ValidationError) as got:
             check(stack, DEFAULT_TOLERANCES, 2)
         assert str(got.value) == BEYOND_THE_TRACED_BOUND[faults[0]], check.__name__
